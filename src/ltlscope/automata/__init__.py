@@ -4,14 +4,14 @@ from .dot import automaton_to_dot, moore_to_dot
 from .guarded import Guard, GuardedAutomaton
 from .moore import (ImpossibleStateError, MooreMachine, REFINEMENTS, Verdict,
                     classify2, classify3, product2, product3)
-from .pipeline import (DFA, consistent_masks, determinize, dfa_step, minimize,
+from .pipeline import (DFA, consistent_masks, determinize, minimize,
                        nba_to_nfa, nonempty_states, tarjan_sccs)
 from .tableau import ltl_to_nba
 
 __all__ = [
     "DFA", "Guard", "GuardedAutomaton", "ImpossibleStateError", "MooreMachine",
     "REFINEMENTS", "Verdict", "automaton_to_dot", "classify2", "classify3",
-    "consistent_masks", "determinize", "dfa_step", "ltl_to_nba", "minimize",
+    "consistent_masks", "determinize", "ltl_to_nba", "minimize",
     "moore_to_dot", "nba_to_nfa", "nonempty_states", "product2", "product3",
     "tarjan_sccs",
 ]

@@ -319,6 +319,3 @@ def minimize(dfa: DFA) -> DFA:
                accepting=frozenset(new_ids[block[q]] for q in dfa.accepting),
                signed=dfa.signed, lits=lits_of, table=table)
 
-
-def dfa_step(dfa: DFA, state: int, event: frozenset) -> int:
-    return dfa.step(state, event)

@@ -9,13 +9,13 @@ The radiation atoms are named ``a``, ``b``, ``g``; the barrel/camera atoms
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .automata.moore import Verdict
 from .formula import Formula, parse_formula
 from .monitor import synthesize_imperfect, synthesize_standard
 from .oracle.verdict import OracleVerdict, oracle_verdict
-from .rational import RationalConfig, active_monitor, reactive_monitor
+from .rational import RationalConfig, RationalRun, active_monitor, reactive_monitor
 from .visibility import (VisibilitySpec, explicit_trace, identity_classes,
                          parse_classes, standard_view, visible_trace,
                          expand_witnesses)
@@ -109,6 +109,7 @@ class GridCell:
     verdict: Verdict
     expected: Verdict
     oracle: Optional[OracleVerdict] = None
+    run: Optional[RationalRun] = None  # the rational rows' run
 
     @property
     def matches(self) -> bool:
@@ -147,39 +148,25 @@ def run_grid(with_oracle: bool = False) -> list[GridCell]:
         imp.run(visible_unbroken)
         cells.append(GridCell("imperfect", name, imp.verdict, EXPECTED_GRID["imperfect"][i]))
 
-        act1 = active_monitor(GLOBAL_TRACE, f, vspec, cfg, forced_break=("cs",))
-        cells.append(GridCell("active1", name, act1.final, EXPECTED_GRID["active1"][i]))
-
-        act2 = active_monitor(GLOBAL_TRACE, f, vspec, cfg, forced_break=("abg",))
-        cells.append(GridCell("active2", name, act2.final, EXPECTED_GRID["active2"][i]))
-
-        rea = reactive_monitor(GLOBAL_TRACE, f, vspec, cfg)
-        cells.append(GridCell("reactive", name, rea.final, EXPECTED_GRID["reactive"][i]))
+        for row, run in (
+                ("active1", active_monitor(GLOBAL_TRACE, f, vspec, cfg, forced_break=("cs",))),
+                ("active2", active_monitor(GLOBAL_TRACE, f, vspec, cfg, forced_break=("abg",))),
+                ("reactive", reactive_monitor(GLOBAL_TRACE, f, vspec, cfg))):
+            cells.append(GridCell(row, name, run.final, EXPECTED_GRID[row][i], run=run))
 
     if with_oracle:
         for cell in cells:
             disputed = (cell.row, cell.prop) in DISPUTED_CELLS
-            if cell.row in ("active1", "active2", "reactive") and (disputed or not cell.matches):
-                cell.oracle = _arbitrate(cell, vspec, cfg)
+            if cell.run is not None and (disputed or not cell.matches):
+                cell.oracle = _arbitrate(cell, vspec)
     return cells
 
 
-def _arbitrate(cell: GridCell, vspec: VisibilitySpec, cfg) -> OracleVerdict:
+def _arbitrate(cell: GridCell, vspec: VisibilitySpec) -> OracleVerdict:
     """Oracle verdict for a rational-monitor cell, over the identity-class
     machine semantics: witness knowledge decoded into member literals."""
-    f = dict(PROPERTIES)[cell.prop]
-    formula = parse_formula(f)
-    sigma_e = explicit_trace(GLOBAL_TRACE, vspec.alphabet)
-    if cell.row == "active1":
-        broken: Sequence[str] = ("cs",)
-        prefix = visible_trace(sigma_e, vspec.classes, broken)
-    elif cell.row == "active2":
-        broken = ("abg",)
-        prefix = visible_trace(sigma_e, vspec.classes, broken)
-    else:
-        result = reactive_monitor(GLOBAL_TRACE, formula, vspec, cfg)
-        prefix = result.visible_events
-    decoded = [expand_witnesses(ev, vspec.classes) for ev in prefix]
+    formula = parse_formula(dict(PROPERTIES)[cell.prop])
+    decoded = [expand_witnesses(ev, vspec.classes) for ev in cell.run.visible_events]
     return oracle_verdict(formula, identity_classes(vspec.alphabet), decoded,
                           bound=0, allow_large=True)
 

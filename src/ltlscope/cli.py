@@ -208,6 +208,8 @@ def cmd_verify(args) -> int:
             steps.append({"index": i, "event": event_to_json(event),
                           "verdict": verdict.value})
         broken_per_window = [sorted(b) for b in result.broken_per_window]
+        allocations = [{"payoffs": dict(a.payoffs), "broken": sorted(a.selection)}
+                       for a in result.allocations]
         n_events = len(trace)
     else:
         if monitor is None:
@@ -255,6 +257,8 @@ def cmd_verify(args) -> int:
         "broken_per_window": broken_per_window,
         "timing": timing,
     }
+    if mode in ("active", "reactive"):
+        report["allocations"] = allocations
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

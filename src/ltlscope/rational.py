@@ -1,4 +1,4 @@
-"""Budget-aware monitors: metric, payoff, knapsack, active and reactive drivers.
+"""Budget-aware monitors: metric, payoff, knapsack, and the rational session.
 
 The drivers never resynthesise the Moore machine while a trace is running.
 One machine is built per formula over the all-singleton class structure, so
@@ -6,6 +6,14 @@ it reads individual signed literals only; visibility enters purely through
 event filtering, with witness literals decoded into the member knowledge they
 carry.  Breaking a class therefore changes what the machine gets to see, not
 the machine itself.
+
+One decision is made per window: ``allocate`` scores each breakable class
+(the sum of ``metric`` over its members) and ``knapsack`` picks the classes
+to break within the budget.  ``Session`` runs it once before the first event
+and, with a window, again at every window boundary on the progressed
+residual; ``ActiveSession`` is a session without a window, ``ReactiveSession``
+one with ``cfg.window``.  ``RationalRun`` records every window's
+``Allocation``.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .automata.moore import Verdict
 from .formula import (And, Atom, FalseConst, Formula, Implies, Lit, Next, Not,
@@ -24,6 +32,7 @@ from .visibility import (EqClass, VisibilitySpec, expand_witnesses,
                          knowledge_from_event, visible_event)
 
 _EPS = 1e-9
+_SETTLED = (TrueConst, FalseConst)
 
 
 @dataclass(frozen=True)
@@ -51,14 +60,15 @@ class MetricSpec:
 
 # metric2 is the headline evaluation; the published walk-through of the
 # two-safety-property example only comes out tie-exact with a unit Next
-# factor, so that is what metric2 carries here (see the weight table in the
-# appendix for the other three).
+# factor, so that is what metric2 carries here.
 METRICS: dict[str, MetricSpec] = {
     "metric0": MetricSpec("metric0", "avg", "min", "avg", 0.1, (0.9, 0.1), (0.9, 0.1)),
     "metric1": MetricSpec("metric1", "avg", "max", "avg", 0.5, (0.3, 0.7), (0.5, 0.5)),
     "metric2": MetricSpec("metric2", "avg", "max", "avg", 1.0, (0.3, 0.7), (0.3, 0.7)),
-    "metric3": MetricSpec("metric3", "avg", "max", "avg", 1.0, (0.3, 0.7), (0.3, 0.7)),
 }
+# metric3 is an alias of metric2: the appendix weight table that would tell
+# them apart went with the body of the paper.
+METRICS["metric3"] = METRICS["metric2"]
 
 
 def _combine(comb: str, left: float, right: float) -> float:
@@ -96,26 +106,28 @@ def metric(f: Formula, atom: str, spec: MetricSpec) -> float:
     raise TypeError(f"metric expects metric-form input, got {f!r}")
 
 
+def _payoffs(classes: Iterable[EqClass], form: Formula,
+             spec: MetricSpec) -> dict[str, float]:
+    return {cls.canonical_id: sum(metric(form, atom, spec) for atom in sorted(cls.members))
+            for cls in classes}
+
+
 def payoff(classes: Sequence[EqClass], f: Formula, spec: MetricSpec) -> dict[str, float]:
     """Expected payoff of breaking each class: sum of its members' metrics."""
-    form = to_metric_form(f)
-    return {
-        cls.canonical_id: sum(metric(form, atom, spec) for atom in sorted(cls.members))
-        for cls in classes
-    }
+    return _payoffs(classes, to_metric_form(f), spec)
 
 
-def knapsack(payoffs: dict[str, float], costs: dict[str, int], bound: int,
-             sizes: Optional[dict[str, int]] = None, seed: int = 0) -> frozenset[str]:
+def knapsack(payoffs: Mapping[str, float], costs: Mapping[str, int], bound: int,
+             sizes: Mapping[str, int], seed: int = 0) -> frozenset[str]:
     """0/1 knapsack over the cost dimension.
 
     Maximises total payoff; among optima prefers breaking classes with more
-    atoms, then falls back to a seeded deterministic order.  Classes with no
-    payoff are never selected: leaving them unbroken costs nothing.
+    atoms (``sizes``, the member count of each class), then falls back to a
+    seeded deterministic order.  Classes with no payoff are never selected:
+    leaving them unbroken costs nothing.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    sizes = sizes or {}
     items = [cid for cid in payoffs if payoffs[cid] > _EPS]
     for cid in items:
         cost = costs.get(cid)
@@ -123,6 +135,8 @@ def knapsack(payoffs: dict[str, float], costs: dict[str, int], bound: int,
             raise ValueError(f"missing cost for class {cid!r}")
         if cost != int(cost) or cost < 0:
             raise ValueError(f"cost of {cid!r} must be a non-negative integer")
+        if cid not in sizes:
+            raise ValueError(f"missing size for class {cid!r}")
     rng = random.Random(seed)
     items.sort()
     rng.shuffle(items)
@@ -132,7 +146,7 @@ def knapsack(payoffs: dict[str, float], costs: dict[str, int], bound: int,
     for cid in items:
         cost = int(costs[cid])
         gain = payoffs[cid]
-        size = sizes.get(cid, len(cid))
+        size = sizes[cid]
         if cost > bound:
             continue
         updated = list(best)
@@ -161,18 +175,42 @@ class RationalConfig:
             raise ValueError(f"unknown metric {self.metric!r}") from None
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class Allocation:
+    """One budget decision: the payoff of breaking each breakable class,
+    sorted by class id, and the classes the knapsack chose to break."""
+
+    payoffs: tuple[tuple[str, float], ...]
+    selection: frozenset[str]
+
+
+def allocate(form: Formula, vspec: VisibilitySpec, cfg: RationalConfig) -> Allocation:
+    """Score every breakable class on ``form``, already in metric form, and
+    break the best ones within the budget."""
+    breakable = vspec.breakable
+    pays = _payoffs(breakable, form, cfg.metric_spec())
+    sizes = {c.canonical_id: len(c) for c in breakable}
+    selection = knapsack(pays, vspec.costs, cfg.bound, sizes, cfg.seed)
+    return Allocation(tuple(sorted(pays.items())), selection)
+
+
+@dataclass(slots=True)
 class RationalRun:
-    """Outcome of one active or reactive run."""
+    """Outcome of one active or reactive run: one allocation per window, a
+    window that repeats the previous decision holding the same object."""
 
     final: Verdict
     step_verdicts: list[Verdict]
-    broken_per_window: list[frozenset[str]]
+    allocations: list[Allocation]
     visible_events: list[frozenset]
 
     @property
+    def broken_per_window(self) -> list[frozenset[str]]:
+        return [a.selection for a in self.allocations]
+
+    @property
     def broken(self) -> frozenset[str]:
-        return self.broken_per_window[0] if self.broken_per_window else frozenset()
+        return self.allocations[0].selection if self.allocations else frozenset()
 
 
 @lru_cache(maxsize=512)
@@ -185,120 +223,88 @@ def rational_machine(f: Formula, alphabet: frozenset[str]) -> MonitorInstance:
     return synthesize_imperfect(f, identity_classes(alphabet))
 
 
-def _select(classes: Sequence[EqClass], f: Formula, vspec: VisibilitySpec,
-            cfg: RationalConfig) -> frozenset[str]:
-    breakable = [c for c in classes if not c.is_singleton]
-    spec = cfg.metric_spec()
-    pays = {
-        cls.canonical_id: sum(metric(to_metric_form(f), atom, spec)
-                              for atom in sorted(cls.members))
-        for cls in breakable
-    }
-    sizes = {c.canonical_id: len(c) for c in breakable}
-    return knapsack(pays, dict(vspec.costs), cfg.bound, sizes, cfg.seed)
+class Session:
+    """Incremental rational monitor, fed one plain event at a time.
 
-
-class ActiveSession:
-    """Incremental active monitor: budget allocated once, then fed events.
-
-    ``forced_break`` bypasses the knapsack with an exogenous class selection
-    (used to reproduce the fixed configurations of the verdict grid).
+    The budget is allocated before the first event and, with a ``window``,
+    again at every window boundary: the formula is revised by progression
+    over the window just finished and payoffs are recomputed on the
+    residual; the Moore machine itself is never rebuilt.  A residual that
+    collapsed to a constant keeps the last allocation and stops decoding
+    events: reallocation cannot change a settled verdict.  ``forced_break``
+    replaces the first allocation with an exogenous class selection (used to
+    reproduce the fixed configurations of the verdict grid).
     """
 
     def __init__(self, f: Formula, vspec: VisibilitySpec, cfg: RationalConfig,
-                 forced_break: Optional[Iterable[str]] = None):
-        if forced_break is None:
-            self.broken = _select(vspec.classes, f, vspec, cfg)
-        else:
-            self.broken = frozenset(forced_break)
-        self.vspec = vspec
-        self.monitor = rational_machine(f, vspec.alphabet).clone()
-        self.monitor.reset()
-        self.step_verdicts: list[Verdict] = []
-        self.visible_events: list[frozenset] = []
-
-    @property
-    def verdict(self) -> Verdict:
-        return self.monitor.verdict
-
-    def step(self, plain_event: Iterable[str]) -> Verdict:
-        explicit = explicit_trace([plain_event], self.vspec.alphabet)[0]
-        visible = visible_event(explicit, self.vspec.classes, self.broken)
-        self.visible_events.append(visible)
-        verdict = self.monitor.step(expand_witnesses(visible, self.vspec.classes))
-        self.step_verdicts.append(verdict)
-        return verdict
-
-    def result(self) -> RationalRun:
-        return RationalRun(final=self.verdict, step_verdicts=list(self.step_verdicts),
-                           broken_per_window=[self.broken],
-                           visible_events=list(self.visible_events))
-
-
-class ReactiveSession:
-    """Incremental reactive monitor: the budget is reallocated at every
-    window boundary.
-
-    The formula is revised by progression over the window just finished and
-    payoffs are recomputed on the residual; the Moore machine itself is never
-    rebuilt.  A residual that collapsed to a constant keeps the last broken
-    set: reallocation cannot change a settled verdict.
-    """
-
-    def __init__(self, f: Formula, vspec: VisibilitySpec, cfg: RationalConfig):
-        if cfg.window is None or cfg.window < 1:
+                 window: Optional[int], forced_break: Optional[Iterable[str]] = None):
+        if window is not None and window < 1:
             raise ValueError("reactive monitoring needs a positive window")
         self.vspec = vspec
         self.cfg = cfg
-        self.window = cfg.window
+        self.window = window
         self.residual = to_metric_form(f)
-        self.broken = _select(vspec.classes, f, vspec, cfg)
+        if forced_break is None:
+            allocation = allocate(self.residual, vspec, cfg)
+        else:
+            allocation = Allocation((), frozenset(forced_break))
+        self.allocations = [allocation]
+        self.broken = allocation.selection
         self.monitor = rational_machine(f, vspec.alphabet).clone()
         self.monitor.reset()
-        self.index = 0
-        self.window_events: list[frozenset] = []
         self.step_verdicts: list[Verdict] = []
         self.visible_events: list[frozenset] = []
-        self.broken_per_window: list[frozenset[str]] = [self.broken]
 
     @property
     def verdict(self) -> Verdict:
         return self.monitor.verdict
 
     def step(self, plain_event: Iterable[str]) -> Verdict:
-        if self.index > 0 and self.index % self.window == 0:
+        seen = len(self.visible_events)
+        if self.window is not None and seen and seen % self.window == 0:
             self._reallocate()
         explicit = explicit_trace([plain_event], self.vspec.alphabet)[0]
         visible = visible_event(explicit, self.vspec.classes, self.broken)
         self.visible_events.append(visible)
-        self.window_events.append(visible)
         verdict = self.monitor.step(expand_witnesses(visible, self.vspec.classes))
         self.step_verdicts.append(verdict)
-        self.index += 1
         return verdict
 
     def _reallocate(self) -> None:
-        for past in self.window_events:
-            self.residual = progress(self.residual,
-                                     knowledge_from_event(past, self.vspec.classes))
-        self.window_events = []
-        if not isinstance(self.residual, (TrueConst, FalseConst)):
-            breakable = self.vspec.breakable
-            spec = self.cfg.metric_spec()
-            pays = {
-                cls.canonical_id: sum(metric(self.residual, atom, spec)
-                                      for atom in sorted(cls.members))
-                for cls in breakable
-            }
-            sizes = {c.canonical_id: len(c) for c in breakable}
-            self.broken = knapsack(pays, dict(self.vspec.costs), self.cfg.bound,
-                                   sizes, self.cfg.seed)
-        self.broken_per_window.append(self.broken)
+        allocation = self.allocations[-1]
+        if not isinstance(self.residual, _SETTLED):
+            for past in self.visible_events[-self.window:]:
+                self.residual = progress(self.residual,
+                                         knowledge_from_event(past, self.vspec.classes))
+            if not isinstance(self.residual, _SETTLED):
+                fresh = allocate(self.residual, self.vspec, self.cfg)
+                if fresh != allocation:
+                    allocation = fresh
+        self.allocations.append(allocation)
+        self.broken = allocation.selection
 
     def result(self) -> RationalRun:
         return RationalRun(final=self.verdict, step_verdicts=list(self.step_verdicts),
-                           broken_per_window=list(self.broken_per_window),
+                           allocations=list(self.allocations),
                            visible_events=list(self.visible_events))
+
+
+class ActiveSession(Session):
+    """Active monitor: the budget is allocated once, before the first event;
+    ``cfg.window`` is ignored."""
+
+    def __init__(self, f: Formula, vspec: VisibilitySpec, cfg: RationalConfig,
+                 forced_break: Optional[Iterable[str]] = None):
+        super().__init__(f, vspec, cfg, None, forced_break)
+
+
+class ReactiveSession(Session):
+    """Reactive monitor: the budget is reallocated every ``cfg.window`` events."""
+
+    def __init__(self, f: Formula, vspec: VisibilitySpec, cfg: RationalConfig):
+        if cfg.window is None:
+            raise ValueError("reactive monitoring needs a positive window")
+        super().__init__(f, vspec, cfg, cfg.window)
 
 
 def active_monitor(trace: Sequence[Iterable[str]], f: Formula, vspec: VisibilitySpec,

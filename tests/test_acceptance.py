@@ -15,7 +15,7 @@ import time
 from ltlscope.automata import Verdict
 from ltlscope.automata.moore import REFINEMENTS
 from ltlscope.casestudy import (DISPUTED_CELLS, FLAGGED_CELL, GLOBAL_TRACE,
-                                formulas, run_grid, spec)
+                                formulas, run_grid)
 from ltlscope.cli import run_metrics_experiment
 from ltlscope.formula import Next, Atom, parse_formula, to_metric_form
 from ltlscope.monitor import synthesize_imperfect, synthesize_standard
@@ -82,16 +82,13 @@ def test_criterion_01_case_study_grid():
     # The structural evidence behind the disputed cells.  With abg broken,
     # every atom of phi2 and psi3 is visible, so the standard monitor on the
     # unfiltered trace decides them; the reactive row breaks abg throughout.
-    vspec = spec()
     props = formulas()
-    cfg = RationalConfig(metric="metric2", bound=vspec.bound, window=vspec.window,
-                         seed=0)
     for prop in ("phi2", "psi3"):
         std = synthesize_standard(props[prop])
         std.run(GLOBAL_TRACE)
         for row in ("active2", "reactive"):
             assert by_key[row, prop].verdict == std.verdict, f"{row}/{prop}"
-        reactive = reactive_monitor(GLOBAL_TRACE, props[prop], vspec, cfg)
+        reactive = by_key["reactive", prop].run
         assert all("abg" in broken for broken in reactive.broken_per_window), (
             f"reactive/{prop} broke {reactive.broken_per_window}")
     # phi3 mentions no member of abg, so breaking abg cannot move its verdict.

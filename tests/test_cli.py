@@ -70,6 +70,20 @@ class TestVerify:
         assert report["final"] == "FALSE"
         assert report["broken_per_window"][:2] == [["abg"], ["cs"]]
 
+    def test_reactive_report_records_allocations(self, trace_file, capsys):
+        args = ["verify", "-f",
+                "(G ((b1 | b2 | b3) -> X !c)) | (G (g -> !(b1 | b2 | b3)))",
+                "--trace", trace_file, "--mode", "reactive", *CASE_ARGS,
+                "--costs", "cs=2,abg=3", "--bound", "3", "--window", "2",
+                "--metric", "metric2", "--omit-timing"]
+        _, first = run_cli(args, capsys)
+        _, second = run_cli(args, capsys)
+        assert first == second
+        report = json.loads(first)
+        allocations = report["allocations"]
+        assert [a["broken"] for a in allocations] == report["broken_per_window"]
+        assert allocations[0]["payoffs"] == pytest.approx({"abg": 0.175, "cs": 0.175})
+
     def test_standard_unknown(self, tmp_path, capsys):
         path = tmp_path / "t.txt"
         path.write_text("\nb1\nmb b2\n\nw\n", encoding="utf-8")

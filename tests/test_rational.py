@@ -8,9 +8,10 @@ from ltlscope.automata import Verdict
 from ltlscope.formula import FALSE, TRUE, parse_formula, progress, to_metric_form
 from ltlscope.monitor import synthesize_imperfect
 from ltlscope.randgen import random_partition
+import ltlscope.rational as rational
 from ltlscope.rational import (METRICS, MetricSpec, RationalConfig,
-                               active_monitor, knapsack, metric, payoff,
-                               reactive_monitor)
+                               ReactiveSession, active_monitor, allocate,
+                               knapsack, metric, payoff, reactive_monitor)
 from ltlscope.visibility import (VisibilitySpec, explicit_trace,
                                  knowledge_from_event, parse_classes,
                                  visible_trace)
@@ -84,6 +85,18 @@ class TestPayoff:
         pays = payoff([c for c in CLASSES if not c.is_singleton], f, METRICS["metric2"])
         assert set(pays.values()) == {0.0}
 
+    def test_allocation_records_the_payoffs_it_selected_on(self):
+        cfg = RationalConfig(metric="metric2", bound=3)
+        allocation = allocate(to_metric_form(PSI), vspec(), cfg)
+        breakable = [c for c in CLASSES if not c.is_singleton]
+        assert allocation.payoffs == tuple(sorted(
+            payoff(breakable, PSI, METRICS["metric2"]).items()))
+        assert [cid for cid, _ in allocation.payoffs] == ["abg", "cs"]
+        assert allocation.selection == frozenset({"abg"})
+
+    def test_metric3_is_metric2(self):
+        assert METRICS["metric3"] is METRICS["metric2"]
+
 
 class TestKnapsack:
     def test_liveness_pick(self):
@@ -93,6 +106,17 @@ class TestKnapsack:
     def test_tie_prefers_larger_class(self):
         assert knapsack({"cs": 0.175, "abg": 0.175}, COSTS, 3, {"cs": 2, "abg": 3}) \
             == frozenset({"abg"})
+
+    def test_tie_counts_members_not_id_letters(self):
+        """``b1b2`` has the longer id but two atoms to ``abg``'s three."""
+        assert knapsack({"b1b2": 1.0, "abg": 1.0}, {"b1b2": 1, "abg": 1}, 1,
+                        {"b1b2": 2, "abg": 3}) == frozenset({"abg"})
+
+    def test_sizes_required(self):
+        with pytest.raises(TypeError):
+            knapsack({"cs": 0.7}, COSTS, 3)
+        with pytest.raises(ValueError):
+            knapsack({"cs": 0.7}, COSTS, 3, {})
 
     def test_zero_bound_breaks_nothing(self):
         assert knapsack({"cs": 0.7}, COSTS, 0, {"cs": 2}) == frozenset()
@@ -152,6 +176,19 @@ class TestActiveMonitor:
         result = active_monitor(SIGMA, f, vspec(), cfg)
         assert result.broken == frozenset({"abg"})
         assert result.final == Verdict.TRUE
+
+    def test_multi_letter_atoms_tie_prefers_larger_class(self):
+        """Classes ``b1~b2`` and ``a~b~g`` tie on payoff; the three-atom class
+        wins although its id is the shorter one."""
+        alphabet = ("b1", "b2", "a", "b", "g")
+        spec = VisibilitySpec(alphabet=frozenset(alphabet),
+                              classes=parse_classes("b1~b2; a~b~g", alphabet),
+                              costs={"b1b2": 1, "abg": 1}, bound=1)
+        cfg = RationalConfig(metric="metric2", bound=1)
+        result = active_monitor([{"b1", "a"}], parse_formula("F (b1 & a)"), spec, cfg)
+        pays = dict(result.allocations[0].payoffs)
+        assert pays["b1b2"] == pytest.approx(pays["abg"]) and pays["abg"] > 0
+        assert result.broken == frozenset({"abg"})
 
     def test_step_verdicts_cover_trace(self):
         cfg = RationalConfig(metric="metric2", bound=3)
@@ -249,6 +286,40 @@ class TestSessions:
                 assert live.step_verdicts == ref.step_verdicts
                 assert live.broken_per_window == ref.broken_per_window
                 assert live.final == ref.final
+
+    def test_active_session_ignores_window(self):
+        from ltlscope.rational import ActiveSession
+        cfg = RationalConfig(metric="metric2", bound=3, window=2)
+        session = ActiveSession(PSI, vspec(window=2), cfg)
+        for event in SIGMA:
+            session.step(event)
+        assert len(session.result().allocations) == 1
+
+    def test_settled_residual_stops_decoding(self, monkeypatch):
+        """Once ``F p`` is settled at event 1, later window boundaries decode
+        no past event and keep the settled window's allocation object."""
+        calls = []
+        decode = rational.knowledge_from_event
+
+        def counted(event, classes):
+            calls.append(event)
+            return decode(event, classes)
+
+        monkeypatch.setattr(rational, "knowledge_from_event", counted)
+        classes = parse_classes("p~q; r", ("p", "q", "r"))
+        spec = VisibilitySpec(alphabet=frozenset("pqr"), classes=classes,
+                              costs={"pq": 1}, bound=1, window=2)
+        cfg = RationalConfig(metric="metric2", bound=1, window=2)
+        session = ReactiveSession(parse_formula("F p"), spec, cfg)
+        counts = []
+        for event in [set(), {"p"}, {"q"}, set(), {"r"}, set(), {"p", "r"}]:
+            session.step(event)
+            counts.append(len(calls))
+        run = session.result()
+        assert counts == [0, 0, 2, 2, 2, 2, 2]
+        assert run.step_verdicts == [Verdict.UNKNOWN] + [Verdict.TRUE] * 6
+        assert run.broken_per_window == [frozenset({"pq"})] * 4
+        assert all(a is run.allocations[0] for a in run.allocations)
 
     def test_session_exposes_running_verdict(self):
         from ltlscope.rational import ActiveSession

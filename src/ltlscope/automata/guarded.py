@@ -39,7 +39,11 @@ class Guard:
 
 @dataclass
 class GuardedAutomaton:
-    """NBA or NFA: a state set, guarded transitions, one accepting set."""
+    """NBA or NFA: a state set, guarded transitions, one accepting set.
+
+    ``flagged`` marks the states from which the all-empty word is Büchi
+    accepted; only the signed branch of the pipeline fills it in.
+    """
 
     kind: str  # 'nba' | 'nfa'
     states: list[int]
@@ -47,6 +51,7 @@ class GuardedAutomaton:
     transitions: dict[int, list[tuple[Guard, int]]]
     accepting: frozenset[int]
     signed: bool  # signed literals (open world) vs plain atoms (closed world)
+    flagged: frozenset[int] = frozenset()
 
     def successors(self, state: int, event: frozenset) -> Iterator[int]:
         for guard, dst in self.transitions.get(state, ()):

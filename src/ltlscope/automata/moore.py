@@ -1,9 +1,14 @@
 """Moore-machine products of the prefix DFAs.
 
-The two-way product implements the classic three-valued monitor; the
-three-way product adds the forever-undefined automaton and classifies its
-state tuples into the six-valued outcome set.  Two membership combinations
-are impossible by construction; reaching one is asserted as a pipeline bug.
+The product of the satisfaction and violation DFAs implements the classic
+three-valued monitor over plain events.  Over signed events the same product
+also reads the DFAs' flags, which say whether the prefix continued by empty
+events forever satisfies the branch formula.  Signed formulas are monotone
+in the information order and the all-empty continuation lies below every
+other, so a prefix can still end forever undefined exactly when neither
+branch is flagged.  The three memberships classify each state into the
+six-valued outcome set.  Two membership combinations are impossible by
+construction; reaching one is asserted as a pipeline bug.
 """
 
 from __future__ import annotations
@@ -126,6 +131,7 @@ class MooreMachine:
 
 
 def _build_product(components: tuple[DFA, ...], classify) -> MooreMachine:
+    """Walk the reachable state tuples; ``classify`` maps one to its verdict."""
     initial = tuple(dfa.initial for dfa in components)
     signed = components[0].signed
     outputs: dict[tuple[int, ...], Verdict] = {}
@@ -135,8 +141,7 @@ def _build_product(components: tuple[DFA, ...], classify) -> MooreMachine:
         state = work.pop()
         if state in outputs:
             continue
-        outputs[state] = classify(*(q in dfa.accepting
-                                    for dfa, q in zip(components, state)))
+        outputs[state] = classify(*state)
         lits = tuple(sorted({l for dfa, q in zip(components, state)
                              for l in dfa.lits[q]}, key=str))
         for bits in consistent_masks(lits, signed):
@@ -151,13 +156,20 @@ def _build_product(components: tuple[DFA, ...], classify) -> MooreMachine:
 
 def product2(pos: DFA, neg: DFA) -> MooreMachine:
     """Moore machine of the classic three-valued monitor."""
-    return _build_product((pos, neg), classify2)
+    def classify(p: int, n: int) -> Verdict:
+        return classify2(p in pos.accepting, n in neg.accepting)
+    return _build_product((pos, neg), classify)
 
 
-def product3(pos: DFA, neg: DFA, und: DFA) -> MooreMachine:
-    """Moore machine of the six-valued imperfect-information monitor.
+def product3(sat: DFA, viol: DFA) -> MooreMachine:
+    """Moore machine of the six-valued imperfect-information monitor: the
+    product of the flagged satisfaction and violation DFAs, classified by
+    the three memberships (satisfiable, violable, forever-undefinable).
 
     Building the product eagerly walks every reachable state, so the
     impossible membership combinations are asserted away here and now.
     """
-    return _build_product((pos, neg, und), classify3)
+    def classify(s: int, v: int) -> Verdict:
+        return classify3(s in sat.accepting, v in viol.accepting,
+                         not (s in sat.flagged or v in viol.flagged))
+    return _build_product((sat, viol), classify)

@@ -1,12 +1,15 @@
 """NBA -> NFA -> DFA pipeline stages.
 
 Per-state emptiness turns the Büchi automaton into an NFA over finite
-prefixes.  The subset construction then determinises over consistent
-valuations of the literals each state actually mentions; valuations are
-packed into integer bitmasks so stepping is a dict lookup.  Partition
-refinement over the global valuation space merges language-equivalent DFA
-states, and a cheap bisimulation quotient shrinks the nondeterministic
-stages before the exponential subset step.
+prefixes.  On the signed branch a second emptiness check, over the edges an
+empty event can take, flags the states from which the all-empty word is
+accepted; every later stage carries that flag alongside acceptance.  The
+subset construction then determinises over consistent valuations of the
+literals each state actually mentions; valuations are packed into integer
+bitmasks so stepping is a dict lookup.  Partition refinement over the global
+valuation space merges language-equivalent DFA states, and a cheap
+bisimulation quotient shrinks the nondeterministic stages before the
+exponential subset step.
 """
 
 from __future__ import annotations
@@ -92,10 +95,25 @@ def tarjan_sccs(edges: dict[int, list[int]], states) -> list[list[int]]:
     return sccs
 
 
+def empty_event_edges(nba: GuardedAutomaton) -> GuardedAutomaton:
+    """The automaton restricted to the edges an empty event can take (guards
+    that require nothing).  Its nonempty states are those from which the
+    all-empty word is accepted."""
+    return GuardedAutomaton(
+        kind=nba.kind,
+        states=nba.states,
+        initial=nba.initial,
+        transitions={q: [(guard, dst) for guard, dst in edges if not guard.require]
+                     for q, edges in nba.transitions.items()},
+        accepting=nba.accepting,
+        signed=nba.signed,
+    )
+
+
 def nba_to_nfa(nba: GuardedAutomaton, nonempty: frozenset[int]) -> GuardedAutomaton:
     """Same structure, accepting set replaced by the nonempty-language states:
     the NFA accepts exactly the finite prefixes with a satisfying infinite
-    continuation."""
+    continuation.  The flagged states carry over unchanged."""
     return GuardedAutomaton(
         kind="nfa",
         states=list(nba.states),
@@ -103,6 +121,7 @@ def nba_to_nfa(nba: GuardedAutomaton, nonempty: frozenset[int]) -> GuardedAutoma
         transitions={q: list(edges) for q, edges in nba.transitions.items()},
         accepting=nonempty,
         signed=nba.signed,
+        flagged=nba.flagged,
     )
 
 
@@ -128,12 +147,13 @@ def consistent_masks(lits: tuple, signed: bool) -> tuple[int, ...]:
 
 
 def quotient_bisim(aut: GuardedAutomaton) -> GuardedAutomaton:
-    """Quotient by the coarsest bisimulation respecting acceptance.
+    """Quotient by the coarsest bisimulation respecting acceptance and the
+    flag.
 
     Safe for both the Büchi and the finite-word reading, and it typically
     collapses tableau output dramatically before determinisation.
     """
-    block: dict[int, int] = {q: int(q in aut.accepting) for q in aut.states}
+    block: dict = {q: (q in aut.accepting, q in aut.flagged) for q in aut.states}
     while True:
         signatures = {
             q: (block[q], frozenset((guard, block[dst])
@@ -162,6 +182,7 @@ def quotient_bisim(aut: GuardedAutomaton) -> GuardedAutomaton:
         transitions={b: list(edges) for b, edges in transitions.items()},
         accepting=frozenset(block[q] for q in aut.accepting),
         signed=aut.signed,
+        flagged=frozenset(block[q] for q in aut.flagged),
     )
 
 
@@ -171,7 +192,9 @@ class DFA:
 
     Each state stores the literals its behaviour depends on and a full table
     from consistent valuation bitmask to successor, so every consistent event
-    matches exactly one entry.
+    matches exactly one entry.  On the signed branch a state is flagged when
+    the prefixes reaching it, continued by empty events forever, are
+    accepted; a plain-branch DFA has no flags.
     """
 
     states: list[int]
@@ -180,6 +203,7 @@ class DFA:
     signed: bool
     lits: dict[int, tuple]            # state -> sorted literal tuple
     table: dict[int, dict[int, int]]  # state -> valuation bits -> successor
+    flagged: frozenset[int] = frozenset()
     kind: str = "dfa"
 
     def valuation_bits(self, state: int, event: frozenset) -> int:
@@ -217,6 +241,7 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
     """Rabin-Scott subset construction over consistent guard valuations.
 
     Unreachable subsets are never built; the empty subset acts as the sink.
+    A subset is flagged when it meets the NFA's flagged states.
     """
     initial = frozenset(nfa.initial)
     ids: dict[frozenset[int], int] = {initial: 0}
@@ -224,6 +249,7 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
     lits_of: dict[int, tuple] = {}
     table: dict[int, dict[int, int]] = {}
     accepting: set[int] = set()
+    flagged: set[int] = set()
 
     i = 0
     while i < len(order):
@@ -231,6 +257,8 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
         sid = ids[subset]
         if subset & nfa.accepting:
             accepting.add(sid)
+        if subset & nfa.flagged:
+            flagged.add(sid)
         mentioned: set = set()
         grouped: dict[tuple[frozenset, frozenset], set[int]] = {}
         for q in subset:
@@ -260,15 +288,15 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
 
     return DFA(states=list(range(len(order))), initial=0,
                accepting=frozenset(accepting), signed=nfa.signed,
-               lits=lits_of, table=table)
+               lits=lits_of, table=table, flagged=frozenset(flagged))
 
 
 _REFINE_LIMIT = 60000
 
 
 def minimize(dfa: DFA) -> DFA:
-    """Merge language-equivalent states by partition refinement over the
-    union of all mentioned literals."""
+    """Merge language-equivalent states with equal flags by partition
+    refinement over the union of all mentioned literals."""
     universe = tuple(sorted({l for lits in dfa.lits.values() for l in lits}, key=str))
     masks = consistent_masks(universe, dfa.signed)
     if len(masks) * len(dfa.states) > _REFINE_LIMIT * 10:
@@ -290,7 +318,7 @@ def minimize(dfa: DFA) -> DFA:
             entries.append(row[bits])
         succ[q] = entries
 
-    block = {q: int(q in dfa.accepting) for q in dfa.states}
+    block: dict = {q: (q in dfa.accepting, q in dfa.flagged) for q in dfa.states}
     while True:
         signatures = {
             q: (block[q], tuple(block[s] for s in succ[q]))
@@ -317,5 +345,6 @@ def minimize(dfa: DFA) -> DFA:
         table[nid] = {bits: new_ids[block[dst]] for bits, dst in dfa.table[q].items()}
     return DFA(states=sorted(new_ids.values()), initial=new_ids[block[dfa.initial]],
                accepting=frozenset(new_ids[block[q]] for q in dfa.accepting),
-               signed=dfa.signed, lits=lits_of, table=table)
+               signed=dfa.signed, lits=lits_of, table=table,
+               flagged=frozenset(new_ids[block[q]] for q in dfa.flagged))
 

@@ -148,7 +148,10 @@ def cmd_verify(args) -> int:
     classes = None
     if args.machine:
         with open(args.machine, encoding="utf-8") as fh:
-            monitor = machine_from_json(fh.read())
+            try:
+                monitor = machine_from_json(fh.read())
+            except ValueError as exc:
+                raise SystemExit(f"machine error: {exc}")
         if mode not in ("standard", "imperfect"):
             raise SystemExit("--machine supports standard and imperfect modes only")
         if monitor.mode != mode:

@@ -150,6 +150,13 @@ class ParseError(ValueError):
 _UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Always}
 _RESERVED = {"X", "F", "G", "U", "R", "true", "false"}
 
+# Deepest nesting ``parse_formula`` accepts, counted two ways: parentheses,
+# unary operators and right operands open at once while parsing, and the
+# operator height of the result.  Normal forms, hashing and the tableau all
+# recurse over the formula; at this depth synthesis stays far inside
+# Python's default recursion limit.
+MAX_NESTING = 100
+
 
 class _Token(NamedTuple):
     kind: str  # 'name', 'op', 'lparen', 'rparen', 'end'
@@ -200,6 +207,16 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
+
+    def nested(self, parse, tok: _Token) -> Formula:
+        """Parse one nested operand, refusing nesting beyond MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", tok.pos)
+        f = parse()
+        self.depth -= 1
+        return f
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -219,8 +236,8 @@ class _Parser:
     def implies(self) -> Formula:
         left = self.disjunction()
         if self.peek().text == "->":
-            self.take()
-            return Implies(left, self.implies())
+            tok = self.take()
+            return Implies(left, self.nested(self.implies, tok))
         return left
 
     def disjunction(self) -> Formula:
@@ -242,7 +259,7 @@ class _Parser:
         tok = self.peek()
         if tok.text in ("U", "R"):
             self.take()
-            right = self.until()
+            right = self.nested(self.until, tok)
             return Until(left, right) if tok.text == "U" else Release(left, right)
         return left
 
@@ -250,13 +267,13 @@ class _Parser:
         tok = self.peek()
         if tok.text in _UNARY:
             self.take()
-            return _UNARY[tok.text](self.unary())
+            return _UNARY[tok.text](self.nested(self.unary, tok))
         return self.primary()
 
     def primary(self) -> Formula:
         tok = self.take()
         if tok.kind == "lparen":
-            f = self.implies()
+            f = self.nested(self.implies, tok)
             closing = self.take()
             if closing.kind != "rparen":
                 raise ParseError("missing ')'", closing.pos)
@@ -271,8 +288,33 @@ class _Parser:
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse the textual grammar into an AST, derived operators preserved."""
-    return _Parser(_tokenize(text)).parse()
+    """Parse the textual grammar into an AST, derived operators preserved.
+
+    A formula nested deeper than ``MAX_NESTING`` raises ``ParseError``.
+    """
+    f = _Parser(_tokenize(text)).parse()
+    if height(f) > MAX_NESTING:
+        raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", 0)
+    return f
+
+
+def height(f: Formula) -> int:
+    """Operator height of a formula (0 for a leaf), computed without
+    recursion so that it is safe on any depth."""
+    level, h = [f], 0
+    while True:
+        level = [child for g in level for child in _children(g)]
+        if not level:
+            return h
+        h += 1
+
+
+def _children(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, (Not, Next, Eventually, Always)):
+        return (f.operand,)
+    if isinstance(f, (And, Or, Implies, Until, Release)):
+        return (f.left, f.right)
+    return ()
 
 
 def fmt(f: Formula) -> str:

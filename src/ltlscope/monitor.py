@@ -2,22 +2,24 @@
 
 ``synthesize_standard`` builds the classic three-valued monitor over plain
 closed-world events.  ``synthesize_imperfect`` builds the six-valued monitor
-over signed events: the formula is translated onto the signed alphabet of the
-visibility classes, a third automaton recognises the prefixes that can still
-become forever-undefined, and the three-way Moore product assigns a verdict
-to every reachable state.
+over signed events: the formula and its negation are translated onto the
+signed alphabet of the visibility classes, and each becomes a DFA whose
+states are flagged when the prefix, continued by empty events forever,
+satisfies the branch formula.  A prefix can still become forever-undefined
+exactly when neither branch is flagged, so the Moore product of the two
+flagged DFAs assigns one of the six verdicts to every reachable state.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .automata.moore import MooreMachine, Verdict, product2, product3
-from .automata.pipeline import (DFA, determinize, minimize, nba_to_nfa,
-                                nonempty_states, quotient_bisim)
+from .automata.pipeline import (DFA, determinize, empty_event_edges, minimize,
+                                nba_to_nfa, nonempty_states, quotient_bisim)
 from .automata.tableau import ltl_to_nba
 from .formula import Formula, SLit, negate_nnf, parse_slit, to_nnf
 from .oracle.verdict import signed_triple
@@ -25,8 +27,14 @@ from .visibility import EqClass, check_consistent
 
 
 def formula_to_dfa(f: Formula, signed: bool, minimized: bool = True) -> DFA:
-    """Run one branch of the pipeline: NBA, per-state emptiness, NFA, DFA."""
+    """Run one branch of the pipeline: NBA, per-state emptiness, NFA, DFA.
+
+    A signed branch also flags the states from which the all-empty word is
+    accepted; the plain branch never reads flags and skips that check.
+    """
     nba = quotient_bisim(ltl_to_nba(f, signed=signed))
+    if signed:
+        nba = replace(nba, flagged=nonempty_states(empty_event_edges(nba)))
     nfa = quotient_bisim(nba_to_nfa(nba, nonempty_states(nba)))
     dfa = determinize(nfa)
     return minimize(dfa) if minimized else dfa
@@ -94,10 +102,9 @@ def _standard_machine(f: Formula, minimized: bool) -> MooreMachine:
 @lru_cache(maxsize=4096)
 def _imperfect_machine(f: Formula, classes: tuple[EqClass, ...],
                        minimized: bool) -> MooreMachine:
-    sat, viol, und = signed_triple(f, classes)
-    dfas = tuple(formula_to_dfa(g, signed=True, minimized=minimized)
-                 for g in (sat, viol, und))
-    return product3(*dfas)
+    sat, viol, _ = signed_triple(f, classes)
+    return product3(formula_to_dfa(sat, signed=True, minimized=minimized),
+                    formula_to_dfa(viol, signed=True, minimized=minimized))
 
 
 def synthesize_standard(f: Formula, minimized: bool = True) -> MonitorInstance:
@@ -117,6 +124,12 @@ def synthesize_imperfect(f: Formula, classes: Sequence[EqClass],
 # Machine serialisation (reloadable bit-identically)
 # ---------------------------------------------------------------------------
 
+# Version of the machine file layout: two components with their flagged
+# states.  Files without it (acceptance only, and a third component for
+# imperfect machines) cannot be classified and are refused.
+MACHINE_FORMAT = 2
+
+
 def _literal_to_json(lit, signed: bool):
     return str(lit) if signed else lit
 
@@ -132,6 +145,7 @@ def _automaton_to_json(dfa: DFA) -> dict:
         "states": sorted(dfa.states),
         "initial": dfa.initial,
         "accepting": sorted(dfa.accepting),
+        "flagged": sorted(dfa.flagged),
         "literals": {str(q): [_literal_to_json(l, dfa.signed) for l in dfa.lits[q]]
                      for q in sorted(dfa.states)},
         "table": {str(q): {str(bits): dst for bits, dst in sorted(dfa.table[q].items())}
@@ -152,12 +166,14 @@ def _automaton_from_json(data: dict) -> DFA:
         signed=signed,
         lits=lits,
         table=table,
+        flagged=frozenset(data["flagged"]),
     )
 
 
 def machine_to_json(monitor: MonitorInstance, formula_text: Optional[str] = None,
                     classes_text: Optional[str] = None) -> str:
     payload = {
+        "format": MACHINE_FORMAT,
         "mode": monitor.mode,
         "formula": formula_text,
         "classes": classes_text,
@@ -167,10 +183,26 @@ def machine_to_json(monitor: MonitorInstance, formula_text: Optional[str] = None
 
 
 def machine_from_json(text: str) -> MonitorInstance:
+    """Reload a machine written by ``machine_to_json``.  A file of another
+    format, mode or shape raises ``ValueError`` with a one-line reason."""
     payload = json.loads(text)
-    components = tuple(_automaton_from_json(c) for c in payload["components"])
-    machine = product2(*components) if payload["mode"] == "standard" else product3(*components)
-    return MonitorInstance(machine, payload["mode"])
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != MACHINE_FORMAT:
+        raise ValueError(f"machine file format {found!r} is not {MACHINE_FORMAT}; "
+                         "synthesize the machine again")
+    mode = payload.get("mode")
+    if mode not in ("standard", "imperfect"):
+        raise ValueError(f"machine file mode {mode!r} is neither 'standard' nor 'imperfect'")
+    raw = payload.get("components")
+    if not isinstance(raw, list) or len(raw) != 2:
+        count = len(raw) if isinstance(raw, list) else 0
+        raise ValueError(f"machine file has {count} components, expected 2")
+    try:
+        components = tuple(_automaton_from_json(c) for c in raw)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"malformed machine component: {exc!r}") from None
+    machine = product2(*components) if mode == "standard" else product3(*components)
+    return MonitorInstance(machine, mode)
 
 
 def clear_machine_caches() -> None:

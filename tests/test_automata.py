@@ -9,6 +9,8 @@ from ltlscope.automata import (DFA, GuardedAutomaton, ImpossibleStateError,
                                ltl_to_nba, minimize, nba_to_nfa,
                                nonempty_states)
 from ltlscope.automata.dot import automaton_to_dot, moore_to_dot
+from ltlscope.automata.guarded import Guard
+from ltlscope.automata.pipeline import quotient_bisim
 from ltlscope.formula import (FALSE, TRUE, Atom, Lit, Next, SLit,
                               parse_formula, to_nnf)
 from ltlscope.monitor import formula_to_dfa, synthesize_imperfect
@@ -251,6 +253,50 @@ class TestMinimize:
                   table={0: {0: 1, 1: 2}, 1: {0: 1, 1: 2}, 2: {0: 2}})
         small = minimize(dfa)
         assert len(small.states) == 2
+
+    def test_flag_keeps_equivalent_states_apart(self):
+        """States 0 and 1 accept the same prefixes; only 1 is flagged, so
+        merging them would lose the flag of every prefix reaching 1."""
+        dfa = DFA(states=[0, 1, 2], initial=0, accepting=frozenset({2}),
+                  signed=False,
+                  lits={0: ("p",), 1: ("p",), 2: ()},
+                  table={0: {0: 1, 1: 2}, 1: {0: 1, 1: 2}, 2: {0: 2}},
+                  flagged=frozenset({1}))
+        small = minimize(dfa)
+        assert len(small.states) == 3
+        assert small.step(small.initial, frozenset()) in small.flagged
+        assert small.initial not in small.flagged
+
+
+class TestFlags:
+    def test_quotient_keeps_flagged_states_apart(self):
+        """Two bisimilar states, one flagged, stay two blocks."""
+        loop = Guard()
+        aut = GuardedAutomaton(kind="nfa", states=[0, 1], initial=frozenset({0, 1}),
+                               transitions={0: [(loop, 0)], 1: [(loop, 1)]},
+                               accepting=frozenset({0, 1}), signed=False,
+                               flagged=frozenset({1}))
+        quotient = quotient_bisim(aut)
+        assert len(quotient.states) == 2 and len(quotient.flagged) == 1
+        aut.flagged = frozenset()
+        assert len(quotient_bisim(aut).states) == 1
+
+    @pytest.mark.parametrize("minimized", [True, False])
+    def test_flag_is_acceptance_of_the_empty_continuation(self, rng, minimized):
+        """A signed DFA state is flagged exactly when the prefix reaching it,
+        continued by empty events forever, satisfies the branch formula."""
+        names = ("p", "q")
+        for _ in range(40):
+            f = random_formula(rng, rng.randint(1, 6), pool=names)
+            classes = derive_classes(names, [names] if rng.random() < 0.5 else [])
+            for branch in signed_triple(f, classes)[:2]:
+                dfa = formula_to_dfa(branch, signed=True, minimized=minimized)
+                literals = sorted({lit.name for q in dfa.states for lit in dfa.lits[q]})
+                for _ in range(6):
+                    prefix = tuple(random_signed_event(rng, literals)
+                                   for _ in range(rng.randint(0, 5)))
+                    want = eval_lasso(branch, LassoWord(prefix, (frozenset(),)))
+                    assert (dfa.run_prefix(prefix) in dfa.flagged) == want
 
 
 class TestProducts:

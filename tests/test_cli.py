@@ -151,6 +151,24 @@ class TestSynthesize:
                              "--mode", "standard", "--omit-timing"], capsys)
         assert json.loads(out)["final"] == "TRUE"
 
+    def test_old_machine_file_is_a_one_line_error(self, tmp_path, capsys):
+        """A machine file without the current format (here an imperfect one
+        with the old third component) exits with one line, not a traceback."""
+        out_path = tmp_path / "m.json"
+        run_cli(["synthesize", "-f", "F (c & X w)", *CASE_ARGS, "--out", str(out_path)],
+                capsys)
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        del payload["format"]
+        payload["components"].append(payload["components"][0])
+        out_path.write_text(json.dumps(payload), encoding="utf-8")
+        trace = tmp_path / "t.txt"
+        trace.write_text("c=1\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--machine", str(out_path), "--trace", str(trace),
+                  "--mode", "imperfect"])
+        message = str(err.value.code)
+        assert message.startswith("machine error: ") and "\n" not in message
+
     def test_empty_trace_yields_initial_verdict(self, tmp_path, capsys):
         trace = tmp_path / "t.txt"
         trace.write_text("", encoding="utf-8")

@@ -2,12 +2,12 @@
 
 import pytest
 
-from ltlscope.formula import (FALSE, TRUE, Always, And, Atom, Eventually,
-                              FalseConst, Formula, Implies, Lit, Next, Not, Or,
-                              ParseError, Release, SLit, TrueConst,
-                              UncoveredAtomError, Until, fmt, is_nnf,
-                              make_signed, negate_nnf, negate_signed,
-                              parse_formula, progress, to_nnf,
+from ltlscope.formula import (FALSE, MAX_NESTING, TRUE, Always, And, Atom,
+                              Eventually, FalseConst, Formula, Implies, Lit,
+                              Next, Not, Or, ParseError, Release, SLit,
+                              TrueConst, UncoveredAtomError, Until, fmt,
+                              height, is_nnf, make_signed, negate_nnf,
+                              negate_signed, parse_formula, progress, to_nnf,
                               to_metric_form)
 from ltlscope.oracle.lasso import LassoWord, eval_lasso
 from ltlscope.visibility import derive_classes, rendering_map
@@ -48,6 +48,31 @@ class TestParser:
         for _ in range(50):
             f = random_formula(rng, rng.randint(1, 8))
             assert parse_formula(fmt(f)) == f
+
+    def test_nesting_at_the_limit_synthesises(self):
+        """The deepest accepted formulas parse and synthesise both monitors
+        without exhausting the interpreter stack."""
+        from ltlscope.monitor import synthesize_imperfect, synthesize_standard
+        classes = derive_classes(("p",), [])
+        for text in ("X " * MAX_NESTING + "p",
+                     "(" * MAX_NESTING + "p" + ")" * MAX_NESTING,
+                     " & ".join(["p"] * (MAX_NESTING + 1))):
+            f = parse_formula(text)
+            assert height(f) <= MAX_NESTING
+            synthesize_standard(f)
+            synthesize_imperfect(f, classes)
+
+    @pytest.mark.parametrize("text", [
+        "X " * (MAX_NESTING + 1) + "p",
+        "(" * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1),
+        "(" * 200 + "p" + ")" * 200,
+        " & ".join(["p"] * (MAX_NESTING + 2)),
+        " U ".join(["p"] * (MAX_NESTING + 2)),
+        "X " * 400 + "p",
+    ])
+    def test_nesting_past_the_limit_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING} levels"):
+            parse_formula(text)
 
 
 class TestNnf:

@@ -1,16 +1,24 @@
 """Monitor objects: standard three-valued, imperfect six-valued, stepping."""
 
+import json
+import random
+import time
+
 import pytest
 
+from ltlscope import casestudy, monitor as monitor_module
 from ltlscope.automata import Verdict, ltl_to_nba, nba_to_nfa, nonempty_states
 from ltlscope.automata.moore import REFINEMENTS, classify3
 from ltlscope.formula import Atom, SLit, parse_formula
-from ltlscope.monitor import (machine_from_json, machine_to_json,
-                              synthesize_imperfect, synthesize_standard)
+from ltlscope.monitor import (clear_machine_caches, machine_from_json,
+                              machine_to_json, synthesize_imperfect,
+                              synthesize_standard)
+from ltlscope.oracle.lasso import LassoWord, eval_lasso
 from ltlscope.oracle.verdict import signed_triple
+from ltlscope.randgen import random_formula as criterion_formula
 from ltlscope.randgen import random_partition
-from ltlscope.visibility import (derive_classes, explicit_trace, standard_view,
-                                 visible_trace)
+from ltlscope.visibility import (derive_classes, explicit_trace, parse_classes,
+                                 standard_view, visible_trace)
 
 from conftest import random_formula, random_plain_trace, random_signed_event
 
@@ -197,3 +205,142 @@ class TestMachineRoundTrip:
         reloaded = machine_from_json(machine_to_json(m))
         for event in PLAIN_VIEW:
             assert m.step(event) == reloaded.step(event)
+
+
+    def test_old_three_component_file_is_refused(self):
+        """A file from before the flagged format (no ``format`` field, a third
+        forever-undefined component) fails with a one-line ValueError."""
+        m = synthesize_imperfect(parse_formula(PROPS["phi1"]), CLASSES)
+        payload = json.loads(machine_to_json(m))
+        del payload["format"]
+        for component in payload["components"]:
+            del component["flagged"]
+        payload["components"].append(payload["components"][0])
+        with pytest.raises(ValueError) as err:
+            machine_from_json(json.dumps(payload))
+        assert "format" in str(err.value) and "\n" not in str(err.value)
+
+    def test_wrong_component_count_is_refused(self):
+        m = synthesize_imperfect(parse_formula(PROPS["phi1"]), CLASSES)
+        payload = json.loads(machine_to_json(m))
+        payload["components"].append(payload["components"][0])
+        with pytest.raises(ValueError, match="3 components, expected 2"):
+            machine_from_json(json.dumps(payload))
+        payload["components"] = payload["components"][:1]
+        with pytest.raises(ValueError, match="1 components, expected 2"):
+            machine_from_json(json.dumps(payload))
+
+    def test_flags_survive_reload(self):
+        m = synthesize_imperfect(parse_formula(PROPS["psi3"]), CLASSES)
+        reloaded = machine_from_json(machine_to_json(m))
+        assert [dfa.flagged for dfa in reloaded.machine.components] == \
+            [dfa.flagged for dfa in m.machine.components]
+        assert reloaded.machine.outputs == m.machine.outputs
+
+
+# ---------------------------------------------------------------------------
+# Lasso differential test: the empty continuation decides the definite sides
+# ---------------------------------------------------------------------------
+
+def _empty_continuation(f, classes, prefix) -> str:
+    """What u·(∅)^ω says about the prefix u: signed formulas are monotone in
+    the information order and ∅^ω lies below every continuation, so ⊤ holds
+    iff it satisfies ``sat``, ⊥ iff it satisfies ``viol``, and a
+    forever-undefined ending is still possible iff it satisfies neither."""
+    sat, viol, _ = signed_triple(f, classes)
+    word = LassoWord(tuple(prefix), (frozenset(),))
+    in_sat, in_viol = eval_lasso(sat, word), eval_lasso(viol, word)
+    assert not (in_sat and in_viol)
+    return "TRUE" if in_sat else "FALSE" if in_viol else "undefined"
+
+
+def _verdict_kind(verdict: Verdict) -> str:
+    return verdict.name if verdict in (Verdict.TRUE, Verdict.FALSE) else "undefined"
+
+
+def _check_every_prefix(f, classes, visible) -> list[str]:
+    """Step a fresh monitor along ``visible`` and hold the verdict after
+    every prefix (the empty one included) to the lasso evaluator."""
+    cursor = synthesize_imperfect(f, classes)
+    kinds = []
+    for k in range(len(visible) + 1):
+        if k:
+            cursor.step(visible[k - 1])
+        expected = _empty_continuation(f, classes, visible[:k])
+        assert _verdict_kind(cursor.verdict) == expected, (f, visible[:k], cursor.verdict)
+        kinds.append(expected)
+    return kinds
+
+
+class TestEmptyContinuation:
+    def test_rover_properties_long_prefixes(self):
+        """Seven rover properties, case-study classes, 20 seeded prefixes of
+        50-300 events each; no closure automaton, so no size guard rail."""
+        classes = casestudy.spec().classes
+        rng = random.Random(20240817)
+        kinds = []
+        for name, f in casestudy.formulas().items():
+            for _ in range(20):
+                density = rng.choice((0.02, 0.1, 0.3))
+                trace = [frozenset(a for a in casestudy.ALPHABET if rng.random() < density)
+                         for _ in range(rng.randint(50, 300))]
+                visible = visible_trace(explicit_trace(trace, casestudy.ALPHABET), classes, ())
+                m = synthesize_imperfect(f, classes)
+                m.run(visible)
+                expected = _empty_continuation(f, classes, visible)
+                assert _verdict_kind(m.verdict) == expected, (name, len(visible))
+                kinds.append(expected)
+        assert len(kinds) == 140
+        assert set(kinds) == {"TRUE", "FALSE", "undefined"}
+
+    def test_criterion_06_draws(self):
+        """A seeded sample of criterion-6 draws (size 1-8 over four atoms,
+        random classes), every prefix of four 1-12-event traces each."""
+        pool = ("p", "q", "r", "s")
+        rng = random.Random(20240817)
+        kinds = []
+        for _ in range(80):
+            f = criterion_formula(rng, rng.randint(1, 8), pool)
+            classes = random_partition(rng, pool)
+            for _ in range(4):
+                trace = random_plain_trace(rng, rng.randint(1, 12), pool)
+                visible = visible_trace(explicit_trace(trace, pool), classes, ())
+                kinds += _check_every_prefix(f, classes, visible)
+        assert set(kinds) == {"TRUE", "FALSE", "undefined"}
+
+
+SLOW_DRAW = "((G (F ((F (p) R s))) U (p & (s R s))) R q)"
+
+
+class TestSlowDraw:
+    @pytest.mark.parametrize("classes_text", ["p; q; r; s", "p~q; r~s"])
+    def test_synthesis_is_fast_and_sound(self, classes_text):
+        """A criterion-6 draw with six temporal operators whose synthesis
+        once took over 20 s (and did not finish in 30 s with p~q; r~s)."""
+        f = parse_formula(SLOW_DRAW)
+        classes = parse_classes(classes_text)
+        clear_machine_caches()
+        t0 = time.perf_counter()
+        synthesize_imperfect(f, classes)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 2.0, f"synthesis took {elapsed:.2f}s"
+
+        pool = ("p", "q", "r", "s")
+        rng = random.Random(7)
+        for _ in range(12):
+            trace = random_plain_trace(rng, rng.randint(1, 16), pool)
+            visible = visible_trace(explicit_trace(trace, pool), classes, ())
+            _check_every_prefix(f, classes, visible)
+
+
+def test_imperfect_machine_builds_two_dfas(monkeypatch):
+    """The six-valued monitor needs only the satisfaction and violation
+    DFAs; no forever-undefined automaton is synthesised."""
+    built = []
+    determinize = monitor_module.determinize
+    monkeypatch.setattr(monitor_module, "determinize",
+                        lambda nfa: built.append(nfa) or determinize(nfa))
+    clear_machine_caches()
+    m = synthesize_imperfect(parse_formula(PROPS["phi2"]), CLASSES)
+    assert len(built) == 2
+    assert len(m.machine.components) == 2

@@ -206,6 +206,9 @@ def machine_from_json(text: str) -> MonitorInstance:
 
 
 def clear_machine_caches() -> None:
-    """Reset the memoised machines (benchmarking support)."""
+    """Reset the memoised machines and the rational sessions' shared memos
+    (benchmarking support)."""
+    from .rational import session_memo  # imported here: rational imports this module
     _standard_machine.cache_clear()
     _imperfect_machine.cache_clear()
+    session_memo.cache_clear()

@@ -213,6 +213,37 @@ class RationalRun:
         return self.allocations[0].selection if self.allocations else frozenset()
 
 
+# Most entries each dict of a SessionMemo holds; past it, results are
+# computed and not kept.
+MEMO_LIMIT = 4096
+
+
+class SessionMemo:
+    """What the sessions over one alphabet and class structure computed,
+    shared between them: the visible and the decoded form of each (plain
+    event, broken classes), and the allocation of each (residual, costs,
+    config).  Entries are immutable, so a run holds references to them, not
+    copies: an active run over shared events keeps about four objects alive
+    instead of forty, and stepping leaves the cyclic collector little to do.
+    """
+
+    __slots__ = ("events", "allocations")
+
+    def __init__(self) -> None:
+        self.events: dict = {}
+        self.allocations: dict = {}
+
+
+@lru_cache(maxsize=512)
+def session_memo(alphabet: frozenset[str], classes: tuple[EqClass, ...]) -> SessionMemo:
+    return SessionMemo()
+
+
+def _remember(memo: dict, key, value) -> None:
+    if len(memo) < MEMO_LIMIT:
+        memo[key] = value
+
+
 @lru_cache(maxsize=512)
 def rational_machine(f: Formula, alphabet: frozenset[str]) -> MonitorInstance:
     """The visibility-independent machine the rational drivers run.
@@ -233,7 +264,8 @@ class Session:
     collapsed to a constant keeps the last allocation and stops decoding
     events: reallocation cannot change a settled verdict.  ``forced_break``
     replaces the first allocation with an exogenous class selection (used to
-    reproduce the fixed configurations of the verdict grid).
+    reproduce the fixed configurations of the verdict grid).  Decoded events
+    and allocations come from the ``SessionMemo`` of the session's classes.
     """
 
     def __init__(self, f: Formula, vspec: VisibilitySpec, cfg: RationalConfig,
@@ -244,8 +276,10 @@ class Session:
         self.cfg = cfg
         self.window = window
         self.residual = to_metric_form(f)
+        self.memo = session_memo(vspec.alphabet, vspec.classes)
+        self._costs = frozenset(vspec.costs.items())
         if forced_break is None:
-            allocation = allocate(self.residual, vspec, cfg)
+            allocation = self._allocate()
         else:
             allocation = Allocation((), frozenset(forced_break))
         self.allocations = [allocation]
@@ -263,10 +297,16 @@ class Session:
         seen = len(self.visible_events)
         if self.window is not None and seen and seen % self.window == 0:
             self._reallocate()
-        explicit = explicit_trace([plain_event], self.vspec.alphabet)[0]
-        visible = visible_event(explicit, self.vspec.classes, self.broken)
+        key = (frozenset(plain_event), self.broken)
+        view = self.memo.events.get(key)
+        if view is None:
+            explicit = explicit_trace([key[0]], self.vspec.alphabet)[0]
+            visible = visible_event(explicit, self.vspec.classes, self.broken)
+            view = visible, expand_witnesses(visible, self.vspec.classes)
+            _remember(self.memo.events, key, view)
+        visible, decoded = view
         self.visible_events.append(visible)
-        verdict = self.monitor.step(expand_witnesses(visible, self.vspec.classes))
+        verdict = self.monitor.step(decoded)
         self.step_verdicts.append(verdict)
         return verdict
 
@@ -277,11 +317,19 @@ class Session:
                 self.residual = progress(self.residual,
                                          knowledge_from_event(past, self.vspec.classes))
             if not isinstance(self.residual, _SETTLED):
-                fresh = allocate(self.residual, self.vspec, self.cfg)
+                fresh = self._allocate()
                 if fresh != allocation:
                     allocation = fresh
         self.allocations.append(allocation)
         self.broken = allocation.selection
+
+    def _allocate(self) -> Allocation:
+        key = (self.residual, self._costs, self.cfg)
+        allocation = self.memo.allocations.get(key)
+        if allocation is None:
+            allocation = allocate(self.residual, self.vspec, self.cfg)
+            _remember(self.memo.allocations, key, allocation)
+        return allocation
 
     def result(self) -> RationalRun:
         return RationalRun(final=self.verdict, step_verdicts=list(self.step_verdicts),

@@ -6,7 +6,7 @@ import pytest
 
 from ltlscope.automata import Verdict
 from ltlscope.formula import FALSE, TRUE, parse_formula, progress, to_metric_form
-from ltlscope.monitor import synthesize_imperfect
+from ltlscope.monitor import clear_machine_caches, synthesize_imperfect
 from ltlscope.randgen import random_partition
 import ltlscope.rational as rational
 from ltlscope.rational import (METRICS, MetricSpec, RationalConfig,
@@ -320,6 +320,65 @@ class TestSessions:
         assert run.step_verdicts == [Verdict.UNKNOWN] + [Verdict.TRUE] * 6
         assert run.broken_per_window == [frozenset({"pq"})] * 4
         assert all(a is run.allocations[0] for a in run.allocations)
+
+    def test_memo_changes_no_result(self, rng, monkeypatch):
+        """Runs over a warm session memo, and over one capped at two
+        entries, equal runs that decode every event afresh."""
+        pool = ("p", "q", "r", "s")
+        cases = []
+        for _ in range(15):
+            f = random_formula(rng, rng.randint(1, 6), pool=pool)
+            classes = random_partition(rng, pool)
+            costs = {c.canonical_id: rng.randint(1, 3)
+                     for c in classes if not c.is_singleton}
+            trace = random_plain_trace(rng, rng.randint(1, 9), pool)
+            spec = VisibilitySpec(alphabet=frozenset(pool), classes=classes,
+                                  costs=costs, bound=rng.randint(0, 4))
+            cfg = RationalConfig(metric="metric2", bound=spec.bound,
+                                 window=rng.randint(1, 3), seed=5)
+            cases.append((trace, f, spec, cfg))
+
+        def runs():
+            return [batch(*case) for case in cases
+                    for batch in (active_monitor, reactive_monitor)]
+
+        def fields(run):
+            return (run.final, run.step_verdicts, run.allocations, run.visible_events)
+
+        rational.session_memo.cache_clear()
+        monkeypatch.setattr(rational, "MEMO_LIMIT", 0)
+        fresh = [fields(run) for run in runs()]
+        for _, _, spec, _ in cases:
+            memo = rational.session_memo(spec.alphabet, spec.classes)
+            assert not memo.events and not memo.allocations
+        monkeypatch.setattr(rational, "MEMO_LIMIT", 2)
+        assert [fields(run) for run in runs()] == fresh
+        rational.session_memo.cache_clear()
+        monkeypatch.undo()
+        runs()
+        assert [fields(run) for run in runs()] == fresh
+        for _, _, spec, _ in cases:
+            assert rational.session_memo(spec.alphabet, spec.classes).events
+
+    def test_sessions_share_events_and_allocations(self):
+        """Two runs over the same classes hold the same event and allocation
+        objects; other costs are another key."""
+        cfg = RationalConfig(metric="metric2", bound=3)
+        first = active_monitor(SIGMA, PSI, vspec(), cfg)
+        second = active_monitor(SIGMA, PSI, vspec(), cfg)
+        assert second.allocations[0] is first.allocations[0]
+        assert all(a is b for a, b in zip(first.visible_events, second.visible_events))
+        assert first.broken == frozenset({"abg"})
+        dear = VisibilitySpec(alphabet=frozenset(ALPHABET), classes=CLASSES,
+                              costs={"cs": 2, "abg": 4}, bound=3)
+        assert active_monitor(SIGMA, PSI, dear, cfg).broken == frozenset({"cs"})
+
+    def test_clear_machine_caches_forgets_session_memos(self):
+        spec = vspec()
+        memo = rational.session_memo(spec.alphabet, spec.classes)
+        assert rational.session_memo(spec.alphabet, spec.classes) is memo
+        clear_machine_caches()
+        assert rational.session_memo(spec.alphabet, spec.classes) is not memo
 
     def test_session_exposes_running_verdict(self):
         from ltlscope.rational import ActiveSession

@@ -32,9 +32,14 @@ class Guard:
         return self.require | self.forbid
 
     def __str__(self) -> str:
-        parts = [str(l) for l in sorted(self.require, key=str)]
-        parts += [f"!{l}" for l in sorted(self.forbid, key=str)]
-        return " & ".join(parts) if parts else "true"
+        # Cached like the hash: edge lists are sorted by guard text.
+        text = self.__dict__.get("_text")
+        if text is None:
+            parts = [str(l) for l in sorted(self.require, key=str)]
+            parts += [f"!{l}" for l in sorted(self.forbid, key=str)]
+            text = " & ".join(parts) if parts else "true"
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 @dataclass
@@ -66,20 +71,3 @@ class GuardedAutomaton:
             if not current:
                 return False
         return bool(current & self.accepting)
-
-
-def consistent_requirements(require: frozenset, forbid: frozenset, signed: bool) -> bool:
-    """Can any consistent event satisfy these requirements?
-
-    Plain world: an event is an arbitrary atom set, so only a literal both
-    required and forbidden is contradictory.  Signed world additionally rules
-    out requiring both signs of one base name.
-    """
-    if require & forbid:
-        return False
-    if signed:
-        names = {}
-        for lit in require:
-            if names.setdefault(lit.name, lit.sign) != lit.sign:
-                return False
-    return True

@@ -8,6 +8,9 @@ bisimulation before a counter-based degeneralisation, so the rest of the
 pipeline only ever sees a single accepting set.  Works for both worlds:
 plain atoms with closed-world guards and signed literals with
 presence/absence guards.
+
+Sets of subformulas are int bitmasks: bit ``i`` stands for the ``i``-th
+distinct subformula of the root in preorder of first occurrence.
 """
 
 from __future__ import annotations
@@ -15,93 +18,168 @@ from __future__ import annotations
 from typing import Optional
 
 from ..formula import (And, Atom, FalseConst, Formula, Lit, Next, Not, Or,
-                       Release, TrueConst, Until, subformulas)
-from .guarded import Guard, GuardedAutomaton, consistent_requirements
+                       Release, SLit, TrueConst, Until, _children)
+from .guarded import Guard, GuardedAutomaton
 
 _INIT = -1
 
-Node = tuple[frozenset, frozenset]  # (satisfied-now set, next-obligation set)
+Node = tuple[int, int]  # (satisfied-now mask, next-obligation mask)
+
+
+def _index(root: Formula) -> tuple[list[Formula], dict[int, int]]:
+    """The distinct subformulas of ``root`` in preorder of first occurrence,
+    and the position of each node object of ``root`` among them, by ``id``.
+
+    Equal subformulas are found by a local key, (type, leaf payload or the
+    class numbers of the children), so no formula is hashed or compared.
+    """
+    preorder: list[Formula] = []
+    klass: dict[int, int] = {}  # id(node) -> structural class number
+    keys: dict[tuple, int] = {}
+    stack: list[tuple[Formula, tuple]] = [(root, ())]
+    while stack:
+        g, kids = stack.pop()
+        if kids:  # second visit: the children are classified
+            key = (type(g), *[klass[id(c)] for c in kids])
+        elif id(g) in klass:
+            continue
+        else:
+            preorder.append(g)
+            kids = _children(g)
+            if kids:
+                stack.append((g, kids))
+                stack.extend([(c, ()) for c in reversed(kids)])
+                continue
+            key = (type(g), getattr(g, "name", None), getattr(g, "lit", None))
+        klass[id(g)] = keys.setdefault(key, len(keys))
+    number: dict[int, int] = {}  # structural class -> position
+    forms: list[Formula] = []
+    position: dict[int, int] = {}
+    for g in preorder:
+        i = number.setdefault(klass[id(g)], len(forms))
+        if i == len(forms):
+            forms.append(g)
+        position[id(g)] = i
+    return forms, position
+
+
+def _tested(f: Formula):
+    return f.name if isinstance(f, Atom) else f.lit
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 class _Decomposer:
-    """Memoised expansion of pending-formula sets into completed nodes."""
+    """Memoised expansion of pending-subformula masks into completed nodes."""
 
-    def __init__(self, root: Formula, signed: bool):
-        self.signed = signed
-        self.order = {g: i for i, g in enumerate(dict.fromkeys(subformulas(root)))}
-        self.memo: dict[frozenset, frozenset] = {}
+    def __init__(self, forms: list[Formula], position: dict[int, int], signed: bool):
+        self.forms = forms
+        bit = [1 << i for i in range(len(forms))]
 
-    def cover(self, pending: frozenset) -> frozenset:
-        """All (now, next) completions of the pending set, inconsistent
+        def mask(*subs: Formula) -> int:
+            out = 0
+            for g in subs:
+                out |= bit[position[id(g)]]
+            return out
+
+        # The literals, by position: (atom name or signed literal, present?).
+        self.tests: dict[int, tuple[object, bool]] = {}
+        for i, g in enumerate(forms):
+            if isinstance(g, (Atom, Lit)):
+                self.tests[i] = (_tested(g), True)
+            elif isinstance(g, Not) and isinstance(g.operand, (Atom, Lit)):
+                self.tests[i] = (_tested(g.operand), False)
+        self.literals = sum(bit[i] for i in self.tests)
+
+        # A literal conflicts with its negation and, among signed literals,
+        # with the other sign of its name.  Consistency is pairwise, so a
+        # consistent node stays so when its new literal meets no conflict.
+        where = {test: i for i, test in self.tests.items()}
+        conflicts = dict.fromkeys(self.tests, 0)
+        for i, (req, present) in self.tests.items():
+            rivals = [(req, not present)]
+            if signed and present and isinstance(forms[i], Lit):
+                rivals.append((SLit(req.name, not req.sign), True))
+            for rival in rivals:
+                if rival in where:
+                    conflicts[i] |= bit[where[rival]]
+
+        # Per subformula, its ways of holding now as (now, next, new,
+        # conflicts) masks; None outside NNF.
+        self.choices: list[Optional[tuple]] = []
+        for i, f in enumerate(forms):
+            me = bit[i]
+            if i in conflicts:
+                options = ((me, 0, 0, conflicts[i]),)
+            elif isinstance(f, TrueConst):
+                options = ((0, 0, 0, 0),)
+            elif isinstance(f, FalseConst):
+                options = ()
+            elif isinstance(f, And):
+                options = ((me, 0, mask(f.left, f.right), 0),)
+            elif isinstance(f, Next):
+                options = ((me, mask(f.operand), 0, 0),)
+            elif isinstance(f, Or):
+                options = ((me, 0, mask(f.left), 0), (me, 0, mask(f.right), 0))
+            elif isinstance(f, Until):
+                options = ((me, me, mask(f.left), 0), (me, 0, mask(f.right), 0))
+            elif isinstance(f, Release):
+                options = ((me, me, mask(f.right), 0), (me, 0, mask(f.left, f.right), 0))
+            else:
+                options = None
+            self.choices.append(options)
+
+        self.memo: dict[int, tuple[Node, ...]] = {0: ((0, 0),)}
+        self._guards: dict[int, Guard] = {}
+        self._positions: dict[int, tuple[int, ...]] = {}
+
+    def cover(self, pending: int) -> tuple[Node, ...]:
+        """All (now, next) completions of the pending mask, inconsistent
         literal combinations pruned."""
-        try:
-            return self.memo[pending]
-        except KeyError:
-            pass
-        if not pending:
-            result = frozenset({(frozenset(), frozenset())})
-        else:
-            f = min(pending, key=self.order.__getitem__)
-            rest = pending - {f}
-            out: set[Node] = set()
-            for now_add, nxt_add, new_add in self._choices(f):
-                for now, nxt in self.cover(rest | new_add):
-                    candidate = (now | now_add, nxt | nxt_add)
-                    if self._consistent(candidate[0]):
-                        out.add(candidate)
-            result = frozenset(out)
-        self.memo[pending] = result
+        result = self.memo.get(pending)
+        if result is not None:
+            return result
+        low = pending & -pending
+        first = low.bit_length() - 1
+        options = self.choices[first]
+        if options is None:
+            raise ValueError(f"tableau expects NNF, got {self.forms[first]!r}")
+        rest = pending ^ low
+        out: set[Node] = set()
+        for now_add, nxt_add, new_add, conflicts in options:
+            for now, nxt in self.cover(rest | new_add):
+                if not now & conflicts:
+                    out.add((now | now_add, nxt | nxt_add))
+        result = self.memo[pending] = tuple(out)
         return result
 
-    def _choices(self, f: Formula):
-        if isinstance(f, TrueConst):
-            return ((frozenset(), frozenset(), frozenset()),)
-        if isinstance(f, FalseConst):
-            return ()
-        if _is_literal(f):
-            return ((frozenset({f}), frozenset(), frozenset()),)
-        mark = frozenset({f})
-        if isinstance(f, And):
-            return ((mark, frozenset(), frozenset({f.left, f.right})),)
-        if isinstance(f, Next):
-            return ((mark, frozenset({f.operand}), frozenset()),)
-        if isinstance(f, Or):
-            return ((mark, frozenset(), frozenset({f.left})),
-                    (mark, frozenset(), frozenset({f.right})))
-        if isinstance(f, Until):
-            return ((mark, frozenset({f}), frozenset({f.left})),
-                    (mark, frozenset(), frozenset({f.right})))
-        if isinstance(f, Release):
-            return ((mark, frozenset({f}), frozenset({f.right})),
-                    (mark, frozenset(), frozenset({f.left, f.right})))
-        raise ValueError(f"tableau expects NNF, got {f!r}")
+    def guard(self, lits: int) -> Guard:
+        """The guard of a literal mask, one shared ``Guard`` per mask."""
+        guard = self._guards.get(lits)
+        if guard is None:
+            tests = [self.tests[i] for i in _members(lits)]
+            guard = self._guards[lits] = Guard(
+                frozenset(req for req, present in tests if present),
+                frozenset(req for req, present in tests if not present))
+        return guard
 
-    def _consistent(self, now: frozenset) -> bool:
-        require = frozenset(_req(g) for g in now if _is_pos_literal(g))
-        forbid = frozenset(_req(g.operand) for g in now if isinstance(g, Not))
-        return consistent_requirements(require, forbid, self.signed)
-
-
-def _is_pos_literal(f: Formula) -> bool:
-    return isinstance(f, (Atom, Lit))
-
-
-def _is_literal(f: Formula) -> bool:
-    return _is_pos_literal(f) or (isinstance(f, Not) and _is_pos_literal(f.operand))
-
-
-def _req(f: Formula):
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Lit):
-        return f.lit
-    raise TypeError(f)
-
-
-def _guard_of(now: frozenset) -> Guard:
-    require = frozenset(_req(g) for g in now if _is_pos_literal(g))
-    forbid = frozenset(_req(g.operand) for g in now if isinstance(g, Not))
-    return Guard(require, forbid)
+    def ordered_cover(self, pending: int) -> list[Node]:
+        """``cover(pending)`` sorted by the positions in now, then in next,
+        each ascending."""
+        leaves = self.cover(pending)
+        positions = self._positions
+        for mask in {m for node in leaves for m in node}.difference(positions):
+            positions[mask] = _members(mask)
+        keyed = sorted([(positions[now], positions[nxt], now, nxt) for now, nxt in leaves])
+        return [(now, nxt) for _, _, now, nxt in keyed]
 
 
 def ltl_to_nba(f: Formula, signed: Optional[bool] = None) -> GuardedAutomaton:
@@ -112,72 +190,65 @@ def ltl_to_nba(f: Formula, signed: Optional[bool] = None) -> GuardedAutomaton:
     counter-based degeneralisation multiplies states, leaving a single
     accepting set and one initial state (a virtual start consuming no event).
     """
+    forms, position = _index(f)
     if signed is None:
-        signed = any(isinstance(g, Lit) for g in subformulas(f))
+        signed = any(isinstance(g, Lit) for g in forms)
+    dec = _Decomposer(forms, position, signed)
 
-    dec = _Decomposer(f, signed)
+    # Obligation j is the j-th Until by text; fulfilment sets are bitmasks.
+    untils = sorted((g for g in forms if isinstance(g, Until)), key=str)
+    obligations = [(1 << position[id(u)], 1 << position[id(u.right)]) for u in untils]
+    k = max(1, len(untils))
+    full = (1 << k) - 1
 
-    def node_key(node: Node):
-        now, nxt = node
-        return (tuple(sorted(dec.order[g] for g in now)),
-                tuple(sorted(dec.order[g] for g in nxt)))
+    def fulfilment(now: int) -> int:
+        # A node fulfils obligation u unless u is pending without its right part.
+        if not untils:
+            return full
+        out = 0
+        for j, (until, right) in enumerate(obligations):
+            if not now & until or now & right:
+                out |= 1 << j
+        return out
 
+    # Edges carry the literal mask of their target node, which stands for
+    # its guard one to one, until the degeneralised automaton is built.
     ids: dict[Node, int] = {}
     order: list[Node] = []
-    guards: dict[int, Guard] = {}
+    fulfils: dict[int, int] = {_INIT: full}  # visited once; acceptance is about recurrence
+    successor_cache: dict[int, list[tuple[int, int]]] = {}
 
-    def intern(node: Node) -> int:
-        uid = ids.get(node)
-        if uid is None:
-            uid = ids[node] = len(order)
-            order.append(node)
-            guards[uid] = _guard_of(node[0])
-        return uid
-
-    successor_cache: dict[frozenset, list[int]] = {}
-
-    def successors(nxt: frozenset) -> list[int]:
+    def successors(nxt: int) -> list[tuple[int, int]]:
         row = successor_cache.get(nxt)
         if row is None:
-            leaves = sorted(dec.cover(nxt), key=node_key)
-            row = successor_cache[nxt] = [intern(leaf) for leaf in leaves]
+            leaves = dec.ordered_cover(nxt)
+            for node in leaves:
+                if node not in ids:
+                    fulfils[len(order)] = fulfilment(node[0])
+                    ids[node] = len(order)
+                    order.append(node)
+            row = successor_cache[nxt] = [(now & dec.literals, ids[now, later])
+                                          for now, later in leaves]
         return row
 
-    work = list(successors(frozenset({f})))
-    edges: dict[int, list[tuple[Guard, int]]] = {
-        _INIT: [(guards[uid], uid) for uid in work]
-    }
-    done: set[int] = set()
+    edges: dict[int, list[tuple[int, int]]] = {_INIT: successors(1 << position[id(f)])}
+    work = [dst for _, dst in edges[_INIT]]
     while work:
         uid = work.pop()
-        if uid in done:
+        if uid in edges:
             continue
-        done.add(uid)
-        row = successors(order[uid][1])
-        edges[uid] = [(guards[dst], dst) for dst in row]
-        work.extend(dst for dst in row if dst not in done)
+        row = edges[uid] = successors(order[uid][1])
+        work.extend(dst for _, dst in row if dst not in edges)
 
-    untils = [g for g in sorted(set(subformulas(f)), key=str) if isinstance(g, Until)]
-    k = max(1, len(untils))
-    full = frozenset(range(len(untils))) if untils else frozenset({0})
-    # A node fulfils obligation u unless u is pending without its right part.
-    fulfils: dict[int, frozenset[int]] = {}
-    for node, uid in ids.items():
-        now = node[0]
-        fulfils[uid] = (frozenset(i for i, u in enumerate(untils)
-                                  if u not in now or u.right in now)
-                        if untils else full)
-    fulfils[_INIT] = full  # visited once; Büchi acceptance is about recurrence
-
-    states = [_INIT] + [ids[n] for n in order]
+    states = [_INIT] + list(range(len(order)))
     block = _generalized_quotient(states, edges, fulfils)
     q_edges: dict[int, list[tuple[Guard, int]]] = {}
-    q_fulfils: dict[int, frozenset[int]] = {}
+    q_fulfils: dict[int, int] = {}
     for uid in states:
         b = block[uid]
         q_fulfils[b] = fulfils[uid]
         if b not in q_edges:
-            q_edges[b] = sorted({(guard, block[dst]) for guard, dst in edges[uid]},
+            q_edges[b] = sorted({(dec.guard(lits), block[dst]) for lits, dst in edges[uid]},
                                 key=lambda e: (str(e[0]), e[1]))
 
     # Degeneralised states: (block, counter); start at the init block.
@@ -198,7 +269,7 @@ def ltl_to_nba(f: Formula, signed: Optional[bool] = None) -> GuardedAutomaton:
     while frontier:
         b, i = frontier.pop()
         src_id = intern_out((b, i))
-        j = (i + 1) % k if i in q_fulfils[b] else i
+        j = (i + 1) % k if q_fulfils[b] >> i & 1 else i
         for guard, dst in q_edges.get(b, ()):
             key = (dst, j)
             dst_id = intern_out(key)
@@ -210,7 +281,7 @@ def ltl_to_nba(f: Formula, signed: Optional[bool] = None) -> GuardedAutomaton:
     # Büchi acceptance is about recurrence, so admitting the once-visited
     # start costs nothing even when its block never recurs.
     for (b, i), sid in out_ids.items():
-        if i == 0 and 0 in q_fulfils[b]:
+        if i == 0 and q_fulfils[b] & 1:
             accepting.add(sid)
 
     return GuardedAutomaton(
@@ -223,18 +294,24 @@ def ltl_to_nba(f: Formula, signed: Optional[bool] = None) -> GuardedAutomaton:
     )
 
 
-def _generalized_quotient(states: list[int], edges: dict[int, list[tuple[Guard, int]]],
-                          fulfils: dict[int, frozenset[int]]) -> dict[int, int]:
-    """Coarsest bisimulation respecting the obligation-set vector."""
+def _generalized_quotient(states: list[int], edges: dict[int, list[tuple[int, int]]],
+                          fulfils: dict[int, int]) -> dict[int, int]:
+    """Coarsest bisimulation respecting the obligation-set vector, over
+    edges labelled by anything that stands for their guard one to one."""
     block: dict[int, int] = {}
     remap: dict = {}
     for q in states:
         block[q] = remap.setdefault(fulfils[q], len(remap))
     while True:
-        signatures = {
-            q: (block[q], frozenset((guard, block[dst]) for guard, dst in edges[q]))
-            for q in states
-        }
+        # States share edge lists, so each list is read once per round.
+        reads: dict[int, frozenset] = {}
+        signatures = {}
+        for q in states:
+            row = edges[q]
+            read = reads.get(id(row))
+            if read is None:
+                read = reads[id(row)] = frozenset((label, block[dst]) for label, dst in row)
+            signatures[q] = (block[q], read)
         remap = {}
         new_block = {q: remap.setdefault(signatures[q], len(remap)) for q in states}
         if len(remap) == len(set(block.values())):

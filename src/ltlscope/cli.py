@@ -1,12 +1,11 @@
-"""Command-line surface: synthesis, verification, the case-study grid,
-benchmarks, and the metric-comparison experiment."""
+"""Command-line surface: synthesis, verification, the case-study grid and
+the metric-comparison experiment."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import random
-import statistics
 import sys
 import time
 from typing import Optional, Sequence
@@ -15,12 +14,11 @@ from . import casestudy
 from .automata.dot import moore_to_dot
 from .automata.moore import Verdict
 from .formula import Formula, ParseError, SLit, parse_formula, parse_slit
-from .monitor import (MonitorInstance, clear_machine_caches, machine_from_json,
-                      machine_to_json, synthesize_imperfect, synthesize_standard)
+from .monitor import (MonitorInstance, machine_from_json, machine_to_json,
+                      synthesize_imperfect, synthesize_standard)
 from .randgen import (derive_seed, experiment_visibility, random_formula,
                       random_plain_trace)
-from .rational import (METRICS, RationalConfig, active_monitor,
-                       rational_machine, reactive_monitor)
+from .rational import METRICS, RationalConfig, active_monitor, reactive_monitor
 from .visibility import (VisibilitySpec, check_consistent, explicit_trace,
                          parse_classes, visible_trace)
 
@@ -303,61 +301,6 @@ def cmd_casestudy(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def cmd_bench(args) -> int:
-    rows: list[tuple[int, float, float]] = []
-    reps = max(5, args.reps)
-    if args.synth is not None:
-        sizes = _parse_int_list(args.synth)
-        for size in sizes:
-            samples = []
-            for rep in range(reps):
-                rng = random.Random(derive_seed(args.seed, size, rep))
-                f = random_formula(rng, size)
-                vspec = experiment_visibility(rng)
-                rational_machine.cache_clear()
-                clear_machine_caches()
-                t0 = time.perf_counter()
-                rational_machine(f, vspec.alphabet)
-                samples.append((time.perf_counter() - t0) * 1000.0)
-            rows.append((size, statistics.fmean(samples),
-                         statistics.pstdev(samples)))
-    elif args.verify_lengths is not None:
-        lengths = _parse_int_list(args.verify_lengths)
-        rng = random.Random(args.seed)
-        f = parse_formula("G (p -> F q)")
-        vspec = experiment_visibility(random.Random(args.seed))
-        monitor = rational_machine(f, vspec.alphabet)
-        cfg = RationalConfig(metric="metric2", bound=vspec.bound, seed=args.seed)
-        for length in lengths:
-            trace = random_plain_trace(random.Random(derive_seed(args.seed, length)), length)
-            samples = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                active_monitor(trace, f, vspec, cfg)
-                samples.append((time.perf_counter() - t0) * 1000.0)
-            rows.append((length, statistics.fmean(samples), statistics.pstdev(samples)))
-    else:
-        raise SystemExit("bench needs --synth SIZES or --verify-lengths LENGTHS")
-
-    lines = ["size_or_length,mean_ms,stddev"]
-    lines += [f"{n},{mean:.3f},{sd:.3f}" for n, mean, sd in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # metrics experiment
 # ---------------------------------------------------------------------------
 
@@ -462,14 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit nonzero when a cell differs from the published grid, "
                         "or a disputed cell from its recorded sound verdict")
     p.set_defaults(func=cmd_casestudy)
-
-    p = sub.add_parser("bench", help="synthesis/verification timing CSV")
-    p.add_argument("--synth", help="comma-separated formula sizes")
-    p.add_argument("--verify-lengths", help="comma-separated trace lengths")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("metrics-experiment", help="verdict distribution per metric CSV")
     p.add_argument("--formulas", type=int, default=1000)

@@ -21,7 +21,7 @@ from .automata.moore import MooreMachine, Verdict, product2, product3
 from .automata.pipeline import (DFA, determinize, empty_event_edges, minimize,
                                 nba_to_nfa, nonempty_states, quotient_bisim)
 from .automata.tableau import ltl_to_nba
-from .formula import Formula, SLit, negate_nnf, parse_slit, to_nnf
+from .formula import MAX_NESTING, Formula, SLit, height, negate_nnf, parse_slit, to_nnf
 from .oracle.verdict import signed_triple
 from .visibility import EqClass, check_consistent
 
@@ -92,8 +92,16 @@ class MonitorInstance:
         return encoded
 
 
+def _check_height(f: Formula) -> None:
+    """Refuse a formula the recursive normal forms cannot take, with the
+    limit the parser applies to text."""
+    if height(f) > MAX_NESTING:
+        raise ValueError(f"formula nests deeper than {MAX_NESTING} levels")
+
+
 @lru_cache(maxsize=4096)
 def _standard_machine(f: Formula, minimized: bool) -> MooreMachine:
+    _check_height(f)
     pos = formula_to_dfa(to_nnf(f), signed=False, minimized=minimized)
     neg = formula_to_dfa(negate_nnf(f), signed=False, minimized=minimized)
     return product2(pos, neg)
@@ -102,6 +110,7 @@ def _standard_machine(f: Formula, minimized: bool) -> MooreMachine:
 @lru_cache(maxsize=4096)
 def _imperfect_machine(f: Formula, classes: tuple[EqClass, ...],
                        minimized: bool) -> MooreMachine:
+    _check_height(f)
     sat, viol, _ = signed_triple(f, classes)
     return product3(formula_to_dfa(sat, signed=True, minimized=minimized),
                     formula_to_dfa(viol, signed=True, minimized=minimized))
@@ -110,7 +119,8 @@ def _imperfect_machine(f: Formula, classes: tuple[EqClass, ...],
 def synthesize_standard(f: Formula, minimized: bool = True) -> MonitorInstance:
     """Three-valued monitor: product of the satisfaction and violation DFAs
     over plain closed-world events.  The underlying machine is immutable and
-    cached; every call hands out a fresh cursor."""
+    cached; every call hands out a fresh cursor.  A formula nested deeper
+    than ``MAX_NESTING`` raises ``ValueError``."""
     return MonitorInstance(_standard_machine(f, minimized), "standard")
 
 

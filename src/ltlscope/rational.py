@@ -275,6 +275,9 @@ class Session:
         self.vspec = vspec
         self.cfg = cfg
         self.window = window
+        # The machine first: it refuses a formula too tall for the normal forms.
+        self.monitor = rational_machine(f, vspec.alphabet).clone()
+        self.monitor.reset()
         self.residual = to_metric_form(f)
         self.memo = session_memo(vspec.alphabet, vspec.classes)
         self._costs = frozenset(vspec.costs.items())
@@ -284,8 +287,6 @@ class Session:
             allocation = Allocation((), frozenset(forced_break))
         self.allocations = [allocation]
         self.broken = allocation.selection
-        self.monitor = rational_machine(f, vspec.alphabet).clone()
-        self.monitor.reset()
         self.step_verdicts: list[Verdict] = []
         self.visible_events: list[frozenset] = []
 

@@ -1,9 +1,11 @@
 """Synthesis pipeline: tableau, emptiness, determinisation, Moore products."""
 
 import itertools
+import random
 
 import pytest
 
+from ltlscope import randgen
 from ltlscope.automata import (DFA, GuardedAutomaton, ImpossibleStateError,
                                Verdict, classify2, classify3, determinize,
                                ltl_to_nba, minimize, nba_to_nfa,
@@ -11,8 +13,9 @@ from ltlscope.automata import (DFA, GuardedAutomaton, ImpossibleStateError,
 from ltlscope.automata.dot import automaton_to_dot, moore_to_dot
 from ltlscope.automata.guarded import Guard
 from ltlscope.automata.pipeline import quotient_bisim
-from ltlscope.formula import (FALSE, TRUE, Atom, Lit, Next, SLit,
-                              parse_formula, to_nnf)
+from ltlscope.formula import (FALSE, TRUE, And, Atom, FalseConst, Lit, Next,
+                              Not, Or, Release, SLit, TrueConst, Until,
+                              negate_nnf, parse_formula, subformulas, to_nnf)
 from ltlscope.monitor import formula_to_dfa, synthesize_imperfect
 from ltlscope.oracle.lasso import LassoWord, eval_lasso
 from ltlscope.oracle.verdict import signed_triple
@@ -133,6 +136,167 @@ class TestTableau:
                 loop = tuple(rng.choice(events) for _ in range(rng.randint(1, 3)))
                 assert (eval_lasso(f, LassoWord(stem, loop))
                         == lasso_accepted_by_nba(nba, stem, loop))
+
+
+def reference_nba(f, signed: bool) -> GuardedAutomaton:
+    """The tableau on frozensets of formulas, as it stood before subformula
+    sets became bitmasks: the expected output of ``ltl_to_nba``, numbering
+    and edge order included."""
+    order = {g: i for i, g in enumerate(dict.fromkeys(subformulas(f)))}
+    memo = {}
+
+    def literal(g):
+        return isinstance(g, (Atom, Lit)) or (isinstance(g, Not)
+                                               and isinstance(g.operand, (Atom, Lit)))
+
+    def tested(g):
+        return g.name if isinstance(g, Atom) else g.lit
+
+    def guard_of(now):
+        return Guard(frozenset(tested(g) for g in now if isinstance(g, (Atom, Lit))),
+                     frozenset(tested(g.operand) for g in now if isinstance(g, Not)))
+
+    def consistent(guard):
+        # Signed literals also clash with the other sign of their name.
+        signs = {}
+        return not guard.require & guard.forbid and not (signed and any(
+            signs.setdefault(l.name, l.sign) != l.sign for l in guard.require))
+
+    def choices(g):
+        mark, none = frozenset({g}), frozenset()
+        if isinstance(g, TrueConst):
+            return ((none, none, none),)
+        if isinstance(g, FalseConst):
+            return ()
+        if literal(g):
+            return ((mark, none, none),)
+        if isinstance(g, And):
+            return ((mark, none, frozenset({g.left, g.right})),)
+        if isinstance(g, Next):
+            return ((mark, frozenset({g.operand}), none),)
+        if isinstance(g, Or):
+            return ((mark, none, frozenset({g.left})), (mark, none, frozenset({g.right})))
+        if isinstance(g, Until):
+            return ((mark, mark, frozenset({g.left})), (mark, none, frozenset({g.right})))
+        if isinstance(g, Release):
+            return ((mark, mark, frozenset({g.right})),
+                    (mark, none, frozenset({g.left, g.right})))
+        raise ValueError(g)
+
+    def cover(pending):
+        if pending not in memo:
+            out = {(frozenset(), frozenset())} if not pending else set()
+            if pending:
+                g = min(pending, key=order.__getitem__)
+                for now_add, nxt_add, new_add in choices(g):
+                    for now, nxt in cover(pending - {g} | new_add):
+                        if consistent(guard_of(now | now_add)):
+                            out.add((now | now_add, nxt | nxt_add))
+            memo[pending] = frozenset(out)
+        return memo[pending]
+
+    def node_key(node):
+        return (tuple(sorted(order[g] for g in node[0])),
+                tuple(sorted(order[g] for g in node[1])))
+
+    ids, nodes, rows = {}, [], {}
+
+    def successors(nxt):
+        if nxt not in rows:
+            leaves = sorted(cover(nxt), key=node_key)
+            for node in leaves:
+                if node not in ids:
+                    ids[node] = len(nodes)
+                    nodes.append(node)
+            rows[nxt] = [(guard_of(node[0]), ids[node]) for node in leaves]
+        return rows[nxt]
+
+    edges = {-1: successors(frozenset({f}))}
+    work = [dst for _, dst in edges[-1]]
+    while work:
+        uid = work.pop()
+        if uid not in edges:
+            edges[uid] = successors(nodes[uid][1])
+            work.extend(dst for _, dst in edges[uid] if dst not in edges)
+
+    untils = [g for g in sorted(set(subformulas(f)), key=str) if isinstance(g, Until)]
+    k = max(1, len(untils))
+    fulfils = {-1: frozenset(range(k))}
+    for node, uid in ids.items():
+        fulfils[uid] = (frozenset(i for i, u in enumerate(untils)
+                                  if u not in node[0] or u.right in node[0])
+                        if untils else frozenset({0}))
+    states = [-1] + list(range(len(nodes)))
+    remap = {}
+    block = {q: remap.setdefault(fulfils[q], len(remap)) for q in states}
+    while True:
+        remap = {}
+        refined = {q: remap.setdefault(
+            (block[q], frozenset((g, block[d]) for g, d in edges[q])), len(remap))
+            for q in states}
+        if len(remap) == len(set(block.values())):
+            block = refined
+            break
+        block = refined
+    q_edges, q_fulfils = {}, {}
+    for q in states:
+        q_fulfils[block[q]] = fulfils[q]
+        if block[q] not in q_edges:
+            q_edges[block[q]] = sorted({(g, block[d]) for g, d in edges[q]},
+                                       key=lambda e: (str(e[0]), e[1]))
+
+    out_ids, transitions = {}, {}
+
+    def out(q):
+        if q not in out_ids:
+            out_ids[q] = len(out_ids)
+            transitions[out_ids[q]] = []
+        return out_ids[q]
+
+    start = out((block[-1], 0))
+    frontier, seen = [(block[-1], 0)], {(block[-1], 0)}
+    while frontier:
+        b, i = frontier.pop()
+        j = (i + 1) % k if i in q_fulfils[b] else i
+        for g, d in q_edges[b]:
+            transitions[out((b, i))].append((g, out((d, j))))
+            if (d, j) not in seen:
+                seen.add((d, j))
+                frontier.append((d, j))
+    return GuardedAutomaton(
+        kind="nba", states=sorted(out_ids.values()), initial=frozenset({start}),
+        transitions=transitions, signed=signed,
+        accepting=frozenset(s for (b, i), s in out_ids.items()
+                            if i == 0 and 0 in q_fulfils[b]))
+
+
+class TestTableauReference:
+    """The bitmask tableau builds exactly the automaton of the frozenset one."""
+
+    @staticmethod
+    def assert_same(f, signed):
+        got, want = ltl_to_nba(f, signed=signed), reference_nba(f, signed)
+        assert got.states == want.states, f
+        assert got.initial == want.initial, f
+        assert got.accepting == want.accepting, f
+        assert [got.transitions[q] for q in got.states] == \
+            [want.transitions[q] for q in want.states], f
+
+    def test_criterion_6_draws(self):
+        rng = random.Random(20240817)
+        pool = ("p", "q", "r", "s")
+        for _ in range(320):
+            f = randgen.random_formula(rng, rng.randint(1, 8), pool)
+            sat, viol, _ = signed_triple(f, randgen.random_partition(rng, pool))
+            for branch, signed in ((to_nnf(f), False), (negate_nnf(f), False),
+                                   (sat, True), (viol, True)):
+                self.assert_same(branch, signed)
+
+    @pytest.mark.parametrize("operands", range(2, 8))
+    def test_until_chains(self, operands):
+        f = parse_formula(" U ".join(["p"] * operands))
+        self.assert_same(to_nnf(f), False)
+        self.assert_same(negate_nnf(f), False)
 
 
 class TestEmptiness:

@@ -225,20 +225,6 @@ class TestCaseStudyCommand:
         assert code == 1
 
 
-class TestBench:
-    def test_verify_lengths_csv(self, tmp_path, capsys):
-        out_path = tmp_path / "bench.csv"
-        code, _ = run_cli(["bench", "--verify-lengths", "50,100", "--reps", "5",
-                           "--out", str(out_path)], capsys)
-        lines = out_path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "size_or_length,mean_ms,stddev"
-        assert len(lines) == 3
-
-    def test_empty_size_list_gives_header_only(self, capsys):
-        code, out = run_cli(["bench", "--synth", ""], capsys)
-        assert out.splitlines() == ["size_or_length,mean_ms,stddev"]
-
-
 class TestMetricsExperiment:
     def test_counts_partition_runs(self, capsys):
         code, out = run_cli(["metrics-experiment", "--formulas", "10", "--traces", "3",

@@ -74,6 +74,32 @@ class TestParser:
         with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING} levels"):
             parse_formula(text)
 
+    @pytest.mark.parametrize("entry", ["standard", "imperfect", "active", "reactive"])
+    def test_built_formula_past_the_limit_is_refused(self, entry, monkeypatch):
+        """A formula built through the API, not parsed, meets the same limit
+        at every synthesis entry point, as a ValueError.  A session meets it
+        at its machine, before it puts the formula in metric form."""
+        from ltlscope import rational
+        from ltlscope.monitor import synthesize_imperfect, synthesize_standard
+        from ltlscope.rational import RationalConfig, active_monitor, reactive_monitor
+        from ltlscope.visibility import VisibilitySpec
+        metric_forms = []
+        monkeypatch.setattr(rational, "to_metric_form", metric_forms.append)
+        f = Atom("p")
+        for _ in range(400):
+            f = Next(f)
+        classes = derive_classes(("p",), [])
+        spec = VisibilitySpec(alphabet=frozenset({"p"}), classes=classes)
+        run = {
+            "standard": lambda: synthesize_standard(f),
+            "imperfect": lambda: synthesize_imperfect(f, classes),
+            "active": lambda: active_monitor([{"p"}], f, spec, RationalConfig()),
+            "reactive": lambda: reactive_monitor([{"p"}], f, spec, RationalConfig(window=1)),
+        }[entry]
+        with pytest.raises(ValueError, match=f"deeper than {MAX_NESTING} levels"):
+            run()
+        assert metric_forms == []
+
 
 class TestNnf:
     def test_next_commutes_with_negation(self):

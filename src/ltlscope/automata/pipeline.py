@@ -6,15 +6,15 @@ empty event can take, flags the states from which the all-empty word is
 accepted; every later stage carries that flag alongside acceptance.  The
 subset construction then determinises over consistent valuations of the
 literals each state actually mentions; valuations are packed into integer
-bitmasks so stepping is a dict lookup.  Partition refinement over the global
-valuation space merges language-equivalent DFA states, and a cheap
-bisimulation quotient shrinks the nondeterministic stages before the
-exponential subset step.
+bitmasks so stepping is a dict lookup.  One partition-refinement kernel,
+``coarsest_partition``, serves every merge: the bisimulation quotient of the
+NFA before the exponential subset step, the minimisation of the DFA over the
+global valuation space, and the tableau's generalised quotient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterator
 
@@ -25,26 +25,17 @@ def nonempty_states(nba: GuardedAutomaton) -> frozenset[int]:
     """States from which the Büchi language is nonempty: those reaching a
     nontrivial strongly connected component that contains an accepting
     state (a self-loop counts as nontrivial)."""
-    sccs = tarjan_sccs({q: [dst for _, dst in nba.transitions.get(q, ())] for q in nba.states},
-                       nba.states)
-    good_states: set[int] = set()
-    for scc in sccs:
+    edges = {q: [dst for _, dst in nba.transitions.get(q, ())] for q in nba.states}
+    good: set[int] = set()
+    # Tarjan emits a component after every component it reaches, so one
+    # pass sees each edge leaving a component with its target decided.
+    for scc in tarjan_sccs(edges, nba.states):
         members = set(scc)
-        internal_edge = any(dst in members for q in scc
-                            for _, dst in nba.transitions.get(q, ()))
-        if internal_edge and members & nba.accepting:
-            good_states |= members
-
-    changed = True
-    while changed:
-        changed = False
-        for q in nba.states:
-            if q in good_states:
-                continue
-            if any(dst in good_states for _, dst in nba.transitions.get(q, ())):
-                good_states.add(q)
-                changed = True
-    return frozenset(good_states)
+        targets = [dst for q in scc for dst in edges[q]]
+        if (members & nba.accepting and not members.isdisjoint(targets)) \
+                or not good.isdisjoint(targets):
+            good |= members
+    return frozenset(good)
 
 
 def tarjan_sccs(edges: dict[int, list[int]], states) -> list[list[int]]:
@@ -113,16 +104,9 @@ def empty_event_edges(nba: GuardedAutomaton) -> GuardedAutomaton:
 def nba_to_nfa(nba: GuardedAutomaton, nonempty: frozenset[int]) -> GuardedAutomaton:
     """Same structure, accepting set replaced by the nonempty-language states:
     the NFA accepts exactly the finite prefixes with a satisfying infinite
-    continuation.  The flagged states carry over unchanged."""
-    return GuardedAutomaton(
-        kind="nfa",
-        states=list(nba.states),
-        initial=nba.initial,
-        transitions={q: list(edges) for q, edges in nba.transitions.items()},
-        accepting=nonempty,
-        signed=nba.signed,
-        flagged=nba.flagged,
-    )
+    continuation.  The transitions and flagged states are shared with the
+    NBA, not copied."""
+    return replace(nba, kind="nfa", accepting=nonempty)
 
 
 @lru_cache(maxsize=65536)
@@ -146,6 +130,35 @@ def consistent_masks(lits: tuple, signed: bool) -> tuple[int, ...]:
     return tuple(out)
 
 
+def coarsest_partition(keys: dict, rows: dict) -> dict:
+    """The coarsest partition of the states that refines ``keys`` and is
+    stable under ``rows`` (Moore's signature refinement).
+
+    ``keys`` maps each state to its initial key, ``rows`` each state to its
+    (label, successor) pairs; two states stay together while their keys
+    agree and their labelled edges reach the same blocks.  Returns each
+    state's block, numbered by the block's first state in the iteration
+    order of ``keys``.  A row object that several states share is read once
+    per round.
+    """
+    remap: dict = {}
+    block = {q: remap.setdefault(key, len(remap)) for q, key in keys.items()}
+    count = len(remap)
+    while True:
+        reads: dict[int, frozenset] = {}
+        remap = {}
+        refined = {}
+        for q in keys:
+            row = rows.get(q, ())
+            read = reads.get(id(row))
+            if read is None:
+                read = reads[id(row)] = frozenset((label, block[dst]) for label, dst in row)
+            refined[q] = remap.setdefault((block[q], read), len(remap))
+        if len(remap) == count:
+            return refined
+        block, count = refined, len(remap)
+
+
 def quotient_bisim(aut: GuardedAutomaton) -> GuardedAutomaton:
     """Quotient by the coarsest bisimulation respecting acceptance and the
     flag.
@@ -153,20 +166,8 @@ def quotient_bisim(aut: GuardedAutomaton) -> GuardedAutomaton:
     Safe for both the Büchi and the finite-word reading, and it typically
     collapses tableau output dramatically before determinisation.
     """
-    block: dict = {q: (q in aut.accepting, q in aut.flagged) for q in aut.states}
-    while True:
-        signatures = {
-            q: (block[q], frozenset((guard, block[dst])
-                                    for guard, dst in aut.transitions.get(q, ())))
-            for q in aut.states
-        }
-        remap: dict = {}
-        new_block = {q: remap.setdefault(signatures[q], len(remap)) for q in aut.states}
-        if len(remap) == len(set(block.values())):
-            block = new_block
-            break
-        block = new_block
-
+    block = coarsest_partition({q: (q in aut.accepting, q in aut.flagged) for q in aut.states},
+                               aut.transitions)
     rep: dict[int, int] = {}
     for q in aut.states:
         rep.setdefault(block[q], q)
@@ -179,7 +180,7 @@ def quotient_bisim(aut: GuardedAutomaton) -> GuardedAutomaton:
         kind=aut.kind,
         states=sorted(rep),
         initial=frozenset(block[q] for q in aut.initial),
-        transitions={b: list(edges) for b, edges in transitions.items()},
+        transitions=transitions,
         accepting=frozenset(block[q] for q in aut.accepting),
         signed=aut.signed,
         flagged=frozenset(block[q] for q in aut.flagged),
@@ -303,8 +304,9 @@ def minimize(dfa: DFA) -> DFA:
         return dfa  # refinement table would be enormous; skip the optional pass
     position = {lit: k for k, lit in enumerate(universe)}
 
-    # Per state, successor under every global valuation (restricted locally).
-    succ: dict[int, list[int]] = {}
+    # Per state, its successor under every global valuation (restricted
+    # locally), labelled by the valuation's index.
+    rows: dict[int, list[tuple[int, int]]] = {}
     for q in dfa.states:
         local = dfa.lits[q]
         local_bits = [position[l] for l in local]
@@ -316,22 +318,10 @@ def minimize(dfa: DFA) -> DFA:
                 if mask & (1 << g):
                     bits |= 1 << i
             entries.append(row[bits])
-        succ[q] = entries
+        rows[q] = list(enumerate(entries))
 
-    block: dict = {q: (q in dfa.accepting, q in dfa.flagged) for q in dfa.states}
-    while True:
-        signatures = {
-            q: (block[q], tuple(block[s] for s in succ[q]))
-            for q in dfa.states
-        }
-        remap: dict[tuple, int] = {}
-        new_block = {}
-        for q in dfa.states:
-            new_block[q] = remap.setdefault(signatures[q], len(remap))
-        if len(remap) == len(set(block.values())):
-            block = new_block
-            break
-        block = new_block
+    block = coarsest_partition({q: (q in dfa.accepting, q in dfa.flagged) for q in dfa.states},
+                               rows)
 
     rep: dict[int, int] = {}
     for q in dfa.states:

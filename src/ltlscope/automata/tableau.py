@@ -20,6 +20,7 @@ from typing import Optional
 from ..formula import (And, Atom, FalseConst, Formula, Lit, Next, Not, Or,
                        Release, SLit, TrueConst, Until, _children)
 from .guarded import Guard, GuardedAutomaton
+from .pipeline import coarsest_partition
 
 _INIT = -1
 
@@ -240,12 +241,12 @@ def ltl_to_nba(f: Formula, signed: Optional[bool] = None) -> GuardedAutomaton:
         row = edges[uid] = successors(order[uid][1])
         work.extend(dst for _, dst in row if dst not in edges)
 
-    states = [_INIT] + list(range(len(order)))
-    block = _generalized_quotient(states, edges, fulfils)
+    # The fulfilment keys run _INIT, 0, 1, ..., so blocks are numbered in
+    # that order; successor-cache rows are shared, and read once per round.
+    block = coarsest_partition(fulfils, edges)
     q_edges: dict[int, list[tuple[Guard, int]]] = {}
     q_fulfils: dict[int, int] = {}
-    for uid in states:
-        b = block[uid]
+    for uid, b in block.items():
         q_fulfils[b] = fulfils[uid]
         if b not in q_edges:
             q_edges[b] = sorted({(dec.guard(lits), block[dst]) for lits, dst in edges[uid]},
@@ -292,28 +293,3 @@ def ltl_to_nba(f: Formula, signed: Optional[bool] = None) -> GuardedAutomaton:
         accepting=frozenset(accepting),
         signed=signed,
     )
-
-
-def _generalized_quotient(states: list[int], edges: dict[int, list[tuple[int, int]]],
-                          fulfils: dict[int, int]) -> dict[int, int]:
-    """Coarsest bisimulation respecting the obligation-set vector, over
-    edges labelled by anything that stands for their guard one to one."""
-    block: dict[int, int] = {}
-    remap: dict = {}
-    for q in states:
-        block[q] = remap.setdefault(fulfils[q], len(remap))
-    while True:
-        # States share edge lists, so each list is read once per round.
-        reads: dict[int, frozenset] = {}
-        signatures = {}
-        for q in states:
-            row = edges[q]
-            read = reads.get(id(row))
-            if read is None:
-                read = reads[id(row)] = frozenset((label, block[dst]) for label, dst in row)
-            signatures[q] = (block[q], read)
-        remap = {}
-        new_block = {q: remap.setdefault(signatures[q], len(remap)) for q in states}
-        if len(remap) == len(set(block.values())):
-            return new_block
-        block = new_block

@@ -118,9 +118,20 @@ class Always(Formula):
 def _cached_structural_hash(self) -> int:
     h = self.__dict__.get("_hash")
     if h is None:
-        values = tuple(getattr(self, name) for name in self.__dataclass_fields__)
-        h = hash((type(self), values))
-        object.__setattr__(self, "_hash", h)
+        # Collect the uncached nodes in preorder, each once, and hash them in
+        # reverse: every node then comes after its descendants, so hashing
+        # never recurses and a formula of any depth can be hashed.  The root
+        # comes last.
+        pending = [(self, tuple(getattr(self, name) for name in self.__dataclass_fields__))]
+        seen = {id(self)}
+        for _, values in pending:
+            for v in values:
+                if isinstance(v, Formula) and "_hash" not in v.__dict__ and id(v) not in seen:
+                    seen.add(id(v))
+                    pending.append((v, tuple(getattr(v, name) for name in v.__dataclass_fields__)))
+        for g, values in reversed(pending):
+            h = hash((type(g), values))
+            object.__setattr__(g, "_hash", h)
     return h
 
 
@@ -152,9 +163,8 @@ _RESERVED = {"X", "F", "G", "U", "R", "true", "false"}
 
 # Deepest nesting ``parse_formula`` accepts, counted two ways: parentheses,
 # unary operators and right operands open at once while parsing, and the
-# operator height of the result.  Normal forms, hashing and the tableau all
-# recurse over the formula; at this depth synthesis stays far inside
-# Python's default recursion limit.
+# operator height of the result.  The normal forms recurse over the formula;
+# at this depth synthesis stays far inside Python's default recursion limit.
 MAX_NESTING = 100
 
 

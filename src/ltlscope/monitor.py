@@ -27,12 +27,15 @@ from .visibility import EqClass, check_consistent
 
 
 def formula_to_dfa(f: Formula, signed: bool, minimized: bool = True) -> DFA:
-    """Run one branch of the pipeline: NBA, per-state emptiness, NFA, DFA.
+    """Run one branch of the pipeline: NBA, per-state emptiness, NFA, its
+    bisimulation quotient, DFA and, if ``minimized``, the minimal DFA.
 
     A signed branch also flags the states from which the all-empty word is
-    accepted; the plain branch never reads flags and skips that check.
+    accepted; the plain branch never reads flags and skips that check.  The
+    NBA is not quotiented on its own: bisimilar states have the same Büchi
+    language, so the NFA quotient already merges them.
     """
-    nba = quotient_bisim(ltl_to_nba(f, signed=signed))
+    nba = ltl_to_nba(f, signed=signed)
     if signed:
         nba = replace(nba, flagged=nonempty_states(empty_event_edges(nba)))
     nfa = quotient_bisim(nba_to_nfa(nba, nonempty_states(nba)))

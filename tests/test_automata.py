@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,8 @@ from ltlscope.automata import (DFA, GuardedAutomaton, ImpossibleStateError,
                                nonempty_states)
 from ltlscope.automata.dot import automaton_to_dot, moore_to_dot
 from ltlscope.automata.guarded import Guard
-from ltlscope.automata.pipeline import quotient_bisim
+from ltlscope.automata.pipeline import (coarsest_partition, empty_event_edges,
+                                        quotient_bisim)
 from ltlscope.formula import (FALSE, TRUE, And, Atom, FalseConst, Lit, Next,
                               Not, Or, Release, SLit, TrueConst, Until,
                               negate_nnf, parse_formula, subformulas, to_nnf)
@@ -432,6 +434,46 @@ class TestMinimize:
         assert small.initial not in small.flagged
 
 
+def greatest_bisimulation(keys, rows):
+    """Pairs of states related by the greatest bisimulation that respects
+    ``keys``, by refining the pair relation until every edge of one state
+    is matched by an equally labelled edge of the other: a different
+    algorithm from the block signatures of ``coarsest_partition``."""
+    related = {(p, q) for p in keys for q in keys if keys[p] == keys[q]}
+
+    def simulates(p, q):
+        return all(any(label == other and (dst, dst2) in related
+                       for other, dst2 in rows[q])
+                   for label, dst in rows[p])
+
+    while True:
+        kept = {(p, q) for p, q in related if simulates(p, q) and simulates(q, p)}
+        if kept == related:
+            return related
+        related = kept
+
+
+class TestCoarsestPartition:
+    def test_matches_pair_refinement(self):
+        rng = random.Random(20261018)
+        for _ in range(400):
+            states = rng.sample(range(10), rng.randint(1, 7))
+            keys = {q: rng.randint(0, 2) for q in states}
+            rows = {}
+            for q in states:
+                if rows and rng.random() < 0.3:
+                    rows[q] = rows[rng.choice(list(rows))]  # one shared row object
+                else:
+                    rows[q] = [(rng.choice("ab"), rng.choice(states))
+                               for _ in range(rng.randint(0, 3))]
+            block = coarsest_partition(keys, rows)
+            related = greatest_bisimulation(keys, rows)
+            assert {(p, q) for p in states for q in states
+                    if block[p] == block[q]} == related, (keys, rows)
+            first_seen = list(dict.fromkeys(block[q] for q in states))
+            assert first_seen == list(range(len(first_seen)))
+
+
 class TestFlags:
     def test_quotient_keeps_flagged_states_apart(self):
         """Two bisimilar states, one flagged, stay two blocks."""
@@ -461,6 +503,36 @@ class TestFlags:
                                    for _ in range(rng.randint(0, 5)))
                     want = eval_lasso(branch, LassoWord(prefix, (frozenset(),)))
                     assert (dfa.run_prefix(prefix) in dfa.flagged) == want
+
+
+class TestSingleQuotient:
+    """Quotienting the NBA before the NFA changes no machine: bisimilar
+    NBA states have the same Büchi language, hence the same emptiness and
+    flag, so the NFA quotient merges them anyway."""
+
+    @staticmethod
+    def two_quotient_dfa(f, signed, minimized):
+        nba = quotient_bisim(ltl_to_nba(f, signed=signed))
+        if signed:
+            nba = replace(nba, flagged=nonempty_states(empty_event_edges(nba)))
+        dfa = determinize(quotient_bisim(nba_to_nfa(nba, nonempty_states(nba))))
+        return minimize(dfa) if minimized else dfa
+
+    def test_criterion_6_draws(self):
+        rng = random.Random(20240817)
+        pool = ("p", "q", "r", "s")
+        for _ in range(320):
+            f = randgen.random_formula(rng, rng.randint(1, 8), pool)
+            sat, viol, _ = signed_triple(f, randgen.random_partition(rng, pool))
+            for branch, signed in ((to_nnf(f), False), (negate_nnf(f), False),
+                                   (sat, True), (viol, True)):
+                for minimized in (True, False):
+                    got = formula_to_dfa(branch, signed, minimized)
+                    want = self.two_quotient_dfa(branch, signed, minimized)
+                    assert (got.states, got.initial, got.lits, got.table,
+                            got.accepting, got.flagged) == \
+                        (want.states, want.initial, want.lits, want.table,
+                         want.accepting, want.flagged), (branch, minimized)
 
 
 class TestProducts:

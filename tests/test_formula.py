@@ -74,11 +74,17 @@ class TestParser:
         with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING} levels"):
             parse_formula(text)
 
-    @pytest.mark.parametrize("entry", ["standard", "imperfect", "active", "reactive"])
-    def test_built_formula_past_the_limit_is_refused(self, entry, monkeypatch):
+    # The 400-level cases keep their plain entry ids.
+    @pytest.mark.parametrize("entry, depth", [
+        pytest.param(entry, depth, id=entry if depth == 400 else f"{entry}-{depth}")
+        for depth in (400, 5000)
+        for entry in ("standard", "imperfect", "active", "reactive")])
+    def test_built_formula_past_the_limit_is_refused(self, entry, depth, monkeypatch):
         """A formula built through the API, not parsed, meets the same limit
         at every synthesis entry point, as a ValueError.  A session meets it
-        at its machine, before it puts the formula in metric form."""
+        at its machine, before it puts the formula in metric form.  Past
+        Python's recursion limit, hashing the formula for the machine cache
+        must not fail first."""
         from ltlscope import rational
         from ltlscope.monitor import synthesize_imperfect, synthesize_standard
         from ltlscope.rational import RationalConfig, active_monitor, reactive_monitor
@@ -86,7 +92,7 @@ class TestParser:
         metric_forms = []
         monkeypatch.setattr(rational, "to_metric_form", metric_forms.append)
         f = Atom("p")
-        for _ in range(400):
+        for _ in range(depth):
             f = Next(f)
         classes = derive_classes(("p",), [])
         spec = VisibilitySpec(alphabet=frozenset({"p"}), classes=classes)
@@ -99,6 +105,19 @@ class TestParser:
         with pytest.raises(ValueError, match=f"deeper than {MAX_NESTING} levels"):
             run()
         assert metric_forms == []
+
+
+class TestHash:
+    def test_shared_subformulas_are_hashed_once(self):
+        """Sixty levels of ``And(g, g)`` are 61 nodes but a tree of 2^61
+        leaves: hashing visits each node once, and gives the value of the
+        same structure hashed one node at a time as it is built."""
+        shared, stepwise = Atom("p"), Atom("p")
+        for _ in range(60):
+            shared = And(shared, shared)
+            stepwise = And(stepwise, stepwise)
+            hash(stepwise)
+        assert hash(shared) == hash(stepwise)
 
 
 class TestNnf:

@@ -124,10 +124,9 @@ class MooreMachine:
         """Materialise guarded product transitions (export and inspection)."""
         lits = self.state_literals(state)
         for bits in consistent_masks(lits, self.signed):
-            event = frozenset(l for i, l in enumerate(lits) if bits & (1 << i))
             require = frozenset(l for i, l in enumerate(lits) if bits & (1 << i))
             forbid = frozenset(l for i, l in enumerate(lits) if not bits & (1 << i))
-            yield Guard(require, forbid), self.step(state, event)
+            yield Guard(require, forbid), self.step(state, require)
 
 
 def _build_product(components: tuple[DFA, ...], classify) -> MooreMachine:

@@ -234,9 +234,6 @@ class DFA:
             forbid = frozenset(l for i, l in enumerate(lits) if not bits & (1 << i))
             yield Guard(require, forbid), self.table[state][bits]
 
-    def transition_count(self) -> int:
-        return sum(len(t) for t in self.table.values())
-
 
 def determinize(nfa: GuardedAutomaton) -> DFA:
     """Rabin-Scott subset construction over consistent guard valuations.

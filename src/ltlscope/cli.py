@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 from . import casestudy
 from .automata.dot import moore_to_dot
 from .automata.moore import Verdict
-from .formula import Formula, ParseError, SLit, parse_formula, parse_slit
+from .formula import Atom, Formula, ParseError, SLit, parse_formula, parse_slit
 from .monitor import (MonitorInstance, machine_from_json, machine_to_json,
                       synthesize_imperfect, synthesize_standard)
 from .randgen import (derive_seed, experiment_visibility, random_formula,
@@ -27,39 +27,61 @@ from .visibility import (VisibilitySpec, check_consistent, explicit_trace,
 # File format helpers
 # ---------------------------------------------------------------------------
 
+def _read_text(path: str, what: str) -> str:
+    """The text of a file named on the command line; a file that cannot be
+    read exits with one line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"{what} error: {exc}")
+
+
+def _is_atom_name(name: str) -> bool:
+    """Whether the formula grammar reads ``name`` as one atom."""
+    try:
+        return parse_formula(name) == Atom(name)
+    except ParseError:
+        return False
+
+
 def read_plain_trace(path: str) -> list[frozenset[str]]:
     """One event per line; comma or space separated atoms; blank line is an
-    empty event."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    empty event.  A token that is not an atom name exits with its line."""
     events = []
-    for line in lines:
-        names = [tok for tok in line.replace(",", " ").split() if tok]
-        events.append(frozenset(names))
+    checked: set[str] = set()
+    for i, line in enumerate(_read_text(path, "trace").splitlines()):
+        event = frozenset(line.replace(",", " ").split())
+        for name in event - checked:
+            if not _is_atom_name(name):
+                raise SystemExit(f"{path}:{i + 1}: {name!r} is not an atom name")
+            checked.add(name)
+        events.append(event)
     return events
 
 
 def read_signed_trace(path: str) -> list[frozenset[SLit]]:
-    """One event per line of ``name=1`` / ``[group]=0`` tokens."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """One event per line of ``name=1`` / ``[group]=0`` tokens.  A bad token
+    exits with its line; an event holding both signs of a name raises
+    ``ValueError`` with its line."""
     events = []
-    for i, line in enumerate(lines):
-        tokens = [tok for tok in line.replace(",", " ").split() if tok]
+    for i, line in enumerate(_read_text(path, "trace").splitlines()):
         try:
-            event = frozenset(parse_slit(tok) for tok in tokens)
+            event = frozenset(parse_slit(tok) for tok in line.replace(",", " ").split())
         except ValueError as exc:
             raise SystemExit(f"{path}:{i + 1}: {exc}")
-        check_consistent(event)
+        try:
+            check_consistent(event)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{i + 1}: {exc}") from None
         events.append(event)
     return events
 
 
 def trace_is_signed(path: str) -> bool:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                return "=" in line
+    for line in _read_text(path, "trace").splitlines():
+        if line.strip():
+            return "=" in line
     return False
 
 
@@ -125,8 +147,13 @@ def cmd_synthesize(args) -> int:
 def _load_config(args) -> dict:
     merged = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            merged.update(json.load(fh))
+        try:
+            config = json.loads(_read_text(args.config, "config"))
+        except ValueError as exc:
+            raise SystemExit(f"config error: {args.config}: {exc}")
+        if not isinstance(config, dict):
+            raise SystemExit(f"config error: {args.config}: not a JSON object")
+        merged.update(config)
     for key in ("metric", "bound", "window", "seed"):
         value = getattr(args, key, None)
         if value is not None:
@@ -145,11 +172,10 @@ def cmd_verify(args) -> int:
     monitor: Optional[MonitorInstance] = None
     classes = None
     if args.machine:
-        with open(args.machine, encoding="utf-8") as fh:
-            try:
-                monitor = machine_from_json(fh.read())
-            except ValueError as exc:
-                raise SystemExit(f"machine error: {exc}")
+        try:
+            monitor = machine_from_json(_read_text(args.machine, "machine"))
+        except ValueError as exc:
+            raise SystemExit(f"machine error: {exc}")
         if mode not in ("standard", "imperfect"):
             raise SystemExit("--machine supports standard and imperfect modes only")
         if monitor.mode != mode:
@@ -227,7 +253,10 @@ def cmd_verify(args) -> int:
             events: list = read_plain_trace(args.trace)
         else:
             if signed_input:
-                events = read_signed_trace(args.trace)
+                try:
+                    events = read_signed_trace(args.trace)
+                except ValueError as exc:
+                    raise SystemExit(str(exc))
             else:
                 if classes is None:
                     raise SystemExit("imperfect mode needs --classes to encode a plain trace")

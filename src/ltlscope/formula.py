@@ -8,10 +8,12 @@ Two flavours of formula share one AST:
   literal (``c=1``, ``[cs]=0``) in an event.  A ``Not`` directly above a
   ``Lit`` tests for its absence; deeper negation is never produced.
 
-The module also houses the normal forms (NNF, the implication-preserving
-metric form), the signed-alphabet translation of a formula, the
-"forever undefined" companion formula, and one-step progression over
-partially known events.
+The module also houses the normal forms (NNF of a formula or of its
+negation, and the implication-preserving metric form, all from one
+negation-pushing walker), the signed-alphabet translation of a formula, and
+one-step progression over partially known events.  The satisfaction,
+violation and forever-undefined triple built from these lives in
+``oracle.verdict.signed_triple``.
 """
 
 from __future__ import annotations
@@ -159,7 +161,6 @@ class ParseError(ValueError):
 
 
 _UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Always}
-_RESERVED = {"X", "F", "G", "U", "R", "true", "false"}
 
 # Deepest nesting ``parse_formula`` accepts, counted two ways: parentheses,
 # unary operators and right operands open at once while parsing, and the
@@ -364,11 +365,8 @@ def fmt(f: Formula) -> str:
 
 def subformulas(f: Formula) -> Iterator[Formula]:
     yield f
-    if isinstance(f, (Not, Next, Eventually, Always)):
-        yield from subformulas(f.operand)
-    elif isinstance(f, (And, Or, Implies, Until, Release)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
+    for child in _children(f):
+        yield from subformulas(child)
 
 
 def atoms(f: Formula) -> frozenset[str]:
@@ -379,10 +377,6 @@ def atoms(f: Formula) -> frozenset[str]:
 def lits(f: Formula) -> frozenset[SLit]:
     """Signed literals occurring in the formula."""
     return frozenset(g.lit for g in subformulas(f) if isinstance(g, Lit))
-
-
-def operator_count(f: Formula) -> int:
-    return sum(1 for g in subformulas(f) if not isinstance(g, (Atom, Lit, TrueConst, FalseConst)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,61 +422,63 @@ def _mk_implies(left: Formula, right: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Negation normal form
+# Normal forms: NNF and the metric form, from one negation-pushing walker
 # ---------------------------------------------------------------------------
+
+# How a binary node is rebuilt, indexed by ``negated`` and then by the node's
+# type: negation swaps & with | and U with R.
+_BINARY = (
+    {And: _mk_and, Or: _mk_or, Until: Until, Release: Release},
+    {And: _mk_or, Or: _mk_and, Until: Release, Release: Until},
+)
+
+
+def _push(f: Formula, negated: bool, keep_implies: bool) -> Formula:
+    """``f``, or its negation when ``negated``, with negation pushed to the
+    leaves and F, G expanded to ``true U``, ``false R``.
+
+    Every rule comes with its dual under negation.  Only a positive ``->``
+    reads ``keep_implies``: the metric form keeps it, NNF writes ``!l | r``.
+    """
+    if isinstance(f, (Atom, Lit)):
+        return Not(f) if negated else f
+    rebuild = _BINARY[negated].get(type(f))
+    if rebuild is not None:
+        return rebuild(_push(f.left, negated, keep_implies), _push(f.right, negated, keep_implies))
+    if isinstance(f, Not):
+        return _push(f.operand, not negated, keep_implies)
+    if isinstance(f, Next):
+        return Next(_push(f.operand, negated, keep_implies))
+    if isinstance(f, (Eventually, Always)):
+        operand = _push(f.operand, negated, keep_implies)
+        if isinstance(f, Eventually) != negated:  # F g, or !G g = F !g
+            return Until(TRUE, operand)
+        return Release(FALSE, operand)
+    if isinstance(f, Implies):
+        if negated:
+            return _mk_and(_push(f.left, False, keep_implies), _push(f.right, True, keep_implies))
+        if keep_implies:
+            return _mk_implies(_push(f.left, False, True), _push(f.right, False, True))
+        return _mk_or(_push(f.left, True, False), _push(f.right, False, False))
+    if isinstance(f, (TrueConst, FalseConst)):
+        return _mk_not(f) if negated else f
+    raise TypeError(f"not a formula: {f!r}")
+
 
 def to_nnf(f: Formula) -> Formula:
     """Push negation to atoms; expand ->, F and G into their core duals."""
-    if isinstance(f, (TrueConst, FalseConst, Atom, Lit)):
-        return f
-    if isinstance(f, Not):
-        return negate_nnf(f.operand)
-    if isinstance(f, And):
-        return _mk_and(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Or):
-        return _mk_or(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Implies):
-        return _mk_or(negate_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Next):
-        return Next(to_nnf(f.operand))
-    if isinstance(f, Until):
-        return Until(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Release):
-        return Release(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Eventually):
-        return Until(TRUE, to_nnf(f.operand))
-    if isinstance(f, Always):
-        return Release(FALSE, to_nnf(f.operand))
-    raise TypeError(f"not a formula: {f!r}")
+    return _push(f, False, False)
 
 
 def negate_nnf(f: Formula) -> Formula:
-    """NNF of the negation of ``f``."""
-    if isinstance(f, TrueConst):
-        return FALSE
-    if isinstance(f, FalseConst):
-        return TRUE
-    if isinstance(f, (Atom, Lit)):
-        return Not(f)
-    if isinstance(f, Not):
-        return to_nnf(f.operand)
-    if isinstance(f, And):
-        return _mk_or(negate_nnf(f.left), negate_nnf(f.right))
-    if isinstance(f, Or):
-        return _mk_and(negate_nnf(f.left), negate_nnf(f.right))
-    if isinstance(f, Implies):
-        return _mk_and(to_nnf(f.left), negate_nnf(f.right))
-    if isinstance(f, Next):
-        return Next(negate_nnf(f.operand))
-    if isinstance(f, Until):
-        return Release(negate_nnf(f.left), negate_nnf(f.right))
-    if isinstance(f, Release):
-        return Until(negate_nnf(f.left), negate_nnf(f.right))
-    if isinstance(f, Eventually):
-        return Release(FALSE, negate_nnf(f.operand))
-    if isinstance(f, Always):
-        return Until(TRUE, negate_nnf(f.operand))
-    raise TypeError(f"not a formula: {f!r}")
+    """NNF of the negation of ``f``.  On a signed NNF formula this is its
+    classical negation: the negation of a presence test is its absence test."""
+    return _push(f, True, False)
+
+
+def to_metric_form(f: Formula) -> Formula:
+    """The form the payoff metric consumes: NNF, except that ``->`` is kept."""
+    return _push(f, False, True)
 
 
 def is_nnf(f: Formula) -> bool:
@@ -494,63 +490,6 @@ def is_nnf(f: Formula) -> bool:
         if isinstance(g, Not) and not isinstance(g.operand, (Atom, Lit)):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Metric normal form: F/G expanded to U/R, implication retained,
-# negation pushed to atoms.  This is the form the payoff metric consumes.
-# ---------------------------------------------------------------------------
-
-def to_metric_form(f: Formula) -> Formula:
-    if isinstance(f, (TrueConst, FalseConst, Atom, Lit)):
-        return f
-    if isinstance(f, Not):
-        return _negate_metric(f.operand)
-    if isinstance(f, And):
-        return _mk_and(to_metric_form(f.left), to_metric_form(f.right))
-    if isinstance(f, Or):
-        return _mk_or(to_metric_form(f.left), to_metric_form(f.right))
-    if isinstance(f, Implies):
-        return _mk_implies(to_metric_form(f.left), to_metric_form(f.right))
-    if isinstance(f, Next):
-        return Next(to_metric_form(f.operand))
-    if isinstance(f, Until):
-        return Until(to_metric_form(f.left), to_metric_form(f.right))
-    if isinstance(f, Release):
-        return Release(to_metric_form(f.left), to_metric_form(f.right))
-    if isinstance(f, Eventually):
-        return Until(TRUE, to_metric_form(f.operand))
-    if isinstance(f, Always):
-        return Release(FALSE, to_metric_form(f.operand))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _negate_metric(f: Formula) -> Formula:
-    if isinstance(f, TrueConst):
-        return FALSE
-    if isinstance(f, FalseConst):
-        return TRUE
-    if isinstance(f, (Atom, Lit)):
-        return Not(f)
-    if isinstance(f, Not):
-        return to_metric_form(f.operand)
-    if isinstance(f, And):
-        return _mk_or(_negate_metric(f.left), _negate_metric(f.right))
-    if isinstance(f, Or):
-        return _mk_and(_negate_metric(f.left), _negate_metric(f.right))
-    if isinstance(f, Implies):
-        return _mk_and(to_metric_form(f.left), _negate_metric(f.right))
-    if isinstance(f, Next):
-        return Next(_negate_metric(f.operand))
-    if isinstance(f, Until):
-        return Release(_negate_metric(f.left), _negate_metric(f.right))
-    if isinstance(f, Release):
-        return Until(_negate_metric(f.left), _negate_metric(f.right))
-    if isinstance(f, Eventually):
-        return Release(FALSE, _negate_metric(f.operand))
-    if isinstance(f, Always):
-        return Until(TRUE, _negate_metric(f.operand))
-    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -582,44 +521,11 @@ def make_signed(f: Formula, rendering: Mapping[str, str]) -> Formula:
             return Lit(SLit(rendering[f.operand.name], False))
         except KeyError:
             raise UncoveredAtomError(f"atom {f.operand.name!r} not covered by any class") from None
-    if isinstance(f, And):
-        return And(make_signed(f.left, rendering), make_signed(f.right, rendering))
-    if isinstance(f, Or):
-        return Or(make_signed(f.left, rendering), make_signed(f.right, rendering))
+    if isinstance(f, (And, Or, Until, Release)):
+        return type(f)(make_signed(f.left, rendering), make_signed(f.right, rendering))
     if isinstance(f, Next):
         return Next(make_signed(f.operand, rendering))
-    if isinstance(f, Until):
-        return Until(make_signed(f.left, rendering), make_signed(f.right, rendering))
-    if isinstance(f, Release):
-        return Release(make_signed(f.left, rendering), make_signed(f.right, rendering))
     raise ValueError(f"make_signed expects an NNF formula, got {f!r}")
-
-
-def negate_signed(f: Formula) -> Formula:
-    """Classical negation over the signed alphabet, pushed to the leaves.
-
-    Negation of a literal presence test is its absence test, so the result
-    has ``Not`` only directly above ``Lit``.
-    """
-    if isinstance(f, TrueConst):
-        return FALSE
-    if isinstance(f, FalseConst):
-        return TRUE
-    if isinstance(f, Lit):
-        return Not(f)
-    if isinstance(f, Not):
-        return f.operand
-    if isinstance(f, And):
-        return _mk_or(negate_signed(f.left), negate_signed(f.right))
-    if isinstance(f, Or):
-        return _mk_and(negate_signed(f.left), negate_signed(f.right))
-    if isinstance(f, Next):
-        return Next(negate_signed(f.operand))
-    if isinstance(f, Until):
-        return Release(negate_signed(f.left), negate_signed(f.right))
-    if isinstance(f, Release):
-        return Until(negate_signed(f.left), negate_signed(f.right))
-    raise ValueError(f"negate_signed expects a signed NNF formula, got {f!r}")
 
 
 # ---------------------------------------------------------------------------

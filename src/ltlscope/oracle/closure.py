@@ -29,10 +29,6 @@ class ClosureAutomaton:
     accept_sets: list[frozenset[int]]   # one per Until subformula
     index: dict[Formula, int]
 
-    def literal_profile(self, state: int) -> dict[Formula, bool]:
-        vals = self.states[state]
-        return {leaf: vals[self.index[leaf]] for leaf in self.leaves}
-
     def matches_event(self, state: int, event: frozenset) -> bool:
         vals = self.states[state]
         for leaf in self.leaves:

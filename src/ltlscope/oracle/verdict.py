@@ -13,8 +13,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
-from ..formula import (Formula, atoms, make_signed, negate_nnf, negate_signed,
-                       to_nnf)
+from ..formula import Formula, _mk_and, atoms, make_signed, negate_nnf, to_nnf
 from ..visibility import EqClass, rendering_map
 from .closure import build_closure_automaton, live_states, prefix_in_language
 
@@ -48,19 +47,8 @@ def signed_triple(f: Formula, classes: Sequence[EqClass]) -> tuple[Formula, Form
     rendering = rendering_map(classes)
     sat = make_signed(to_nnf(f), rendering)
     viol = make_signed(negate_nnf(f), rendering)
-    und = _conj(negate_signed(sat), negate_signed(viol))
+    und = _mk_and(negate_nnf(sat), negate_nnf(viol))
     return sat, viol, und
-
-
-def _conj(a: Formula, b: Formula) -> Formula:
-    from ..formula import FALSE, TRUE, And, FalseConst, TrueConst
-    if isinstance(a, FalseConst) or isinstance(b, FalseConst):
-        return FALSE
-    if isinstance(a, TrueConst):
-        return b
-    if isinstance(b, TrueConst):
-        return a
-    return And(a, b)
 
 
 @lru_cache(maxsize=256)

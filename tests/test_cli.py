@@ -128,6 +128,55 @@ class TestVerify:
             previous = current
 
 
+def one_line_exit(argv) -> str:
+    """Run the CLI, expecting it to exit with a one-line message."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    message = err.value.code
+    assert isinstance(message, str) and message and "\n" not in message
+    return message
+
+
+class TestUserErrors:
+    def test_missing_trace_file(self, tmp_path):
+        missing = str(tmp_path / "nonexistent")
+        message = one_line_exit(["verify", "-f", "F p", "--trace", missing])
+        assert message.startswith("trace error: ") and missing in message
+
+    def test_missing_machine_file(self, trace_file, tmp_path):
+        missing = str(tmp_path / "nonexistent.json")
+        message = one_line_exit(["verify", "--machine", missing, "--trace", trace_file])
+        assert message.startswith("machine error: ") and missing in message
+
+    def test_missing_config_file(self, trace_file, tmp_path):
+        missing = str(tmp_path / "nonexistent.json")
+        message = one_line_exit(["verify", "-f", "F p", "--trace", trace_file,
+                                 "--config", missing])
+        assert message.startswith("config error: ") and missing in message
+
+    def test_malformed_config_file(self, trace_file, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text("{", encoding="utf-8")
+        message = one_line_exit(["verify", "-f", "F p", "--trace", trace_file,
+                                 "--config", str(config)])
+        assert message.startswith("config error: ")
+
+    @pytest.mark.parametrize("token", ["1bad", "p-q", "true", "X"])
+    def test_plain_token_that_is_no_atom_name(self, tmp_path, token):
+        """Trace atoms follow the formula grammar's atom names."""
+        trace = tmp_path / "t.txt"
+        trace.write_text(f"p\nq {token}\n", encoding="utf-8")
+        message = one_line_exit(["verify", "-f", "F p", "--trace", str(trace)])
+        assert message.startswith(f"{trace}:2: ") and repr(token) in message
+
+    def test_inconsistent_signed_event_via_cli(self, tmp_path):
+        trace = tmp_path / "t.txt"
+        trace.write_text("p=1\np=1 p=0\n", encoding="utf-8")
+        message = one_line_exit(["verify", "-f", "F p", "--trace", str(trace),
+                                 "--mode", "imperfect", "--classes", "p"])
+        assert message.startswith(f"{trace}:2: ")
+
+
 class TestSynthesize:
     def test_roundtrip_bit_identical(self, tmp_path, capsys):
         out_path = tmp_path / "m.json"

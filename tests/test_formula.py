@@ -7,8 +7,7 @@ from ltlscope.formula import (FALSE, MAX_NESTING, TRUE, Always, And, Atom,
                               Next, Not, Or, ParseError, Release, SLit,
                               TrueConst, UncoveredAtomError, Until, fmt,
                               height, is_nnf, make_signed, negate_nnf,
-                              negate_signed, parse_formula, progress, to_nnf,
-                              to_metric_form)
+                              parse_formula, progress, to_nnf, to_metric_form)
 from ltlscope.oracle.lasso import LassoWord, eval_lasso
 from ltlscope.visibility import derive_classes, rendering_map
 
@@ -120,6 +119,19 @@ class TestHash:
         assert hash(shared) == hash(stepwise)
 
 
+def assert_truth_preserved(rng, normal_form):
+    """f and normal_form(f) agree on random ultimately periodic words."""
+    events = plain_events(("p", "q", "r", "s"))
+    for _ in range(150):
+        f = random_formula(rng, rng.randint(1, 8))
+        g = normal_form(f)
+        for _ in range(12):
+            stem = tuple(rng.choice(events) for _ in range(rng.randint(0, 4)))
+            loop = tuple(rng.choice(events) for _ in range(rng.randint(1, 4)))
+            w = LassoWord(stem, loop)
+            assert eval_lasso(f, w) == eval_lasso(g, w)
+
+
 class TestNnf:
     def test_next_commutes_with_negation(self):
         """!X p becomes X !p."""
@@ -146,16 +158,7 @@ class TestNnf:
             assert to_nnf(g) == g
 
     def test_language_preserved_on_lassos(self, rng):
-        """f and to_nnf(f) agree on random ultimately periodic words."""
-        events = plain_events(("p", "q", "r", "s"))
-        for _ in range(150):
-            f = random_formula(rng, rng.randint(1, 8))
-            g = to_nnf(f)
-            for _ in range(12):
-                stem = tuple(rng.choice(events) for _ in range(rng.randint(0, 4)))
-                loop = tuple(rng.choice(events) for _ in range(rng.randint(1, 4)))
-                w = LassoWord(stem, loop)
-                assert eval_lasso(f, w) == eval_lasso(g, w)
+        assert_truth_preserved(rng, to_nnf)
 
     def test_negation_is_complementary(self, rng):
         events = plain_events(("p", "q"))
@@ -167,6 +170,28 @@ class TestNnf:
                 loop = tuple(rng.choice(events) for _ in range(rng.randint(1, 3)))
                 w = LassoWord(stem, loop)
                 assert eval_lasso(f, w) != eval_lasso(g, w)
+
+
+class TestMetricForm:
+    def test_implication_is_kept(self):
+        assert to_metric_form(parse_formula("p -> q")) == Implies(Atom("p"), Atom("q"))
+
+    def test_negated_implication_is_a_conjunction(self):
+        assert to_metric_form(parse_formula("!(p -> q)")) == And(Atom("p"), Not(Atom("q")))
+
+    def test_implication_of_false_is_not_folded(self):
+        """Constant folding keeps ``p -> false``; NNF folds it to ``!p``."""
+        f = parse_formula("p -> false")
+        assert to_metric_form(f) == Implies(Atom("p"), FALSE)
+        assert to_nnf(f) == Not(Atom("p"))
+
+    def test_derived_operators_expand_around_implication(self):
+        form = to_metric_form(parse_formula("G (p -> F q)"))
+        assert form == Release(FALSE, Implies(Atom("p"), Until(TRUE, Atom("q"))))
+        assert form == parse_formula("false R (p -> (true U q))")
+
+    def test_truth_preserved_on_lassos(self, rng):
+        assert_truth_preserved(rng, to_metric_form)
 
 
 CASE_CLASSES = derive_classes(
@@ -241,7 +266,7 @@ class TestUndefinedFormula:
         rendering = rendering_map(classes)
         sat = make_signed(to_nnf(Atom("p")), rendering)
         viol = make_signed(negate_nnf(Atom("p")), rendering)
-        und = And(negate_signed(sat), negate_signed(viol))
+        und = And(negate_nnf(sat), negate_nnf(viol))
         assert und == And(Not(lit("p")), Not(lit("p", False)))
 
     def test_next_pushes_through(self):
@@ -249,7 +274,7 @@ class TestUndefinedFormula:
         rendering = rendering_map(classes)
         sat = make_signed(to_nnf(Next(Atom("p"))), rendering)
         viol = make_signed(negate_nnf(Next(Atom("p"))), rendering)
-        und = And(negate_signed(sat), negate_signed(viol))
+        und = And(negate_nnf(sat), negate_nnf(viol))
         assert und == And(Next(Not(lit("p"))), Next(Not(lit("p", False))))
 
     def test_next_undefined_language(self):
@@ -258,7 +283,7 @@ class TestUndefinedFormula:
         rendering = rendering_map(classes)
         sat = make_signed(to_nnf(Next(Atom("p"))), rendering)
         viol = make_signed(negate_nnf(Next(Atom("p"))), rendering)
-        und = And(negate_signed(sat), negate_signed(viol))
+        und = And(negate_nnf(sat), negate_nnf(viol))
         events = [frozenset(), frozenset({SLit("p", True)}), frozenset({SLit("p", False)})]
         for e0 in events:
             for e1 in events:
@@ -268,7 +293,7 @@ class TestUndefinedFormula:
     def test_true_has_no_undefined_words(self):
         sat = TRUE
         viol = FALSE
-        und = negate_signed(sat)
+        und = negate_nnf(sat)
         assert isinstance(und, FalseConst)
 
 

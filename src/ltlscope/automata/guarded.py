@@ -3,27 +3,21 @@
 Transitions carry symbolic guards instead of letters from the (astronomically
 large) powerset alphabet.  A guard requires some literals to be present in the
 event and forbids others; literals the guard does not mention are ignored.
+The NBA is the tableau graph with generalised Büchi acceptance; the NFA has
+the same structure and a set of accepting states for finite words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(NamedTuple):
     """Conjunction of presence requirements and absence requirements."""
 
     require: frozenset = frozenset()
     forbid: frozenset = frozenset()
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.require, self.forbid))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def matches(self, event: frozenset) -> bool:
         return self.require <= event and not (self.forbid & event)
@@ -32,30 +26,30 @@ class Guard:
         return self.require | self.forbid
 
     def __str__(self) -> str:
-        # Cached like the hash: edge lists are sorted by guard text.
-        text = self.__dict__.get("_text")
-        if text is None:
-            parts = [str(l) for l in sorted(self.require, key=str)]
-            parts += [f"!{l}" for l in sorted(self.forbid, key=str)]
-            text = " & ".join(parts) if parts else "true"
-            object.__setattr__(self, "_text", text)
-        return text
+        parts = [str(l) for l in sorted(self.require, key=str)]
+        parts += [f"!{l}" for l in sorted(self.forbid, key=str)]
+        return " & ".join(parts) if parts else "true"
 
 
 @dataclass
 class GuardedAutomaton:
-    """NBA or NFA: a state set, guarded transitions, one accepting set.
+    """NBA or NFA: a state set and guarded transitions.
 
-    ``flagged`` marks the states from which the all-empty word is Büchi
-    accepted; only the signed branch of the pipeline fills it in.
+    On an NBA, ``acceptance`` holds the generalised Büchi sets: a run is
+    accepted when it visits every set infinitely often, so the empty tuple
+    accepts every infinite run.  On an NFA, ``accepting`` holds the states
+    that accept a finite word ending there.  ``flagged`` marks the states
+    from which the all-empty word is Büchi accepted; only the signed branch
+    of the pipeline fills it in.
     """
 
     kind: str  # 'nba' | 'nfa'
     states: list[int]
     initial: frozenset[int]
     transitions: dict[int, list[tuple[Guard, int]]]
-    accepting: frozenset[int]
     signed: bool  # signed literals (open world) vs plain atoms (closed world)
+    acceptance: tuple[frozenset[int], ...] = ()
+    accepting: frozenset[int] = frozenset()
     flagged: frozenset[int] = frozenset()
 
     def successors(self, state: int, event: frozenset) -> Iterator[int]:

@@ -1,15 +1,16 @@
 """NBA -> NFA -> DFA pipeline stages.
 
-Per-state emptiness turns the Büchi automaton into an NFA over finite
-prefixes.  On the signed branch a second emptiness check, over the edges an
-empty event can take, flags the states from which the all-empty word is
-accepted; every later stage carries that flag alongside acceptance.  The
-subset construction then determinises over consistent valuations of the
-literals each state actually mentions; valuations are packed into integer
-bitmasks so stepping is a dict lookup.  One partition-refinement kernel,
-``coarsest_partition``, serves every merge: the bisimulation quotient of the
-NFA before the exponential subset step, the minimisation of the DFA over the
-global valuation space, and the tableau's generalised quotient.
+Per-state emptiness turns the generalised Büchi automaton into an NFA over
+finite prefixes: a state is nonempty when it reaches a nontrivial strongly
+connected component that meets every acceptance set.  On the signed branch
+a second emptiness check, over the edges an empty event can take, flags the
+states from which the all-empty word is accepted; every later stage carries
+that flag alongside acceptance.  The subset construction then determinises
+over consistent valuations of the literals each state actually mentions;
+valuations are packed into integer bitmasks so stepping is a dict lookup.
+One partition-refinement kernel, ``coarsest_partition``, serves both
+merges: the bisimulation quotient of the NFA before the exponential subset
+step and the minimisation of the DFA over the global valuation space.
 """
 
 from __future__ import annotations
@@ -23,17 +24,17 @@ from .guarded import Guard, GuardedAutomaton
 
 def nonempty_states(nba: GuardedAutomaton) -> frozenset[int]:
     """States from which the Büchi language is nonempty: those reaching a
-    nontrivial strongly connected component that contains an accepting
-    state (a self-loop counts as nontrivial)."""
+    nontrivial strongly connected component that meets every acceptance set
+    (a self-loop counts as nontrivial)."""
     edges = {q: [dst for _, dst in nba.transitions.get(q, ())] for q in nba.states}
     good: set[int] = set()
     # Tarjan emits a component after every component it reaches, so one
     # pass sees each edge leaving a component with its target decided.
     for scc in tarjan_sccs(edges, nba.states):
         members = set(scc)
-        targets = [dst for q in scc for dst in edges[q]]
-        if (members & nba.accepting and not members.isdisjoint(targets)) \
-                or not good.isdisjoint(targets):
+        cyclic = len(scc) > 1 or scc[0] in edges[scc[0]]
+        if (cyclic and all(not members.isdisjoint(s) for s in nba.acceptance)) \
+                or any(not good.isdisjoint(edges[q]) for q in scc):
             good |= members
     return frozenset(good)
 
@@ -45,44 +46,40 @@ def tarjan_sccs(edges: dict[int, list[int]], states) -> list[list[int]]:
     on_stack: set[int] = set()
     stack: list[int] = []
     sccs: list[list[int]] = []
-    counter = 0
 
     for root in states:
         if root in index:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(edges.get(root, ())))]
         while work:
-            q, pos = work.pop()
-            if pos == 0:
-                index[q] = low[q] = counter
-                counter += 1
-                stack.append(q)
-                on_stack.add(q)
-            succ = edges.get(q, ())
-            advanced = False
-            for i in range(pos, len(succ)):
-                dst = succ[i]
+            q, succ = work[-1]
+            for dst in succ:  # resumes where the last visit of q stopped
                 if dst not in index:
-                    work.append((q, i + 1))
-                    work.append((dst, 0))
-                    advanced = True
+                    index[dst] = low[dst] = len(index)
+                    stack.append(dst)
+                    on_stack.add(dst)
+                    work.append((dst, iter(edges.get(dst, ()))))
                     break
-                if dst in on_stack:
-                    low[q] = min(low[q], index[dst])
-            if advanced:
-                continue
-            if low[q] == index[q]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == q:
-                        break
-                sccs.append(scc)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[q])
+                if dst in on_stack and index[dst] < low[q]:
+                    low[q] = index[dst]
+            else:
+                work.pop()
+                if low[q] == index[q]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        scc.append(w)
+                        if w == q:
+                            break
+                    sccs.append(scc)
+                if work:
+                    parent = work[-1][0]
+                    if low[q] < low[parent]:
+                        low[parent] = low[q]
     return sccs
 
 
@@ -90,23 +87,17 @@ def empty_event_edges(nba: GuardedAutomaton) -> GuardedAutomaton:
     """The automaton restricted to the edges an empty event can take (guards
     that require nothing).  Its nonempty states are those from which the
     all-empty word is accepted."""
-    return GuardedAutomaton(
-        kind=nba.kind,
-        states=nba.states,
-        initial=nba.initial,
-        transitions={q: [(guard, dst) for guard, dst in edges if not guard.require]
-                     for q, edges in nba.transitions.items()},
-        accepting=nba.accepting,
-        signed=nba.signed,
-    )
+    return replace(nba, transitions={
+        q: [(guard, dst) for guard, dst in edges if not guard.require]
+        for q, edges in nba.transitions.items()})
 
 
 def nba_to_nfa(nba: GuardedAutomaton, nonempty: frozenset[int]) -> GuardedAutomaton:
-    """Same structure, accepting set replaced by the nonempty-language states:
-    the NFA accepts exactly the finite prefixes with a satisfying infinite
+    """Same structure, the nonempty-language states accepting: the NFA
+    accepts exactly the finite prefixes with a satisfying infinite
     continuation.  The transitions and flagged states are shared with the
     NBA, not copied."""
-    return replace(nba, kind="nfa", accepting=nonempty)
+    return replace(nba, kind="nfa", acceptance=(), accepting=nonempty)
 
 
 @lru_cache(maxsize=65536)
@@ -160,11 +151,11 @@ def coarsest_partition(keys: dict, rows: dict) -> dict:
 
 
 def quotient_bisim(aut: GuardedAutomaton) -> GuardedAutomaton:
-    """Quotient by the coarsest bisimulation respecting acceptance and the
-    flag.
+    """Quotient an NFA by the coarsest bisimulation respecting acceptance
+    and the flag.
 
-    Safe for both the Büchi and the finite-word reading, and it typically
-    collapses tableau output dramatically before determinisation.
+    Bisimilar states accept the same finite words, and the quotient
+    typically collapses tableau output dramatically before determinisation.
     """
     block = coarsest_partition({q: (q in aut.accepting, q in aut.flagged) for q in aut.states},
                                aut.transitions)

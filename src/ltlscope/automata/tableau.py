@@ -3,9 +3,10 @@
 Classic node-expansion semantics (new/old/next bookkeeping) recast as a
 memoised decomposition: a set of pending formulas is split into all ways of
 satisfying it now (literals plus bookkept composites) and next (postponed
-obligations).  The resulting generalised automaton is quotiented by
-bisimulation before a counter-based degeneralisation, so the rest of the
-pipeline only ever sees a single accepting set.  Works for both worlds:
+obligations).  The nodes, with one acceptance set per Until, form a
+generalised Büchi automaton that the pipeline reads as it is: emptiness
+checks every acceptance set per strongly connected component, so no
+quotient or degeneralisation is needed.  Works for both worlds:
 plain atoms with closed-world guards and signed literals with
 presence/absence guards.
 
@@ -20,9 +21,6 @@ from typing import Optional
 from ..formula import (And, Atom, FalseConst, Formula, Lit, Next, Not, Or,
                        Release, SLit, TrueConst, Until, _children)
 from .guarded import Guard, GuardedAutomaton
-from .pipeline import coarsest_partition
-
-_INIT = -1
 
 Node = tuple[int, int]  # (satisfied-now mask, next-obligation mask)
 
@@ -184,112 +182,53 @@ class _Decomposer:
 
 
 def ltl_to_nba(f: Formula, signed: Optional[bool] = None) -> GuardedAutomaton:
-    """Translate an NNF formula into a nondeterministic Büchi automaton.
+    """Translate an NNF formula into a generalised Büchi automaton.
 
-    The tableau yields a generalised automaton with one obligation set per
-    Until subformula; a bisimulation quotient shrinks it before the
-    counter-based degeneralisation multiplies states, leaving a single
-    accepting set and one initial state (a virtual start consuming no event).
+    The states are the reachable tableau nodes behind a virtual start, state
+    0, which holds nothing now and the formula next and is entered by no
+    edge.  Every edge carries the guard of its target node's literals.
+    There is one acceptance set per Until subformula, in preorder: the
+    nodes where it is not pending or its right operand holds.
     """
     forms, position = _index(f)
     if signed is None:
         signed = any(isinstance(g, Lit) for g in forms)
     dec = _Decomposer(forms, position, signed)
 
-    # Obligation j is the j-th Until by text; fulfilment sets are bitmasks.
-    untils = sorted((g for g in forms if isinstance(g, Until)), key=str)
-    obligations = [(1 << position[id(u)], 1 << position[id(u.right)]) for u in untils]
-    k = max(1, len(untils))
-    full = (1 << k) - 1
+    order: list[Node] = [(0, 1 << position[id(f)])]
+    entry: dict[Node, tuple[Guard, int]] = {}  # node -> the one edge object into it
+    rows: dict[int, list[tuple[Guard, int]]] = {}  # by next mask, shared
 
-    def fulfilment(now: int) -> int:
-        # A node fulfils obligation u unless u is pending without its right part.
-        if not untils:
-            return full
-        out = 0
-        for j, (until, right) in enumerate(obligations):
-            if not now & until or now & right:
-                out |= 1 << j
-        return out
-
-    # Edges carry the literal mask of their target node, which stands for
-    # its guard one to one, until the degeneralised automaton is built.
-    ids: dict[Node, int] = {}
-    order: list[Node] = []
-    fulfils: dict[int, int] = {_INIT: full}  # visited once; acceptance is about recurrence
-    successor_cache: dict[int, list[tuple[int, int]]] = {}
-
-    def successors(nxt: int) -> list[tuple[int, int]]:
-        row = successor_cache.get(nxt)
+    def successors(nxt: int) -> list[tuple[Guard, int]]:
+        row = rows.get(nxt)
         if row is None:
             leaves = dec.ordered_cover(nxt)
             for node in leaves:
-                if node not in ids:
-                    fulfils[len(order)] = fulfilment(node[0])
-                    ids[node] = len(order)
+                if node not in entry:
+                    entry[node] = (dec.guard(node[0] & dec.literals), len(order))
                     order.append(node)
-            row = successor_cache[nxt] = [(now & dec.literals, ids[now, later])
-                                          for now, later in leaves]
+            row = rows[nxt] = list(map(entry.__getitem__, leaves))
         return row
 
-    edges: dict[int, list[tuple[int, int]]] = {_INIT: successors(1 << position[id(f)])}
-    work = [dst for _, dst in edges[_INIT]]
+    transitions: dict[int, list[tuple[Guard, int]]] = {}
+    work = [0]
     while work:
         uid = work.pop()
-        if uid in edges:
+        if uid in transitions:
             continue
-        row = edges[uid] = successors(order[uid][1])
-        work.extend(dst for _, dst in row if dst not in edges)
+        row = transitions[uid] = successors(order[uid][1])
+        work.extend(dst for _, dst in row if dst not in transitions)
 
-    # The fulfilment keys run _INIT, 0, 1, ..., so blocks are numbered in
-    # that order; successor-cache rows are shared, and read once per round.
-    block = coarsest_partition(fulfils, edges)
-    q_edges: dict[int, list[tuple[Guard, int]]] = {}
-    q_fulfils: dict[int, int] = {}
-    for uid, b in block.items():
-        q_fulfils[b] = fulfils[uid]
-        if b not in q_edges:
-            q_edges[b] = sorted({(dec.guard(lits), block[dst]) for lits, dst in edges[uid]},
-                                key=lambda e: (str(e[0]), e[1]))
-
-    # Degeneralised states: (block, counter); start at the init block.
-    out_ids: dict[tuple[int, int], int] = {}
-    transitions: dict[int, list[tuple[Guard, int]]] = {}
-    accepting: set[int] = set()
-
-    def intern_out(q: tuple[int, int]) -> int:
-        if q not in out_ids:
-            out_ids[q] = len(out_ids)
-            transitions[out_ids[q]] = []
-        return out_ids[q]
-
-    init_block = block[_INIT]
-    start = intern_out((init_block, 0))
-    frontier = [(init_block, 0)]
-    seen = {(init_block, 0)}
-    while frontier:
-        b, i = frontier.pop()
-        src_id = intern_out((b, i))
-        j = (i + 1) % k if q_fulfils[b] >> i & 1 else i
-        for guard, dst in q_edges.get(b, ()):
-            key = (dst, j)
-            dst_id = intern_out(key)
-            transitions[src_id].append((guard, dst_id))
-            if key not in seen:
-                seen.add(key)
-                frontier.append(key)
-
-    # Büchi acceptance is about recurrence, so admitting the once-visited
-    # start costs nothing even when its block never recurs.
-    for (b, i), sid in out_ids.items():
-        if i == 0 and q_fulfils[b] & 1:
-            accepting.add(sid)
-
+    untils = [(1 << i, 1 << position[id(g.right)])
+              for i, g in enumerate(forms) if isinstance(g, Until)]
+    acceptance = tuple(frozenset(q for q, (now, _) in enumerate(order)
+                                 if not now & until or now & right)
+                       for until, right in untils)
     return GuardedAutomaton(
         kind="nba",
-        states=sorted(out_ids.values()),
-        initial=frozenset({start}),
+        states=list(range(len(order))),
+        initial=frozenset({0}),
         transitions=transitions,
-        accepting=frozenset(accepting),
         signed=signed,
+        acceptance=acceptance,
     )

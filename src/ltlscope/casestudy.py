@@ -94,7 +94,6 @@ def spec() -> VisibilitySpec:
         classes=parse_classes(CLASSES_TEXT, ALPHABET),
         costs=dict(COSTS),
         bound=BOUND,
-        window=WINDOW,
     )
 
 

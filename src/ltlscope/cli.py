@@ -18,7 +18,8 @@ from .monitor import (MonitorInstance, machine_from_json, machine_to_json,
                       synthesize_imperfect, synthesize_standard)
 from .randgen import (derive_seed, experiment_visibility, random_formula,
                       random_plain_trace)
-from .rational import METRICS, RationalConfig, active_monitor, reactive_monitor
+from .rational import (METRICS, ActiveSession, RationalConfig, ReactiveSession,
+                       active_monitor)
 from .visibility import (VisibilitySpec, check_consistent, explicit_trace,
                          parse_classes, visible_trace)
 
@@ -34,6 +35,16 @@ def _read_text(path: str, what: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"{what} error: {exc}")
+
+
+def _write_text(path: str, text: str, what: str) -> None:
+    """Write a file named on the command line; a file that cannot be
+    written exits with one line."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
         raise SystemExit(f"{what} error: {exc}")
 
 
@@ -126,11 +137,9 @@ def cmd_synthesize(args) -> int:
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     payload = machine_to_json(monitor, formula_text=args.formula, classes_text=args.classes)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+    _write_text(args.out, payload, "output")
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(moore_to_dot(monitor.machine))
+        _write_text(args.dot, moore_to_dot(monitor.machine), "dot")
     component_sizes = [len(dfa.states) for dfa in monitor.machine.components]
     print(f"mode: {monitor.mode}")
     print(f"product states: {len(monitor.machine.outputs)} "
@@ -160,8 +169,6 @@ def _load_config(args) -> dict:
             merged[key] = value
     if args.costs:
         merged["costs"] = parse_costs(args.costs)
-    elif "costs" in merged:
-        merged["costs"] = {k: int(v) for k, v in merged["costs"].items()}
     return merged
 
 
@@ -214,21 +221,28 @@ def cmd_verify(args) -> int:
         if mode == "reactive" and "window" not in cfg:
             raise SystemExit("reactive mode needs --window")
         trace = read_plain_trace(args.trace)
-        vspec = VisibilitySpec(
-            alphabet=frozenset(a for cls in classes for a in cls.members),
-            classes=classes,
-            costs=cfg["costs"],
-            bound=int(cfg["bound"]),
-            window=int(cfg["window"]) if cfg.get("window") else None,
-        )
-        rcfg = RationalConfig(metric=cfg.get("metric", "metric2"),
-                              bound=int(cfg["bound"]),
-                              window=int(cfg["window"]) if cfg.get("window") else None,
-                              seed=int(cfg.get("seed", 0)))
+        if not isinstance(cfg["costs"], dict):
+            raise SystemExit("config error: costs must map class ids to integers")
+        try:
+            bound = int(cfg["bound"])
+            vspec = VisibilitySpec(
+                alphabet=frozenset(a for cls in classes for a in cls.members),
+                classes=classes,
+                costs={k: int(v) for k, v in cfg["costs"].items()},
+                bound=bound,
+            )
+            rcfg = RationalConfig(metric=cfg.get("metric", "metric2"), bound=bound,
+                                  window=int(cfg["window"]) if "window" in cfg else None,
+                                  seed=int(cfg.get("seed", 0)))
+            session = (ActiveSession if mode == "active" else ReactiveSession)(
+                formula, vspec, rcfg)
+        except (TypeError, ValueError) as exc:
+            raise SystemExit(f"config error: {exc}")
         t_synth1 = time.perf_counter()
         t_run0 = time.perf_counter()
-        runner = active_monitor if mode == "active" else reactive_monitor
-        result = runner(trace, formula, vspec, rcfg)
+        for event in trace:
+            session.step(event)
+        result = session.result()
         t_run1 = time.perf_counter()
         final = result.final
         for i, (event, verdict) in enumerate(zip(result.visible_events, result.step_verdicts)):
@@ -291,8 +305,7 @@ def cmd_verify(args) -> int:
         report["allocations"] = allocations
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text, "output")
     else:
         sys.stdout.write(text)
     return 0
@@ -381,8 +394,7 @@ def cmd_metrics_experiment(args) -> int:
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text, "output")
     else:
         sys.stdout.write(text)
     return 0

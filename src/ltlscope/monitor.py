@@ -27,13 +27,15 @@ from .visibility import EqClass, check_consistent
 
 
 def formula_to_dfa(f: Formula, signed: bool, minimized: bool = True) -> DFA:
-    """Run one branch of the pipeline: NBA, per-state emptiness, NFA, its
-    bisimulation quotient, DFA and, if ``minimized``, the minimal DFA.
+    """Run one branch of the pipeline: the tableau's generalised NBA,
+    per-state emptiness, NFA, its bisimulation quotient, DFA and, if
+    ``minimized``, the minimal DFA.
 
     A signed branch also flags the states from which the all-empty word is
     accepted; the plain branch never reads flags and skips that check.  The
-    NBA is not quotiented on its own: bisimilar states have the same Büchi
-    language, so the NFA quotient already merges them.
+    NBA is neither quotiented nor degeneralised: emptiness reads its
+    acceptance sets directly, and bisimilar NBA states have the same Büchi
+    language, so the NFA quotient merges them anyway.
     """
     nba = ltl_to_nba(f, signed=signed)
     if signed:

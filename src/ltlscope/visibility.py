@@ -103,13 +103,12 @@ def parse_classes(text: str, alphabet: Optional[Iterable[str]] = None) -> tuple[
 
 @dataclass(frozen=True)
 class VisibilitySpec:
-    """Alphabet, classes, per-class break costs, budget and time window."""
+    """Alphabet, classes, per-class break costs and budget."""
 
     alphabet: frozenset[str]
     classes: tuple[EqClass, ...]
     costs: Mapping[str, int] = field(default_factory=dict)  # canonical_id -> cost
     bound: int = 0
-    window: Optional[int] = None
 
     def __post_init__(self):
         covered: set[str] = set()
@@ -127,8 +126,6 @@ class VisibilitySpec:
                 raise ValueError(f"cost for {cid!r} must be a non-negative integer")
         if self.bound < 0:
             raise ValueError("bound must be non-negative")
-        if self.window is not None and self.window < 1:
-            raise ValueError("window must be positive")
 
     def class_of(self, atom: str) -> EqClass:
         for cls in self.classes:

@@ -151,7 +151,7 @@ def test_criterion_04_disjoined_safety_metrics_and_reactive():
     pays = payoff([c for c in classes if not c.is_singleton], f, spec2)
     selection = knapsack(pays, {"cs": 2, "abg": 3}, 3, {"cs": 2, "abg": 3})
     vspec = VisibilitySpec(alphabet=frozenset(alphabet), classes=classes,
-                           costs={"cs": 2, "abg": 3}, bound=3, window=2)
+                           costs={"cs": 2, "abg": 3}, bound=3)
     sigma = [set(), {"g", "b1", "c"}, {"g", "c", "mb", "b2"}, {"c"}, {"w"}]
     run = reactive_monitor(sigma, f, vspec,
                            RationalConfig(metric="metric2", bound=3, window=2))

@@ -26,76 +26,64 @@ from ltlscope.visibility import derive_classes, explicit_trace, visible_trace
 from conftest import all_words, plain_events, random_formula, random_signed_event
 
 
+def reach_sets(adjacency) -> dict:
+    """Per state, the states it reaches by one or more edges."""
+    out = {}
+    for src, succ in adjacency.items():
+        seen, work = set(), list(succ)
+        while work:
+            q = work.pop()
+            if q not in seen:
+                seen.add(q)
+                work.extend(adjacency.get(q, ()))
+        out[src] = seen
+    return out
+
+
+def good_cycle_states(reach, acceptance) -> set:
+    """The states on a cycle that meets every acceptance set: a state that
+    reaches itself qualifies when the states it reaches and that reach it
+    back meet each set.  Pairwise reachability, coded separately from the
+    Tarjan pass of ``nonempty_states``."""
+    good = set()
+    for s, ahead in reach.items():
+        if s in ahead:
+            mates = {t for t in ahead if s in reach[t]}
+            if all(not mates.isdisjoint(f) for f in acceptance):
+                good.add(s)
+    return good
+
+
 def lasso_accepted_by_nba(nba: GuardedAutomaton, stem, loop) -> bool:
-    """Independent ultimately-periodic membership check on a Büchi automaton."""
+    """Independent ultimately-periodic membership check on a generalised
+    Büchi automaton: a run on the loop's product graph reaches a cycle that
+    meets every acceptance set."""
     current = set(nba.initial)
     for event in stem:
         current = {d for q in current for d in nba.successors(q, event)}
         if not current:
             return False
     k = len(loop)
-    seen = {(q, 0) for q in current}
     edges = {}
-    work = list(seen)
+    work = [(q, 0) for q in current]
     while work:
         q, p = work.pop()
-        succ = [(d, (p + 1) % k) for d in nba.successors(q, loop[p])]
-        edges[(q, p)] = succ
-        for s in succ:
-            if s not in seen:
-                seen.add(s)
-                work.append(s)
-    # Accepting lasso: reachable cycle through an accepting automaton state.
-    for start in list(seen):
-        if start[0] not in nba.accepting:
-            continue
-        frontier = set(edges.get(start, ()))
-        visited = set(frontier)
-        while frontier:
-            if start in frontier:
-                break
-            frontier = {d for s in frontier for d in edges.get(s, ())} - visited
-            visited |= frontier
-        else:
-            continue
-        # start lies on a cycle; is it reachable from the roots?
-        roots = {(q, 0) for q in current}
-        frontier, visited = set(roots), set(roots)
-        while frontier:
-            if start in frontier:
-                return True
-            frontier = {d for s in frontier for d in edges.get(s, ())} - visited
-            visited |= frontier
-    return False
+        if (q, p) not in edges:
+            edges[(q, p)] = [(d, (p + 1) % k) for d in nba.successors(q, loop[p])]
+            work.extend(edges[(q, p)])
+    reach = reach_sets(edges)
+    lifted = [{s for s in edges if s[0] in f} for f in nba.acceptance]
+    good = good_cycle_states(reach, lifted)
+    return any(not reach[(q, 0)].isdisjoint(good) for q in current)
 
 
 def emptiness_oracle(nba: GuardedAutomaton) -> frozenset[int]:
-    """Per-state emptiness by breadth-first accepting-cycle search, coded
-    separately from the SCC-based implementation."""
-    adjacency = {q: [dst for _, dst in nba.transitions.get(q, ())] for q in nba.states}
-
-    def reachable(src):
-        seen = {src}
-        work = [src]
-        while work:
-            q = work.pop()
-            for dst in adjacency.get(q, ()):
-                if dst not in seen:
-                    seen.add(dst)
-                    work.append(dst)
-        return seen
-
-    on_cycle = set()
-    for f in nba.accepting:
-        frontier = set(adjacency.get(f, ()))
-        seen = set(frontier)
-        while frontier:
-            if f in frontier:
-                on_cycle.add(f)
-                break
-            frontier = {d for q in frontier for d in adjacency.get(q, ())} - seen
-            seen |= frontier
-    return frozenset(q for q in nba.states if reachable(q) & on_cycle)
+    """Per-state emptiness: the states that reach a cycle meeting every
+    acceptance set."""
+    reach = reach_sets({q: [dst for _, dst in nba.transitions.get(q, ())]
+                        for q in nba.states})
+    good = good_cycle_states(reach, nba.acceptance)
+    return frozenset(q for q in nba.states if not reach[q].isdisjoint(good))
 
 
 class TestTableau:
@@ -201,7 +189,7 @@ def reference_nba(f, signed: bool) -> GuardedAutomaton:
         return (tuple(sorted(order[g] for g in node[0])),
                 tuple(sorted(order[g] for g in node[1])))
 
-    ids, nodes, rows = {}, [], {}
+    ids, nodes, rows = {}, [(frozenset(), frozenset({f}))], {}
 
     def successors(nxt):
         if nxt not in rows:
@@ -213,22 +201,29 @@ def reference_nba(f, signed: bool) -> GuardedAutomaton:
             rows[nxt] = [(guard_of(node[0]), ids[node]) for node in leaves]
         return rows[nxt]
 
-    edges = {-1: successors(frozenset({f}))}
-    work = [dst for _, dst in edges[-1]]
+    edges, work = {}, [0]
     while work:
         uid = work.pop()
         if uid not in edges:
             edges[uid] = successors(nodes[uid][1])
             work.extend(dst for _, dst in edges[uid] if dst not in edges)
 
-    untils = [g for g in sorted(set(subformulas(f)), key=str) if isinstance(g, Until)]
-    k = max(1, len(untils))
-    fulfils = {-1: frozenset(range(k))}
-    for node, uid in ids.items():
-        fulfils[uid] = (frozenset(i for i, u in enumerate(untils)
-                                  if u not in node[0] or u.right in node[0])
-                        if untils else frozenset({0}))
-    states = [-1] + list(range(len(nodes)))
+    untils = sorted((g for g in order if isinstance(g, Until)), key=order.__getitem__)
+    return GuardedAutomaton(
+        kind="nba", states=list(range(len(nodes))), initial=frozenset({0}),
+        transitions=edges, signed=signed,
+        acceptance=tuple(frozenset(q for q, (now, _) in enumerate(nodes)
+                                   if u not in now or u.right in now) for u in untils))
+
+
+def degeneralised(nba: GuardedAutomaton) -> GuardedAutomaton:
+    """The NBA the pipeline read before it took generalised acceptance:
+    ``nba`` quotiented by bisimulation over the acceptance sets each state
+    is in, then degeneralised by a counter into a single acceptance set."""
+    k = max(1, len(nba.acceptance))
+    states, edges = nba.states, nba.transitions
+    fulfils = {q: frozenset(i for i, f in enumerate(nba.acceptance) if q in f)
+               if nba.acceptance else frozenset({0}) for q in states}
     remap = {}
     block = {q: remap.setdefault(fulfils[q], len(remap)) for q in states}
     while True:
@@ -255,8 +250,9 @@ def reference_nba(f, signed: bool) -> GuardedAutomaton:
             transitions[out_ids[q]] = []
         return out_ids[q]
 
-    start = out((block[-1], 0))
-    frontier, seen = [(block[-1], 0)], {(block[-1], 0)}
+    (init,) = nba.initial
+    start = out((block[init], 0))
+    frontier, seen = [(block[init], 0)], {(block[init], 0)}
     while frontier:
         b, i = frontier.pop()
         j = (i + 1) % k if i in q_fulfils[b] else i
@@ -267,20 +263,21 @@ def reference_nba(f, signed: bool) -> GuardedAutomaton:
                 frontier.append((d, j))
     return GuardedAutomaton(
         kind="nba", states=sorted(out_ids.values()), initial=frozenset({start}),
-        transitions=transitions, signed=signed,
-        accepting=frozenset(s for (b, i), s in out_ids.items()
-                            if i == 0 and 0 in q_fulfils[b]))
+        transitions=transitions, signed=nba.signed,
+        acceptance=(frozenset(s for (b, i), s in out_ids.items()
+                              if i == 0 and 0 in q_fulfils[b]),))
 
 
 class TestTableauReference:
-    """The bitmask tableau builds exactly the automaton of the frozenset one."""
+    """The bitmask tableau builds exactly the automaton of the frozenset one,
+    acceptance sets included."""
 
     @staticmethod
     def assert_same(f, signed):
         got, want = ltl_to_nba(f, signed=signed), reference_nba(f, signed)
         assert got.states == want.states, f
         assert got.initial == want.initial, f
-        assert got.accepting == want.accepting, f
+        assert got.acceptance == want.acceptance, f
         assert [got.transitions[q] for q in got.states] == \
             [want.transitions[q] for q in want.states], f
 
@@ -315,6 +312,12 @@ class TestEmptiness:
             f = to_nnf(random_formula(rng, rng.randint(1, 7)))
             nba = ltl_to_nba(f, signed=False)
             assert nonempty_states(nba) == emptiness_oracle(nba)
+
+    @pytest.mark.parametrize("text", ["G F p & F G !p", "F G !p & G F p", "G F p & G F q"])
+    def test_every_acceptance_set_counts(self, text):
+        nba = ltl_to_nba(to_nnf(parse_formula(text)), signed=False)
+        assert len(nba.acceptance) == 2
+        assert nonempty_states(nba) == emptiness_oracle(nba)
 
     def test_case_study_signed_oracle(self):
         classes = derive_classes(("a", "b", "g", "b1", "b2", "b3", "mb"),
@@ -506,13 +509,15 @@ class TestFlags:
 
 
 class TestSingleQuotient:
-    """Quotienting the NBA before the NFA changes no machine: bisimilar
-    NBA states have the same Büchi language, hence the same emptiness and
-    flag, so the NFA quotient merges them anyway."""
+    """Reading the tableau's generalised acceptance, with the NFA quotient
+    as the only quotient, changes no machine: each branch's DFA equals the
+    one built from the quotiented, degeneralised NBA.  Both maps onto the
+    tableau's quotient blocks are bisimulations that keep emptiness and
+    the flag, so the NFA quotients agree."""
 
     @staticmethod
     def two_quotient_dfa(f, signed, minimized):
-        nba = quotient_bisim(ltl_to_nba(f, signed=signed))
+        nba = degeneralised(ltl_to_nba(f, signed=signed))
         if signed:
             nba = replace(nba, flagged=nonempty_states(empty_event_edges(nba)))
         dfa = determinize(quotient_bisim(nba_to_nfa(nba, nonempty_states(nba))))
@@ -625,6 +630,6 @@ class TestDot:
         dot = moore_to_dot(m.machine)
         assert dot.startswith("digraph") and "?" in dot
         nba = ltl_to_nba(to_nnf(parse_formula("F p")), signed=False)
-        assert "doublecircle" in automaton_to_dot(nba)
+        assert "doublecircle" in automaton_to_dot(nba_to_nfa(nba, nonempty_states(nba)))
         dfa = formula_to_dfa(to_nnf(parse_formula("F p")), signed=False)
         assert "digraph" in automaton_to_dot(dfa)

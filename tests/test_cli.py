@@ -176,6 +176,48 @@ class TestUserErrors:
                                  "--mode", "imperfect", "--classes", "p"])
         assert message.startswith(f"{trace}:2: ")
 
+    def test_unwritable_machine_file(self, tmp_path):
+        bad = str(tmp_path / "nonexistent" / "m.json")
+        message = one_line_exit(["synthesize", "-f", "p", "--out", bad])
+        assert message.startswith("output error: ") and bad in message
+
+    def test_unwritable_dot_file(self, tmp_path):
+        bad = str(tmp_path / "nonexistent" / "m.dot")
+        message = one_line_exit(["synthesize", "-f", "p", "--out", str(tmp_path / "m.json"),
+                                 "--dot", bad])
+        assert message.startswith("dot error: ") and bad in message
+
+    def test_unwritable_report_file(self, trace_file, tmp_path):
+        bad = str(tmp_path / "nonexistent" / "report.json")
+        message = one_line_exit(["verify", "-f", "F p", "--trace", trace_file, "--out", bad])
+        assert message.startswith("output error: ") and bad in message
+
+    @pytest.mark.parametrize("config, flags, needle", [
+        ({"costs": {"cs": "x", "abg": 3}}, [], "'x'"),
+        ({"costs": ["cs"]}, [], "costs must map class ids to integers"),
+        ({"bound": "x"}, [], "'x'"),
+        ({"bound": -1}, [], "bound must be non-negative"),
+        ({"window": "two"}, [], "'two'"),
+        ({"window": 0}, [], "positive window"),
+        ({}, ["--window", "0"], "positive window"),
+        ({"metric": "nope"}, [], "unknown metric 'nope'"),
+        ({"seed": "x"}, [], "'x'"),
+        ({}, ["--costs", "cs=-1,abg=3"], "non-negative integer"),
+        ({}, ["--costs", "xy=1"], "missing cost for class 'abg'"),
+    ], ids=["cost-text", "costs-list", "bound-text", "bound-negative", "window-text",
+            "window-zero", "window-flag-zero", "metric", "seed-text", "cost-negative",
+            "cost-unknown-class"])
+    def test_refused_rational_setting(self, trace_file, tmp_path, config, flags, needle):
+        """Values the visibility spec, the rational config or the session
+        refuse end ``verify`` with one line."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"costs": {"cs": 2, "abg": 3}, "bound": 3, "window": 2,
+                                    **config}), encoding="utf-8")
+        message = one_line_exit(["verify", "-f", "F (c & X w)", "--trace", trace_file,
+                                 "--mode", "reactive", *CASE_ARGS, "--config", str(path),
+                                 *flags])
+        assert message.startswith("config error: ") and needle in message
+
 
 class TestSynthesize:
     def test_roundtrip_bit_identical(self, tmp_path, capsys):

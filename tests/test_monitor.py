@@ -1,5 +1,6 @@
 """Monitor objects: standard three-valued, imperfect six-valued, stepping."""
 
+import hashlib
 import json
 import random
 import time
@@ -256,6 +257,29 @@ def _empty_continuation(f, classes, prefix) -> str:
 
 def _verdict_kind(verdict: Verdict) -> str:
     return verdict.name if verdict in (Verdict.TRUE, Verdict.FALSE) else "undefined"
+
+
+class TestMachineBytes:
+    """Synthesis is pinned byte for byte: the sha256 of ``machine_to_json``
+    over seeded criterion-6 draws, four machines each (imperfect and
+    standard, minimised and not).  A change that renumbers machines on
+    purpose updates the digest and says so; CI runs this test under two
+    hash seeds, so set iteration order cannot leak into machine files."""
+
+    DIGEST = "ad6534896efd52fa1d5ef8f6f45319e81eb40462e98472df1f254fd78f250f0c"
+
+    def test_criterion_6_draws(self):
+        rng = random.Random(7)
+        pool = ("p", "q", "r", "s")
+        digest = hashlib.sha256()
+        for _ in range(300):
+            f = criterion_formula(rng, rng.randint(1, 8), pool)
+            classes = random_partition(rng, pool)
+            for minimized in (True, False):
+                for m in (synthesize_imperfect(f, classes, minimized),
+                          synthesize_standard(f, minimized)):
+                    digest.update(machine_to_json(m).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 def _check_every_prefix(f, classes, visible) -> list[str]:

@@ -27,9 +27,9 @@ PHI1 = parse_formula("F (c & X w)")
 PSI = parse_formula("(G ((b1 | b2 | b3) -> X !c)) | (G (g -> !(b1 | b2 | b3)))")
 
 
-def vspec(bound=3, window=None):
+def vspec(bound=3):
     return VisibilitySpec(alphabet=frozenset(ALPHABET), classes=CLASSES,
-                          costs=COSTS, bound=bound, window=window)
+                          costs=COSTS, bound=bound)
 
 
 class TestMetric:
@@ -201,7 +201,7 @@ class TestReactiveMonitor:
         """Window two: the radiation class goes first, the cut class second,
         and the disjoined safety property lands on FALSE."""
         cfg = RationalConfig(metric="metric2", bound=3, window=2)
-        result = reactive_monitor(SIGMA, PSI, vspec(window=2), cfg)
+        result = reactive_monitor(SIGMA, PSI, vspec(), cfg)
         assert result.final == Verdict.FALSE
         assert result.broken_per_window[0] == frozenset({"abg"})
         assert result.broken_per_window[1] == frozenset({"cs"})
@@ -238,11 +238,10 @@ class TestReactiveMonitor:
             costs = {c.canonical_id: rng.randint(1, 3)
                      for c in classes if not c.is_singleton}
             trace = random_plain_trace(rng, rng.randint(1, 6), pool)
+            bound, window = rng.randint(0, 4), len(trace) + rng.randint(0, 3)
             spec = VisibilitySpec(alphabet=frozenset(pool), classes=classes,
-                                  costs=costs, bound=rng.randint(0, 4),
-                                  window=len(trace) + rng.randint(0, 3))
-            cfg = RationalConfig(metric="metric2", bound=spec.bound,
-                                 window=spec.window, seed=7)
+                                  costs=costs, bound=bound)
+            cfg = RationalConfig(metric="metric2", bound=bound, window=window, seed=7)
             active = active_monitor(trace, f, spec, cfg)
             reactive = reactive_monitor(trace, f, spec, cfg)
             assert active.step_verdicts == reactive.step_verdicts
@@ -256,7 +255,7 @@ class TestReactiveMonitor:
     def test_case_study_phi3_stays_unknown(self):
         cfg = RationalConfig(metric="metric2", bound=3, window=2)
         f = parse_formula("F ((!c & b1 & X b2) | (!c & b2 & X b3))")
-        result = reactive_monitor(SIGMA, f, vspec(window=2), cfg)
+        result = reactive_monitor(SIGMA, f, vspec(), cfg)
         assert result.final == Verdict.UNKNOWN
 
 
@@ -271,11 +270,10 @@ class TestSessions:
             costs = {c.canonical_id: rng.randint(1, 3)
                      for c in classes if not c.is_singleton}
             trace = random_plain_trace(rng, rng.randint(1, 7), pool)
+            bound, window = rng.randint(0, 4), rng.randint(1, 3)
             spec = VisibilitySpec(alphabet=frozenset(pool), classes=classes,
-                                  costs=costs, bound=rng.randint(0, 4),
-                                  window=rng.randint(1, 3))
-            cfg = RationalConfig(metric="metric2", bound=spec.bound,
-                                 window=spec.window, seed=11)
+                                  costs=costs, bound=bound)
+            cfg = RationalConfig(metric="metric2", bound=bound, window=window, seed=11)
             for session_cls, batch in ((ActiveSession, active_monitor),
                                        (ReactiveSession, reactive_monitor)):
                 session = session_cls(f, spec, cfg)
@@ -290,7 +288,7 @@ class TestSessions:
     def test_active_session_ignores_window(self):
         from ltlscope.rational import ActiveSession
         cfg = RationalConfig(metric="metric2", bound=3, window=2)
-        session = ActiveSession(PSI, vspec(window=2), cfg)
+        session = ActiveSession(PSI, vspec(), cfg)
         for event in SIGMA:
             session.step(event)
         assert len(session.result().allocations) == 1
@@ -308,7 +306,7 @@ class TestSessions:
         monkeypatch.setattr(rational, "knowledge_from_event", counted)
         classes = parse_classes("p~q; r", ("p", "q", "r"))
         spec = VisibilitySpec(alphabet=frozenset("pqr"), classes=classes,
-                              costs={"pq": 1}, bound=1, window=2)
+                              costs={"pq": 1}, bound=1)
         cfg = RationalConfig(metric="metric2", bound=1, window=2)
         session = ReactiveSession(parse_formula("F p"), spec, cfg)
         counts = []

@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 from . import casestudy
 from .automata.dot import moore_to_dot
 from .automata.moore import Verdict
-from .formula import Atom, Formula, ParseError, SLit, parse_formula, parse_slit
+from .formula import (Atom, Formula, ParseError, SLit, UncoveredAtomError,
+                      parse_formula, parse_slit)
 from .monitor import (MonitorInstance, machine_from_json, machine_to_json,
                       synthesize_imperfect, synthesize_standard)
 from .randgen import (derive_seed, experiment_visibility, random_formula,
@@ -56,9 +57,11 @@ def _is_atom_name(name: str) -> bool:
         return False
 
 
-def read_plain_trace(path: str) -> list[frozenset[str]]:
+def read_plain_trace(path: str,
+                     alphabet: Optional[frozenset[str]] = None) -> list[frozenset[str]]:
     """One event per line; comma or space separated atoms; blank line is an
-    empty event.  A token that is not an atom name exits with its line."""
+    empty event.  A token that is not an atom name, or with ``alphabet`` an
+    atom outside it, exits with its line."""
     events = []
     checked: set[str] = set()
     for i, line in enumerate(_read_text(path, "trace").splitlines()):
@@ -66,6 +69,8 @@ def read_plain_trace(path: str) -> list[frozenset[str]]:
         for name in event - checked:
             if not _is_atom_name(name):
                 raise SystemExit(f"{path}:{i + 1}: {name!r} is not an atom name")
+            if alphabet is not None and name not in alphabet:
+                raise SystemExit(f"{path}:{i + 1}: atom {name!r} is in no class")
             checked.add(name)
         events.append(event)
     return events
@@ -131,7 +136,10 @@ def cmd_synthesize(args) -> int:
             classes = parse_classes(args.classes, args.alphabet.split(",") if args.alphabet else None)
         except ValueError as exc:
             raise SystemExit(f"classes error: {exc}")
-        monitor = synthesize_imperfect(f, classes, minimized=not args.no_minimize)
+        try:
+            monitor = synthesize_imperfect(f, classes, minimized=not args.no_minimize)
+        except UncoveredAtomError as exc:
+            raise SystemExit(f"classes error: {exc}")
     else:
         monitor = synthesize_standard(f, minimized=not args.no_minimize)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -170,6 +178,10 @@ def _load_config(args) -> dict:
     if args.costs:
         merged["costs"] = parse_costs(args.costs)
     return merged
+
+
+def _alphabet_of(classes) -> frozenset[str]:
+    return frozenset(a for cls in classes for a in cls.members)
 
 
 def cmd_verify(args) -> int:
@@ -220,13 +232,13 @@ def cmd_verify(args) -> int:
             raise SystemExit("active/reactive modes need --bound")
         if mode == "reactive" and "window" not in cfg:
             raise SystemExit("reactive mode needs --window")
-        trace = read_plain_trace(args.trace)
+        trace = read_plain_trace(args.trace, _alphabet_of(classes))
         if not isinstance(cfg["costs"], dict):
             raise SystemExit("config error: costs must map class ids to integers")
         try:
             bound = int(cfg["bound"])
             vspec = VisibilitySpec(
-                alphabet=frozenset(a for cls in classes for a in cls.members),
+                alphabet=_alphabet_of(classes),
                 classes=classes,
                 costs={k: int(v) for k, v in cfg["costs"].items()},
                 bound=bound,
@@ -259,7 +271,10 @@ def cmd_verify(args) -> int:
             else:
                 if classes is None:
                     raise SystemExit("imperfect mode needs --classes")
-                monitor = synthesize_imperfect(formula, classes)
+                try:
+                    monitor = synthesize_imperfect(formula, classes)
+                except UncoveredAtomError as exc:
+                    raise SystemExit(f"classes error: {exc}")
         t_synth1 = time.perf_counter()
         if mode == "standard":
             if signed_input:
@@ -274,8 +289,8 @@ def cmd_verify(args) -> int:
             else:
                 if classes is None:
                     raise SystemExit("imperfect mode needs --classes to encode a plain trace")
-                plain = read_plain_trace(args.trace)
-                sigma_e = explicit_trace(plain, frozenset(a for c in classes for a in c.members))
+                covered = _alphabet_of(classes)
+                sigma_e = explicit_trace(read_plain_trace(args.trace, covered), covered)
                 events = visible_trace(sigma_e, classes, ())
         t_run0 = time.perf_counter()
         for i, event in enumerate(events):

@@ -11,9 +11,10 @@ Two flavours of formula share one AST:
 The module also houses the normal forms (NNF of a formula or of its
 negation, and the implication-preserving metric form, all from one
 negation-pushing walker), the signed-alphabet translation of a formula, and
-one-step progression over partially known events.  The satisfaction,
-violation and forever-undefined triple built from these lives in
-``oracle.verdict.signed_triple``.
+one-step progression over partially known events.  The satisfaction and
+violation formulas the imperfect monitor is built from are made of these in
+``monitor.signed_triple``; the oracle builds its own triple, with the
+forever-undefined formula, in ``oracle.verdict.signed_triple``.
 """
 
 from __future__ import annotations

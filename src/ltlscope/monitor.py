@@ -21,9 +21,9 @@ from .automata.moore import MooreMachine, Verdict, product2, product3
 from .automata.pipeline import (DFA, determinize, empty_event_edges, minimize,
                                 nba_to_nfa, nonempty_states, quotient_bisim)
 from .automata.tableau import ltl_to_nba
-from .formula import MAX_NESTING, Formula, SLit, height, negate_nnf, parse_slit, to_nnf
-from .oracle.verdict import signed_triple
-from .visibility import EqClass, check_consistent
+from .formula import (MAX_NESTING, Formula, SLit, height, make_signed, negate_nnf,
+                      parse_slit, to_nnf)
+from .visibility import EqClass, check_consistent, rendering_map
 
 
 def formula_to_dfa(f: Formula, signed: bool, minimized: bool = True) -> DFA:
@@ -112,11 +112,23 @@ def _standard_machine(f: Formula, minimized: bool) -> MooreMachine:
     return product2(pos, neg)
 
 
+def signed_triple(f: Formula, classes: Sequence[EqClass]) -> tuple[Formula, Formula]:
+    """The satisfaction and violation formulas of ``f`` over the signed
+    alphabet induced by the classes.
+
+    Only the two branches the product reads are built; the oracle keeps its
+    own triple, forever-undefined formula included, so that it shares no
+    code with the pipeline.  The name is kept because the benchmark's tracer
+    wraps this module attribute by it."""
+    rendering = rendering_map(classes)
+    return make_signed(to_nnf(f), rendering), make_signed(negate_nnf(f), rendering)
+
+
 @lru_cache(maxsize=4096)
 def _imperfect_machine(f: Formula, classes: tuple[EqClass, ...],
                        minimized: bool) -> MooreMachine:
     _check_height(f)
-    sat, viol, _ = signed_triple(f, classes)
+    sat, viol = signed_triple(f, classes)
     return product3(formula_to_dfa(sat, signed=True, minimized=minimized),
                     formula_to_dfa(viol, signed=True, minimized=minimized))
 

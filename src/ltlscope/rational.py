@@ -221,17 +221,22 @@ MEMO_LIMIT = 4096
 class SessionMemo:
     """What the sessions over one alphabet and class structure computed,
     shared between them: the visible and the decoded form of each (plain
-    event, broken classes), and the allocation of each (residual, costs,
-    config).  Entries are immutable, so a run holds references to them, not
-    copies: an active run over shared events keeps about four objects alive
-    instead of forty, and stepping leaves the cyclic collector little to do.
+    event, broken classes), the allocation of each (residual, costs,
+    config), the metric form of each formula, and the member knowledge each
+    visible event carries.  Entries are never mutated, so a run holds
+    references to them, not copies: an active run over shared events keeps
+    about four objects alive instead of forty, and stepping leaves the
+    cyclic collector little to do.  Sessions over one formula start from one
+    residual object, whose hash is already cached for the allocation key.
     """
 
-    __slots__ = ("events", "allocations")
+    __slots__ = ("events", "allocations", "forms", "knowledge")
 
     def __init__(self) -> None:
         self.events: dict = {}
         self.allocations: dict = {}
+        self.forms: dict = {}
+        self.knowledge: dict = {}
 
 
 @lru_cache(maxsize=512)
@@ -265,7 +270,9 @@ class Session:
     events: reallocation cannot change a settled verdict.  ``forced_break``
     replaces the first allocation with an exogenous class selection (used to
     reproduce the fixed configurations of the verdict grid).  Decoded events
-    and allocations come from the ``SessionMemo`` of the session's classes.
+    and allocations, the formula's metric form and the knowledge each
+    visible event carries come from the ``SessionMemo`` of the session's
+    classes.
     """
 
     def __init__(self, f: Formula, vspec: VisibilitySpec, cfg: RationalConfig,
@@ -278,8 +285,11 @@ class Session:
         # The machine first: it refuses a formula too tall for the normal forms.
         self.monitor = rational_machine(f, vspec.alphabet).clone()
         self.monitor.reset()
-        self.residual = to_metric_form(f)
         self.memo = session_memo(vspec.alphabet, vspec.classes)
+        self.residual = self.memo.forms.get(f)
+        if self.residual is None:
+            self.residual = to_metric_form(f)
+            _remember(self.memo.forms, f, self.residual)
         self._costs = frozenset(vspec.costs.items())
         if forced_break is None:
             allocation = self._allocate()
@@ -314,9 +324,13 @@ class Session:
     def _reallocate(self) -> None:
         allocation = self.allocations[-1]
         if not isinstance(self.residual, _SETTLED):
+            known = self.memo.knowledge
             for past in self.visible_events[-self.window:]:
-                self.residual = progress(self.residual,
-                                         knowledge_from_event(past, self.vspec.classes))
+                knowledge = known.get(past)
+                if knowledge is None:
+                    knowledge = knowledge_from_event(past, self.vspec.classes)
+                    _remember(known, past, knowledge)
+                self.residual = progress(self.residual, knowledge)
             if not isinstance(self.residual, _SETTLED):
                 fresh = self._allocate()
                 if fresh != allocation:

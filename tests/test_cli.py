@@ -176,6 +176,25 @@ class TestUserErrors:
                                  "--mode", "imperfect", "--classes", "p"])
         assert message.startswith(f"{trace}:2: ")
 
+    @pytest.mark.parametrize("command", [
+        ["synthesize", "--out", "m.json"],
+        ["verify", "--mode", "imperfect", "--trace", "t.txt"],
+    ], ids=["synthesize", "verify-imperfect"])
+    def test_formula_atom_outside_the_classes(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.txt").write_text("p\n", encoding="utf-8")
+        message = one_line_exit([*command, "-f", "F z", "--classes", "p~q"])
+        assert message.startswith("classes error: ") and "'z'" in message
+
+    @pytest.mark.parametrize("mode", ["imperfect", "active", "reactive"])
+    def test_trace_atom_outside_the_classes(self, tmp_path, mode):
+        trace = tmp_path / "t.txt"
+        trace.write_text("p\nq z\n", encoding="utf-8")
+        message = one_line_exit(["verify", "-f", "F p", "--classes", "p~q", "--mode", mode,
+                                 "--costs", "pq=1", "--bound", "1", "--window", "1",
+                                 "--trace", str(trace)])
+        assert message.startswith(f"{trace}:2: ") and "'z'" in message
+
     def test_unwritable_machine_file(self, tmp_path):
         bad = str(tmp_path / "nonexistent" / "m.json")
         message = one_line_exit(["synthesize", "-f", "p", "--out", bad])

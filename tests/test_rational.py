@@ -304,6 +304,7 @@ class TestSessions:
             return decode(event, classes)
 
         monkeypatch.setattr(rational, "knowledge_from_event", counted)
+        rational.session_memo.cache_clear()
         classes = parse_classes("p~q; r", ("p", "q", "r"))
         spec = VisibilitySpec(alphabet=frozenset("pqr"), classes=classes,
                               costs={"pq": 1}, bound=1)
@@ -348,7 +349,7 @@ class TestSessions:
         fresh = [fields(run) for run in runs()]
         for _, _, spec, _ in cases:
             memo = rational.session_memo(spec.alphabet, spec.classes)
-            assert not memo.events and not memo.allocations
+            assert not (memo.events or memo.allocations or memo.forms or memo.knowledge)
         monkeypatch.setattr(rational, "MEMO_LIMIT", 2)
         assert [fields(run) for run in runs()] == fresh
         rational.session_memo.cache_clear()
@@ -370,6 +371,44 @@ class TestSessions:
         dear = VisibilitySpec(alphabet=frozenset(ALPHABET), classes=CLASSES,
                               costs={"cs": 2, "abg": 4}, bound=3)
         assert active_monitor(SIGMA, PSI, dear, cfg).broken == frozenset({"cs"})
+
+    def test_sessions_over_one_formula_share_its_metric_form(self, monkeypatch):
+        """Twenty active sessions over one formula build its metric form once
+        and start from the same residual object."""
+        calls = []
+        build = rational.to_metric_form
+
+        def counted(f):
+            calls.append(f)
+            return build(f)
+
+        monkeypatch.setattr(rational, "to_metric_form", counted)
+        rational.session_memo.cache_clear()
+        cfg = RationalConfig(metric="metric2", bound=3)
+        sessions = [rational.ActiveSession(PSI, vspec(), cfg) for _ in range(20)]
+        assert calls == [PSI]
+        assert all(s.residual is sessions[0].residual for s in sessions)
+        assert sessions[0].residual == to_metric_form(PSI)
+
+    def test_sessions_over_one_class_structure_decode_each_event_once(self, monkeypatch):
+        """Two reactive sessions over the same classes and events decode each
+        distinct visible event once between them."""
+        calls = []
+        decode = rational.knowledge_from_event
+
+        def counted(event, classes):
+            calls.append(event)
+            return decode(event, classes)
+
+        monkeypatch.setattr(rational, "knowledge_from_event", counted)
+        rational.session_memo.cache_clear()
+        cfg = RationalConfig(metric="metric2", bound=3, window=2)
+        sessions = [ReactiveSession(f, vspec(), cfg) for f in (PSI, PHI1)]
+        for event in SIGMA + SIGMA:
+            for session in sessions:
+                session.step(event)
+        assert calls and len(calls) == len(set(calls))
+        assert set(calls) <= {e for s in sessions for e in s.visible_events}
 
     def test_clear_machine_caches_forgets_session_memos(self):
         spec = vspec()

@@ -43,7 +43,6 @@ class GuardedAutomaton:
     of the pipeline fills it in.
     """
 
-    kind: str  # 'nba' | 'nfa'
     states: list[int]
     initial: frozenset[int]
     transitions: dict[int, list[tuple[Guard, int]]]

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Iterator
 
 from .guarded import Guard
-from .pipeline import DFA, consistent_masks
+from .pipeline import DFA, consistent_events
 
 
 class Verdict(Enum):
@@ -116,17 +116,16 @@ class MooreMachine:
     def step(self, state: tuple[int, ...], event: frozenset) -> tuple[int, ...]:
         return tuple(dfa.step(q, event) for dfa, q in zip(self.components, state))
 
-    def state_literals(self, state: tuple[int, ...]) -> tuple:
-        mentioned = {l for dfa, q in zip(self.components, state) for l in dfa.lits[q]}
-        return tuple(sorted(mentioned, key=str))
-
     def transitions(self, state: tuple[int, ...]) -> Iterator[tuple[Guard, tuple[int, ...]]]:
         """Materialise guarded product transitions (export and inspection)."""
-        lits = self.state_literals(state)
-        for bits in consistent_masks(lits, self.signed):
-            require = frozenset(l for i, l in enumerate(lits) if bits & (1 << i))
-            forbid = frozenset(l for i, l in enumerate(lits) if not bits & (1 << i))
-            yield Guard(require, forbid), self.step(state, require)
+        mentioned = _mentioned(self.components, state)
+        for event in consistent_events(mentioned, self.signed):
+            yield Guard(event, frozenset(mentioned - event)), self.step(state, event)
+
+
+def _mentioned(components: tuple[DFA, ...], state: tuple[int, ...]) -> set:
+    """The literals the components read in ``state``."""
+    return {l for dfa, q in zip(components, state) for l in dfa.lits[q]}
 
 
 def _build_product(components: tuple[DFA, ...], classify) -> MooreMachine:
@@ -141,10 +140,7 @@ def _build_product(components: tuple[DFA, ...], classify) -> MooreMachine:
         if state in outputs:
             continue
         outputs[state] = classify(*state)
-        lits = tuple(sorted({l for dfa, q in zip(components, state)
-                             for l in dfa.lits[q]}, key=str))
-        for bits in consistent_masks(lits, signed):
-            event = frozenset(l for i, l in enumerate(lits) if bits & (1 << i))
+        for event in consistent_events(_mentioned(components, state), signed):
             target = tuple(dfa.step(q, event) for dfa, q in zip(components, state))
             if target not in outputs:
                 work.append(target)

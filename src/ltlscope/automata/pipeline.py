@@ -97,28 +97,59 @@ def nba_to_nfa(nba: GuardedAutomaton, nonempty: frozenset[int]) -> GuardedAutoma
     accepts exactly the finite prefixes with a satisfying infinite
     continuation.  The transitions and flagged states are shared with the
     NBA, not copied."""
-    return replace(nba, kind="nfa", acceptance=(), accepting=nonempty)
+    return replace(nba, acceptance=(), accepting=nonempty)
+
+
+# Valuations are int bitmasks over a tuple of literals in ``str`` order: bit
+# ``i`` is set when the ``i``-th literal is in the event.  Only this module
+# packs and unpacks masks; other modules see events and guards.
+
+def literal_order(mentioned) -> tuple:
+    """The literals of ``mentioned`` in bit order."""
+    return tuple(sorted(mentioned, key=str))
 
 
 @lru_cache(maxsize=65536)
 def consistent_masks(lits: tuple, signed: bool) -> tuple[int, ...]:
     """All valuation bitmasks over ``lits`` under which no base name carries
-    both signs.  Plain-world literals never conflict."""
-    conflicts: list[int] = []
-    if signed:
-        by_name: dict[str, list[int]] = {}
-        for i, lit in enumerate(lits):
-            by_name.setdefault(lit.name, []).append(i)
-        for positions in by_name.values():
-            for a in range(len(positions)):
-                for b in range(a + 1, len(positions)):
-                    conflicts.append((1 << positions[a]) | (1 << positions[b]))
-    out = []
-    for mask in range(1 << len(lits)):
-        if any(mask & pair == pair for pair in conflicts):
-            continue
-        out.append(mask)
-    return tuple(out)
+    both signs, ascending.  Built per name: none of its literals or exactly
+    one; plain-world literals never conflict."""
+    if not signed:
+        return tuple(range(1 << len(lits)))
+    choices: dict[str, list[int]] = {}
+    for i, lit in enumerate(lits):
+        choices.setdefault(lit.name, [0]).append(1 << i)
+    masks = [0]
+    for bits in choices.values():
+        masks = [mask | bit for mask in masks for bit in bits]
+    return tuple(sorted(masks))
+
+
+def valuation_bits(lits: tuple, event) -> int:
+    """The mask of ``event`` over ``lits``; other literals are ignored."""
+    bits = 0
+    for i, lit in enumerate(lits):
+        if lit in event:
+            bits |= 1 << i
+    return bits
+
+
+def mask_event(lits: tuple, bits: int) -> frozenset:
+    """The literals the mask sets."""
+    return frozenset(lit for i, lit in enumerate(lits) if bits >> i & 1)
+
+
+def mask_guard(lits: tuple, bits: int) -> Guard:
+    """The guard that holds exactly under the mask: it requires the literals
+    the mask sets and forbids the others."""
+    return Guard(mask_event(lits, bits),
+                 frozenset(lit for i, lit in enumerate(lits) if not bits >> i & 1))
+
+
+def consistent_events(mentioned, signed: bool) -> Iterator[frozenset]:
+    """Every consistent event over ``mentioned``, in mask order."""
+    lits = literal_order(mentioned)
+    return (mask_event(lits, bits) for bits in consistent_masks(lits, signed))
 
 
 def coarsest_partition(keys: dict, rows: dict) -> dict:
@@ -168,7 +199,6 @@ def quotient_bisim(aut: GuardedAutomaton) -> GuardedAutomaton:
         for b, q in rep.items()
     }
     return GuardedAutomaton(
-        kind=aut.kind,
         states=sorted(rep),
         initial=frozenset(block[q] for q in aut.initial),
         transitions=transitions,
@@ -196,17 +226,9 @@ class DFA:
     lits: dict[int, tuple]            # state -> sorted literal tuple
     table: dict[int, dict[int, int]]  # state -> valuation bits -> successor
     flagged: frozenset[int] = frozenset()
-    kind: str = "dfa"
-
-    def valuation_bits(self, state: int, event: frozenset) -> int:
-        bits = 0
-        for i, lit in enumerate(self.lits[state]):
-            if lit in event:
-                bits |= 1 << i
-        return bits
 
     def step(self, state: int, event: frozenset) -> int:
-        return self.table[state][self.valuation_bits(state, event)]
+        return self.table[state][valuation_bits(self.lits[state], event)]
 
     def run_prefix(self, events) -> int:
         q = self.initial
@@ -221,9 +243,7 @@ class DFA:
         """Materialise (guard, successor) pairs for export and inspection."""
         lits = self.lits[state]
         for bits in sorted(self.table[state]):
-            require = frozenset(l for i, l in enumerate(lits) if bits & (1 << i))
-            forbid = frozenset(l for i, l in enumerate(lits) if not bits & (1 << i))
-            yield Guard(require, forbid), self.table[state][bits]
+            yield mask_guard(lits, bits), self.table[state][bits]
 
 
 def determinize(nfa: GuardedAutomaton) -> DFA:
@@ -254,12 +274,9 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
             for guard, dst in nfa.transitions.get(q, ()):
                 mentioned |= guard.mentioned()
                 grouped.setdefault((guard.require, guard.forbid), set()).add(dst)
-        lits = tuple(sorted(mentioned, key=str))
-        bit = {lit: 1 << k for k, lit in enumerate(lits)}
-        edges = [
-            (sum(bit[l] for l in require), sum(bit[l] for l in forbid), frozenset(dsts))
-            for (require, forbid), dsts in grouped.items()
-        ]
+        lits = literal_order(mentioned)
+        edges = [(valuation_bits(lits, require), valuation_bits(lits, forbid), frozenset(dsts))
+                 for (require, forbid), dsts in grouped.items()]
         row: dict[int, int] = {}
         for bits in consistent_masks(lits, nfa.signed):
             target: set[int] = set()
@@ -286,27 +303,20 @@ _REFINE_LIMIT = 60000
 def minimize(dfa: DFA) -> DFA:
     """Merge language-equivalent states with equal flags by partition
     refinement over the union of all mentioned literals."""
-    universe = tuple(sorted({l for lits in dfa.lits.values() for l in lits}, key=str))
+    universe = literal_order({l for lits in dfa.lits.values() for l in lits})
     masks = consistent_masks(universe, dfa.signed)
     if len(masks) * len(dfa.states) > _REFINE_LIMIT * 10:
         return dfa  # refinement table would be enormous; skip the optional pass
-    position = {lit: k for k, lit in enumerate(universe)}
-
-    # Per state, its successor under every global valuation (restricted
-    # locally), labelled by the valuation's index.
-    rows: dict[int, list[tuple[int, int]]] = {}
+    # Per state, its successor under every consistent event over the
+    # universe, labelled by the event's index.
+    events = [mask_event(universe, bits) for bits in masks]
+    local: dict[tuple, list[int]] = {}  # literal tuple -> each event's local bits
+    rows = {}
     for q in dfa.states:
-        local = dfa.lits[q]
-        local_bits = [position[l] for l in local]
-        row = dfa.table[q]
-        entries = []
-        for mask in masks:
-            bits = 0
-            for i, g in enumerate(local_bits):
-                if mask & (1 << g):
-                    bits |= 1 << i
-            entries.append(row[bits])
-        rows[q] = list(enumerate(entries))
+        lits = dfa.lits[q]
+        if lits not in local:
+            local[lits] = [valuation_bits(lits, event) for event in events]
+        rows[q] = list(enumerate(map(dfa.table[q].__getitem__, local[lits])))
 
     block = coarsest_partition({q: (q in dfa.accepting, q in dfa.flagged) for q in dfa.states},
                                rows)

@@ -225,7 +225,6 @@ def ltl_to_nba(f: Formula, signed: Optional[bool] = None) -> GuardedAutomaton:
                                  if not now & until or now & right)
                        for until, right in untils)
     return GuardedAutomaton(
-        kind="nba",
         states=list(range(len(order))),
         initial=frozenset({0}),
         transitions=transitions,

@@ -395,6 +395,9 @@ def run_metrics_experiment(n_formulas: int, n_traces: int, seed: int,
 
 
 def cmd_metrics_experiment(args) -> int:
+    for flag, count in (("--formulas", args.formulas), ("--traces", args.traces)):
+        if count < 1:
+            raise SystemExit(f"{flag} must be at least 1, got {count}")
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     counts = run_metrics_experiment(args.formulas, args.traces, args.seed,
                                     metrics, size=args.size)

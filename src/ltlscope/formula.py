@@ -375,11 +375,6 @@ def atoms(f: Formula) -> frozenset[str]:
     return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
 
 
-def lits(f: Formula) -> frozenset[SLit]:
-    """Signed literals occurring in the formula."""
-    return frozenset(g.lit for g in subformulas(f) if isinstance(g, Lit))
-
-
 # ---------------------------------------------------------------------------
 # Boolean simplification (constant folding only)
 # ---------------------------------------------------------------------------

@@ -50,12 +50,15 @@ class MonitorInstance:
     """A Moore machine with a cursor; safe to hand around, not to share."""
 
     machine: MooreMachine
-    mode: str  # 'standard' | 'imperfect'
     current: tuple[int, ...] = field(init=False)
-    history_len: int = field(init=False, default=0)
 
     def __post_init__(self):
         self.current = self.machine.initial
+
+    @property
+    def mode(self) -> str:
+        """'imperfect' over signed events, 'standard' over plain ones."""
+        return "imperfect" if self.machine.signed else "standard"
 
     @property
     def verdict(self) -> Verdict:
@@ -64,7 +67,6 @@ class MonitorInstance:
     def step(self, event) -> Verdict:
         event = self.encode_event(event)
         self.current = self.machine.step(self.current, event)
-        self.history_len += 1
         return self.verdict
 
     def run(self, trace: Iterable) -> Verdict:
@@ -74,26 +76,21 @@ class MonitorInstance:
 
     def reset(self) -> None:
         self.current = self.machine.initial
-        self.history_len = 0
 
     def clone(self) -> "MonitorInstance":
-        fresh = MonitorInstance(self.machine, self.mode)
+        fresh = MonitorInstance(self.machine)
         fresh.current = self.current
-        fresh.history_len = self.history_len
         return fresh
 
     def encode_event(self, event) -> frozenset:
-        if self.mode == "standard":
-            encoded = frozenset(event)
-            for name in encoded:
-                if not isinstance(name, str):
-                    raise ValueError(f"standard events are sets of atom names, got {name!r}")
-            return encoded
         encoded = frozenset(event)
-        for lit in encoded:
-            if not isinstance(lit, SLit):
-                raise ValueError(f"imperfect events are sets of signed literals, got {lit!r}")
-        check_consistent(encoded)
+        signed = self.machine.signed
+        for item in encoded:
+            if not isinstance(item, SLit if signed else str):
+                raise ValueError(f"{self.mode} events are sets of "
+                                 f"{'signed literals' if signed else 'atom names'}, got {item!r}")
+        if signed:
+            check_consistent(encoded)
         return encoded
 
 
@@ -138,13 +135,13 @@ def synthesize_standard(f: Formula, minimized: bool = True) -> MonitorInstance:
     over plain closed-world events.  The underlying machine is immutable and
     cached; every call hands out a fresh cursor.  A formula nested deeper
     than ``MAX_NESTING`` raises ``ValueError``."""
-    return MonitorInstance(_standard_machine(f, minimized), "standard")
+    return MonitorInstance(_standard_machine(f, minimized))
 
 
 def synthesize_imperfect(f: Formula, classes: Sequence[EqClass],
                          minimized: bool = True) -> MonitorInstance:
     """Six-valued monitor over the signed alphabet of the given classes."""
-    return MonitorInstance(_imperfect_machine(f, tuple(classes), minimized), "imperfect")
+    return MonitorInstance(_imperfect_machine(f, tuple(classes), minimized))
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +225,18 @@ def machine_from_json(text: str) -> MonitorInstance:
         components = tuple(_automaton_from_json(c) for c in raw)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"malformed machine component: {exc!r}") from None
-    machine = product2(*components) if mode == "standard" else product3(*components)
-    return MonitorInstance(machine, mode)
+    signed = mode == "imperfect"
+    if any(c.signed != signed for c in components):
+        want = "signed" if signed else "plain"
+        raise ValueError(f"machine file mode {mode!r} needs {want} components")
+    return MonitorInstance(product3(*components) if signed else product2(*components))
 
 
 def clear_machine_caches() -> None:
     """Reset the memoised machines and the rational sessions' shared memos
     (benchmarking support)."""
-    from .rational import session_memo  # imported here: rational imports this module
+    from .rational import rational_machine, session_memo  # rational imports this module
     _standard_machine.cache_clear()
     _imperfect_machine.cache_clear()
+    rational_machine.cache_clear()
     session_memo.cache_clear()

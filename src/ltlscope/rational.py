@@ -140,6 +140,8 @@ def knapsack(payoffs: Mapping[str, float], costs: Mapping[str, int], bound: int,
     rng = random.Random(seed)
     items.sort()
     rng.shuffle(items)
+    # Budgets past the candidates' total cost select what the total does.
+    bound = min(bound, sum(int(costs[cid]) for cid in items))
 
     # value at each budget: (payoff, atom count, selection)
     best: list[tuple[float, int, frozenset[str]]] = [(0.0, 0, frozenset())] * (bound + 1)
@@ -283,8 +285,7 @@ class Session:
         self.cfg = cfg
         self.window = window
         # The machine first: it refuses a formula too tall for the normal forms.
-        self.monitor = rational_machine(f, vspec.alphabet).clone()
-        self.monitor.reset()
+        self.monitor = MonitorInstance(rational_machine(f, vspec.alphabet).machine)
         self.memo = session_memo(vspec.alphabet, vspec.classes)
         self.residual = self.memo.forms.get(f)
         if self.residual is None:

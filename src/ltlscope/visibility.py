@@ -127,12 +127,6 @@ class VisibilitySpec:
         if self.bound < 0:
             raise ValueError("bound must be non-negative")
 
-    def class_of(self, atom: str) -> EqClass:
-        for cls in self.classes:
-            if atom in cls.members:
-                return cls
-        raise KeyError(atom)
-
     @property
     def breakable(self) -> tuple[EqClass, ...]:
         return tuple(c for c in self.classes if not c.is_singleton)

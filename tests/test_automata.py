@@ -13,8 +13,8 @@ from ltlscope.automata import (DFA, GuardedAutomaton, ImpossibleStateError,
                                nonempty_states)
 from ltlscope.automata.dot import automaton_to_dot, moore_to_dot
 from ltlscope.automata.guarded import Guard
-from ltlscope.automata.pipeline import (coarsest_partition, empty_event_edges,
-                                        quotient_bisim)
+from ltlscope.automata.pipeline import (coarsest_partition, consistent_masks,
+                                        empty_event_edges, quotient_bisim)
 from ltlscope.formula import (FALSE, TRUE, And, Atom, FalseConst, Lit, Next,
                               Not, Or, Release, SLit, TrueConst, Until,
                               negate_nnf, parse_formula, subformulas, to_nnf)
@@ -210,7 +210,7 @@ def reference_nba(f, signed: bool) -> GuardedAutomaton:
 
     untils = sorted((g for g in order if isinstance(g, Until)), key=order.__getitem__)
     return GuardedAutomaton(
-        kind="nba", states=list(range(len(nodes))), initial=frozenset({0}),
+        states=list(range(len(nodes))), initial=frozenset({0}),
         transitions=edges, signed=signed,
         acceptance=tuple(frozenset(q for q, (now, _) in enumerate(nodes)
                                    if u not in now or u.right in now) for u in untils))
@@ -262,7 +262,7 @@ def degeneralised(nba: GuardedAutomaton) -> GuardedAutomaton:
                 seen.add((d, j))
                 frontier.append((d, j))
     return GuardedAutomaton(
-        kind="nba", states=sorted(out_ids.values()), initial=frozenset({start}),
+        states=sorted(out_ids.values()), initial=frozenset({start}),
         transitions=transitions, signed=nba.signed,
         acceptance=(frozenset(s for (b, i), s in out_ids.items()
                               if i == 0 and 0 in q_fulfils[b]),))
@@ -361,6 +361,41 @@ class TestNfa:
         sv = visible_trace(explicit_trace(sigma, alphabet), classes, ())
         assert nfa.accepts_prefix(sv[:4])
         assert not nfa.accepts_prefix(sv)
+
+
+def filtered_masks(lits: tuple, signed: bool) -> tuple[int, ...]:
+    """Reference for ``consistent_masks``: every mask over ``lits``, less
+    those that set two literals of one name in the signed world."""
+    conflicts = []
+    if signed:
+        for a, b in itertools.combinations(range(len(lits)), 2):
+            if lits[a].name == lits[b].name:
+                conflicts.append((1 << a) | (1 << b))
+    return tuple(mask for mask in range(1 << len(lits))
+                 if not any(mask & pair == pair for pair in conflicts))
+
+
+class TestConsistentMasks:
+    NAMES = ("p", "q", "b1", "b10", "b2", "[abg]", "[cs]", "w")
+
+    def test_signed_world_matches_the_filter(self, rng):
+        """Per name none or one sign equals filtering all masks, in the same
+        ascending order, whatever order the literals come in."""
+        for _ in range(300):
+            names = rng.sample(self.NAMES, rng.randint(0, 6))
+            lits = [SLit(name, sign) for name in names
+                    for sign in rng.choice(((True,), (False,), (True, False)))]
+            if rng.random() < 0.5:
+                lits.sort(key=str)
+            else:
+                rng.shuffle(lits)
+            assert consistent_masks(tuple(lits), True) == filtered_masks(tuple(lits), True)
+
+    def test_plain_world_matches_the_filter(self, rng):
+        for _ in range(50):
+            lits = tuple(rng.sample(self.NAMES, rng.randint(0, 7)))
+            assert consistent_masks(lits, False) == filtered_masks(lits, False)
+            assert len(consistent_masks(lits, False)) == 2 ** len(lits)
 
 
 class TestDeterminize:
@@ -481,7 +516,7 @@ class TestFlags:
     def test_quotient_keeps_flagged_states_apart(self):
         """Two bisimilar states, one flagged, stay two blocks."""
         loop = Guard()
-        aut = GuardedAutomaton(kind="nfa", states=[0, 1], initial=frozenset({0, 1}),
+        aut = GuardedAutomaton(states=[0, 1], initial=frozenset({0, 1}),
                                transitions={0: [(loop, 0)], 1: [(loop, 1)]},
                                accepting=frozenset({0, 1}), signed=False,
                                flagged=frozenset({1}))

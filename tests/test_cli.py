@@ -211,6 +211,16 @@ class TestUserErrors:
         message = one_line_exit(["verify", "-f", "F p", "--trace", trace_file, "--out", bad])
         assert message.startswith("output error: ") and bad in message
 
+    def test_huge_bound_completes(self, tmp_path, capsys):
+        """The knapsack table is sized by what the classes can cost, not by
+        the bound."""
+        trace = tmp_path / "t.txt"
+        trace.write_text("q\np\n", encoding="utf-8")
+        code, out = run_cli(["verify", "-f", "F p", "--classes", "p~q", "--mode", "reactive",
+                             "--costs", "pq=1", "--bound", "100000000", "--window", "1",
+                             "--trace", str(trace), "--omit-timing"], capsys)
+        assert code == 0 and json.loads(out)["final"] == "TRUE"
+
     @pytest.mark.parametrize("config, flags, needle", [
         ({"costs": {"cs": "x", "abg": 3}}, [], "'x'"),
         ({"costs": ["cs"]}, [], "costs must map class ids to integers"),
@@ -278,6 +288,26 @@ class TestSynthesize:
                   "--mode", "imperfect"])
         message = str(err.value.code)
         assert message.startswith("machine error: ") and "\n" not in message
+
+    @pytest.mark.parametrize("formula, classes, claimed", [
+        ("p", [], "imperfect"),
+        ("F (c & X w)", CASE_ARGS, "standard"),
+    ], ids=["plain-claims-imperfect", "signed-claims-standard"])
+    def test_mode_contradicting_components_is_a_one_line_error(
+            self, tmp_path, capsys, formula, classes, claimed):
+        """A machine file whose mode disagrees with its components' signed
+        flags is refused, not run as the mode it claims."""
+        out_path = tmp_path / "m.json"
+        run_cli(["synthesize", "-f", formula, *classes, "--out", str(out_path)], capsys)
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        assert payload["mode"] != claimed
+        payload["mode"] = claimed
+        out_path.write_text(json.dumps(payload), encoding="utf-8")
+        trace = tmp_path / "t.txt"
+        trace.write_text("\n", encoding="utf-8")
+        message = one_line_exit(["verify", "--machine", str(out_path), "--trace", str(trace),
+                                 "--mode", claimed])
+        assert message.startswith("machine error: ") and repr(claimed) in message
 
     def test_empty_trace_yields_initial_verdict(self, tmp_path, capsys):
         trace = tmp_path / "t.txt"
@@ -352,6 +382,12 @@ class TestMetricsExperiment:
         lines = out.strip().splitlines()
         counts = [int(x) for x in lines[1].split(",")[2:8]]
         assert sum(counts) == 1
+
+    @pytest.mark.parametrize("flag", ["--formulas", "--traces"])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_no_runs_is_a_one_line_error(self, flag, count):
+        message = one_line_exit(["metrics-experiment", flag, count, "--metrics", "metric2"])
+        assert message.startswith(flag) and count in message
 
     def test_deterministic_for_seed(self, capsys):
         args = ["metrics-experiment", "--formulas", "5", "--traces", "2",

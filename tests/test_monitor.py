@@ -9,6 +9,7 @@ import pytest
 
 from ltlscope import casestudy, monitor as monitor_module
 from ltlscope.automata import Verdict, ltl_to_nba, nba_to_nfa, nonempty_states
+from ltlscope.automata.dot import automaton_to_dot, moore_to_dot
 from ltlscope.automata.moore import REFINEMENTS, classify3
 from ltlscope.formula import Atom, SLit, parse_formula
 from ltlscope.monitor import (clear_machine_caches, machine_from_json,
@@ -60,7 +61,7 @@ class TestStandardMonitor:
     def test_empty_trace_verdict_is_initial_output(self):
         m = synthesize_standard(parse_formula(PROPS["phi1"]))
         assert m.verdict == Verdict.UNKNOWN
-        assert m.history_len == 0
+        assert m.current == m.machine.initial
 
 
 class TestImperfectMonitor:
@@ -279,6 +280,31 @@ class TestMachineBytes:
                 for m in (synthesize_imperfect(f, classes, minimized),
                           synthesize_standard(f, minimized)):
                     digest.update(machine_to_json(m).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestDotBytes:
+    """DOT export is pinned byte for byte like the machine files: the sha256
+    of ``moore_to_dot`` and of ``automaton_to_dot`` on both components, over
+    the same draws and four machines as ``TestMachineBytes``.  The guards on
+    every edge are decoded from valuation masks, so this pins the encoding
+    too; CI runs it under two hash seeds."""
+
+    DIGEST = "a2246d22cf00e59ff044f1a8ca13414ee05b03f1c11fa19c192cae5f3568bfe0"
+
+    def test_criterion_6_draws(self):
+        rng = random.Random(7)
+        pool = ("p", "q", "r", "s")
+        digest = hashlib.sha256()
+        for _ in range(300):
+            f = criterion_formula(rng, rng.randint(1, 8), pool)
+            classes = random_partition(rng, pool)
+            for minimized in (True, False):
+                for m in (synthesize_imperfect(f, classes, minimized),
+                          synthesize_standard(f, minimized)):
+                    digest.update(moore_to_dot(m.machine).encode())
+                    for dfa in m.machine.components:
+                        digest.update(automaton_to_dot(dfa).encode())
         assert digest.hexdigest() == self.DIGEST
 
 

@@ -125,6 +125,21 @@ class TestKnapsack:
         assert knapsack({"cs": 0.0, "abg": 0.0}, COSTS, 10, {"cs": 2, "abg": 3}) \
             == frozenset()
 
+    def test_bound_past_the_total_cost_selects_as_the_total(self, rng):
+        """A budget that covers every candidate breaks all of them, whether
+        it equals their total cost or lies far above it."""
+        for _ in range(200):
+            ids = [f"k{i}" for i in range(rng.randint(0, 8))]
+            pays = {i: rng.choice([0.0, rng.random()]) for i in ids}
+            costs = {i: rng.randint(0, 6) for i in ids}
+            sizes = {i: rng.randint(1, 4) for i in ids}
+            seed = rng.randint(0, 99)
+            total = sum(costs[i] for i in ids if pays[i] > 0)
+            at_total = knapsack(pays, costs, total, sizes, seed=seed)
+            assert at_total == frozenset(i for i in ids if pays[i] > 0)
+            for bound in (total + 1, total + rng.randint(2, 50), 10 ** 9):
+                assert knapsack(pays, costs, bound, sizes, seed=seed) == at_total
+
     def test_optimal_and_feasible_vs_bruteforce(self, rng):
         """DP selection matches exhaustive subset search on payoff, and never
         exceeds the budget."""
@@ -416,6 +431,12 @@ class TestSessions:
         assert rational.session_memo(spec.alphabet, spec.classes) is memo
         clear_machine_caches()
         assert rational.session_memo(spec.alphabet, spec.classes) is not memo
+
+    def test_clear_machine_caches_forgets_rational_machines(self):
+        rational.rational_machine(PHI1, vspec().alphabet)
+        assert rational.rational_machine.cache_info().currsize > 0
+        clear_machine_caches()
+        assert rational.rational_machine.cache_info().currsize == 0
 
     def test_session_exposes_running_verdict(self):
         from ltlscope.rational import ActiveSession

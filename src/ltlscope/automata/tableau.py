@@ -25,41 +25,17 @@ from .guarded import Guard, GuardedAutomaton
 Node = tuple[int, int]  # (satisfied-now mask, next-obligation mask)
 
 
-def _index(root: Formula) -> tuple[list[Formula], dict[int, int]]:
+def _index(root: Formula) -> tuple[list[Formula], dict[Formula, int]]:
     """The distinct subformulas of ``root`` in preorder of first occurrence,
-    and the position of each node object of ``root`` among them, by ``id``.
-
-    Equal subformulas are found by a local key, (type, leaf payload or the
-    class numbers of the children), so no formula is hashed or compared.
-    """
-    preorder: list[Formula] = []
-    klass: dict[int, int] = {}  # id(node) -> structural class number
-    keys: dict[tuple, int] = {}
-    stack: list[tuple[Formula, tuple]] = [(root, ())]
+    and the position of each among them."""
+    position: dict[Formula, int] = {}
+    stack = [root]
     while stack:
-        g, kids = stack.pop()
-        if kids:  # second visit: the children are classified
-            key = (type(g), *[klass[id(c)] for c in kids])
-        elif id(g) in klass:
-            continue
-        else:
-            preorder.append(g)
-            kids = _children(g)
-            if kids:
-                stack.append((g, kids))
-                stack.extend([(c, ()) for c in reversed(kids)])
-                continue
-            key = (type(g), getattr(g, "name", None), getattr(g, "lit", None))
-        klass[id(g)] = keys.setdefault(key, len(keys))
-    number: dict[int, int] = {}  # structural class -> position
-    forms: list[Formula] = []
-    position: dict[int, int] = {}
-    for g in preorder:
-        i = number.setdefault(klass[id(g)], len(forms))
-        if i == len(forms):
-            forms.append(g)
-        position[id(g)] = i
-    return forms, position
+        g = stack.pop()
+        if g not in position:
+            position[g] = len(position)
+            stack.extend(reversed(_children(g)))
+    return list(position), position
 
 
 def _tested(f: Formula):
@@ -79,14 +55,14 @@ def _members(mask: int) -> tuple[int, ...]:
 class _Decomposer:
     """Memoised expansion of pending-subformula masks into completed nodes."""
 
-    def __init__(self, forms: list[Formula], position: dict[int, int], signed: bool):
+    def __init__(self, forms: list[Formula], position: dict[Formula, int], signed: bool):
         self.forms = forms
         bit = [1 << i for i in range(len(forms))]
 
         def mask(*subs: Formula) -> int:
             out = 0
             for g in subs:
-                out |= bit[position[id(g)]]
+                out |= bit[position[g]]
             return out
 
         # The literals, by position: (atom name or signed literal, present?).
@@ -195,7 +171,7 @@ def ltl_to_nba(f: Formula, signed: Optional[bool] = None) -> GuardedAutomaton:
         signed = any(isinstance(g, Lit) for g in forms)
     dec = _Decomposer(forms, position, signed)
 
-    order: list[Node] = [(0, 1 << position[id(f)])]
+    order: list[Node] = [(0, 1 << position[f])]
     entry: dict[Node, tuple[Guard, int]] = {}  # node -> the one edge object into it
     rows: dict[int, list[tuple[Guard, int]]] = {}  # by next mask, shared
 
@@ -219,7 +195,7 @@ def ltl_to_nba(f: Formula, signed: Optional[bool] = None) -> GuardedAutomaton:
         row = transitions[uid] = successors(order[uid][1])
         work.extend(dst for _, dst in row if dst not in transitions)
 
-    untils = [(1 << i, 1 << position[id(g.right)])
+    untils = [(1 << i, 1 << position[g.right])
               for i, g in enumerate(forms) if isinstance(g, Until)]
     acceptance = tuple(frozenset(q for q, (now, _) in enumerate(order)
                                  if not now & until or now & right)

@@ -8,6 +8,12 @@ Two flavours of formula share one AST:
   literal (``c=1``, ``[cs]=0``) in an event.  A ``Not`` directly above a
   ``Lit`` tests for its absence; deeper negation is never produced.
 
+Nodes are interned (hash-consing): building a node whose type and fields
+match one already built returns that node.  So each distinct formula is one
+object, structural equality is identity, and nodes hash by identity, which
+keeps every formula-keyed table cheap however deep its keys.  Nodes are
+immutable; copying or unpickling one returns the interned node.
+
 The module also houses the normal forms (NNF of a formula or of its
 negation, and the implication-preserving metric form, all from one
 negation-pushing walker), the signed-alphabet translation of a formula, and
@@ -19,7 +25,6 @@ forever-undefined formula, in ``oracle.verdict.signed_triple``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple
 
 
@@ -41,108 +46,114 @@ def parse_slit(token: str) -> SLit:
     return SLit(name, value == "1")
 
 
-@dataclass(frozen=True)
+# Every node built so far, by (type, *fields).  Nodes are never evicted: a
+# plain dict is cheaper to probe than a weak one, and node building is hot.
+_NODES: dict[tuple, "Formula"] = {}
+
+
 class Formula:
-    pass
+    """An immutable, interned formula node; ``_fields`` names its fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __new__(cls, *values):
+        key = (cls, *values)
+        node = _NODES.get(key)
+        if node is None:
+            if len(values) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(values)}")
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, values):
+                object.__setattr__(node, name, value)
+            # Of two threads building the same node, both get the first stored.
+            node = _NODES.setdefault(key, node)
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an interned formula")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an interned formula")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle all rebuild through __new__, so they
+        # return the interned node.
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class TrueConst(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FalseConst(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
+    __slots__ = _fields = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
 class Lit(Formula):
     """Presence test of a signed literal (signed formulas only)."""
 
+    __slots__ = _fields = ("lit",)
     lit: SLit
 
 
-@dataclass(frozen=True)
 class Not(Formula):
+    __slots__ = _fields = ("operand",)
     operand: Formula
 
 
-@dataclass(frozen=True)
 class And(Formula):
+    __slots__ = _fields = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Or(Formula):
+    __slots__ = _fields = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
+    __slots__ = _fields = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Next(Formula):
+    __slots__ = _fields = ("operand",)
     operand: Formula
 
 
-@dataclass(frozen=True)
 class Until(Formula):
+    __slots__ = _fields = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Release(Formula):
+    __slots__ = _fields = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Eventually(Formula):
+    __slots__ = _fields = ("operand",)
     operand: Formula
 
 
-@dataclass(frozen=True)
 class Always(Formula):
+    __slots__ = _fields = ("operand",)
     operand: Formula
-
-
-def _cached_structural_hash(self) -> int:
-    h = self.__dict__.get("_hash")
-    if h is None:
-        # Collect the uncached nodes in preorder, each once, and hash them in
-        # reverse: every node then comes after its descendants, so hashing
-        # never recurses and a formula of any depth can be hashed.  The root
-        # comes last.
-        pending = [(self, tuple(getattr(self, name) for name in self.__dataclass_fields__))]
-        seen = {id(self)}
-        for _, values in pending:
-            for v in values:
-                if isinstance(v, Formula) and "_hash" not in v.__dict__ and id(v) not in seen:
-                    seen.add(id(v))
-                    pending.append((v, tuple(getattr(v, name) for name in v.__dataclass_fields__)))
-        for g, values in reversed(pending):
-            h = hash((type(g), values))
-            object.__setattr__(g, "_hash", h)
-    return h
-
-
-# Deep formulas are hashed constantly by the automata constructions; the
-# generated dataclass hash walks the whole tree every call, so cache it.
-for _cls in (TrueConst, FalseConst, Atom, Lit, Not, And, Or, Implies, Next,
-             Until, Release, Eventually, Always):
-    _cls.__hash__ = _cached_structural_hash
 
 
 TRUE = TrueConst()
@@ -312,10 +323,11 @@ def parse_formula(text: str) -> Formula:
 
 def height(f: Formula) -> int:
     """Operator height of a formula (0 for a leaf), computed without
-    recursion so that it is safe on any depth."""
-    level, h = [f], 0
+    recursion so that it is safe on any depth.  Each level holds each
+    distinct node once, so shared subformulas are not walked twice."""
+    level, h = {f}, 0
     while True:
-        level = [child for g in level for child in _children(g)]
+        level = {child for g in level for child in _children(g)}
         if not level:
             return h
         h += 1
@@ -544,7 +556,7 @@ def progress(f: Formula, knowledge: Mapping[str, bool]) -> Formula:
         return TRUE if value else FALSE
     if isinstance(f, Not):
         inner = progress(f.operand, knowledge)
-        return _mk_not(inner) if isinstance(inner, (TrueConst, FalseConst)) else Not(f.operand)
+        return _mk_not(inner) if isinstance(inner, (TrueConst, FalseConst)) else f
     if isinstance(f, And):
         return _mk_and(progress(f.left, knowledge), progress(f.right, knowledge))
     if isinstance(f, Or):

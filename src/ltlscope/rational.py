@@ -19,6 +19,7 @@ one with ``cfg.window``.  ``RationalRun`` records every window's
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
@@ -140,27 +141,28 @@ def knapsack(payoffs: Mapping[str, float], costs: Mapping[str, int], bound: int,
     rng = random.Random(seed)
     items.sort()
     rng.shuffle(items)
-    # Budgets past the candidates' total cost select what the total does.
-    bound = min(bound, sum(int(costs[cid]) for cid in items))
-
-    # value at each budget: (payoff, atom count, selection)
-    best: list[tuple[float, int, frozenset[str]]] = [(0.0, 0, frozenset())] * (bound + 1)
+    # The best (payoff, atom count, selection) within a budget changes only
+    # at reachable cost sums, so keep just those steps, ascending; a budget
+    # gets the value of the last step at or below it.  Each class merges the
+    # steps with a copy of them shifted by its cost.
+    steps: list[tuple[int, tuple[float, int, frozenset[str]]]] = [(0, (0.0, 0, frozenset()))]
     for cid in items:
         cost = int(costs[cid])
         gain = payoffs[cid]
         size = sizes[cid]
-        if cost > bound:
-            continue
-        updated = list(best)
-        for b in range(cost, bound + 1):
-            base_pay, base_atoms, base_sel = best[b - cost]
-            cand = (base_pay + gain, base_atoms + size, base_sel | {cid})
-            cur = updated[b]
-            if (cand[0] > cur[0] + _EPS
-                    or (abs(cand[0] - cur[0]) <= _EPS and cand[1] > cur[1])):
-                updated[b] = cand
-        best = updated
-    return max(best, key=lambda v: (v[0], v[1]))[2]
+        ats = [at for at, _ in steps]
+        merged = []
+        for at in sorted({*ats, *(a + cost for a in ats if a + cost <= bound)}):
+            cur = steps[bisect_right(ats, at) - 1][1]
+            if at >= cost:
+                base_pay, base_atoms, base_sel = steps[bisect_right(ats, at - cost) - 1][1]
+                pay = base_pay + gain
+                if pay > cur[0] + _EPS or (abs(pay - cur[0]) <= _EPS and base_atoms + size > cur[1]):
+                    cur = (pay, base_atoms + size, base_sel | {cid})
+            merged.append((at, cur))
+        steps = merged
+    # The first budget with the best value, as over every budget.
+    return max(steps, key=lambda step: step[1][:2])[1][2]
 
 
 @dataclass(frozen=True)
@@ -228,8 +230,8 @@ class SessionMemo:
     visible event carries.  Entries are never mutated, so a run holds
     references to them, not copies: an active run over shared events keeps
     about four objects alive instead of forty, and stepping leaves the
-    cyclic collector little to do.  Sessions over one formula start from one
-    residual object, whose hash is already cached for the allocation key.
+    cyclic collector little to do.  The metric form is kept per formula so
+    that it is built once per formula, not once per session.
     """
 
     __slots__ = ("events", "allocations", "forms", "knowledge")
@@ -306,13 +308,19 @@ class Session:
         return self.monitor.verdict
 
     def step(self, plain_event: Iterable[str]) -> Verdict:
+        """Feed the next event.  An event naming an atom outside the
+        alphabet raises ``ValueError`` and leaves the session as it was."""
+        event = frozenset(plain_event)
         seen = len(self.visible_events)
+        if not event <= self.vspec.alphabet:
+            unknown = sorted(event - self.vspec.alphabet)
+            raise ValueError(f"unknown atom(s) {unknown} at position {seen}")
         if self.window is not None and seen and seen % self.window == 0:
             self._reallocate()
-        key = (frozenset(plain_event), self.broken)
+        key = (event, self.broken)
         view = self.memo.events.get(key)
         if view is None:
-            explicit = explicit_trace([key[0]], self.vspec.alphabet)[0]
+            explicit = explicit_trace([event], self.vspec.alphabet)[0]
             visible = visible_event(explicit, self.vspec.classes, self.broken)
             view = visible, expand_witnesses(visible, self.vspec.classes)
             _remember(self.memo.events, key, view)

@@ -1,6 +1,7 @@
 """Command-line surface: formats, determinism, round trips."""
 
 import json
+import time
 
 import pytest
 
@@ -219,6 +220,18 @@ class TestUserErrors:
         code, out = run_cli(["verify", "-f", "F p", "--classes", "p~q", "--mode", "reactive",
                              "--costs", "pq=1", "--bound", "100000000", "--window", "1",
                              "--trace", str(trace), "--omit-timing"], capsys)
+        assert code == 0 and json.loads(out)["final"] == "TRUE"
+
+    def test_huge_costs_complete(self, tmp_path, capsys):
+        """The knapsack keeps one step per reachable cost sum, so a class
+        cost of 10^8 is as cheap as a cost of 1."""
+        trace = tmp_path / "t.txt"
+        trace.write_text("q\np\n", encoding="utf-8")
+        start = time.perf_counter()
+        code, out = run_cli(["verify", "-f", "F p", "--classes", "p~q", "--mode", "reactive",
+                             "--costs", "pq=100000000", "--bound", "100000000", "--window", "1",
+                             "--trace", str(trace), "--omit-timing"], capsys)
+        assert time.perf_counter() - start < 5.0
         assert code == 0 and json.loads(out)["final"] == "TRUE"
 
     @pytest.mark.parametrize("config, flags, needle", [

@@ -1,5 +1,11 @@
 """Formula layer: parsing, normal forms, signed translation, progression."""
 
+import copy
+import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from ltlscope.formula import (FALSE, MAX_NESTING, TRUE, Always, And, Atom,
@@ -106,17 +112,86 @@ class TestParser:
         assert metric_forms == []
 
 
-class TestHash:
-    def test_shared_subformulas_are_hashed_once(self):
+class TestInterning:
+    def test_shared_and_stepwise_builds_are_one_node(self):
         """Sixty levels of ``And(g, g)`` are 61 nodes but a tree of 2^61
-        leaves: hashing visits each node once, and gives the value of the
-        same structure hashed one node at a time as it is built."""
+        leaves: the same structure built one node at a time is the same
+        object, and walks that meet each node once stay fast on it."""
         shared, stepwise = Atom("p"), Atom("p")
-        for _ in range(60):
+        for level in range(60):
             shared = And(shared, shared)
-            stepwise = And(stepwise, stepwise)
-            hash(stepwise)
+            # The right operand is rebuilt from its fields, not reused.
+            right = Atom("p") if level == 0 else And(stepwise.left, stepwise.right)
+            stepwise = And(stepwise, right)
+        assert shared is stepwise
         assert hash(shared) == hash(stepwise)
+        assert height(shared) == 60
+
+    def test_parser_api_and_normal_forms_build_one_object(self, rng):
+        f = parse_formula("G (p -> X !q)")
+        assert f is Always(Implies(Atom("p"), Next(Not(Atom("q")))))
+        assert to_nnf(f) is Release(FALSE, Or(Not(Atom("p")), Next(Not(Atom("q")))))
+        assert negate_nnf(f) is Until(TRUE, And(Atom("p"), Next(Atom("q"))))
+        assert to_metric_form(f) is Release(FALSE, Implies(Atom("p"), Next(Not(Atom("q")))))
+        for _ in range(100):
+            g = random_formula(rng, rng.randint(1, 8))
+            assert parse_formula(fmt(g)) is g
+            assert to_nnf(to_nnf(g)) is to_nnf(g)
+            assert negate_nnf(negate_nnf(g)) is to_nnf(g)
+
+    def test_fields_are_read_only(self):
+        for node, name in ((Atom("p"), "name"), (Lit(SLit("p", True)), "lit"),
+                           (Not(Atom("p")), "operand"), (Until(TRUE, FALSE), "left"),
+                           (TRUE, "name")):
+            with pytest.raises(AttributeError):
+                setattr(node, name, Atom("q"))
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert Atom("p").name == "p"
+
+    def test_copy_deepcopy_and_pickle_return_the_node(self):
+        f = parse_formula("(p U !q) R X (F true & G false)")
+        signed = Lit(SLit("[pq]", False))
+        for node in (f, signed, TRUE):
+            assert copy.copy(node) is node
+            assert copy.deepcopy(node) is node
+            assert pickle.loads(pickle.dumps(node)) is node
+
+    def test_threads_building_one_formula_get_one_node(self):
+        """Nodes no thread has built before, built by more threads than
+        cores at once, with thread switches forced often."""
+        names = [f"thread_fresh_{i}" for i in range(2000)]
+        start = threading.Barrier(8)
+
+        def build(_):
+            start.wait(timeout=10)
+            return [Until(Atom(name), Next(Atom(name))) for name in names]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(build, i) for i in range(8)]
+                results = [future.result(timeout=30) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for built in results[1:]:
+            assert all(a is b for a, b in zip(built, results[0]))
+
+    def test_repr_of_every_node_type(self):
+        f = And(Or(Implies(Atom("p"), Not(Lit(SLit("[ab]", False)))), Next(TRUE)),
+                Until(Release(FALSE, Eventually(Atom("q"))), Always(Atom("r"))))
+        assert repr(f) == str(f) == (
+            "And(left=Or(left=Implies(left=Atom(name='p'), right=Not(operand=Lit("
+            "lit=SLit(name='[ab]', sign=False)))), right=Next(operand=TrueConst())), "
+            "right=Until(left=Release(left=FalseConst(), right=Eventually(operand="
+            "Atom(name='q'))), right=Always(operand=Atom(name='r'))))")
+
+    def test_wrong_field_count_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            And(Atom("p"))
+        with pytest.raises(TypeError):
+            Atom()
 
 
 def assert_truth_preserved(rng, normal_form):

@@ -3,8 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltlscope.formula import (Always, And, Atom, Eventually, Implies, Next,
-                              Not, Or, Release, Until, is_nnf, to_nnf)
+from ltlscope.formula import (FALSE, TRUE, Always, And, Atom, Eventually,
+                              Formula, Implies, Next, Not, Or, ParseError,
+                              Release, Until, fmt, is_nnf, parse_formula,
+                              to_nnf)
 from ltlscope.oracle.lasso import LassoWord, eval_lasso
 from ltlscope.rational import knapsack
 from ltlscope.visibility import (derive_classes, explicit_trace,
@@ -13,18 +15,27 @@ from ltlscope.visibility import (derive_classes, explicit_trace,
 ATOMS = ("p", "q", "r")
 
 atoms = st.sampled_from(ATOMS).map(Atom)
-formulas = st.recursive(
-    atoms,
-    lambda inner: st.one_of(
-        inner.map(Not), inner.map(Next), inner.map(Eventually), inner.map(Always),
-        st.tuples(inner, inner).map(lambda t: And(*t)),
-        st.tuples(inner, inner).map(lambda t: Or(*t)),
-        st.tuples(inner, inner).map(lambda t: Implies(*t)),
-        st.tuples(inner, inner).map(lambda t: Until(*t)),
-        st.tuples(inner, inner).map(lambda t: Release(*t)),
-    ),
-    max_leaves=8,
-)
+
+
+def formula_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            inner.map(Not), inner.map(Next), inner.map(Eventually), inner.map(Always),
+            st.tuples(inner, inner).map(lambda t: And(*t)),
+            st.tuples(inner, inner).map(lambda t: Or(*t)),
+            st.tuples(inner, inner).map(lambda t: Implies(*t)),
+            st.tuples(inner, inner).map(lambda t: Until(*t)),
+            st.tuples(inner, inner).map(lambda t: Release(*t)),
+        ),
+        max_leaves=8,
+    )
+
+
+formulas = formula_trees(atoms)
+
+# Every character the formula grammar reads, and a few it refuses.
+GRAMMAR_TEXT = st.text(alphabet="pqr_19XFGURtruefals!&|->() \t#=[", max_size=120)
 
 events = st.frozensets(st.sampled_from(ATOMS), max_size=3)
 lassos = st.tuples(st.lists(events, max_size=3), st.lists(events, min_size=1, max_size=3))
@@ -44,6 +55,22 @@ class TestNnfProperties:
         stem, loop = lasso
         word = LassoWord(tuple(stem), tuple(loop))
         assert eval_lasso(f, word) == eval_lasso(to_nnf(f), word)
+
+
+class TestParserProperties:
+    @given(GRAMMAR_TEXT)
+    @settings(max_examples=500, deadline=None)
+    def test_text_parses_or_raises_parse_error(self, text):
+        try:
+            f = parse_formula(text)
+        except ParseError:
+            return
+        assert isinstance(f, Formula)
+
+    @given(formula_trees(atoms | st.sampled_from([TRUE, FALSE])))
+    @settings(max_examples=300, deadline=None)
+    def test_formatted_formula_parses_to_itself(self, f):
+        assert parse_formula(fmt(f)) is f
 
 
 class TestVisibilityProperties:

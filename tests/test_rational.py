@@ -1,6 +1,8 @@
 """Metric, payoff, knapsack, and the active/reactive drivers."""
 
 import itertools
+import random
+import time
 
 import pytest
 
@@ -98,6 +100,29 @@ class TestPayoff:
         assert METRICS["metric3"] is METRICS["metric2"]
 
 
+def dense_knapsack(payoffs, costs, bound, sizes, seed=0):
+    """Reference: the knapsack as a table over every budget 0..bound, which
+    ``knapsack`` kept before it kept only the reachable cost sums."""
+    items = [cid for cid in payoffs if payoffs[cid] > 1e-9]
+    rng = random.Random(seed)
+    items.sort()
+    rng.shuffle(items)
+    bound = min(bound, sum(costs[cid] for cid in items))
+    best = [(0.0, 0, frozenset())] * (bound + 1)
+    for cid in items:
+        cost, gain, size = costs[cid], payoffs[cid], sizes[cid]
+        updated = list(best)
+        for b in range(cost, bound + 1):
+            base_pay, base_atoms, base_sel = best[b - cost]
+            cand = (base_pay + gain, base_atoms + size, base_sel | {cid})
+            cur = updated[b]
+            if (cand[0] > cur[0] + 1e-9
+                    or (abs(cand[0] - cur[0]) <= 1e-9 and cand[1] > cur[1])):
+                updated[b] = cand
+        best = updated
+    return max(best, key=lambda v: (v[0], v[1]))[2]
+
+
 class TestKnapsack:
     def test_liveness_pick(self):
         assert knapsack({"cs": 0.7, "abg": 0.0}, COSTS, 3, {"cs": 2, "abg": 3}) \
@@ -158,6 +183,29 @@ class TestKnapsack:
                     if sum(costs[i] for i in combo) <= bound:
                         best = max(best, sum(pays[i] for i in combo))
             assert sum(pays[i] for i in chosen) == pytest.approx(best, abs=1e-9)
+
+
+    def test_matches_the_dense_table(self, rng):
+        """Keeping only the reachable cost sums selects what the table over
+        every budget selects, with ties in payoff (also within 1e-9) and in
+        size."""
+        for _ in range(3000):
+            ids = [f"k{i}" for i in range(rng.randint(0, 8))]
+            pays = {i: rng.choice([0.0, 0.25, 0.5, 0.5 + 1e-10, rng.random()]) for i in ids}
+            costs = {i: rng.randint(0, 7) for i in ids}
+            sizes = {i: rng.randint(1, 3) for i in ids}
+            bound = rng.choice([0, rng.randint(0, 12), rng.randint(0, 40)])
+            seed = rng.randint(0, 50)
+            assert knapsack(pays, costs, bound, sizes, seed) \
+                == dense_knapsack(pays, costs, bound, sizes, seed)
+
+    def test_huge_costs_are_as_cheap_as_small_ones(self):
+        pays = {"pq": 0.5, "rs": 0.5, "tu": 0.25}
+        sizes = {"pq": 2, "rs": 2, "tu": 2}
+        start = time.perf_counter()
+        chosen = knapsack(pays, {"pq": 10 ** 8, "rs": 10 ** 8, "tu": 1}, 10 ** 8 + 1, sizes)
+        assert time.perf_counter() - start < 1.0
+        assert chosen in (frozenset({"pq", "tu"}), frozenset({"rs", "tu"}))
 
 
 class TestActiveMonitor:
@@ -437,6 +485,26 @@ class TestSessions:
         assert rational.rational_machine.cache_info().currsize > 0
         clear_machine_caches()
         assert rational.rational_machine.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("window", [None, 1, 2])
+    def test_refused_event_names_its_position_and_changes_nothing(self, window):
+        """An event with an atom outside the alphabet is refused before a
+        window boundary reallocates, and the session runs on as if it had
+        never been offered."""
+        from ltlscope.rational import Session
+        cfg = RationalConfig(metric="metric2", bound=3, window=window)
+        session = Session(PSI, vspec(), cfg, window)
+        for event in SIGMA[:2]:
+            session.step(event)
+        before = session.result()
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"unknown atom\(s\) \['zz'\] at position 2"):
+                session.step({"c", "zz"})
+        assert session.result() == before
+        for event in SIGMA[2:]:
+            session.step(event)
+        batch = active_monitor if window is None else reactive_monitor
+        assert session.result() == batch(SIGMA, PSI, vspec(), cfg)
 
     def test_session_exposes_running_verdict(self):
         from ltlscope.rational import ActiveSession

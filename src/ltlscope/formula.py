@@ -178,6 +178,8 @@ _UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Always}
 # unary operators and right operands open at once while parsing, and the
 # operator height of the result.  The normal forms recurse over the formula;
 # at this depth synthesis stays far inside Python's default recursion limit.
+# Progression and the payoff metric do not recurse, so the residuals a long
+# reactive run builds may grow past this height.
 MAX_NESTING = 100
 
 
@@ -333,12 +335,49 @@ def height(f: Formula) -> int:
         h += 1
 
 
+_ONE_OPERAND = frozenset({Not, Next, Eventually, Always})
+_TWO_OPERANDS = frozenset({And, Or, Implies, Until, Release})
+
+
 def _children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (Not, Next, Eventually, Always)):
+    kind = type(f)
+    if kind in _ONE_OPERAND:
         return (f.operand,)
-    if isinstance(f, (And, Or, Implies, Until, Release)):
+    if kind in _TWO_OPERANDS:
         return (f.left, f.right)
     return ()
+
+
+def postorder(f: Formula, into_next: bool = True, known=frozenset()) -> list[Formula]:
+    """The distinct nodes of ``f``, each once, every node after its operands
+    and left operands first.  With ``into_next`` false the operand of a
+    ``Next`` is not entered, and nodes in ``known`` are neither listed nor
+    entered.  The walk keeps its own stack, so it is safe on any depth, and
+    a subformula shared by several parents is listed once."""
+    unary = _ONE_OPERAND if into_next else _ONE_OPERAND - {Next}
+    order: list[Formula] = []
+    seen: set[Formula] = set()
+    stack: list = [f]
+    push, pop = stack.append, stack.pop
+    while stack:
+        g = pop()
+        if g is None:  # every node above this marker's node is listed
+            order.append(pop())
+            continue
+        if g in seen or g in known:
+            continue
+        seen.add(g)
+        push(g)
+        push(None)
+        kind = type(g)
+        if kind in _TWO_OPERANDS:
+            if g.right not in seen:
+                push(g.right)
+            if g.left not in seen:
+                push(g.left)
+        elif kind in unary and g.operand not in seen:
+            push(g.operand)
+    return order
 
 
 def fmt(f: Formula) -> str:
@@ -540,39 +579,100 @@ def make_signed(f: Formula, rendering: Mapping[str, str]) -> Formula:
 # One-step three-valued progression
 # ---------------------------------------------------------------------------
 
+def _among_conjuncts(f: Formula, conj: Formula) -> bool:
+    """Whether ``f`` is ``conj`` or a node of its top-level ``And`` tree."""
+    seen = set()
+    stack = [conj]
+    while stack:
+        g = stack.pop()
+        if g is f:
+            return True
+        if isinstance(g, And) and g not in seen:
+            seen.add(g)
+            stack += (g.left, g.right)
+    return False
+
+
+def _conjoin(left: Formula, right: Formula) -> Formula:
+    """``_mk_and`` for progression: a side already among the other side's
+    top-level conjuncts is dropped.  Every And combiner of the payoff metric
+    is ``max`` or ``min``, idempotent, associative and commutative, so the
+    payoffs of the residual do not change; and the residual of a formula
+    whose obligations repeat, such as ``G p`` over events that leave ``p``
+    unknown, stays one fixed object instead of growing by one node per
+    event."""
+    if isinstance(left, FalseConst) or isinstance(right, FalseConst):
+        return FALSE
+    if isinstance(left, TrueConst):
+        return right
+    if isinstance(right, TrueConst):
+        return left
+    if _among_conjuncts(left, right):
+        return right
+    if _among_conjuncts(right, left):
+        return left
+    return And(left, right)
+
+
+# The knowledge of the last progression and its results per node, kept for
+# the next call: a residual progressed under the same knowledge again mostly
+# holds the residual before it, whose nodes are then not walked twice.
+_last_progressed: tuple[dict, dict] = ({}, {})
+_PROGRESSED_LIMIT = 1 << 16
+
+
 def progress(f: Formula, knowledge: Mapping[str, bool]) -> Formula:
     """Progress an NNF or metric-form formula through one event.
 
     ``knowledge`` gives the truth of every atom the event determines (via an
     individual literal or its class witness); absent atoms stay unknown and
-    their obligations survive as residual literals under the original names.
+    their obligations survive as residual literals under the original names,
+    for a later event's knowledge to resolve.  So a conjunct that already
+    occurs on the other side of a conjunction is dropped (``_conjoin``);
+    disjunctions are kept as built, because the metric averages over ``|``
+    and an average is not associative.
+
+    The formula is walked without recursion, each distinct node once
+    (``postorder``), so no depth of residual raises ``RecursionError`` and a
+    shared subformula costs one visit per call.  Consecutive calls under
+    equal knowledge share their node results, so a run whose events leave
+    the same atoms unknown pays only for the nodes each window adds.
     """
-    if isinstance(f, (TrueConst, FalseConst)):
-        return f
-    if isinstance(f, Atom):
-        value = knowledge.get(f.name)
-        if value is None:
-            return f
-        return TRUE if value else FALSE
-    if isinstance(f, Not):
-        inner = progress(f.operand, knowledge)
-        return _mk_not(inner) if isinstance(inner, (TrueConst, FalseConst)) else f
-    if isinstance(f, And):
-        return _mk_and(progress(f.left, knowledge), progress(f.right, knowledge))
-    if isinstance(f, Or):
-        return _mk_or(progress(f.left, knowledge), progress(f.right, knowledge))
-    if isinstance(f, Implies):
-        return _mk_implies(progress(f.left, knowledge), progress(f.right, knowledge))
-    if isinstance(f, Next):
-        return f.operand
-    if isinstance(f, Until):
-        # f U g  ->  prog(g) | (prog(f) & (f U g))
-        return _mk_or(progress(f.right, knowledge), _mk_and(progress(f.left, knowledge), f))
-    if isinstance(f, Release):
-        # f R g  ->  prog(g) & (prog(f) | (f R g))
-        return _mk_and(progress(f.right, knowledge), _mk_or(progress(f.left, knowledge), f))
-    if isinstance(f, Eventually):
-        return _mk_or(progress(f.operand, knowledge), f)
-    if isinstance(f, Always):
-        return _mk_and(progress(f.operand, knowledge), f)
-    raise TypeError(f"not a formula: {f!r}")
+    global _last_progressed
+    known = dict(knowledge)
+    last_known, done = _last_progressed
+    if known != last_known or len(done) > _PROGRESSED_LIMIT:
+        done = {}
+        _last_progressed = known, done
+    for g in postorder(f, into_next=False, known=done):
+        kind = type(g)
+        if kind is And:
+            result = _conjoin(done[g.left], done[g.right])
+        elif kind is Or:
+            result = _mk_or(done[g.left], done[g.right])
+        elif kind is Until:
+            # f U g  ->  prog(g) | (prog(f) & (f U g))
+            result = _mk_or(done[g.right], _conjoin(done[g.left], g))
+        elif kind is Release:
+            # f R g  ->  prog(g) & (prog(f) | (f R g))
+            result = _conjoin(done[g.right], _mk_or(done[g.left], g))
+        elif kind is Atom:
+            value = known.get(g.name)
+            result = g if value is None else TRUE if value else FALSE
+        elif kind is Not:
+            inner = done[g.operand]
+            result = _mk_not(inner) if inner is TRUE or inner is FALSE else g
+        elif kind is Next:
+            result = g.operand
+        elif kind is Implies:
+            result = _mk_implies(done[g.left], done[g.right])
+        elif kind is Eventually:
+            result = _mk_or(done[g.operand], g)
+        elif kind is Always:
+            result = _conjoin(done[g.operand], g)
+        elif g is TRUE or g is FALSE:
+            result = g
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        done[g] = result
+    return done[f]

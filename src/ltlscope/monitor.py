@@ -18,8 +18,9 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .automata.moore import MooreMachine, Verdict, product2, product3
-from .automata.pipeline import (DFA, determinize, empty_event_edges, minimize,
-                                nba_to_nfa, nonempty_states, quotient_bisim)
+from .automata.pipeline import (DFA, consistent_masks, determinize,
+                                empty_event_edges, minimize, nba_to_nfa,
+                                nonempty_states, quotient_bisim)
 from .automata.tableau import ltl_to_nba
 from .formula import (MAX_NESTING, Formula, SLit, height, make_signed, negate_nnf,
                       parse_slit, to_nnf)
@@ -194,6 +195,33 @@ def _automaton_from_json(data: dict) -> DFA:
     )
 
 
+def _automaton_problem(dfa: DFA) -> Optional[str]:
+    """Why a component read from a file cannot be stepped, or ``None``: its
+    initial state and every table target must be states, and each state's
+    row must map every consistent mask over its literals, and nothing else,
+    to a successor."""
+    states = set(dfa.states)
+    if dfa.initial not in states:
+        return f"initial state {dfa.initial!r} is not a state"
+    for q in dfa.states:
+        if q not in dfa.lits or q not in dfa.table:
+            return f"state {q!r} has no literals or no table row"
+        lits, row = dfa.lits[q], dfa.table[q]
+        consistent = consistent_masks(lits, dfa.signed)
+        for bits, dst in row.items():
+            if not 0 <= bits < 1 << len(lits):
+                return f"state {q!r}: mask {bits} does not fit its {len(lits)} literal(s)"
+            if dst not in states:
+                return f"state {q!r}: mask {bits} steps to {dst!r}, which is not a state"
+        inconsistent = sorted(set(row) - set(consistent))
+        if inconsistent:
+            return f"state {q!r}: mask {inconsistent[0]} sets both signs of one name"
+        missing = [bits for bits in consistent if bits not in row]
+        if missing:
+            return f"state {q!r}: mask {missing[0]} has no successor"
+    return None
+
+
 def machine_to_json(monitor: MonitorInstance, formula_text: Optional[str] = None,
                     classes_text: Optional[str] = None) -> str:
     payload = {
@@ -223,8 +251,12 @@ def machine_from_json(text: str) -> MonitorInstance:
         raise ValueError(f"machine file has {count} components, expected 2")
     try:
         components = tuple(_automaton_from_json(c) for c in raw)
+        problems = [_automaton_problem(c) for c in components]
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"malformed machine component: {exc!r}") from None
+    for k, problem in enumerate(problems):
+        if problem is not None:
+            raise ValueError(f"component {k}: {problem}")
     signed = mode == "imperfect"
     if any(c.signed != signed for c in components):
         want = "signed" if signed else "plain"

@@ -17,6 +17,10 @@ from ..formula import (And, Atom, FalseConst, Formula, Lit, Next, Not, Or,
                        Release, TrueConst, Until, subformulas)
 
 
+# Rules by which a closure valuation determines each subformula.
+_CONST, _FREE, _NOT, _AND, _OR = range(5)
+
+
 @dataclass
 class ClosureAutomaton:
     """Generalised-Büchi automaton over closure valuations."""
@@ -48,54 +52,63 @@ def build_closure_automaton(f: Formula, signed: bool) -> ClosureAutomaton:
     releases = [g for g in subs if isinstance(g, Release)]
     free += untils + releases
 
+    # How each subformula's value follows from the assignment of the free
+    # ones, classified once: (rule, operand position, operand position),
+    # with a constant's value or a free subformula's place in the assignment
+    # as the first operand.
+    place = {g: k for k, g in enumerate(free)}
+    rules: list[tuple[int, int, int]] = []
+    for g in subs:
+        if isinstance(g, (TrueConst, FalseConst)):
+            rules.append((_CONST, isinstance(g, TrueConst), 0))
+        elif g in place:
+            rules.append((_FREE, place[g], 0))
+        elif isinstance(g, Not):
+            rules.append((_NOT, index[g.operand], 0))
+        elif isinstance(g, And):
+            rules.append((_AND, index[g.left], index[g.right]))
+        elif isinstance(g, Or):
+            rules.append((_OR, index[g.left], index[g.right]))
+        else:
+            raise ValueError(f"closure construction expects NNF, got {g!r}")
+    until_pos = [(index[u], index[u.left], index[u.right]) for u in untils]
+    release_pos = [(index[rho], index[rho.left], index[rho.right]) for rho in releases]
+    leaf_lits = [(index[leaf], leaf.lit) for leaf in leaves] if signed else []
+
     states: list[tuple[bool, ...]] = []
+    vals = [False] * len(subs)
     for assignment in iter_product((False, True), repeat=len(free)):
-        chosen = dict(zip(free, assignment))
-        vals: dict[Formula, bool] = {}
-        ok = True
-        for g in subs:
-            if isinstance(g, TrueConst):
-                vals[g] = True
-            elif isinstance(g, FalseConst):
-                vals[g] = False
-            elif g in chosen:
-                vals[g] = chosen[g]
-            elif isinstance(g, Not):
-                vals[g] = not vals[g.operand]
-            elif isinstance(g, And):
-                vals[g] = vals[g.left] and vals[g.right]
-            elif isinstance(g, Or):
-                vals[g] = vals[g.left] or vals[g.right]
+        for i, (rule, a, b) in enumerate(rules):
+            if rule == _FREE:
+                vals[i] = assignment[a]
+            elif rule == _AND:
+                vals[i] = vals[a] and vals[b]
+            elif rule == _OR:
+                vals[i] = vals[a] or vals[b]
+            elif rule == _NOT:
+                vals[i] = not vals[a]
             else:
-                raise ValueError(f"closure construction expects NNF, got {g!r}")
+                vals[i] = bool(a)
         # Local coherence of the fixpoint operators.
-        for u in untils:
-            r, l = vals[u.right], vals[u.left]
-            if r and not vals[u]:
-                ok = False
-                break
-            if not r and not l and vals[u]:
+        ok = True
+        for u, l, r in until_pos:
+            if (vals[r] and not vals[u]) or (not vals[r] and not vals[l] and vals[u]):
                 ok = False
                 break
         if ok:
-            for rho in releases:
-                r, l = vals[rho.right], vals[rho.left]
-                if not r and vals[rho]:
-                    ok = False
-                    break
-                if r and l and not vals[rho]:
+            for rho, l, r in release_pos:
+                if (not vals[r] and vals[rho]) or (vals[r] and vals[l] and not vals[rho]):
                     ok = False
                     break
         # Literal profile must be realisable by one consistent event.
         if ok and signed:
             required: dict[str, bool] = {}
-            for leaf in leaves:
-                if vals[leaf]:
-                    if required.setdefault(leaf.lit.name, leaf.lit.sign) != leaf.lit.sign:
-                        ok = False
-                        break
+            for i, lit in leaf_lits:
+                if vals[i] and required.setdefault(lit.name, lit.sign) != lit.sign:
+                    ok = False
+                    break
         if ok:
-            states.append(tuple(vals[g] for g in subs))
+            states.append(tuple(vals))
 
     nexts = [g for g in subs if isinstance(g, Next)]
 

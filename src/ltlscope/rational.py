@@ -26,7 +26,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .automata.moore import Verdict
 from .formula import (And, Atom, FalseConst, Formula, Implies, Lit, Next, Not,
-                      Or, Release, TrueConst, Until, progress, to_metric_form)
+                      Or, Release, TrueConst, Until, postorder, progress,
+                      to_metric_form)
 from .monitor import MonitorInstance, synthesize_imperfect
 from .visibility import (EqClass, VisibilitySpec, expand_witnesses,
                          explicit_trace, identity_classes,
@@ -81,30 +82,39 @@ def _combine(comb: str, left: float, right: float) -> float:
 
 
 def metric(f: Formula, atom: str, spec: MetricSpec) -> float:
-    """Relevance of ``atom`` in the metric-form formula, in [0,1]."""
-    if isinstance(f, (TrueConst, FalseConst)):
-        return 0.0
-    if isinstance(f, Atom):
-        return 1.0 if f.name == atom else 0.0
-    if isinstance(f, Lit):
-        return 1.0 if f.lit.name == atom else 0.0
-    if isinstance(f, Not):
-        return metric(f.operand, atom, spec)
-    if isinstance(f, And):
-        return _combine(spec.and_comb, metric(f.left, atom, spec), metric(f.right, atom, spec))
-    if isinstance(f, Or):
-        return _combine(spec.or_comb, metric(f.left, atom, spec), metric(f.right, atom, spec))
-    if isinstance(f, Implies):
-        return _combine(spec.implies_comb, metric(f.left, atom, spec), metric(f.right, atom, spec))
-    if isinstance(f, Next):
-        return spec.next_factor * metric(f.operand, atom, spec)
-    if isinstance(f, Until):
-        wl, wr = spec.until_weights
-        return wl * metric(f.left, atom, spec) + wr * metric(f.right, atom, spec)
-    if isinstance(f, Release):
-        wl, wr = spec.release_weights
-        return wl * metric(f.left, atom, spec) + wr * metric(f.right, atom, spec)
-    raise TypeError(f"metric expects metric-form input, got {f!r}")
+    """Relevance of ``atom`` in the metric-form formula, in [0,1].
+
+    Walks the formula without recursion, each distinct node once
+    (``postorder``), so a residual of any depth is safe to score."""
+    value: dict[Formula, float] = {}
+    for g in postorder(f):
+        kind = type(g)
+        if kind is And:
+            v = _combine(spec.and_comb, value[g.left], value[g.right])
+        elif kind is Or:
+            v = _combine(spec.or_comb, value[g.left], value[g.right])
+        elif kind is Implies:
+            v = _combine(spec.implies_comb, value[g.left], value[g.right])
+        elif kind is Until:
+            wl, wr = spec.until_weights
+            v = wl * value[g.left] + wr * value[g.right]
+        elif kind is Release:
+            wl, wr = spec.release_weights
+            v = wl * value[g.left] + wr * value[g.right]
+        elif kind is Next:
+            v = spec.next_factor * value[g.operand]
+        elif kind is Not:
+            v = value[g.operand]
+        elif kind is Atom:
+            v = 1.0 if g.name == atom else 0.0
+        elif kind is Lit:
+            v = 1.0 if g.lit.name == atom else 0.0
+        elif kind in _SETTLED:
+            v = 0.0
+        else:
+            raise TypeError(f"metric expects metric-form input, got {g!r}")
+        value[g] = v
+    return value[f]
 
 
 def _payoffs(classes: Iterable[EqClass], form: Formula,
@@ -226,21 +236,26 @@ class SessionMemo:
     """What the sessions over one alphabet and class structure computed,
     shared between them: the visible and the decoded form of each (plain
     event, broken classes), the allocation of each (residual, costs,
-    config), the metric form of each formula, and the member knowledge each
-    visible event carries.  Entries are never mutated, so a run holds
-    references to them, not copies: an active run over shared events keeps
-    about four objects alive instead of forty, and stepping leaves the
-    cyclic collector little to do.  The metric form is kept per formula so
-    that it is built once per formula, not once per session.
+    config), the metric form of each formula, the member knowledge each
+    visible event carries, and the residual each (residual, visible event)
+    progresses to.  Entries are never mutated, so a run holds references to
+    them, not copies: an active run over shared events keeps about four
+    objects alive instead of forty, and stepping leaves the cyclic collector
+    little to do.  The metric form is kept per formula so that it is built
+    once per formula, not once per session.  A reactive run that meets a
+    residual and an event it met before progresses without decoding the
+    event or walking the residual, so its windows cost as little late in a
+    long trace as early.
     """
 
-    __slots__ = ("events", "allocations", "forms", "knowledge")
+    __slots__ = ("events", "allocations", "forms", "knowledge", "progressions")
 
     def __init__(self) -> None:
         self.events: dict = {}
         self.allocations: dict = {}
         self.forms: dict = {}
         self.knowledge: dict = {}
+        self.progressions: dict = {}
 
 
 @lru_cache(maxsize=512)
@@ -274,9 +289,9 @@ class Session:
     events: reallocation cannot change a settled verdict.  ``forced_break``
     replaces the first allocation with an exogenous class selection (used to
     reproduce the fixed configurations of the verdict grid).  Decoded events
-    and allocations, the formula's metric form and the knowledge each
-    visible event carries come from the ``SessionMemo`` of the session's
-    classes.
+    and allocations, the formula's metric form, the knowledge each visible
+    event carries and progressed residuals come from the ``SessionMemo`` of
+    the session's classes.
     """
 
     def __init__(self, f: Formula, vspec: VisibilitySpec, cfg: RationalConfig,
@@ -333,14 +348,21 @@ class Session:
     def _reallocate(self) -> None:
         allocation = self.allocations[-1]
         if not isinstance(self.residual, _SETTLED):
-            known = self.memo.knowledge
+            memo = self.memo
+            residual = self.residual
             for past in self.visible_events[-self.window:]:
-                knowledge = known.get(past)
-                if knowledge is None:
-                    knowledge = knowledge_from_event(past, self.vspec.classes)
-                    _remember(known, past, knowledge)
-                self.residual = progress(self.residual, knowledge)
-            if not isinstance(self.residual, _SETTLED):
+                key = (residual, past)
+                progressed = memo.progressions.get(key)
+                if progressed is None:
+                    knowledge = memo.knowledge.get(past)
+                    if knowledge is None:
+                        knowledge = knowledge_from_event(past, self.vspec.classes)
+                        _remember(memo.knowledge, past, knowledge)
+                    progressed = progress(residual, knowledge)
+                    _remember(memo.progressions, key, progressed)
+                residual = progressed
+            self.residual = residual
+            if not isinstance(residual, _SETTLED):
                 fresh = self._allocate()
                 if fresh != allocation:
                     allocation = fresh

@@ -138,6 +138,21 @@ def one_line_exit(argv) -> str:
     return message
 
 
+class TestLongRuns:
+    def test_reactive_run_past_the_recursion_limit(self, tmp_path, capsys):
+        """``G p`` over 1200 events that leave ``p`` unknown: one window per
+        event, each progressing the residual again."""
+        trace = tmp_path / "t.txt"
+        trace.write_text("p\n" * 1200, encoding="utf-8")
+        code, out = run_cli(["verify", "-f", "G p", "--classes", "p~q", "--mode", "reactive",
+                             "--costs", "pq=5", "--bound", "1", "--window", "1",
+                             "--trace", str(trace), "--omit-timing"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["allocations"]) == 1200
+        assert report["allocations"][-1] == {"broken": [], "payoffs": {"pq": 1.0}}
+
+
 class TestUserErrors:
     def test_missing_trace_file(self, tmp_path):
         missing = str(tmp_path / "nonexistent")
@@ -321,6 +336,37 @@ class TestSynthesize:
         message = one_line_exit(["verify", "--machine", str(out_path), "--trace", str(trace),
                                  "--mode", claimed])
         assert message.startswith("machine error: ") and repr(claimed) in message
+
+    @pytest.mark.parametrize("formula, classes, mode, edit, needle", [
+        ("p", [], "standard",
+         lambda c: c["table"]["0"].update({"0": 99}), "mask 0 steps to 99, which is not a state"),
+        ("p", [], "standard",
+         lambda c: c.update(initial=7), "initial state 7 is not a state"),
+        ("p", [], "standard",
+         lambda c: c["table"]["1"].update({"8": 1}), "mask 8 does not fit its 0 literal(s)"),
+        ("F (c & X w)", CASE_ARGS, "imperfect",
+         lambda c: (c["literals"].update({"0": ["[cs]=0", "[cs]=1"]}),
+                    c["table"].update({"0": {"0": 0, "1": 1, "2": 1, "3": 1}})),
+         "mask 3 sets both signs of one name"),
+        ("p", [], "standard",
+         lambda c: c["table"]["0"].pop("1"), "mask 1 has no successor"),
+    ], ids=["target-outside-states", "initial-outside-states", "mask-past-literals",
+            "inconsistent-mask", "missing-mask"])
+    def test_broken_table_is_a_one_line_error(self, tmp_path, capsys, formula, classes,
+                                               mode, edit, needle):
+        """A machine file whose table cannot be stepped is refused with one
+        line naming the component and the state, not a ``KeyError``."""
+        out_path = tmp_path / "m.json"
+        run_cli(["synthesize", "-f", formula, *classes, "--out", str(out_path)], capsys)
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        edit(payload["components"][0])
+        out_path.write_text(json.dumps(payload), encoding="utf-8")
+        trace = tmp_path / "t.txt"
+        trace.write_text("c=1\n" if mode == "imperfect" else "p\n", encoding="utf-8")
+        message = one_line_exit(["verify", "--machine", str(out_path), "--trace", str(trace),
+                                 "--mode", mode])
+        assert message.startswith("machine error: component 0: ")
+        assert needle in message
 
     def test_empty_trace_yields_initial_verdict(self, tmp_path, capsys):
         trace = tmp_path / "t.txt"

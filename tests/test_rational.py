@@ -7,7 +7,10 @@ import time
 import pytest
 
 from ltlscope.automata import Verdict
-from ltlscope.formula import FALSE, TRUE, parse_formula, progress, to_metric_form
+from ltlscope.formula import (FALSE, TRUE, And, Atom, FalseConst, Formula,
+                              Implies, Lit, Next, Not, Or, Release, TrueConst,
+                              Until, _mk_and, _mk_implies, _mk_not, _mk_or,
+                              height, parse_formula, progress, to_metric_form)
 from ltlscope.monitor import clear_machine_caches, synthesize_imperfect
 from ltlscope.randgen import random_partition
 import ltlscope.rational as rational
@@ -412,7 +415,8 @@ class TestSessions:
         fresh = [fields(run) for run in runs()]
         for _, _, spec, _ in cases:
             memo = rational.session_memo(spec.alphabet, spec.classes)
-            assert not (memo.events or memo.allocations or memo.forms or memo.knowledge)
+            assert not (memo.events or memo.allocations or memo.forms or memo.knowledge
+                        or memo.progressions)
         monkeypatch.setattr(rational, "MEMO_LIMIT", 2)
         assert [fields(run) for run in runs()] == fresh
         rational.session_memo.cache_clear()
@@ -514,6 +518,180 @@ class TestSessions:
         for event in SIGMA:
             session.step(event)
         assert session.verdict == Verdict.TRUE
+
+
+def reference_progress(f, knowledge):
+    """Progression as it was first written: a tree recursion that conjoins
+    with ``_mk_and``, so repeated conjuncts are kept."""
+    if isinstance(f, (TrueConst, FalseConst)):
+        return f
+    if isinstance(f, Atom):
+        value = knowledge.get(f.name)
+        return f if value is None else TRUE if value else FALSE
+    if isinstance(f, Not):
+        inner = reference_progress(f.operand, knowledge)
+        return _mk_not(inner) if isinstance(inner, (TrueConst, FalseConst)) else f
+    if isinstance(f, And):
+        return _mk_and(reference_progress(f.left, knowledge), reference_progress(f.right, knowledge))
+    if isinstance(f, Or):
+        return _mk_or(reference_progress(f.left, knowledge), reference_progress(f.right, knowledge))
+    if isinstance(f, Implies):
+        return _mk_implies(reference_progress(f.left, knowledge),
+                           reference_progress(f.right, knowledge))
+    if isinstance(f, Next):
+        return f.operand
+    if isinstance(f, Until):
+        return _mk_or(reference_progress(f.right, knowledge),
+                      _mk_and(reference_progress(f.left, knowledge), f))
+    if isinstance(f, Release):
+        return _mk_and(reference_progress(f.right, knowledge),
+                       _mk_or(reference_progress(f.left, knowledge), f))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_metric(f, atom, spec):
+    """The payoff metric as a tree recursion."""
+    if isinstance(f, (TrueConst, FalseConst)):
+        return 0.0
+    if isinstance(f, Atom):
+        return 1.0 if f.name == atom else 0.0
+    if isinstance(f, Lit):
+        return 1.0 if f.lit.name == atom else 0.0
+    if isinstance(f, Not):
+        return reference_metric(f.operand, atom, spec)
+    if isinstance(f, Next):
+        return spec.next_factor * reference_metric(f.operand, atom, spec)
+    left, right = reference_metric(f.left, atom, spec), reference_metric(f.right, atom, spec)
+    if isinstance(f, And):
+        return rational._combine(spec.and_comb, left, right)
+    if isinstance(f, Or):
+        return rational._combine(spec.or_comb, left, right)
+    if isinstance(f, Implies):
+        return rational._combine(spec.implies_comb, left, right)
+    wl, wr = spec.until_weights if isinstance(f, Until) else spec.release_weights
+    return wl * left + wr * right
+
+
+def and_tree(f):
+    """``f`` and every node of its top-level ``And`` tree."""
+    nodes, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        nodes.add(g)
+        if isinstance(g, And):
+            stack += (g.left, g.right)
+    return nodes
+
+
+def repeats_a_conjunct(f):
+    """Whether some conjunction of ``f`` has a side that already occurs in
+    the other side's top-level ``And`` tree."""
+    seen, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        if isinstance(g, And) and (g.left in and_tree(g.right) or g.right in and_tree(g.left)):
+            return True
+        stack += [getattr(g, name) for name in g._fields if isinstance(getattr(g, name), Formula)]
+    return False
+
+
+def unknown_spec():
+    """Classes under which an event with ``p`` and not ``q`` leaves both unknown."""
+    return VisibilitySpec(alphabet=frozenset("pq"), classes=parse_classes("p~q"),
+                          costs={"pq": 5}, bound=1)
+
+
+class TestProgression:
+    def test_payoffs_equal_the_reference(self, rng):
+        """Window after window of partial knowledge, the residual scores
+        exactly as the reference residual under every metric, and is the
+        same object whenever the reference repeats no conjunct."""
+        pool = ("p", "q", "r")
+        specs = [METRICS[name] for name in ("metric0", "metric1", "metric2")]
+        same = 0
+        for _ in range(300):
+            residual = reference = to_metric_form(random_formula(rng, rng.randint(1, 7), pool=pool))
+            for _ in range(rng.randint(1, 6)):
+                knowledge = {a: rng.random() < 0.5 for a in pool if rng.random() < 0.4}
+                residual = progress(residual, knowledge)
+                reference = reference_progress(reference, knowledge)
+                for spec in specs:
+                    for atom in pool:
+                        assert metric(residual, atom, spec) == reference_metric(reference, atom, spec)
+                if not repeats_a_conjunct(reference):
+                    assert residual is reference
+                    same += 1
+        assert same > 300
+
+    def test_metric_equals_the_reference(self, rng):
+        for _ in range(200):
+            f = to_metric_form(random_formula(rng, rng.randint(0, 8)))
+            for spec in METRICS.values():
+                for atom in ("p", "q", "z"):
+                    assert metric(f, atom, spec) == reference_metric(f, atom, spec)
+
+    def test_repeated_conjunct_is_dropped(self):
+        """A side that is a node of the other side's top-level ``And`` tree
+        is dropped; disjunctions are kept as built."""
+        p, q, r = Atom("p"), Atom("q"), Atom("r")
+        assert progress(And(p, p), {}) is p
+        assert progress(And(p, And(q, p)), {}) is And(q, p)
+        assert progress(And(And(q, And(r, p)), p), {}) is And(q, And(r, p))
+        assert progress(And(And(p, q), And(r, And(p, q))), {}) is And(r, And(p, q))
+        assert progress(And(p, Or(p, q)), {}) is And(p, Or(p, q))
+        assert progress(Or(p, Or(p, q)), {}) is Or(p, Or(p, q))
+        assert progress(And(p, And(q, p)), {"q": True}) is p
+
+    def test_knowledge_changed_between_calls(self):
+        """Consecutive calls share node results only under equal knowledge,
+        even when the caller changes its dict in place."""
+        p, q = Atom("p"), Atom("q")
+        f = to_metric_form(parse_formula("p U q"))
+        knowledge = {}
+        assert progress(f, knowledge) is Or(q, And(p, f))
+        assert progress(f, knowledge) is Or(q, And(p, f))
+        knowledge["q"] = True
+        assert progress(f, knowledge) is TRUE
+        knowledge["q"] = False
+        assert progress(f, knowledge) is And(p, f)
+
+    def test_always_residual_is_one_object_after_window_two(self):
+        """Over 10^5 events that leave ``p`` unknown, the ``G p`` residual is
+        the same object from the second window on."""
+        cfg = RationalConfig(metric="metric2", bound=1, window=1)
+        session = ReactiveSession(parse_formula("G p"), unknown_spec(), cfg)
+        session.step({"p"})
+        session.step({"p"})
+        fixed = session.residual
+        for _ in range(10 ** 5):
+            session.step({"p"})
+            assert session.residual is fixed
+        assert fixed == to_metric_form(parse_formula("p & G p"))
+
+    @pytest.mark.parametrize("text", ["F p", "p U q", "G (p -> F q)"])
+    def test_growing_residuals_do_not_overflow(self, text):
+        """Residuals that grow by a node or more per unknown event pass the
+        recursion limit in 2000 events; progression and the metric walk them
+        without recursion."""
+        cfg = RationalConfig(metric="metric2", bound=1, window=100)
+        session = ReactiveSession(parse_formula(text), unknown_spec(), cfg)
+        for _ in range(2000):
+            session.step({"p"})
+        session.step({"p"})
+        assert height(session.residual) > 1900
+        assert len(session.allocations) == 21
+        assert dict(session.allocations[-1].payoffs)["pq"] > 0
+
+    def test_shared_subformulas_are_walked_once(self):
+        """60 levels of ``g & g`` are a tree of 2^60 leaves over 61 nodes."""
+        g = Implies(Atom("p"), Next(Atom("q")))
+        for _ in range(60):
+            g = And(g, g)
+        assert progress(g, {"p": True}) is Atom("q")
+        assert metric(g, "p", METRICS["metric0"]) == 0.5
 
 
 class TestDominance:

@@ -10,7 +10,7 @@ over consistent valuations of the literals each state actually mentions;
 valuations are packed into integer bitmasks so stepping is a dict lookup.
 One partition-refinement kernel, ``coarsest_partition``, serves both
 merges: the bisimulation quotient of the NFA before the exponential subset
-step and the minimisation of the DFA over the global valuation space.
+step and the minimisation of the DFA over each state's own literals.
 """
 
 from __future__ import annotations
@@ -152,30 +152,30 @@ def consistent_events(mentioned, signed: bool) -> Iterator[frozenset]:
     return (mask_event(lits, bits) for bits in consistent_masks(lits, signed))
 
 
-def coarsest_partition(keys: dict, rows: dict) -> dict:
+def coarsest_partition(keys: dict, rows: dict, read) -> dict:
     """The coarsest partition of the states that refines ``keys`` and is
     stable under ``rows`` (Moore's signature refinement).
 
-    ``keys`` maps each state to its initial key, ``rows`` each state to its
-    (label, successor) pairs; two states stay together while their keys
-    agree and their labelled edges reach the same blocks.  Returns each
-    state's block, numbered by the block's first state in the iteration
-    order of ``keys``.  A row object that several states share is read once
-    per round.
+    ``keys`` maps each state to its initial key and ``rows`` each state to
+    its outgoing row; ``read(row, block)`` gives what the row computes under
+    the current blocks, as a hashable value.  Two states stay together while
+    their keys and their reads agree.  Returns each state's block, numbered
+    by the block's first state in the iteration order of ``keys``.  A row
+    object that several states share is read once per round.
     """
     remap: dict = {}
     block = {q: remap.setdefault(key, len(remap)) for q, key in keys.items()}
     count = len(remap)
     while True:
-        reads: dict[int, frozenset] = {}
+        reads: dict[int, object] = {}
         remap = {}
         refined = {}
         for q in keys:
             row = rows.get(q, ())
-            read = reads.get(id(row))
-            if read is None:
-                read = reads[id(row)] = frozenset((label, block[dst]) for label, dst in row)
-            refined[q] = remap.setdefault((block[q], read), len(remap))
+            value = reads.get(id(row))
+            if value is None:
+                value = reads[id(row)] = read(row, block)
+            refined[q] = remap.setdefault((block[q], value), len(remap))
         if len(remap) == count:
             return refined
         block, count = refined, len(remap)
@@ -189,7 +189,8 @@ def quotient_bisim(aut: GuardedAutomaton) -> GuardedAutomaton:
     typically collapses tableau output dramatically before determinisation.
     """
     block = coarsest_partition({q: (q in aut.accepting, q in aut.flagged) for q in aut.states},
-                               aut.transitions)
+                               aut.transitions,
+                               lambda row, block: frozenset((g, block[dst]) for g, dst in row))
     rep: dict[int, int] = {}
     for q in aut.states:
         rep.setdefault(block[q], q)
@@ -212,11 +213,11 @@ def quotient_bisim(aut: GuardedAutomaton) -> GuardedAutomaton:
 class DFA:
     """Deterministic, total automaton over consistent events.
 
-    Each state stores the literals its behaviour depends on and a full table
-    from consistent valuation bitmask to successor, so every consistent event
-    matches exactly one entry.  On the signed branch a state is flagged when
-    the prefixes reaching it, continued by empty events forever, are
-    accepted; a plain-branch DFA has no flags.
+    Each state stores the literals its subset's guards mention (not all of
+    them need matter) and a full table from consistent valuation bitmask to
+    successor, so every consistent event matches exactly one entry.  On the
+    signed branch a state is flagged when the prefixes reaching it, continued
+    by empty events forever, are accepted; a plain-branch DFA has no flags.
     """
 
     states: list[int]
@@ -297,42 +298,39 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
                lits=lits_of, table=table, flagged=frozenset(flagged))
 
 
-_REFINE_LIMIT = 60000
-
-
 def minimize(dfa: DFA) -> DFA:
     """Merge language-equivalent states with equal flags by partition
-    refinement over the union of all mentioned literals."""
-    universe = literal_order({l for lits in dfa.lits.values() for l in lits})
-    masks = consistent_masks(universe, dfa.signed)
-    if len(masks) * len(dfa.states) > _REFINE_LIMIT * 10:
-        return dfa  # refinement table would be enormous; skip the optional pass
-    # Per state, its successor under every consistent event over the
-    # universe, labelled by the event's index.
-    events = [mask_event(universe, bits) for bits in masks]
-    local: dict[tuple, list[int]] = {}  # literal tuple -> each event's local bits
-    rows = {}
-    for q in dfa.states:
-        lits = dfa.lits[q]
-        if lits not in local:
-            local[lits] = [valuation_bits(lits, event) for event in events]
-        rows[q] = list(enumerate(map(dfa.table[q].__getitem__, local[lits])))
+    refinement, reading each row under the current blocks over only the
+    literals it depends on: states that behave alike read alike whatever
+    literals they store, and no event over their union is built."""
+    def read(row, block) -> tuple:
+        lits, table = row
+        mapped = tuple(map(block.__getitem__, table.values()))
+        if len(set(mapped)) == 1:  # one successor block: no literal matters
+            return (), mapped[:1]
+        at = dict(zip(table, mapped))
+        kept = 0  # a literal is kept when clearing it changes some successor's block
+        for i in range(len(lits)):
+            bit = 1 << i
+            for m, b in at.items():
+                if m & bit and b != at[m ^ bit]:
+                    kept |= bit
+                    break
+        return (tuple(lit for i, lit in enumerate(lits) if kept >> i & 1),
+                tuple(b for m, b in sorted(at.items()) if not m & ~kept))
 
+    rows = {q: (lits, dfa.table[q]) for q, lits in dfa.lits.items()}
     block = coarsest_partition({q: (q in dfa.accepting, q in dfa.flagged) for q in dfa.states},
-                               rows)
+                               rows, read)
 
+    # Blocks are numbered 0, 1, ... by their first state, which represents them.
     rep: dict[int, int] = {}
     for q in dfa.states:
         rep.setdefault(block[q], q)
-    new_ids = {b: i for i, b in enumerate(sorted(rep))}
-    lits_of = {}
-    table = {}
-    for b, q in rep.items():
-        nid = new_ids[b]
-        lits_of[nid] = dfa.lits[q]
-        table[nid] = {bits: new_ids[block[dst]] for bits, dst in dfa.table[q].items()}
-    return DFA(states=sorted(new_ids.values()), initial=new_ids[block[dfa.initial]],
-               accepting=frozenset(new_ids[block[q]] for q in dfa.accepting),
-               signed=dfa.signed, lits=lits_of, table=table,
-               flagged=frozenset(new_ids[block[q]] for q in dfa.flagged))
+    return DFA(states=list(rep), initial=block[dfa.initial],
+               accepting=frozenset(block[q] for q in dfa.accepting), signed=dfa.signed,
+               lits={b: dfa.lits[q] for b, q in rep.items()},
+               table={b: {bits: block[dst] for bits, dst in dfa.table[q].items()}
+                      for b, q in rep.items()},
+               flagged=frozenset(block[q] for q in dfa.flagged))
 

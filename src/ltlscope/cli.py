@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=4, help="operators per random formula")
-    p.add_argument("--metrics", default="metric0,metric1,metric2,metric3")
+    p.add_argument("--metrics", default=",".join(METRICS))
     p.add_argument("--out")
     p.set_defaults(func=cmd_metrics_experiment)
 

@@ -197,9 +197,9 @@ def _automaton_from_json(data: dict) -> DFA:
 
 def _automaton_problem(dfa: DFA) -> Optional[str]:
     """Why a component read from a file cannot be stepped, or ``None``: its
-    initial state and every table target must be states, and each state's
-    row must map every consistent mask over its literals, and nothing else,
-    to a successor."""
+    initial state and every table target must be states, each state's
+    literals must be distinct, and its row must map every consistent mask
+    over them, and nothing else, to a successor."""
     states = set(dfa.states)
     if dfa.initial not in states:
         return f"initial state {dfa.initial!r} is not a state"
@@ -207,6 +207,8 @@ def _automaton_problem(dfa: DFA) -> Optional[str]:
         if q not in dfa.lits or q not in dfa.table:
             return f"state {q!r} has no literals or no table row"
         lits, row = dfa.lits[q], dfa.table[q]
+        if len(set(lits)) != len(lits):
+            return f"state {q!r} repeats a literal in {[str(l) for l in lits]}"
         consistent = consistent_masks(lits, dfa.signed)
         for bits, dst in row.items():
             if not 0 <= bits < 1 << len(lits):

@@ -68,9 +68,6 @@ METRICS: dict[str, MetricSpec] = {
     "metric1": MetricSpec("metric1", "avg", "max", "avg", 0.5, (0.3, 0.7), (0.5, 0.5)),
     "metric2": MetricSpec("metric2", "avg", "max", "avg", 1.0, (0.3, 0.7), (0.3, 0.7)),
 }
-# metric3 is an alias of metric2: the appendix weight table that would tell
-# them apart went with the body of the paper.
-METRICS["metric3"] = METRICS["metric2"]
 
 
 def _combine(comb: str, left: float, right: float) -> float:

@@ -431,6 +431,36 @@ class TestDeterminize:
         assert dfa.accepting == frozenset()
 
 
+def reference_minimize(dfa: DFA) -> DFA:
+    """``minimize`` by the universe table: each state's successor under every
+    consistent event over the union of all literals, labelled by the event's
+    index, refined to the coarsest stable partition."""
+    universe = tuple(sorted({l for lits in dfa.lits.values() for l in lits}, key=str))
+    events = [frozenset(l for i, l in enumerate(universe) if bits >> i & 1)
+              for bits in consistent_masks(universe, dfa.signed)]
+    rows = {q: [(k, dfa.step(q, event)) for k, event in enumerate(events)]
+            for q in dfa.states}
+    block = coarsest_partition(
+        {q: (q in dfa.accepting, q in dfa.flagged) for q in dfa.states}, rows,
+        lambda row, block: frozenset((k, block[dst]) for k, dst in row))
+    rep: dict[int, int] = {}
+    for q in dfa.states:
+        rep.setdefault(block[q], q)
+    new_ids = {b: i for i, b in enumerate(sorted(rep))}
+    return DFA(states=sorted(new_ids.values()), initial=new_ids[block[dfa.initial]],
+               accepting=frozenset(new_ids[block[q]] for q in dfa.accepting),
+               signed=dfa.signed,
+               lits={new_ids[b]: dfa.lits[q] for b, q in rep.items()},
+               table={new_ids[b]: {bits: new_ids[block[dst]]
+                                   for bits, dst in dfa.table[q].items()}
+                      for b, q in rep.items()},
+               flagged=frozenset(new_ids[block[q]] for q in dfa.flagged))
+
+
+def dfa_fields(dfa: DFA) -> tuple:
+    return (dfa.states, dfa.initial, dfa.lits, dfa.table, dfa.accepting, dfa.flagged)
+
+
 class TestMinimize:
     def test_agreement_after_minimize(self, rng):
         events = plain_events(("p", "q"))
@@ -471,6 +501,59 @@ class TestMinimize:
         assert small.step(small.initial, frozenset()) in small.flagged
         assert small.initial not in small.flagged
 
+    def test_states_reading_different_literals_merge(self):
+        """States 1 and 2 are equivalent: 1 reads ``p`` but sends both masks
+        to the accepting sink, 2 reads nothing.  They merge although their
+        literal tuples differ, and the merged state keeps 1's row."""
+        dfa = DFA(states=[0, 1, 2, 3], initial=0, accepting=frozenset({3}),
+                  signed=False,
+                  lits={0: ("q",), 1: ("p",), 2: (), 3: ()},
+                  table={0: {0: 1, 1: 2}, 1: {0: 3, 1: 3}, 2: {0: 3}, 3: {0: 3}})
+        small = minimize(dfa)
+        assert dfa_fields(small) == dfa_fields(reference_minimize(dfa))
+        assert len(small.states) == 3
+        assert small.step(small.initial, frozenset()) == small.step(small.initial, {"q"})
+
+    def test_signed_literals_of_one_name_merge(self):
+        """A state reading both signs of ``p`` into one successor is the same
+        as a state reading nothing."""
+        pos, neg = SLit("p", True), SLit("p", False)
+        dfa = DFA(states=[0, 1, 2, 3], initial=0, accepting=frozenset({3}),
+                  signed=True,
+                  lits={0: (neg, pos), 1: (neg, pos), 2: (), 3: ()},
+                  table={0: {0: 3, 1: 1, 2: 2}, 1: {0: 3, 1: 3, 2: 3}, 2: {0: 3},
+                         3: {0: 3}})
+        small = minimize(dfa)
+        assert dfa_fields(small) == dfa_fields(reference_minimize(dfa))
+        assert len(small.states) == 3
+
+    def test_matches_the_universe_table_on_criterion_6_draws(self):
+        """Refining over each state's own literals gives the same DFA, field
+        for field, as refining over every event on the union of literals:
+        both branches of both monitors, signed and plain."""
+        rng = random.Random(20261019)
+        pool = ("p", "q", "r", "s")
+        for _ in range(250):
+            f = randgen.random_formula(rng, rng.randint(1, 8), pool)
+            sat, viol, _ = signed_triple(f, randgen.random_partition(rng, pool))
+            for branch, signed in ((to_nnf(f), False), (negate_nnf(f), False),
+                                   (sat, True), (viol, True)):
+                dfa = formula_to_dfa(branch, signed, minimized=False)
+                assert dfa_fields(minimize(dfa)) == dfa_fields(reference_minimize(dfa)), branch
+
+    def test_wide_signed_alphabet_is_minimised(self):
+        """Eight atoms whose both signs are read give a union of 3^8
+        consistent events; the violation DFA still minimises, to 82 of its
+        162 states, and the machine has 99 Moore states."""
+        names = [f"a{i}" for i in range(8)]
+        f = parse_formula("G (" + " & ".join(
+            f"(a{i} -> X !a{i + 4}) & (!a{i} -> X a{i + 4})" for i in range(4)) + ")")
+        classes = derive_classes(names, [])
+        _, viol, _ = signed_triple(f, classes)
+        dfa = formula_to_dfa(viol, signed=True, minimized=False)
+        assert (len(dfa.states), len(minimize(dfa).states)) == (162, 82)
+        assert len(synthesize_imperfect(f, classes).machine.outputs) == 99
+
 
 def greatest_bisimulation(keys, rows):
     """Pairs of states related by the greatest bisimulation that respects
@@ -504,7 +587,8 @@ class TestCoarsestPartition:
                 else:
                     rows[q] = [(rng.choice("ab"), rng.choice(states))
                                for _ in range(rng.randint(0, 3))]
-            block = coarsest_partition(keys, rows)
+            block = coarsest_partition(
+                keys, rows, lambda row, block: frozenset((a, block[b]) for a, b in row))
             related = greatest_bisimulation(keys, rows)
             assert {(p, q) for p in states for q in states
                     if block[p] == block[q]} == related, (keys, rows)

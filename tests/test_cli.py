@@ -350,8 +350,12 @@ class TestSynthesize:
          "mask 3 sets both signs of one name"),
         ("p", [], "standard",
          lambda c: c["table"]["0"].pop("1"), "mask 1 has no successor"),
+        ("F p", ["--classes", "p"], "imperfect",
+         lambda c: (c["literals"].update({"0": ["p=1", "p=1"]}),
+                    c["table"].update({"0": {"0": 0, "1": 1, "2": 1}})),
+         "state 0 repeats a literal"),
     ], ids=["target-outside-states", "initial-outside-states", "mask-past-literals",
-            "inconsistent-mask", "missing-mask"])
+            "inconsistent-mask", "missing-mask", "repeated-literal"])
     def test_broken_table_is_a_one_line_error(self, tmp_path, capsys, formula, classes,
                                                mode, edit, needle):
         """A machine file whose table cannot be stepped is refused with one
@@ -362,7 +366,8 @@ class TestSynthesize:
         edit(payload["components"][0])
         out_path.write_text(json.dumps(payload), encoding="utf-8")
         trace = tmp_path / "t.txt"
-        trace.write_text("c=1\n" if mode == "imperfect" else "p\n", encoding="utf-8")
+        trace.write_text({"F (c & X w)": "c=1\n", "F p": "p=1\n"}.get(formula, "p\n"),
+                         encoding="utf-8")
         message = one_line_exit(["verify", "--machine", str(out_path), "--trace", str(trace),
                                  "--mode", mode])
         assert message.startswith("machine error: component 0: ")

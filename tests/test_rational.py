@@ -99,8 +99,12 @@ class TestPayoff:
         assert [cid for cid, _ in allocation.payoffs] == ["abg", "cs"]
         assert allocation.selection == frozenset({"abg"})
 
-    def test_metric3_is_metric2(self):
-        assert METRICS["metric3"] is METRICS["metric2"]
+    def test_metric3_is_refused(self):
+        """``metric3`` was an alias reporting ``metric2``'s numbers under a
+        name whose weights the paper does not give."""
+        assert "metric3" not in METRICS
+        with pytest.raises(ValueError, match="unknown metric 'metric3'"):
+            RationalConfig(metric="metric3").metric_spec()
 
 
 def dense_knapsack(payoffs, costs, bound, sizes, seed=0):

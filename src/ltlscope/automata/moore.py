@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Iterator
 
 from .guarded import Guard
-from .pipeline import DFA, consistent_events
+from .pipeline import DFA, product_edges, product_successors
 
 
 class Verdict(Enum):
@@ -117,21 +117,16 @@ class MooreMachine:
         return tuple(dfa.step(q, event) for dfa, q in zip(self.components, state))
 
     def transitions(self, state: tuple[int, ...]) -> Iterator[tuple[Guard, tuple[int, ...]]]:
-        """Materialise guarded product transitions (export and inspection)."""
-        mentioned = _mentioned(self.components, state)
-        for event in consistent_events(mentioned, self.signed):
-            yield Guard(event, frozenset(mentioned - event)), self.step(state, event)
+        """Materialise guarded product transitions, one per consistent event
+        over the literals the components read in ``state`` (export and
+        inspection)."""
+        (a, b), (s, v) = self.components, state
+        return product_edges(a, s, b, v)
 
 
-def _mentioned(components: tuple[DFA, ...], state: tuple[int, ...]) -> set:
-    """The literals the components read in ``state``."""
-    return {l for dfa, q in zip(components, state) for l in dfa.lits[q]}
-
-
-def _build_product(components: tuple[DFA, ...], classify) -> MooreMachine:
-    """Walk the reachable state tuples; ``classify`` maps one to its verdict."""
-    initial = tuple(dfa.initial for dfa in components)
-    signed = components[0].signed
+def _build_product(a: DFA, b: DFA, classify) -> MooreMachine:
+    """Walk the reachable state pairs; ``classify`` maps one to its verdict."""
+    initial = (a.initial, b.initial)
     outputs: dict[tuple[int, ...], Verdict] = {}
 
     work = [initial]
@@ -140,20 +135,18 @@ def _build_product(components: tuple[DFA, ...], classify) -> MooreMachine:
         if state in outputs:
             continue
         outputs[state] = classify(*state)
-        for event in consistent_events(_mentioned(components, state), signed):
-            target = tuple(dfa.step(q, event) for dfa, q in zip(components, state))
-            if target not in outputs:
-                work.append(target)
+        work.extend(target for target in product_successors(a, state[0], b, state[1])
+                    if target not in outputs)
 
-    return MooreMachine(components=components, initial=initial,
-                        outputs=outputs, signed=signed)
+    return MooreMachine(components=(a, b), initial=initial,
+                        outputs=outputs, signed=a.signed)
 
 
 def product2(pos: DFA, neg: DFA) -> MooreMachine:
     """Moore machine of the classic three-valued monitor."""
     def classify(p: int, n: int) -> Verdict:
         return classify2(p in pos.accepting, n in neg.accepting)
-    return _build_product((pos, neg), classify)
+    return _build_product(pos, neg, classify)
 
 
 def product3(sat: DFA, viol: DFA) -> MooreMachine:
@@ -167,4 +160,4 @@ def product3(sat: DFA, viol: DFA) -> MooreMachine:
     def classify(s: int, v: int) -> Verdict:
         return classify3(s in sat.accepting, v in viol.accepting,
                          not (s in sat.flagged or v in viol.flagged))
-    return _build_product((sat, viol), classify)
+    return _build_product(sat, viol, classify)

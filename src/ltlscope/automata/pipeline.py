@@ -10,14 +10,19 @@ over consistent valuations of the literals each state actually mentions;
 valuations are packed into integer bitmasks so stepping is a dict lookup.
 One partition-refinement kernel, ``coarsest_partition``, serves both
 merges: the bisimulation quotient of the NFA before the exponential subset
-step and the minimisation of the DFA over each state's own literals.
+step and the minimisation of the DFA over each state's own literals.  The
+Moore product joins two DFA rows on the names both read
+(``product_successors``), so no event over the union of their literals is
+built.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterator
+from math import prod
+from typing import Iterator, Optional
 
 from .guarded import Guard, GuardedAutomaton
 
@@ -146,10 +151,47 @@ def mask_guard(lits: tuple, bits: int) -> Guard:
                  frozenset(lit for i, lit in enumerate(lits) if not bits >> i & 1))
 
 
-def consistent_events(mentioned, signed: bool) -> Iterator[frozenset]:
-    """Every consistent event over ``mentioned``, in mask order."""
-    lits = literal_order(mentioned)
-    return (mask_event(lits, bits) for bits in consistent_masks(lits, signed))
+def consistent_count(lits: tuple, signed: bool) -> int:
+    """How many masks ``consistent_masks`` gives over distinct literals,
+    without building them: per name, one more than its literals."""
+    return prod(k + 1 for k in Counter(_names(lits, signed)).values())
+
+
+def inconsistent_masks(lits: tuple, signed: bool, masks) -> list[int]:
+    """The masks, ascending, that set two literals of one name.  Each name's
+    bits are gathered once, so a mask costs one test per name with several
+    literals."""
+    groups: dict = {}
+    for i, name in enumerate(_names(lits, signed)):
+        groups[name] = groups.get(name, 0) | 1 << i
+    shared = [g for g in groups.values() if g & (g - 1)]
+    return sorted(bits for bits in masks
+                  if any(bits & g & ((bits & g) - 1) for g in shared))
+
+
+def least_missing_mask(lits: tuple, signed: bool, present) -> Optional[int]:
+    """The least consistent mask over ``lits`` that ``present`` lacks, or
+    ``None``.  Masks come in ascending order from a depth-first walk, highest
+    bit first and clear before set, so the walk stops after at most
+    ``len(present) + 1`` of them, however many literals there are."""
+    names = _names(lits, signed)
+    stack = [(len(lits), 0, frozenset())]
+    while stack:
+        i, bits, used = stack.pop()
+        if not i:
+            if bits not in present:
+                return bits
+            continue
+        i -= 1
+        if names[i] not in used:
+            stack.append((i, bits | 1 << i, used | {names[i]}))
+        stack.append((i, bits, used))
+    return None
+
+
+def _names(lits: tuple, signed: bool) -> list:
+    """The name each literal belongs to; a plain literal is its own name."""
+    return [lit.name for lit in lits] if signed else list(lits)
 
 
 def coarsest_partition(keys: dict, rows: dict, read) -> dict:
@@ -334,3 +376,70 @@ def minimize(dfa: DFA) -> DFA:
                       for b, q in rep.items()},
                flagged=frozenset(block[q] for q in dfa.flagged))
 
+
+def product_successors(a: DFA, s: int, b: DFA, v: int) -> set[tuple[int, int]]:
+    """The distinct successor pairs of the product state ``(s, v)`` under
+    every consistent event over the union of the two states' literals.
+
+    A choice over the names both rows read picks none of a name's literals
+    or one of them (``_joined_rows``); the two rows' private names never
+    conflict, so each choice contributes the cross product of the
+    successors each row reaches under it.  The choices are walked as every
+    choice over one half of the shared names joined with every choice over
+    the other half, so only two lists of about the square root of their
+    number are held.
+    """
+    joint, leaves_a, leaves_b = _joined_rows(a, s, b, v)
+    options = list(joint.values())
+    half = len(options) // 2
+    head, tail = _choices(options[:half]), _choices(options[half:])
+    return {(p, q) for x, y in head for u, w in tail
+            for p in leaves_a[x | u] for q in leaves_b[y | w]}
+
+
+def _choices(options: list) -> list[tuple[int, int]]:
+    """Every consistent choice over the names whose ``options`` are given,
+    as the pair of the two rows' masks over them."""
+    choices = [(0, 0)]
+    for opts in options:
+        choices = [(x | p, y | q) for x, y in choices for p, q in opts]
+    return choices
+
+
+def _joined_rows(a: DFA, s: int, b: DFA, v: int) -> tuple[dict, dict, dict]:
+    """The two rows joined on the names both read, not on shared literal
+    bits: one row may list only ``n=1`` and the other only ``n=0``, and no
+    consistent event sets both.  Returns, per shared name, its choices as
+    the pair of bits they set in each row (none set, or one literal, set in
+    whichever rows list it), and per row its leaves: the successors over
+    its private names, by the part of the mask over its shared names."""
+    la, lb = a.lits[s], b.lits[v]
+    name_a, name_b = _names(la, a.signed), _names(lb, b.signed)
+    in_b = set(name_b)
+    joint = {n: [(0, 0)] for n in name_a if n in in_b}
+    bit_a = {lit: 1 << i for i, (lit, n) in enumerate(zip(la, name_a)) if n in joint}
+    bit_b = {lit: 1 << j for j, (lit, n) in enumerate(zip(lb, name_b)) if n in joint}
+    names = dict(zip(la, name_a)) | dict(zip(lb, name_b))
+    for lit in bit_a | bit_b:
+        joint[names[lit]].append((bit_a.get(lit, 0), bit_b.get(lit, 0)))
+    return (joint, _leaves(a.table[s], sum(bit_a.values())),
+            _leaves(b.table[v], sum(bit_b.values())))
+
+
+def _leaves(row: dict[int, int], shared: int) -> dict[int, set[int]]:
+    """The row's successors grouped by the part of the mask over ``shared``."""
+    leaves: dict[int, set[int]] = {}
+    for bits, dst in row.items():
+        leaves.setdefault(bits & shared, set()).add(dst)
+    return leaves
+
+
+def product_edges(a: DFA, s: int, b: DFA, v: int) -> Iterator[tuple[Guard, tuple[int, int]]]:
+    """Every consistent event over the union of the two states' literals, in
+    mask order, as its guard and the pair of successors it reaches (export:
+    one edge per event).  The union's masks are built for this call only and
+    kept out of the ``consistent_masks`` cache."""
+    lits = literal_order({*a.lits[s], *b.lits[v]})
+    for bits in consistent_masks.__wrapped__(lits, a.signed):
+        event = mask_event(lits, bits)
+        yield mask_guard(lits, bits), (a.step(s, event), b.step(v, event))

@@ -17,9 +17,11 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .automata.moore import MooreMachine, Verdict, product2, product3
-from .automata.pipeline import (DFA, consistent_masks, determinize,
-                                empty_event_edges, minimize, nba_to_nfa,
+from .automata.moore import (ImpossibleStateError, MooreMachine, Verdict, product2,
+                             product3)
+from .automata.pipeline import (DFA, consistent_count, consistent_masks, determinize,
+                                empty_event_edges, inconsistent_masks,
+                                least_missing_mask, minimize, nba_to_nfa,
                                 nonempty_states, quotient_bisim)
 from .automata.tableau import ltl_to_nba
 from .formula import (MAX_NESTING, Formula, SLit, height, make_signed, negate_nnf,
@@ -199,7 +201,10 @@ def _automaton_problem(dfa: DFA) -> Optional[str]:
     """Why a component read from a file cannot be stepped, or ``None``: its
     initial state and every table target must be states, each state's
     literals must be distinct, and its row must map every consistent mask
-    over them, and nothing else, to a successor."""
+    over them, and nothing else, to a successor.  A row is counted against
+    the closed-form number of consistent masks before any table over its
+    literals is built: a row listing 64 literals is refused as fast as one
+    listing two."""
     states = set(dfa.states)
     if dfa.initial not in states:
         return f"initial state {dfa.initial!r} is not a state"
@@ -209,18 +214,21 @@ def _automaton_problem(dfa: DFA) -> Optional[str]:
         lits, row = dfa.lits[q], dfa.table[q]
         if len(set(lits)) != len(lits):
             return f"state {q!r} repeats a literal in {[str(l) for l in lits]}"
-        consistent = consistent_masks(lits, dfa.signed)
         for bits, dst in row.items():
             if not 0 <= bits < 1 << len(lits):
                 return f"state {q!r}: mask {bits} does not fit its {len(lits)} literal(s)"
             if dst not in states:
                 return f"state {q!r}: mask {bits} steps to {dst!r}, which is not a state"
-        inconsistent = sorted(set(row) - set(consistent))
+        # A row with as many entries as there are consistent masks is no
+        # smaller than their table, so only then is the table built.
+        complete = len(row) == consistent_count(lits, dfa.signed)
+        inconsistent = (sorted(set(row).difference(consistent_masks(lits, dfa.signed)))
+                        if complete else inconsistent_masks(lits, dfa.signed, row))
         if inconsistent:
             return f"state {q!r}: mask {inconsistent[0]} sets both signs of one name"
-        missing = [bits for bits in consistent if bits not in row]
-        if missing:
-            return f"state {q!r}: mask {missing[0]} has no successor"
+        if not complete:
+            missing = least_missing_mask(lits, dfa.signed, row)
+            return f"state {q!r}: mask {missing} has no successor"
     return None
 
 
@@ -263,7 +271,12 @@ def machine_from_json(text: str) -> MonitorInstance:
     if any(c.signed != signed for c in components):
         want = "signed" if signed else "plain"
         raise ValueError(f"machine file mode {mode!r} needs {want} components")
-    return MonitorInstance(product3(*components) if signed else product2(*components))
+    try:
+        machine = product3(*components) if signed else product2(*components)
+    except ImpossibleStateError:
+        raise ValueError("machine file reaches a product state that no verdict "
+                         "describes: its accepting or flagged states are inconsistent") from None
+    return MonitorInstance(machine)
 
 
 def clear_machine_caches() -> None:

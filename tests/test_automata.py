@@ -6,22 +6,26 @@ from dataclasses import replace
 
 import pytest
 
-from ltlscope import randgen
+from ltlscope import casestudy, randgen
 from ltlscope.automata import (DFA, GuardedAutomaton, ImpossibleStateError,
                                Verdict, classify2, classify3, determinize,
                                ltl_to_nba, minimize, nba_to_nfa,
                                nonempty_states)
 from ltlscope.automata.dot import automaton_to_dot, moore_to_dot
 from ltlscope.automata.guarded import Guard
-from ltlscope.automata.pipeline import (coarsest_partition, consistent_masks,
-                                        empty_event_edges, quotient_bisim)
+from ltlscope.automata.moore import product2, product3
+from ltlscope.automata.pipeline import (coarsest_partition, consistent_count,
+                                        consistent_masks, empty_event_edges,
+                                        inconsistent_masks, least_missing_mask,
+                                        quotient_bisim)
 from ltlscope.formula import (FALSE, TRUE, And, Atom, FalseConst, Lit, Next,
                               Not, Or, Release, SLit, TrueConst, Until,
                               negate_nnf, parse_formula, subformulas, to_nnf)
 from ltlscope.monitor import formula_to_dfa, synthesize_imperfect
 from ltlscope.oracle.lasso import LassoWord, eval_lasso
 from ltlscope.oracle.verdict import signed_triple
-from ltlscope.visibility import derive_classes, explicit_trace, visible_trace
+from ltlscope.visibility import (derive_classes, explicit_trace, identity_classes,
+                                 visible_trace)
 
 from conftest import all_words, plain_events, random_formula, random_signed_event
 
@@ -397,6 +401,27 @@ class TestConsistentMasks:
             assert consistent_masks(lits, False) == filtered_masks(lits, False)
             assert len(consistent_masks(lits, False)) == 2 ** len(lits)
 
+    def test_count_membership_and_least_missing_match_the_table(self, rng):
+        """The closed-form count, the inconsistent masks and the least missing
+        mask agree with the table they let the machine loader skip."""
+        for _ in range(300):
+            signed = rng.random() < 0.7
+            if signed:
+                names = rng.sample(self.NAMES, rng.randint(0, 5))
+                lits = [SLit(name, sign) for name in names
+                        for sign in rng.choice(((True,), (False,), (True, False)))]
+                rng.shuffle(lits)
+            else:
+                lits = rng.sample(self.NAMES, rng.randint(0, 6))
+            lits = tuple(lits)
+            table = consistent_masks(lits, signed)
+            assert consistent_count(lits, signed) == len(table)
+            every = range(1 << len(lits))
+            assert inconsistent_masks(lits, signed, every) == sorted(set(every) - set(table))
+            present = set(rng.sample(table, rng.randint(0, len(table))))
+            missing = sorted(set(table) - present)
+            assert least_missing_mask(lits, signed, present) == (missing[0] if missing else None)
+
 
 class TestDeterminize:
     def test_total_and_deterministic(self, rng):
@@ -545,10 +570,7 @@ class TestMinimize:
         """Eight atoms whose both signs are read give a union of 3^8
         consistent events; the violation DFA still minimises, to 82 of its
         162 states, and the machine has 99 Moore states."""
-        names = [f"a{i}" for i in range(8)]
-        f = parse_formula("G (" + " & ".join(
-            f"(a{i} -> X !a{i + 4}) & (!a{i} -> X a{i + 4})" for i in range(4)) + ")")
-        classes = derive_classes(names, [])
+        f, classes = both_signs_example()
         _, viol, _ = signed_triple(f, classes)
         dfa = formula_to_dfa(viol, signed=True, minimized=False)
         assert (len(dfa.states), len(minimize(dfa).states)) == (162, 82)
@@ -725,6 +747,100 @@ class TestProducts:
             event = random_signed_event(rng, names)
             state = m.machine.step(state, event)
             assert state in m.machine.outputs
+
+
+def reference_product(a: DFA, b: DFA, classify) -> dict:
+    """The product's outputs by the union walk: at each reachable state pair,
+    every consistent event over the union of both states' literals, built
+    as a set and stepped through both DFAs."""
+    outputs: dict = {}
+    work = [(a.initial, b.initial)]
+    while work:
+        state = work.pop()
+        if state in outputs:
+            continue
+        outputs[state] = classify(*state)
+        s, v = state
+        union = tuple(sorted({*a.lits[s], *b.lits[v]}, key=str))
+        for bits in consistent_masks.__wrapped__(union, a.signed):
+            event = frozenset(l for i, l in enumerate(union) if bits >> i & 1)
+            work.append((a.step(s, event), b.step(v, event)))
+    return outputs
+
+
+def wide_example(atoms: int):
+    """``G ((a0|…|a(h-1)) -> X (ah|…))`` over singleton classes, h = atoms / 2."""
+    names = [f"a{i}" for i in range(atoms)]
+    half = atoms // 2
+    f = parse_formula(f"G (({' | '.join(names[:half])}) -> X ({' | '.join(names[half:])}))")
+    return f, derive_classes(names, [])
+
+
+def both_signs_example():
+    """Eight atoms, each read under both signs: 99 Moore states."""
+    names = [f"a{i}" for i in range(8)]
+    f = parse_formula("G (" + " & ".join(
+        f"(a{i} -> X !a{i + 4}) & (!a{i} -> X a{i + 4})" for i in range(4)) + ")")
+    return f, derive_classes(names, [])
+
+
+def product_cases():
+    """(label, formula, classes) for the differential product checks: the
+    criterion-6 draws, the rover properties under the case-study and the
+    singleton classes, the both-signs formula and the wide example."""
+    rng = random.Random(20261019)
+    pool = ("p", "q", "r", "s")
+    for k in range(150):
+        f = randgen.random_formula(rng, rng.randint(1, 8), pool)
+        yield f"draw {k}", f, randgen.random_partition(rng, pool)
+    vspec = casestudy.spec()
+    for name, f in casestudy.formulas().items():
+        yield name, f, vspec.classes
+        yield f"{name} singleton", f, identity_classes(vspec.alphabet)
+    yield ("both signs", *both_signs_example())
+    for atoms in (8, 10):
+        yield (f"wide {atoms}", *wide_example(atoms))
+
+
+class TestProductJoin:
+    """The product joins the component rows on shared names; the union walk
+    it replaced is kept here as ``reference_product``."""
+
+    @staticmethod
+    def components(f, classes):
+        sat, viol, _ = signed_triple(f, classes)
+        return ((formula_to_dfa(to_nnf(f), signed=False), formula_to_dfa(negate_nnf(f), signed=False)),
+                (formula_to_dfa(sat, signed=True), formula_to_dfa(viol, signed=True)))
+
+    def test_outputs_match_the_union_walk(self):
+        for label, f, classes in product_cases():
+            (pos, neg), (sat, viol) = self.components(f, classes)
+            assert product2(pos, neg).outputs == reference_product(
+                pos, neg, lambda p, n: classify2(p in pos.accepting, n in neg.accepting)), label
+            assert product3(sat, viol).outputs == reference_product(
+                sat, viol, lambda s, v: classify3(s in sat.accepting, v in viol.accepting,
+                                                  not (s in sat.flagged or v in viol.flagged))), label
+
+    def test_opposite_signs_of_one_name_never_meet(self):
+        """One row reads only ``p=1`` and the other only ``p=0``: a join on
+        shared literal bits would pair ``p=1`` in one with ``p=0`` in the
+        other, a successor pair no consistent event reaches."""
+        pos, neg = SLit("p", True), SLit("p", False)
+        a = DFA(states=[0, 1, 2], initial=0, accepting=frozenset({0, 1, 2}), signed=True,
+                lits={0: (pos,), 1: (), 2: ()}, table={0: {0: 2, 1: 1}, 1: {0: 1}, 2: {0: 2}})
+        b = DFA(states=[0, 1, 2], initial=0, accepting=frozenset({0, 1, 2}), signed=True,
+                lits={0: (neg,), 1: (), 2: ()}, table={0: {0: 2, 1: 1}, 1: {0: 1}, 2: {0: 2}})
+        outputs = product2(a, b).outputs
+        assert set(outputs) == {(0, 0), (1, 2), (2, 1), (2, 2)}
+        assert outputs == reference_product(a, b, lambda s, v: classify2(True, True))
+
+    def test_wide_alphabet(self):
+        """Ten atoms over singleton classes: a union of 3^10 consistent
+        events at the widest state pair, six Moore states from two
+        three-state DFAs."""
+        m = synthesize_imperfect(*wide_example(10)).machine
+        assert len(m.outputs) == 6
+        assert [len(dfa.states) for dfa in m.components] == [3, 3]
 
 
 class TestLemma1:

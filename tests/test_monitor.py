@@ -232,6 +232,36 @@ class TestMachineRoundTrip:
         with pytest.raises(ValueError, match="1 components, expected 2"):
             machine_from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("literals", [
+        [f"x{i}" for i in range(64)],
+        [f"x{i}=1" for i in range(64)],
+        [f"x{i}={sign}" for i in range(32) for sign in (0, 1)],
+    ], ids=["plain", "signed", "both-signs"])
+    def test_wide_row_is_refused_by_counting(self, literals):
+        """A state listing 64 literals with a one-entry table is refused by
+        comparing its size with the count of consistent masks, not by
+        building the 2^64 (or 3^32) masks its row would need."""
+        signed = "=" in literals[0]
+        m = synthesize_imperfect(Atom("p"), derive_classes(("p",), [])) if signed \
+            else synthesize_standard(Atom("p"))
+        payload = json.loads(machine_to_json(m))
+        payload["components"][0]["literals"]["0"] = literals
+        payload["components"][0]["table"]["0"] = {"0": 0}
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="state 0: mask 1 has no successor"):
+            machine_from_json(json.dumps(payload))
+        assert time.perf_counter() - start < 0.5
+
+    def test_inconsistent_flags_are_a_value_error(self):
+        """Components whose accepting sets leave a product state in neither
+        language are refused, not reported as a pipeline bug."""
+        m = synthesize_standard(parse_formula(PROPS["phi1"]))
+        payload = json.loads(machine_to_json(m))
+        for component in payload["components"]:
+            component["accepting"] = []
+        with pytest.raises(ValueError, match="no verdict describes"):
+            machine_from_json(json.dumps(payload))
+
     def test_flags_survive_reload(self):
         m = synthesize_imperfect(parse_formula(PROPS["psi3"]), CLASSES)
         reloaded = machine_from_json(machine_to_json(m))

@@ -1,5 +1,7 @@
 """Hypothesis-driven invariants over generated formulas and traces."""
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +9,8 @@ from ltlscope.formula import (FALSE, TRUE, Always, And, Atom, Eventually,
                               Formula, Implies, Next, Not, Or, ParseError,
                               Release, Until, fmt, is_nnf, parse_formula,
                               to_nnf)
+from ltlscope.monitor import (machine_from_json, machine_to_json, synthesize_imperfect,
+                              synthesize_standard)
 from ltlscope.oracle.lasso import LassoWord, eval_lasso
 from ltlscope.rational import knapsack
 from ltlscope.visibility import (derive_classes, explicit_trace,
@@ -105,3 +109,80 @@ class TestKnapsackProperties:
         chosen = knapsack(pays, costs, bound, {k: len(k) for k in pays})
         assert sum(costs[k] for k in chosen) <= bound
         assert all(pays[k] > 0 for k in chosen)
+
+
+# Valid machine files to mutate: a plain one and a signed one whose rows
+# read both signs of a name and a class witness.
+MACHINE_FILES = (
+    machine_to_json(synthesize_standard(parse_formula("p U (q & X r)"))),
+    machine_to_json(synthesize_imperfect(parse_formula("G (p -> X !q) & F r"),
+                                         derive_classes(ATOMS, [("p", "q")]))),
+)
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(min_value=-2, max_value=70),
+              st.text(alphabet="pqr01=[]x", max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(alphabet="0123p", max_size=3), inner,
+                                            max_size=4)),
+    max_leaves=6)
+
+
+def _paths(node, prefix=()):
+    """The path of every value in a JSON document, the root last, so that
+    small picks edit the components rather than replace the document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in reversed(list(items)):
+        yield from _paths(child, prefix + (key,))
+    yield prefix
+
+
+def _mutate(doc, path, kind, value):
+    """``doc`` with the value at ``path`` replaced by ``value``, deleted, or,
+    if it is an integer, moved by one."""
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if kind == "delete":
+        del parent[key]
+    elif kind == "bump" and isinstance(parent[key], int):
+        parent[key] += 1 if value else -1
+    else:
+        parent[key] = value
+    return doc
+
+
+class TestMachineFileProperties:
+    @given(st.sampled_from(MACHINE_FILES),
+           st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(("replace", "delete", "bump")),
+                              json_values), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_file_loads_or_raises_value_error(self, text, edits):
+        """Random edits of a valid machine file either load, which rebuilds
+        the product from rows the pipeline never built, or raise
+        ``ValueError``; nothing else escapes."""
+        doc = json.loads(text)
+        for pick, kind, value in edits:
+            paths = list(_paths(doc))
+            doc = _mutate(doc, paths[pick % len(paths)], kind, value)
+            if not isinstance(doc, dict):
+                break
+        try:
+            monitor = machine_from_json(json.dumps(doc))
+        except ValueError:
+            return
+        assert monitor.verdict in monitor.machine.outputs.values()
+
+    @given(st.sampled_from(MACHINE_FILES), st.integers(min_value=0),
+           st.text(alphabet='{}[]:,"0123456789=pqx ', max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_garbled_text_loads_or_raises_value_error(self, text, at, insert):
+        at %= len(text)
+        try:
+            machine_from_json(text[:at] + insert + text[at + 1:])
+        except ValueError:
+            pass

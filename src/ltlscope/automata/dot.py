@@ -7,8 +7,8 @@ from .moore import MooreMachine
 from .pipeline import DFA
 
 
-def automaton_to_dot(aut, name: str = "automaton") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle];"]
+def automaton_to_dot(aut) -> str:
+    lines = ["digraph automaton {", "  rankdir=LR;", "  node [shape=circle];"]
     for q in aut.states:
         shape = "doublecircle" if q in aut.accepting else "circle"
         lines.append(f'  q{q} [shape={shape}, label="{q}"];')
@@ -27,9 +27,9 @@ def automaton_to_dot(aut, name: str = "automaton") -> str:
     return "\n".join(lines) + "\n"
 
 
-def moore_to_dot(machine: MooreMachine, name: str = "monitor") -> str:
+def moore_to_dot(machine: MooreMachine) -> str:
     ids = {state: i for i, state in enumerate(machine.states)}
-    lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=box];"]
+    lines = ["digraph monitor {", "  rankdir=LR;", "  node [shape=box];"]
     for state, i in ids.items():
         verdict = machine.output(state)
         label = ",".join(map(str, state))

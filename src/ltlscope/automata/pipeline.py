@@ -289,11 +289,25 @@ class DFA:
             yield mask_guard(lits, bits), self.table[state][bits]
 
 
+# The most consistent events one DFA row may map.  Each further name a state
+# reads at least doubles its row, so a wider state is refused before any
+# table over its literals is built.
+ROW_BITS = 20
+MAX_ROW = 1 << ROW_BITS
+
+
+class TooWideError(ValueError):
+    """A formula too wide to synthesise: a tableau node has more pending
+    subformulas than the recursion limit lets it expand, or a DFA state's
+    row would map more than ``MAX_ROW`` consistent events."""
+
+
 def determinize(nfa: GuardedAutomaton) -> DFA:
     """Rabin-Scott subset construction over consistent guard valuations.
 
     Unreachable subsets are never built; the empty subset acts as the sink.
-    A subset is flagged when it meets the NFA's flagged states.
+    A subset is flagged when it meets the NFA's flagged states.  A subset
+    whose row would exceed ``MAX_ROW`` raises ``TooWideError``.
     """
     initial = frozenset(nfa.initial)
     ids: dict[frozenset[int], int] = {initial: 0}
@@ -318,6 +332,10 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
                 mentioned |= guard.mentioned()
                 grouped.setdefault((guard.require, guard.forbid), set()).add(dst)
         lits = literal_order(mentioned)
+        # A row over n literals has at most 2^n masks.
+        if len(lits) > ROW_BITS and consistent_count(lits, nfa.signed) > MAX_ROW:
+            raise TooWideError(f"a DFA state reads {len(lits)} literals: its row would "
+                                f"map more than {MAX_ROW} consistent events")
         edges = [(valuation_bits(lits, require), valuation_bits(lits, forbid), frozenset(dsts))
                  for (require, forbid), dsts in grouped.items()]
         row: dict[int, int] = {}

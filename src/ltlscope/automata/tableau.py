@@ -16,11 +16,13 @@ distinct subformula of the root in preorder of first occurrence.
 
 from __future__ import annotations
 
+import sys
 from typing import Optional
 
 from ..formula import (And, Atom, FalseConst, Formula, Lit, Next, Not, Or,
                        Release, SLit, TrueConst, Until, _children)
 from .guarded import Guard, GuardedAutomaton
+from .pipeline import TooWideError
 
 Node = tuple[int, int]  # (satisfied-now mask, next-obligation mask)
 
@@ -157,18 +159,18 @@ class _Decomposer:
         return [(now, nxt) for _, _, now, nxt in keyed]
 
 
-def ltl_to_nba(f: Formula, signed: Optional[bool] = None) -> GuardedAutomaton:
+def ltl_to_nba(f: Formula, signed: bool) -> GuardedAutomaton:
     """Translate an NNF formula into a generalised Büchi automaton.
 
     The states are the reachable tableau nodes behind a virtual start, state
     0, which holds nothing now and the formula next and is entered by no
     edge.  Every edge carries the guard of its target node's literals.
     There is one acceptance set per Until subformula, in preorder: the
-    nodes where it is not pending or its right operand holds.
+    nodes where it is not pending or its right operand holds.  ``cover``
+    recurses once per pending subformula, so a node with more of them than
+    the recursion limit allows raises ``TooWideError``.
     """
     forms, position = _index(f)
-    if signed is None:
-        signed = any(isinstance(g, Lit) for g in forms)
     dec = _Decomposer(forms, position, signed)
 
     order: list[Node] = [(0, 1 << position[f])]
@@ -192,7 +194,11 @@ def ltl_to_nba(f: Formula, signed: Optional[bool] = None) -> GuardedAutomaton:
         uid = work.pop()
         if uid in transitions:
             continue
-        row = transitions[uid] = successors(order[uid][1])
+        try:
+            row = transitions[uid] = successors(order[uid][1])
+        except RecursionError:
+            raise TooWideError(f"a tableau node has too many pending subformulas to expand "
+                               f"within the recursion limit of {sys.getrecursionlimit()}") from None
         work.extend(dst for _, dst in row if dst not in transitions)
 
     untils = [(1 << i, 1 << position[g.right])

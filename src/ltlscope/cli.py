@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 from . import casestudy
 from .automata.dot import moore_to_dot
 from .automata.moore import Verdict
+from .automata.pipeline import TooWideError
 from .formula import (Atom, Formula, ParseError, SLit, UncoveredAtomError,
                       parse_formula, parse_slit)
 from .monitor import (MonitorInstance, machine_from_json, machine_to_json,
@@ -125,23 +126,30 @@ def event_to_json(event: frozenset):
 # synthesize
 # ---------------------------------------------------------------------------
 
+def _synthesize(f: Formula, classes) -> MonitorInstance:
+    """The imperfect monitor over ``classes``, or the standard one without
+    them; a formula too wide to synthesise exits with one line."""
+    try:
+        return synthesize_standard(f) if classes is None else synthesize_imperfect(f, classes)
+    except UncoveredAtomError as exc:
+        raise SystemExit(f"classes error: {exc}")
+    except TooWideError as exc:
+        raise SystemExit(f"formula error: {exc}")
+
+
 def cmd_synthesize(args) -> int:
     try:
         f = parse_formula(args.formula)
     except ParseError as exc:
         raise SystemExit(f"formula error: {exc}")
     t0 = time.perf_counter()
+    classes = None
     if args.classes:
         try:
             classes = parse_classes(args.classes, args.alphabet.split(",") if args.alphabet else None)
         except ValueError as exc:
             raise SystemExit(f"classes error: {exc}")
-        try:
-            monitor = synthesize_imperfect(f, classes, minimized=not args.no_minimize)
-        except UncoveredAtomError as exc:
-            raise SystemExit(f"classes error: {exc}")
-    else:
-        monitor = synthesize_standard(f, minimized=not args.no_minimize)
+    monitor = _synthesize(f, classes)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     payload = machine_to_json(monitor, formula_text=args.formula, classes_text=args.classes)
@@ -248,6 +256,8 @@ def cmd_verify(args) -> int:
                                   seed=int(cfg.get("seed", 0)))
             session = (ActiveSession if mode == "active" else ReactiveSession)(
                 formula, vspec, rcfg)
+        except TooWideError as exc:
+            raise SystemExit(f"formula error: {exc}")
         except (TypeError, ValueError) as exc:
             raise SystemExit(f"config error: {exc}")
         t_synth1 = time.perf_counter()
@@ -266,15 +276,9 @@ def cmd_verify(args) -> int:
         n_events = len(trace)
     else:
         if monitor is None:
-            if mode == "standard":
-                monitor = synthesize_standard(formula)
-            else:
-                if classes is None:
-                    raise SystemExit("imperfect mode needs --classes")
-                try:
-                    monitor = synthesize_imperfect(formula, classes)
-                except UncoveredAtomError as exc:
-                    raise SystemExit(f"classes error: {exc}")
+            if mode == "imperfect" and classes is None:
+                raise SystemExit("imperfect mode needs --classes")
+            monitor = _synthesize(formula, classes if mode == "imperfect" else None)
         t_synth1 = time.perf_counter()
         if mode == "standard":
             if signed_input:
@@ -365,9 +369,11 @@ VERDICT_ORDER = [Verdict.TRUE, Verdict.FALSE, Verdict.UU, Verdict.UNKNOWN,
                  Verdict.UNKNOWN_NOT_FALSE, Verdict.UNKNOWN_NOT_TRUE]
 
 
+EXPERIMENT_TRACE_LEN = 8  # events per trace of the metric comparison
+
+
 def run_metrics_experiment(n_formulas: int, n_traces: int, seed: int,
-                           metrics: Sequence[str], size: int = 4,
-                           trace_len: int = 8) -> dict[str, dict[str, int]]:
+                           metrics: Sequence[str], size: int = 4) -> dict[str, dict[str, int]]:
     """Verdict counts of seeded active-monitor runs per metric.
 
     Formulas, traces and visibility draws are shared across metrics so the
@@ -382,7 +388,7 @@ def run_metrics_experiment(n_formulas: int, n_traces: int, seed: int,
         f = random_formula(rng_f, size)
         vspec = experiment_visibility(random.Random(derive_seed(seed, 2, i)))
         traces = [
-            random_plain_trace(random.Random(derive_seed(seed, 3, i, j)), trace_len)
+            random_plain_trace(random.Random(derive_seed(seed, 3, i, j)), EXPERIMENT_TRACE_LEN)
             for j in range(n_traces)
         ]
         for metric_name in metrics:
@@ -434,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", help="comma-separated alphabet (defaults to mentioned atoms)")
     p.add_argument("--out", required=True)
     p.add_argument("--dot", help="also write Graphviz DOT")
-    p.add_argument("--no-minimize", action="store_true")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("verify", help="run a monitor over a trace file")

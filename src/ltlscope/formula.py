@@ -422,8 +422,9 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 
 def atoms(f: Formula) -> frozenset[str]:
-    """Names of the plain atoms occurring in the formula."""
-    return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
+    """Names of the plain atoms occurring in the formula, each distinct
+    subformula visited once."""
+    return frozenset(g.name for g in postorder(f) if isinstance(g, Atom))
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +531,8 @@ def to_metric_form(f: Formula) -> Formula:
 
 def is_nnf(f: Formula) -> bool:
     """True when negation occurs only directly above leaves and no derived
-    operators remain."""
-    for g in subformulas(f):
+    operators remain.  Each distinct subformula is visited once."""
+    for g in postorder(f):
         if isinstance(g, (Implies, Eventually, Always)):
             return False
         if isinstance(g, Not) and not isinstance(g.operand, (Atom, Lit)):

@@ -29,23 +29,27 @@ from .formula import (MAX_NESTING, Formula, SLit, height, make_signed, negate_nn
 from .visibility import EqClass, check_consistent, rendering_map
 
 
-def formula_to_dfa(f: Formula, signed: bool, minimized: bool = True) -> DFA:
-    """Run one branch of the pipeline: the tableau's generalised NBA,
-    per-state emptiness, NFA, its bisimulation quotient, DFA and, if
-    ``minimized``, the minimal DFA.
+def subset_dfa(f: Formula, signed: bool) -> DFA:
+    """Run one branch of the pipeline up to the subset construction: the
+    tableau's generalised NBA, per-state emptiness, NFA, its bisimulation
+    quotient and DFA.
 
     A signed branch also flags the states from which the all-empty word is
     accepted; the plain branch never reads flags and skips that check.  The
     NBA is neither quotiented nor degeneralised: emptiness reads its
     acceptance sets directly, and bisimilar NBA states have the same Büchi
-    language, so the NFA quotient merges them anyway.
+    language, so the NFA quotient merges them anyway.  Every stage is
+    called through this module's globals.
     """
-    nba = ltl_to_nba(f, signed=signed)
+    nba = ltl_to_nba(f, signed)
     if signed:
         nba = replace(nba, flagged=nonempty_states(empty_event_edges(nba)))
-    nfa = quotient_bisim(nba_to_nfa(nba, nonempty_states(nba)))
-    dfa = determinize(nfa)
-    return minimize(dfa) if minimized else dfa
+    return determinize(quotient_bisim(nba_to_nfa(nba, nonempty_states(nba))))
+
+
+def formula_to_dfa(f: Formula, signed: bool) -> DFA:
+    """One branch of the pipeline: the minimal DFA of ``subset_dfa``."""
+    return minimize(subset_dfa(f, signed))
 
 
 @dataclass
@@ -105,11 +109,10 @@ def _check_height(f: Formula) -> None:
 
 
 @lru_cache(maxsize=4096)
-def _standard_machine(f: Formula, minimized: bool) -> MooreMachine:
+def _standard_machine(f: Formula) -> MooreMachine:
     _check_height(f)
-    pos = formula_to_dfa(to_nnf(f), signed=False, minimized=minimized)
-    neg = formula_to_dfa(negate_nnf(f), signed=False, minimized=minimized)
-    return product2(pos, neg)
+    return product2(formula_to_dfa(to_nnf(f), signed=False),
+                    formula_to_dfa(negate_nnf(f), signed=False))
 
 
 def signed_triple(f: Formula, classes: Sequence[EqClass]) -> tuple[Formula, Formula]:
@@ -125,26 +128,23 @@ def signed_triple(f: Formula, classes: Sequence[EqClass]) -> tuple[Formula, Form
 
 
 @lru_cache(maxsize=4096)
-def _imperfect_machine(f: Formula, classes: tuple[EqClass, ...],
-                       minimized: bool) -> MooreMachine:
+def _imperfect_machine(f: Formula, classes: tuple[EqClass, ...]) -> MooreMachine:
     _check_height(f)
     sat, viol = signed_triple(f, classes)
-    return product3(formula_to_dfa(sat, signed=True, minimized=minimized),
-                    formula_to_dfa(viol, signed=True, minimized=minimized))
+    return product3(formula_to_dfa(sat, signed=True), formula_to_dfa(viol, signed=True))
 
 
-def synthesize_standard(f: Formula, minimized: bool = True) -> MonitorInstance:
+def synthesize_standard(f: Formula) -> MonitorInstance:
     """Three-valued monitor: product of the satisfaction and violation DFAs
     over plain closed-world events.  The underlying machine is immutable and
     cached; every call hands out a fresh cursor.  A formula nested deeper
     than ``MAX_NESTING`` raises ``ValueError``."""
-    return MonitorInstance(_standard_machine(f, minimized))
+    return MonitorInstance(_standard_machine(f))
 
 
-def synthesize_imperfect(f: Formula, classes: Sequence[EqClass],
-                         minimized: bool = True) -> MonitorInstance:
+def synthesize_imperfect(f: Formula, classes: Sequence[EqClass]) -> MonitorInstance:
     """Six-valued monitor over the signed alphabet of the given classes."""
-    return MonitorInstance(_imperfect_machine(f, tuple(classes), minimized))
+    return MonitorInstance(_imperfect_machine(f, tuple(classes)))
 
 
 # ---------------------------------------------------------------------------

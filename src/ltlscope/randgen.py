@@ -34,9 +34,8 @@ def random_formula(rng: random.Random, size: int,
 
 
 def random_plain_trace(rng: random.Random, length: int,
-                       pool: Sequence[str] = DEFAULT_POOL,
-                       density: float = 0.5) -> list[frozenset[str]]:
-    return [frozenset(a for a in pool if rng.random() < density)
+                       pool: Sequence[str] = DEFAULT_POOL) -> list[frozenset[str]]:
+    return [frozenset(a for a in pool if rng.random() < 0.5)
             for _ in range(length)]
 
 
@@ -54,17 +53,17 @@ def random_partition(rng: random.Random, pool: Sequence[str]) -> tuple[EqClass, 
     return derive_classes(pool, pairs)
 
 
-def experiment_visibility(rng: random.Random,
-                          pool: Sequence[str] = DEFAULT_POOL) -> VisibilitySpec:
-    """The fixed random setup of the metric-comparison experiment: one
-    two-atom class plus singletons, cost uniform in 1..3, budget 2."""
-    atoms = list(pool)
+def experiment_visibility(rng: random.Random) -> VisibilitySpec:
+    """The fixed random setup of the metric-comparison experiment over
+    ``DEFAULT_POOL``: one two-atom class plus singletons, cost uniform in
+    1..3, budget 2."""
+    atoms = list(DEFAULT_POOL)
     rng.shuffle(atoms)
     paired = sorted(atoms[:2])
-    classes = derive_classes(pool, [(paired[0], paired[1])])
+    classes = derive_classes(DEFAULT_POOL, [(paired[0], paired[1])])
     cid = next(c.canonical_id for c in classes if not c.is_singleton)
     return VisibilitySpec(
-        alphabet=frozenset(pool),
+        alphabet=frozenset(DEFAULT_POOL),
         classes=classes,
         costs={cid: rng.randint(1, 3)},
         bound=2,

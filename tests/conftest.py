@@ -22,6 +22,16 @@ def random_formula(rng: random.Random, size: int, pool=("p", "q", "r", "s")):
                 random_formula(rng, size - 1 - split, pool))
 
 
+def balanced_conjunction(count: int):
+    """``((p0 & p1) & (p2 & p3)) & …``: ``count`` atoms wide, but only about
+    log2(count) levels deep."""
+    level = [Atom(f"p{i}") for i in range(count)]
+    while len(level) > 1:
+        level = [And(*level[i:i + 2]) if i + 1 < len(level) else level[i]
+                 for i in range(0, len(level), 2)]
+    return level[0]
+
+
 def plain_events(pool=("p", "q")):
     out = []
     for n in range(len(pool) + 1):

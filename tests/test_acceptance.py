@@ -331,33 +331,36 @@ def test_criterion_09_per_event_time_constant():
     vspec = experiment_visibility(random.Random(SEED + 3))
     monitor = rational_machine(f, vspec.alphabet)
     lengths = (100, 1000, 10000)
-    per_event = {}
+    from ltlscope.visibility import expand_witnesses
+    events = {}
     for length in lengths:
         trace = random_plain_trace(random.Random(derive_seed(SEED, length)), length)
         sv = [frozenset(ev) for ev in
               visible_trace(explicit_trace(trace, sorted(vspec.alphabet)), vspec.classes, ())]
-        from ltlscope.visibility import expand_witnesses
-        events = [expand_witnesses(ev, vspec.classes) for ev in sv]
-        # Short traces are replayed within a timed run so every sample covers
-        # enough events for the scheduler jitter to wash out.
-        replays = max(1, 4000 // length)
-        samples = []
-        gc.collect()
-        gc.disable()
-        try:
-            for rep in range(7):
+        events[length] = [expand_witnesses(ev, vspec.classes) for ev in sv]
+    # Short traces are replayed within a timed run so every sample covers
+    # enough events for the scheduler jitter to wash out.  Every lap times
+    # all three lengths in turn, so load that comes and goes lands on all
+    # of them alike.
+    samples = {length: [] for length in lengths}
+    gc.collect()
+    gc.disable()
+    try:
+        for rep in range(7):
+            for length in lengths:
+                replays = max(1, 4000 // length)
                 t0 = time.perf_counter()
                 for _ in range(replays):
                     cursor = monitor.clone()
                     cursor.reset()
-                    for event in events:
+                    for event in events[length]:
                         cursor.step(event)
                 elapsed = (time.perf_counter() - t0) / (length * replays)
                 if rep >= 2:  # discard warm-up laps
-                    samples.append(elapsed)
-        finally:
-            gc.enable()
-        per_event[length] = statistics.median(samples)
+                    samples[length].append(elapsed)
+    finally:
+        gc.enable()
+    per_event = {length: statistics.median(samples[length]) for length in lengths}
 
     ratio = max(per_event.values()) / min(per_event.values())
     ok = ratio <= 2.0

@@ -21,7 +21,7 @@ from ltlscope.automata.pipeline import (coarsest_partition, consistent_count,
 from ltlscope.formula import (FALSE, TRUE, And, Atom, FalseConst, Lit, Next,
                               Not, Or, Release, SLit, TrueConst, Until,
                               negate_nnf, parse_formula, subformulas, to_nnf)
-from ltlscope.monitor import formula_to_dfa, synthesize_imperfect
+from ltlscope.monitor import formula_to_dfa, subset_dfa, synthesize_imperfect
 from ltlscope.oracle.lasso import LassoWord, eval_lasso
 from ltlscope.oracle.verdict import signed_triple
 from ltlscope.visibility import (derive_classes, explicit_trace, identity_classes,
@@ -563,7 +563,7 @@ class TestMinimize:
             sat, viol, _ = signed_triple(f, randgen.random_partition(rng, pool))
             for branch, signed in ((to_nnf(f), False), (negate_nnf(f), False),
                                    (sat, True), (viol, True)):
-                dfa = formula_to_dfa(branch, signed, minimized=False)
+                dfa = subset_dfa(branch, signed)
                 assert dfa_fields(minimize(dfa)) == dfa_fields(reference_minimize(dfa)), branch
 
     def test_wide_signed_alphabet_is_minimised(self):
@@ -572,7 +572,7 @@ class TestMinimize:
         162 states, and the machine has 99 Moore states."""
         f, classes = both_signs_example()
         _, viol, _ = signed_triple(f, classes)
-        dfa = formula_to_dfa(viol, signed=True, minimized=False)
+        dfa = subset_dfa(viol, signed=True)
         assert (len(dfa.states), len(minimize(dfa).states)) == (162, 82)
         assert len(synthesize_imperfect(f, classes).machine.outputs) == 99
 
@@ -634,13 +634,14 @@ class TestFlags:
     @pytest.mark.parametrize("minimized", [True, False])
     def test_flag_is_acceptance_of_the_empty_continuation(self, rng, minimized):
         """A signed DFA state is flagged exactly when the prefix reaching it,
-        continued by empty events forever, satisfies the branch formula."""
+        continued by empty events forever, satisfies the branch formula:
+        on the minimal DFA and on the subset construction's."""
         names = ("p", "q")
         for _ in range(40):
             f = random_formula(rng, rng.randint(1, 6), pool=names)
             classes = derive_classes(names, [names] if rng.random() < 0.5 else [])
             for branch in signed_triple(f, classes)[:2]:
-                dfa = formula_to_dfa(branch, signed=True, minimized=minimized)
+                dfa = (formula_to_dfa if minimized else subset_dfa)(branch, signed=True)
                 literals = sorted({lit.name for q in dfa.states for lit in dfa.lits[q]})
                 for _ in range(6):
                     prefix = tuple(random_signed_event(rng, literals)
@@ -657,12 +658,11 @@ class TestSingleQuotient:
     the flag, so the NFA quotients agree."""
 
     @staticmethod
-    def two_quotient_dfa(f, signed, minimized):
+    def two_quotient_dfa(f, signed):
         nba = degeneralised(ltl_to_nba(f, signed=signed))
         if signed:
             nba = replace(nba, flagged=nonempty_states(empty_event_edges(nba)))
-        dfa = determinize(quotient_bisim(nba_to_nfa(nba, nonempty_states(nba))))
-        return minimize(dfa) if minimized else dfa
+        return determinize(quotient_bisim(nba_to_nfa(nba, nonempty_states(nba))))
 
     def test_criterion_6_draws(self):
         rng = random.Random(20240817)
@@ -672,13 +672,10 @@ class TestSingleQuotient:
             sat, viol, _ = signed_triple(f, randgen.random_partition(rng, pool))
             for branch, signed in ((to_nnf(f), False), (negate_nnf(f), False),
                                    (sat, True), (viol, True)):
-                for minimized in (True, False):
-                    got = formula_to_dfa(branch, signed, minimized)
-                    want = self.two_quotient_dfa(branch, signed, minimized)
-                    assert (got.states, got.initial, got.lits, got.table,
-                            got.accepting, got.flagged) == \
-                        (want.states, want.initial, want.lits, want.table,
-                         want.accepting, want.flagged), (branch, minimized)
+                raw = self.two_quotient_dfa(branch, signed)
+                assert dfa_fields(subset_dfa(branch, signed)) == dfa_fields(raw), branch
+                assert dfa_fields(formula_to_dfa(branch, signed)) == \
+                    dfa_fields(minimize(raw)), branch
 
 
 class TestProducts:

@@ -8,7 +8,9 @@ import pytest
 from ltlscope import casestudy
 from ltlscope.automata import Verdict
 from ltlscope.cli import main, parse_costs, read_plain_trace, read_signed_trace
-from ltlscope.formula import SLit
+from ltlscope.formula import SLit, fmt
+
+from conftest import balanced_conjunction
 
 
 def run_cli(args, capsys):
@@ -274,6 +276,34 @@ class TestUserErrors:
                                  "--mode", "reactive", *CASE_ARGS, "--config", str(path),
                                  *flags])
         assert message.startswith("config error: ") and needle in message
+
+
+    @pytest.mark.parametrize("count, command, classes", [
+        (1200, ["synthesize", "--out", "m.json"], False),
+        (24, ["synthesize", "--out", "m.json"], True),
+        (1200, ["verify", "--mode", "standard"], False),
+        (24, ["verify", "--mode", "imperfect"], True),
+        (1200, ["verify", "--mode", "active", "--costs", "p0=1", "--bound", "1"], True),
+        (24, ["verify", "--mode", "reactive", "--costs", "p0=1", "--bound", "1",
+              "--window", "1"], True),
+    ], ids=["synthesize-1200", "synthesize-imperfect-24", "verify-standard-1200",
+            "verify-imperfect-24", "verify-active-1200", "verify-reactive-24"])
+    def test_wide_conjunction_is_a_formula_error(self, tmp_path, monkeypatch, count,
+                                                 command, classes):
+        """A balanced conjunction of ``count`` atoms is refused, in every
+        command and mode, with one line: at its tableau node for 1200 atoms,
+        at its first DFA row for 24."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.txt").write_text("p0\n", encoding="utf-8")
+        if command[0] == "verify":
+            command = [*command, "--trace", "t.txt"]
+        if classes:
+            command = [*command, "--classes", "; ".join(f"p{i}" for i in range(count))]
+        start = time.perf_counter()
+        message = one_line_exit([*command, "-f", fmt(balanced_conjunction(count))])
+        assert time.perf_counter() - start < 5.0
+        assert message.startswith("formula error: ")
+        assert ("recursion limit" if count == 1200 else "reads 24 literals") in message
 
 
 class TestSynthesize:

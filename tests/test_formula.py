@@ -11,7 +11,7 @@ import pytest
 from ltlscope.formula import (FALSE, MAX_NESTING, TRUE, Always, And, Atom,
                               Eventually, FalseConst, Formula, Implies, Lit,
                               Next, Not, Or, ParseError, Release, SLit,
-                              TrueConst, UncoveredAtomError, Until, fmt,
+                              TrueConst, UncoveredAtomError, Until, atoms, fmt,
                               height, is_nnf, make_signed, negate_nnf,
                               parse_formula, progress, to_nnf, to_metric_form)
 from ltlscope.oracle.lasso import LassoWord, eval_lasso
@@ -126,6 +126,21 @@ class TestInterning:
         assert shared is stepwise
         assert hash(shared) == hash(stepwise)
         assert height(shared) == 60
+
+    def test_atoms_and_the_nnf_check_meet_each_node_once(self):
+        """The 60-level ``g & g`` DAG of the progression test: ``atoms`` and
+        ``is_nnf`` walk its 64 distinct nodes, not its 2^60 leaves, so the
+        oracle's guard rail, which counts atoms first, refuses a 4-atom DAG
+        at once."""
+        from ltlscope.oracle import InstanceTooLarge, oracle_verdict
+        g, h = Implies(Atom("p"), Next(Atom("q"))), Or(Not(Atom("p")), Next(Atom("q")))
+        for _ in range(60):
+            g, h = And(g, g), And(h, h)
+        assert atoms(g) == {"p", "q"}
+        assert not is_nnf(g) and is_nnf(h)
+        wide = And(g, Until(Atom("r"), Atom("s")))
+        with pytest.raises(InstanceTooLarge, match="more than 3 base atoms"):
+            oracle_verdict(wide, derive_classes(("p", "q", "r", "s"), []), [])
 
     def test_parser_api_and_normal_forms_build_one_object(self, rng):
         f = parse_formula("G (p -> X !q)")

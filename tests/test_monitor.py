@@ -11,6 +11,7 @@ from ltlscope import casestudy, monitor as monitor_module
 from ltlscope.automata import Verdict, ltl_to_nba, nba_to_nfa, nonempty_states
 from ltlscope.automata.dot import automaton_to_dot, moore_to_dot
 from ltlscope.automata.moore import REFINEMENTS, classify3
+from ltlscope.automata.pipeline import TooWideError
 from ltlscope.formula import Atom, SLit, parse_formula
 from ltlscope.monitor import (clear_machine_caches, machine_from_json,
                               machine_to_json, synthesize_imperfect,
@@ -22,7 +23,8 @@ from ltlscope.randgen import random_partition
 from ltlscope.visibility import (derive_classes, explicit_trace, parse_classes,
                                  standard_view, visible_trace)
 
-from conftest import random_formula, random_plain_trace, random_signed_event
+from conftest import (balanced_conjunction, random_formula, random_plain_trace,
+                      random_signed_event)
 
 ALPHABET = ("b1", "b2", "b3", "c", "s", "a", "b", "g", "mb", "w")
 CLASSES = derive_classes(ALPHABET, [("c", "s"), ("a", "b"), ("b", "g")])
@@ -292,12 +294,12 @@ def _verdict_kind(verdict: Verdict) -> str:
 
 class TestMachineBytes:
     """Synthesis is pinned byte for byte: the sha256 of ``machine_to_json``
-    over seeded criterion-6 draws, four machines each (imperfect and
-    standard, minimised and not).  A change that renumbers machines on
-    purpose updates the digest and says so; CI runs this test under two
-    hash seeds, so set iteration order cannot leak into machine files."""
+    over seeded criterion-6 draws, two machines each (imperfect and
+    standard).  A change that renumbers machines on purpose updates the
+    digest and says so; CI runs this test under two hash seeds, so set
+    iteration order cannot leak into machine files."""
 
-    DIGEST = "ad6534896efd52fa1d5ef8f6f45319e81eb40462e98472df1f254fd78f250f0c"
+    DIGEST = "7091cb16802f66c0c97a0ce8500c7fdfbf0f26a75eee8a6e7d0d3ba419c8cc68"
 
     def test_criterion_6_draws(self):
         rng = random.Random(7)
@@ -306,21 +308,19 @@ class TestMachineBytes:
         for _ in range(300):
             f = criterion_formula(rng, rng.randint(1, 8), pool)
             classes = random_partition(rng, pool)
-            for minimized in (True, False):
-                for m in (synthesize_imperfect(f, classes, minimized),
-                          synthesize_standard(f, minimized)):
-                    digest.update(machine_to_json(m).encode())
+            for m in (synthesize_imperfect(f, classes), synthesize_standard(f)):
+                digest.update(machine_to_json(m).encode())
         assert digest.hexdigest() == self.DIGEST
 
 
 class TestDotBytes:
     """DOT export is pinned byte for byte like the machine files: the sha256
     of ``moore_to_dot`` and of ``automaton_to_dot`` on both components, over
-    the same draws and four machines as ``TestMachineBytes``.  The guards on
+    the same draws and machines as ``TestMachineBytes``.  The guards on
     every edge are decoded from valuation masks, so this pins the encoding
     too; CI runs it under two hash seeds."""
 
-    DIGEST = "a2246d22cf00e59ff044f1a8ca13414ee05b03f1c11fa19c192cae5f3568bfe0"
+    DIGEST = "a65eb9c73be8a5b0ad90964fd02dd1756a6ce8f371b7b2e4e89e2bb29e651a0e"
 
     def test_criterion_6_draws(self):
         rng = random.Random(7)
@@ -329,12 +329,10 @@ class TestDotBytes:
         for _ in range(300):
             f = criterion_formula(rng, rng.randint(1, 8), pool)
             classes = random_partition(rng, pool)
-            for minimized in (True, False):
-                for m in (synthesize_imperfect(f, classes, minimized),
-                          synthesize_standard(f, minimized)):
-                    digest.update(moore_to_dot(m.machine).encode())
-                    for dfa in m.machine.components:
-                        digest.update(automaton_to_dot(dfa).encode())
+            for m in (synthesize_imperfect(f, classes), synthesize_standard(f)):
+                digest.update(moore_to_dot(m.machine).encode())
+                for dfa in m.machine.components:
+                    digest.update(automaton_to_dot(dfa).encode())
         assert digest.hexdigest() == self.DIGEST
 
 
@@ -424,3 +422,38 @@ def test_imperfect_machine_builds_two_dfas(monkeypatch):
     m = synthesize_imperfect(parse_formula(PROPS["phi2"]), CLASSES)
     assert len(built) == 2
     assert len(m.machine.components) == 2
+
+
+class TestWideFormulas:
+    """A conjunction of n atoms is only log2(n) levels deep, but its tableau
+    node has all 2n - 1 subformulas pending at once, and its first DFA state
+    reads all n atoms: a row of 2^n events."""
+
+    def test_tableau_refuses_a_node_past_the_recursion_limit(self):
+        with pytest.raises(TooWideError, match="recursion limit"):
+            ltl_to_nba(balanced_conjunction(1200), signed=False)
+
+    @pytest.mark.parametrize("entry, count, reason", [
+        ("standard", 1200, "recursion limit"), ("standard", 300, "reads 300 literals"),
+        ("imperfect", 1200, "recursion limit"), ("imperfect", 24, "reads 24 literals"),
+        ("active", 1200, "recursion limit"), ("reactive", 24, "reads 24 literals")])
+    def test_wide_formula_is_refused(self, entry, count, reason):
+        """Every synthesis entry point refuses the formula before building
+        its row."""
+        from ltlscope.rational import RationalConfig, active_monitor, reactive_monitor
+        from ltlscope.visibility import VisibilitySpec
+        f = balanced_conjunction(count)
+        names = [f"p{i}" for i in range(count)]
+        classes = derive_classes(names, [])
+        spec = VisibilitySpec(alphabet=frozenset(names), classes=classes)
+        run = {
+            "standard": lambda: synthesize_standard(f),
+            "imperfect": lambda: synthesize_imperfect(f, classes),
+            "active": lambda: active_monitor([{"p0"}], f, spec, RationalConfig()),
+            "reactive": lambda: reactive_monitor([{"p0"}], f, spec, RationalConfig(window=1)),
+        }[entry]
+        clear_machine_caches()
+        t0 = time.perf_counter()
+        with pytest.raises(TooWideError, match=reason):
+            run()
+        assert time.perf_counter() - t0 < 5.0

@@ -14,8 +14,8 @@ from . import casestudy
 from .automata.dot import moore_to_dot
 from .automata.moore import Verdict
 from .automata.pipeline import TooWideError
-from .formula import (Atom, Formula, ParseError, SLit, UncoveredAtomError,
-                      parse_formula, parse_slit)
+from .formula import (Formula, ParseError, SLit, UncoveredAtomError,
+                      is_atom_name, parse_formula, parse_slit)
 from .monitor import (MonitorInstance, machine_from_json, machine_to_json,
                       synthesize_imperfect, synthesize_standard)
 from .randgen import (derive_seed, experiment_visibility, random_formula,
@@ -50,14 +50,6 @@ def _write_text(path: str, text: str, what: str) -> None:
         raise SystemExit(f"{what} error: {exc}")
 
 
-def _is_atom_name(name: str) -> bool:
-    """Whether the formula grammar reads ``name`` as one atom."""
-    try:
-        return parse_formula(name) == Atom(name)
-    except ParseError:
-        return False
-
-
 def read_plain_trace(path: str,
                      alphabet: Optional[frozenset[str]] = None) -> list[frozenset[str]]:
     """One event per line; comma or space separated atoms; blank line is an
@@ -68,7 +60,7 @@ def read_plain_trace(path: str,
     for i, line in enumerate(_read_text(path, "trace").splitlines()):
         event = frozenset(line.replace(",", " ").split())
         for name in event - checked:
-            if not _is_atom_name(name):
+            if not is_atom_name(name):
                 raise SystemExit(f"{path}:{i + 1}: {name!r} is not an atom name")
             if alphabet is not None and name not in alphabet:
                 raise SystemExit(f"{path}:{i + 1}: atom {name!r} is in no class")
@@ -116,6 +108,11 @@ def parse_costs(text: str) -> dict[str, int]:
     return costs
 
 
+def _alphabet_arg(args) -> Optional[list[str]]:
+    """The ``--alphabet`` entries, stripped; ``parse_classes`` checks them."""
+    return [name.strip() for name in args.alphabet.split(",")] if args.alphabet else None
+
+
 def event_to_json(event: frozenset):
     if any(isinstance(x, SLit) for x in event):
         return sorted(str(lit) for lit in event)
@@ -146,7 +143,7 @@ def cmd_synthesize(args) -> int:
     classes = None
     if args.classes:
         try:
-            classes = parse_classes(args.classes, args.alphabet.split(",") if args.alphabet else None)
+            classes = parse_classes(args.classes, _alphabet_arg(args))
         except ValueError as exc:
             raise SystemExit(f"classes error: {exc}")
     monitor = _synthesize(f, classes)
@@ -216,10 +213,9 @@ def cmd_verify(args) -> int:
             raise SystemExit(f"formula error: {exc}")
 
     cfg = _load_config(args)
-    alphabet = args.alphabet.split(",") if args.alphabet else None
     if args.classes:
         try:
-            classes = parse_classes(args.classes, alphabet)
+            classes = parse_classes(args.classes, _alphabet_arg(args))
         except ValueError as exc:
             raise SystemExit(f"classes error: {exc}")
 

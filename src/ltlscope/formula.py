@@ -14,18 +14,17 @@ object, structural equality is identity, and nodes hash by identity, which
 keeps every formula-keyed table cheap however deep its keys.  Nodes are
 immutable; copying or unpickling one returns the interned node.
 
-The module also houses the normal forms (NNF of a formula or of its
-negation, and the implication-preserving metric form, all from one
-negation-pushing walker), the signed-alphabet translation of a formula, and
-one-step progression over partially known events.  The satisfaction and
-violation formulas the imperfect monitor is built from are made of these in
-``monitor.signed_triple``; the oracle builds its own triple, with the
-forever-undefined formula, in ``oracle.verdict.signed_triple``.
+The module also houses the normal forms (``nnf_pair``: the NNF of a formula
+and of its negation from one fold over its distinct nodes, optionally on the
+signed alphabet of the classes) and one-step progression over partially
+known events.  The imperfect monitor is built from the signed pair
+(``monitor.signed_triple``); the oracle adds the forever-undefined formula
+in ``oracle.verdict.signed_triple``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 
 class SLit(NamedTuple):
@@ -176,8 +175,9 @@ _UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Always}
 
 # Deepest nesting ``parse_formula`` accepts, counted two ways: parentheses,
 # unary operators and right operands open at once while parsing, and the
-# operator height of the result.  The normal forms recurse over the formula;
-# at this depth synthesis stays far inside Python's default recursion limit.
+# operator height of the result.  The parser is recursive descent, and
+# synthesis work grows with height: without the limit, both monitors of
+# ``X^400 p`` took 1-2 s and those of ``X^2000 p`` 30-40 s on a 2-vCPU VM.
 # Progression and the payoff metric do not recurse, so the residuals a long
 # reactive run builds may grow past this height.
 MAX_NESTING = 100
@@ -321,6 +321,15 @@ def parse_formula(text: str) -> Formula:
     if height(f) > MAX_NESTING:
         raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", 0)
     return f
+
+
+def is_atom_name(name: str) -> bool:
+    """Whether the formula grammar reads ``name`` as one atom: the rule for
+    atom names in formulas, classes, alphabets and traces alike."""
+    try:
+        return parse_formula(name) is Atom(name)
+    except ParseError:
+        return False
 
 
 def height(f: Formula) -> int:
@@ -470,63 +479,80 @@ def _mk_implies(left: Formula, right: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Normal forms: NNF and the metric form, from one negation-pushing walker
+# Normal forms: NNF, the metric form and the signed translation, one fold
 # ---------------------------------------------------------------------------
 
-# How a binary node is rebuilt, indexed by ``negated`` and then by the node's
-# type: negation swaps & with | and U with R.
-_BINARY = (
-    {And: _mk_and, Or: _mk_or, Until: Until, Release: Release},
-    {And: _mk_or, Or: _mk_and, Until: Release, Release: Until},
-)
+class UncoveredAtomError(ValueError):
+    """An atom of the formula belongs to no visibility class."""
 
 
-def _push(f: Formula, negated: bool, keep_implies: bool) -> Formula:
-    """``f``, or its negation when ``negated``, with negation pushed to the
-    leaves and F, G expanded to ``true U``, ``false R``.
+def nnf_pair(f: Formula, rendering: Optional[Mapping[str, str]] = None,
+             keep_implies: bool = False) -> tuple[Formula, Formula]:
+    """The NNF of ``f`` and of its negation, from one fold over the distinct
+    nodes: ``Not`` swaps the pair, & and | and U and R are each other's
+    duals, and F and G expand to ``true U`` and ``false R``.  With
+    ``keep_implies`` a positive ``->`` is kept (the metric form).
 
-    Every rule comes with its dual under negation.  Only a positive ``->``
-    reads ``keep_implies``: the metric form keeps it, NNF writes ``!l | r``.
-    """
-    if isinstance(f, (Atom, Lit)):
-        return Not(f) if negated else f
-    rebuild = _BINARY[negated].get(type(f))
-    if rebuild is not None:
-        return rebuild(_push(f.left, negated, keep_implies), _push(f.right, negated, keep_implies))
-    if isinstance(f, Not):
-        return _push(f.operand, not negated, keep_implies)
-    if isinstance(f, Next):
-        return Next(_push(f.operand, negated, keep_implies))
-    if isinstance(f, (Eventually, Always)):
-        operand = _push(f.operand, negated, keep_implies)
-        if isinstance(f, Eventually) != negated:  # F g, or !G g = F !g
-            return Until(TRUE, operand)
-        return Release(FALSE, operand)
-    if isinstance(f, Implies):
-        if negated:
-            return _mk_and(_push(f.left, False, keep_implies), _push(f.right, True, keep_implies))
-        if keep_implies:
-            return _mk_implies(_push(f.left, False, True), _push(f.right, False, True))
-        return _mk_or(_push(f.left, True, False), _push(f.right, False, False))
-    if isinstance(f, (TrueConst, FalseConst)):
-        return _mk_not(f) if negated else f
-    raise TypeError(f"not a formula: {f!r}")
+    ``rendering`` maps each atom name to the literal base name that stands
+    for it in events (the atom itself for singleton classes, the class
+    witness otherwise).  With it an atom becomes its ``=1`` presence test
+    and its negation the ``=0`` one; an unmapped atom raises
+    ``UncoveredAtomError``."""
+    done: dict[Formula, tuple[Formula, Formula]] = {}
+    for g in postorder(f):
+        kind = type(g)
+        if kind in _TWO_OPERANDS:
+            (lpos, lneg), (rpos, rneg) = done[g.left], done[g.right]
+            if kind is And:
+                pair = _mk_and(lpos, rpos), _mk_or(lneg, rneg)
+            elif kind is Or:
+                pair = _mk_or(lpos, rpos), _mk_and(lneg, rneg)
+            elif kind is Until:
+                pair = Until(lpos, rpos), Release(lneg, rneg)
+            elif kind is Release:
+                pair = Release(lpos, rpos), Until(lneg, rneg)
+            else:  # Implies
+                pos = _mk_implies(lpos, rpos) if keep_implies else _mk_or(lneg, rpos)
+                pair = pos, _mk_and(lpos, rneg)
+        elif kind in _ONE_OPERAND:
+            pos, neg = done[g.operand]
+            if kind is Not:
+                pair = neg, pos
+            elif kind is Next:
+                pair = Next(pos), Next(neg)
+            elif kind is Eventually:
+                pair = Until(TRUE, pos), Release(FALSE, neg)
+            else:  # Always
+                pair = Release(FALSE, pos), Until(TRUE, neg)
+        elif kind is Atom and rendering is not None:
+            name = rendering.get(g.name)
+            if name is None:
+                raise UncoveredAtomError(f"atom {g.name!r} not covered by any class")
+            pair = Lit(SLit(name, True)), Lit(SLit(name, False))
+        elif kind is Atom or kind is Lit:
+            pair = g, Not(g)
+        elif g is TRUE or g is FALSE:
+            pair = g, _mk_not(g)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        done[g] = pair
+    return done[f]
 
 
 def to_nnf(f: Formula) -> Formula:
     """Push negation to atoms; expand ->, F and G into their core duals."""
-    return _push(f, False, False)
+    return nnf_pair(f)[0]
 
 
 def negate_nnf(f: Formula) -> Formula:
     """NNF of the negation of ``f``.  On a signed NNF formula this is its
     classical negation: the negation of a presence test is its absence test."""
-    return _push(f, True, False)
+    return nnf_pair(f)[1]
 
 
 def to_metric_form(f: Formula) -> Formula:
     """The form the payoff metric consumes: NNF, except that ``->`` is kept."""
-    return _push(f, False, True)
+    return nnf_pair(f, keep_implies=True)[0]
 
 
 def is_nnf(f: Formula) -> bool:
@@ -538,42 +564,6 @@ def is_nnf(f: Formula) -> bool:
         if isinstance(g, Not) and not isinstance(g.operand, (Atom, Lit)):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Signed-alphabet translation
-# ---------------------------------------------------------------------------
-
-class UncoveredAtomError(ValueError):
-    """An atom of the formula belongs to no visibility class."""
-
-
-def make_signed(f: Formula, rendering: Mapping[str, str]) -> Formula:
-    """Translate an NNF plain formula onto the signed alphabet.
-
-    ``rendering`` maps each atom name to the literal base name that stands for
-    it in events: the atom itself for singleton classes, the bracketed class
-    witness otherwise.
-    """
-    if isinstance(f, (TrueConst, FalseConst)):
-        return f
-    if isinstance(f, Atom):
-        try:
-            return Lit(SLit(rendering[f.name], True))
-        except KeyError:
-            raise UncoveredAtomError(f"atom {f.name!r} not covered by any class") from None
-    if isinstance(f, Not):
-        if not isinstance(f.operand, Atom):
-            raise ValueError("make_signed expects an NNF formula")
-        try:
-            return Lit(SLit(rendering[f.operand.name], False))
-        except KeyError:
-            raise UncoveredAtomError(f"atom {f.operand.name!r} not covered by any class") from None
-    if isinstance(f, (And, Or, Until, Release)):
-        return type(f)(make_signed(f.left, rendering), make_signed(f.right, rendering))
-    if isinstance(f, Next):
-        return Next(make_signed(f.operand, rendering))
-    raise ValueError(f"make_signed expects an NNF formula, got {f!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,7 @@ from .automata.pipeline import (DFA, consistent_count, consistent_masks, determi
                                 least_missing_mask, minimize, nba_to_nfa,
                                 nonempty_states, quotient_bisim)
 from .automata.tableau import ltl_to_nba
-from .formula import (MAX_NESTING, Formula, SLit, height, make_signed, negate_nnf,
-                      parse_slit, to_nnf)
+from .formula import MAX_NESTING, Formula, SLit, height, nnf_pair, parse_slit
 from .visibility import EqClass, check_consistent, rendering_map
 
 
@@ -102,8 +101,9 @@ class MonitorInstance:
 
 
 def _check_height(f: Formula) -> None:
-    """Refuse a formula the recursive normal forms cannot take, with the
-    limit the parser applies to text."""
+    """Refuse a formula nested deeper than the parser accepts from text.
+    Synthesis work grows with height, so a formula built through the API
+    meets the same limit as parsed text."""
     if height(f) > MAX_NESTING:
         raise ValueError(f"formula nests deeper than {MAX_NESTING} levels")
 
@@ -111,8 +111,8 @@ def _check_height(f: Formula) -> None:
 @lru_cache(maxsize=4096)
 def _standard_machine(f: Formula) -> MooreMachine:
     _check_height(f)
-    return product2(formula_to_dfa(to_nnf(f), signed=False),
-                    formula_to_dfa(negate_nnf(f), signed=False))
+    sat, viol = nnf_pair(f)
+    return product2(formula_to_dfa(sat, signed=False), formula_to_dfa(viol, signed=False))
 
 
 def signed_triple(f: Formula, classes: Sequence[EqClass]) -> tuple[Formula, Formula]:
@@ -123,8 +123,7 @@ def signed_triple(f: Formula, classes: Sequence[EqClass]) -> tuple[Formula, Form
     own triple, forever-undefined formula included, so that it shares no
     code with the pipeline.  The name is kept because the benchmark's tracer
     wraps this module attribute by it."""
-    rendering = rendering_map(classes)
-    return make_signed(to_nnf(f), rendering), make_signed(negate_nnf(f), rendering)
+    return nnf_pair(f, rendering_map(classes))
 
 
 @lru_cache(maxsize=4096)

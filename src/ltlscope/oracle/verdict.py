@@ -13,7 +13,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
-from ..formula import Formula, _mk_and, atoms, make_signed, negate_nnf, to_nnf
+from ..formula import Formula, _mk_and, atoms, negate_nnf, nnf_pair
 from ..visibility import EqClass, rendering_map
 from .closure import build_closure_automaton, live_states, prefix_in_language
 
@@ -44,9 +44,7 @@ class InstanceTooLarge(ValueError):
 def signed_triple(f: Formula, classes: Sequence[EqClass]) -> tuple[Formula, Formula, Formula]:
     """The satisfaction, violation and forever-undefined formulas over the
     signed alphabet induced by the classes."""
-    rendering = rendering_map(classes)
-    sat = make_signed(to_nnf(f), rendering)
-    viol = make_signed(negate_nnf(f), rendering)
+    sat, viol = nnf_pair(f, rendering_map(classes))
     und = _mk_and(negate_nnf(sat), negate_nnf(viol))
     return sat, viol, und
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .formula import SLit
+from .formula import SLit, is_atom_name
 
 PlainEvent = frozenset[str]
 SignedEvent = frozenset[SLit]
@@ -80,7 +80,9 @@ def parse_classes(text: str, alphabet: Optional[Iterable[str]] = None) -> tuple[
     """Parse the ``c~s; a~b~g`` classes syntax.
 
     Atoms outside the groups become singletons when an alphabet is given;
-    otherwise the alphabet is the set of mentioned atoms.
+    otherwise the alphabet is the set of mentioned atoms.  Every name, in
+    the groups and in the alphabet, must be one the formula grammar reads
+    as an atom (``is_atom_name``); another raises ``ValueError``.
     """
     pairs: list[tuple[str, str]] = []
     mentioned: set[str] = set()
@@ -90,11 +92,14 @@ def parse_classes(text: str, alphabet: Optional[Iterable[str]] = None) -> tuple[
             continue
         names = [n.strip() for n in group.split("~")]
         for name in names:
-            if not name or not all(c.isalnum() or c == "_" for c in name):
+            if not is_atom_name(name):
                 raise ValueError(f"bad atom name in classes spec: {name!r}")
             mentioned.add(name)
         pairs.extend(zip(names, names[1:]))
     full = set(alphabet) if alphabet is not None else mentioned
+    for name in sorted(full - mentioned):
+        if not is_atom_name(name):
+            raise ValueError(f"bad atom name in alphabet: {name!r}")
     missing = mentioned - full
     if missing:
         raise ValueError(f"classes mention atoms outside the alphabet: {sorted(missing)}")

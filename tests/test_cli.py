@@ -204,6 +204,42 @@ class TestUserErrors:
         message = one_line_exit([*command, "-f", "F z", "--classes", "p~q"])
         assert message.startswith("classes error: ") and "'z'" in message
 
+    # Formulas, classes, alphabets and traces share one rule for atom names.
+    CLASS_COMMANDS = pytest.mark.parametrize("command", [
+        ["synthesize", "--out", "m.json"],
+        ["verify", "--mode", "imperfect", "--trace", "t.txt"],
+    ], ids=["synthesize", "verify-imperfect"])
+
+    @CLASS_COMMANDS
+    @pytest.mark.parametrize("alphabet, bad", [("a,,b c", "''"), ("a,b c", "'b c'"),
+                                               ("a,true", "'true'")])
+    def test_bad_alphabet_entry(self, tmp_path, monkeypatch, command, alphabet, bad):
+        """An empty or unreadable entry is refused, not reported as a literal
+        no trace can contain."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.txt").write_text("a\n", encoding="utf-8")
+        message = one_line_exit([*command, "-f", "F a", "--classes", "a",
+                                 "--alphabet", alphabet])
+        assert message.startswith("classes error: ") and bad in message
+
+    @CLASS_COMMANDS
+    def test_alphabet_entries_are_stripped(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.txt").write_text("a\nb\n", encoding="utf-8")
+        code, out = run_cli([*command, "-f", "F b", "--classes", "a",
+                             "--alphabet", " a , b "], capsys)
+        assert code == 0
+        if command[0] == "verify":
+            assert json.loads(out)["final"] == "TRUE"
+
+    @CLASS_COMMANDS
+    @pytest.mark.parametrize("name", ["X", "true", "1a", "p q"])
+    def test_class_name_that_is_no_atom_name(self, tmp_path, monkeypatch, command, name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.txt").write_text("p\n", encoding="utf-8")
+        message = one_line_exit([*command, "-f", "F p", "--classes", f"p~{name}"])
+        assert message.startswith("classes error: ") and repr(name) in message
+
     @pytest.mark.parametrize("mode", ["imperfect", "active", "reactive"])
     def test_trace_atom_outside_the_classes(self, tmp_path, mode):
         trace = tmp_path / "t.txt"

@@ -2,19 +2,24 @@
 
 import copy
 import pickle
+import random
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from ltlscope import casestudy
 from ltlscope.formula import (FALSE, MAX_NESTING, TRUE, Always, And, Atom,
                               Eventually, FalseConst, Formula, Implies, Lit,
                               Next, Not, Or, ParseError, Release, SLit,
-                              TrueConst, UncoveredAtomError, Until, atoms, fmt,
-                              height, is_nnf, make_signed, negate_nnf,
-                              parse_formula, progress, to_nnf, to_metric_form)
+                              TrueConst, UncoveredAtomError, Until, _mk_and,
+                              _mk_implies, _mk_not, _mk_or, atoms, fmt, height,
+                              is_nnf, negate_nnf, nnf_pair, parse_formula,
+                              progress, to_nnf, to_metric_form)
 from ltlscope.oracle.lasso import LassoWord, eval_lasso
+from ltlscope.randgen import random_partition
 from ltlscope.visibility import derive_classes, rendering_map
 
 from conftest import plain_events, random_formula
@@ -128,19 +133,32 @@ class TestInterning:
         assert height(shared) == 60
 
     def test_atoms_and_the_nnf_check_meet_each_node_once(self):
-        """The 60-level ``g & g`` DAG of the progression test: ``atoms`` and
-        ``is_nnf`` walk its 64 distinct nodes, not its 2^60 leaves, so the
-        oracle's guard rail, which counts atoms first, refuses a 4-atom DAG
-        at once."""
+        """The 60-level ``g & g`` DAG of the progression test: ``atoms``,
+        ``is_nnf``, the normal forms and both monitors walk its 64 distinct
+        nodes, not its 2^60 leaves, so the oracle's guard rail, which counts
+        atoms first, refuses a 4-atom DAG at once, and both monitors are
+        those of ``p -> X q``, built well within a second."""
+        from ltlscope.monitor import synthesize_imperfect, synthesize_standard
         from ltlscope.oracle import InstanceTooLarge, oracle_verdict
-        g, h = Implies(Atom("p"), Next(Atom("q"))), Or(Not(Atom("p")), Next(Atom("q")))
+        p, q = Atom("p"), Atom("q")
+        g, h, neg = Implies(p, Next(q)), Or(Not(p), Next(q)), And(p, Next(Not(q)))
+        signed = Or(lit("p", False), Next(lit("q"))), And(lit("p"), Next(lit("q", False)))
         for _ in range(60):
-            g, h = And(g, g), And(h, h)
+            g, h, neg = And(g, g), And(h, h), Or(neg, neg)
+            signed = And(*[signed[0]] * 2), Or(*[signed[1]] * 2)
         assert atoms(g) == {"p", "q"}
         assert not is_nnf(g) and is_nnf(h)
         wide = And(g, Until(Atom("r"), Atom("s")))
         with pytest.raises(InstanceTooLarge, match="more than 3 base atoms"):
             oracle_verdict(wide, derive_classes(("p", "q", "r", "s"), []), [])
+        classes = derive_classes(("p", "q"), [])
+        t0 = time.perf_counter()
+        assert to_nnf(g) is h and negate_nnf(g) is neg and to_metric_form(g) is g
+        assert nnf_pair(g, rendering_map(classes)) == signed
+        standard, imperfect = synthesize_standard(g), synthesize_imperfect(g, classes)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(standard.machine.outputs) == 4
+        assert len(imperfect.machine.outputs) == 6
 
     def test_parser_api_and_normal_forms_build_one_object(self, rng):
         f = parse_formula("G (p -> X !q)")
@@ -295,29 +313,121 @@ def lit(name, sign=True):
     return Lit(SLit(name, sign))
 
 
+def reference_normal_forms(f: Formula, rendering=None):
+    """``to_nnf``, ``negate_nnf``, ``to_metric_form`` and, with a rendering,
+    the signed pair, by a recursive negation-pushing walker followed by a
+    separate signed translation of the NNF.  Both visit a shared subformula
+    once per occurrence."""
+    binary = (
+        {And: _mk_and, Or: _mk_or, Until: Until, Release: Release},
+        {And: _mk_or, Or: _mk_and, Until: Release, Release: Until},
+    )
+
+    def push(f, negated, keep_implies):
+        if isinstance(f, (Atom, Lit)):
+            return Not(f) if negated else f
+        rebuild = binary[negated].get(type(f))
+        if rebuild is not None:
+            return rebuild(push(f.left, negated, keep_implies), push(f.right, negated, keep_implies))
+        if isinstance(f, Not):
+            return push(f.operand, not negated, keep_implies)
+        if isinstance(f, Next):
+            return Next(push(f.operand, negated, keep_implies))
+        if isinstance(f, (Eventually, Always)):
+            operand = push(f.operand, negated, keep_implies)
+            if isinstance(f, Eventually) != negated:
+                return Until(TRUE, operand)
+            return Release(FALSE, operand)
+        if isinstance(f, Implies):
+            if negated:
+                return _mk_and(push(f.left, False, keep_implies), push(f.right, True, keep_implies))
+            if keep_implies:
+                return _mk_implies(push(f.left, False, True), push(f.right, False, True))
+            return _mk_or(push(f.left, True, False), push(f.right, False, False))
+        if isinstance(f, (TrueConst, FalseConst)):
+            return _mk_not(f) if negated else f
+        raise TypeError(f"not a formula: {f!r}")
+
+    def make_signed(f):
+        if isinstance(f, (TrueConst, FalseConst)):
+            return f
+        if isinstance(f, Atom):
+            try:
+                return Lit(SLit(rendering[f.name], True))
+            except KeyError:
+                raise UncoveredAtomError(f"atom {f.name!r} not covered by any class") from None
+        if isinstance(f, Not):
+            if not isinstance(f.operand, Atom):
+                raise ValueError("make_signed expects an NNF formula")
+            try:
+                return Lit(SLit(rendering[f.operand.name], False))
+            except KeyError:
+                raise UncoveredAtomError(f"atom {f.operand.name!r} not covered by any class") from None
+        if isinstance(f, (And, Or, Until, Release)):
+            return type(f)(make_signed(f.left), make_signed(f.right))
+        if isinstance(f, Next):
+            return Next(make_signed(f.operand))
+        raise ValueError(f"make_signed expects an NNF formula, got {f!r}")
+
+    nnf, negated = push(f, False, False), push(f, True, False)
+    signed = None if rendering is None else (make_signed(nnf), make_signed(negated))
+    return nnf, negated, push(f, False, True), signed
+
+
+class TestNnfPair:
+    """The fold gives the very node the recursive walker gave."""
+
+    def assert_same(self, f, rendering=None):
+        nnf, negated, metric, signed = reference_normal_forms(f, rendering)
+        assert to_nnf(f) is nnf, f
+        assert negate_nnf(f) is negated, f
+        assert to_metric_form(f) is metric, f
+        if rendering is not None:
+            sat, viol = nnf_pair(f, rendering)
+            assert sat is signed[0] and viol is signed[1], f
+            # The oracle negates the signed pair for its undefined formula.
+            for branch in (sat, viol):
+                assert negate_nnf(branch) is reference_normal_forms(branch)[1], branch
+
+    def test_criterion_6_draws(self):
+        rng = random.Random(20240817)
+        pool = ("p", "q", "r", "s")
+        for _ in range(320):
+            f = random_formula(rng, rng.randint(1, 8), pool)
+            self.assert_same(f, rendering_map(random_partition(rng, pool)))
+
+    def test_rover_properties(self):
+        rendering = rendering_map(casestudy.spec().classes)
+        assert casestudy.CLASSES_TEXT == "c~s; a~b~g"
+        for f in casestudy.formulas().values():
+            self.assert_same(f, rendering)
+
+
 class TestMakeSigned:
+    """The signed pair of ``nnf_pair``: both normal forms translated onto
+    the signed alphabet of the classes."""
+
     def test_liveness_property_renders_witness(self):
         """The cut atom sits in the cs class, so it renders as the witness."""
-        f = to_nnf(parse_formula("F (c & X w)"))
-        assert make_signed(f, RENDER) == Until(TRUE, And(lit("[cs]"), Next(lit("w"))))
+        sat, _ = nnf_pair(parse_formula("F (c & X w)"), RENDER)
+        assert sat == Until(TRUE, And(lit("[cs]"), Next(lit("w"))))
 
     def test_negated_singleton_gets_false_sign(self):
         classes = derive_classes(("p",), [])
-        signed = make_signed(to_nnf(Not(Atom("p"))), rendering_map(classes))
-        assert signed == lit("p", False)
+        sat, viol = nnf_pair(Not(Atom("p")), rendering_map(classes))
+        assert sat == lit("p", False) and viol == lit("p")
 
     def test_no_cut_disjunction(self):
-        f = to_nnf(parse_formula("F ((!c & b1 & X b2) | (!c & b2 & X b3))"))
-        signed = make_signed(f, RENDER)
+        sat, _ = nnf_pair(parse_formula("F ((!c & b1 & X b2) | (!c & b2 & X b3))"), RENDER)
         expected = Until(TRUE, Or(
             And(And(lit("[cs]", False), lit("b1")), Next(lit("b2"))),
             And(And(lit("[cs]", False), lit("b2")), Next(lit("b3"))),
         ))
-        assert signed == expected
+        assert sat == expected
 
     def test_uncovered_atom_raises(self):
-        with pytest.raises(UncoveredAtomError):
-            make_signed(Atom("zz"), RENDER)
+        with pytest.raises(UncoveredAtomError, match="'zz' not covered"):
+            nnf_pair(Atom("zz"), RENDER)
 
     def test_structure_preserved(self, rng):
         """Stripping signs and witness indirection recovers the operator tree."""
@@ -345,34 +455,30 @@ class TestMakeSigned:
 
         pool = ("c", "s", "b1", "w", "g")
         for _ in range(100):
-            f = to_nnf(random_formula(rng, rng.randint(1, 7), pool=pool))
-            assert shape(make_signed(f, RENDER)) == shape(f)
+            f = random_formula(rng, rng.randint(1, 7), pool=pool)
+            sat, viol = nnf_pair(f, RENDER)
+            assert shape(sat) == shape(to_nnf(f))
+            assert shape(viol) == shape(negate_nnf(f))
 
 
 class TestUndefinedFormula:
     def test_singleton_atom(self):
         """For a bare atom the undefined companion tests absence of both signs."""
         classes = derive_classes(("p",), [])
-        rendering = rendering_map(classes)
-        sat = make_signed(to_nnf(Atom("p")), rendering)
-        viol = make_signed(negate_nnf(Atom("p")), rendering)
+        sat, viol = nnf_pair(Atom("p"), rendering_map(classes))
         und = And(negate_nnf(sat), negate_nnf(viol))
         assert und == And(Not(lit("p")), Not(lit("p", False)))
 
     def test_next_pushes_through(self):
         classes = derive_classes(("p",), [])
-        rendering = rendering_map(classes)
-        sat = make_signed(to_nnf(Next(Atom("p"))), rendering)
-        viol = make_signed(negate_nnf(Next(Atom("p"))), rendering)
+        sat, viol = nnf_pair(Next(Atom("p")), rendering_map(classes))
         und = And(negate_nnf(sat), negate_nnf(viol))
         assert und == And(Next(Not(lit("p"))), Next(Not(lit("p", False))))
 
     def test_next_undefined_language(self):
         """Exactly the words whose second event carries neither sign of p."""
         classes = derive_classes(("p",), [])
-        rendering = rendering_map(classes)
-        sat = make_signed(to_nnf(Next(Atom("p"))), rendering)
-        viol = make_signed(negate_nnf(Next(Atom("p"))), rendering)
+        sat, viol = nnf_pair(Next(Atom("p")), rendering_map(classes))
         und = And(negate_nnf(sat), negate_nnf(viol))
         events = [frozenset(), frozenset({SLit("p", True)}), frozenset({SLit("p", False)})]
         for e0 in events:

@@ -20,7 +20,8 @@ def automaton_to_dot(aut) -> str:
         if isinstance(aut, DFA):
             edges = aut.guard_edges(src)
         else:
-            edges = aut.transitions.get(src, ())
+            edges = [(aut.guard(require, forbid), dst)
+                     for require, forbid, _, dst in aut.transitions.get(src, ())]
         for guard, dst in edges:
             lines.append(f'  q{src} -> q{dst} [label="{_escape(str(guard))}"];')
     lines.append("}")

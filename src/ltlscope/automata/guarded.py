@@ -3,14 +3,33 @@
 Transitions carry symbolic guards instead of letters from the (astronomically
 large) powerset alphabet.  A guard requires some literals to be present in the
 event and forbids others; literals the guard does not mention are ignored.
-The NBA is the tableau graph with generalised Büchi acceptance; the NFA has
-the same structure and a set of accepting states for finite words.
+Guards are int masks over the automaton's literal table: bit ``i`` stands
+for ``literals[i]``, and the table is in ``str`` order, the order of a DFA
+state's literals.  ``Guard`` objects are built only to export an edge or
+to match an event.
+
+The NBA is transition-based: its states are the tableau's obligation sets,
+and each edge carries acceptance marks, bit ``k`` for the ``k``-th Until.
+The NFA has the same structure and a set of accepting states for finite
+words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
+
+Edge = tuple[int, int, int, int]  # (require mask, forbid mask, marks, target)
+
+
+def bit_positions(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 class Guard(NamedTuple):
@@ -22,9 +41,6 @@ class Guard(NamedTuple):
     def matches(self, event: frozenset) -> bool:
         return self.require <= event and not (self.forbid & event)
 
-    def mentioned(self) -> frozenset:
-        return self.require | self.forbid
-
     def __str__(self) -> str:
         parts = [str(l) for l in sorted(self.require, key=str)]
         parts += [f"!{l}" for l in sorted(self.forbid, key=str)]
@@ -33,27 +49,33 @@ class Guard(NamedTuple):
 
 @dataclass
 class GuardedAutomaton:
-    """NBA or NFA: a state set and guarded transitions.
+    """NBA or NFA: a state set and guarded transitions, each an ``Edge``.
 
-    On an NBA, ``acceptance`` holds the generalised Büchi sets: a run is
-    accepted when it visits every set infinitely often, so the empty tuple
-    accepts every infinite run.  On an NFA, ``accepting`` holds the states
-    that accept a finite word ending there.  ``flagged`` marks the states
-    from which the all-empty word is Büchi accepted; only the signed branch
-    of the pipeline fills it in.
+    On an NBA, ``acceptance`` has one bit per Until: a run is accepted when
+    the marks of the edges it takes infinitely often cover it together, so
+    0 accepts every infinite run.  On an NFA, ``accepting`` holds the states
+    that accept a finite word ending there, and marks are not read.
+    ``flagged`` marks the states from which the all-empty word is Büchi
+    accepted; only the signed branch of the pipeline fills it in.
     """
 
     states: list[int]
     initial: frozenset[int]
-    transitions: dict[int, list[tuple[Guard, int]]]
+    transitions: dict[int, list[Edge]]
     signed: bool  # signed literals (open world) vs plain atoms (closed world)
-    acceptance: tuple[frozenset[int], ...] = ()
+    literals: tuple = ()  # the literal table, in ``str`` order
+    acceptance: int = 0
     accepting: frozenset[int] = frozenset()
     flagged: frozenset[int] = frozenset()
 
+    def guard(self, require: int, forbid: int) -> Guard:
+        """The guard of a pair of masks, to export an edge or match an event."""
+        return Guard(frozenset(self.literals[i] for i in bit_positions(require)),
+                     frozenset(self.literals[i] for i in bit_positions(forbid)))
+
     def successors(self, state: int, event: frozenset) -> Iterator[int]:
-        for guard, dst in self.transitions.get(state, ()):
-            if guard.matches(event):
+        for require, forbid, _, dst in self.transitions.get(state, ()):
+            if self.guard(require, forbid).matches(event):
                 yield dst
 
     def accepts_prefix(self, events: Iterable[frozenset]) -> bool:

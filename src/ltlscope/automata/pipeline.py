@@ -1,13 +1,16 @@
 """NBA -> NFA -> DFA pipeline stages.
 
-Per-state emptiness turns the generalised Büchi automaton into an NFA over
-finite prefixes: a state is nonempty when it reaches a nontrivial strongly
-connected component that meets every acceptance set.  On the signed branch
-a second emptiness check, over the edges an empty event can take, flags the
-states from which the all-empty word is accepted; every later stage carries
-that flag alongside acceptance.  The subset construction then determinises
-over consistent valuations of the literals each state actually mentions;
-valuations are packed into integer bitmasks so stepping is a dict lookup.
+Emptiness turns the transition-based generalised Büchi automaton into an
+NFA over finite prefixes: a state is nonempty when it reaches a strongly
+connected component whose internal edges' marks together cover every
+Until.  On the signed branch a second emptiness check, over the edges an
+empty event can take, flags the states from which the all-empty word is
+accepted; every later stage carries that flag alongside acceptance.  Guards
+stay int masks over the automaton's literal table through the quotient and
+the subset construction, which determinises over consistent valuations of
+the literals each subset's guards mention, compacted onto the row's own
+bits; valuations are packed into integer bitmasks so stepping is a dict
+lookup.
 One partition-refinement kernel, ``coarsest_partition``, serves both
 merges: the bisimulation quotient of the NFA before the exponential subset
 step and the minimisation of the DFA over each state's own literals.  The
@@ -24,22 +27,32 @@ from functools import lru_cache
 from math import prod
 from typing import Iterator, Optional
 
-from .guarded import Guard, GuardedAutomaton
+from .guarded import Guard, GuardedAutomaton, bit_positions
 
 
 def nonempty_states(nba: GuardedAutomaton) -> frozenset[int]:
     """States from which the Büchi language is nonempty: those reaching a
-    nontrivial strongly connected component that meets every acceptance set
-    (a self-loop counts as nontrivial)."""
-    edges = {q: [dst for _, dst in nba.transitions.get(q, ())] for q in nba.states}
+    strongly connected component that has an internal edge (a self-loop
+    counts) and whose internal edges' marks together cover
+    ``nba.acceptance``."""
+    transitions = nba.transitions
+    edges = {q: [edge[3] for edge in transitions.get(q, ())] for q in nba.states}
+    full = nba.acceptance
     good: set[int] = set()
     # Tarjan emits a component after every component it reaches, so one
     # pass sees each edge leaving a component with its target decided.
     for scc in tarjan_sccs(edges, nba.states):
         members = set(scc)
-        cyclic = len(scc) > 1 or scc[0] in edges[scc[0]]
-        if (cyclic and all(not members.isdisjoint(s) for s in nba.acceptance)) \
-                or any(not good.isdisjoint(edges[q]) for q in scc):
+        if any(not good.isdisjoint(edges[q]) for q in scc):
+            good |= members
+            continue
+        cyclic, covered = False, 0
+        for q in scc:
+            for _, _, marks, dst in transitions.get(q, ()):
+                if dst in members:
+                    cyclic = True
+                    covered |= marks
+        if cyclic and covered & full == full:
             good |= members
     return frozenset(good)
 
@@ -93,7 +106,7 @@ def empty_event_edges(nba: GuardedAutomaton) -> GuardedAutomaton:
     that require nothing).  Its nonempty states are those from which the
     all-empty word is accepted."""
     return replace(nba, transitions={
-        q: [(guard, dst) for guard, dst in edges if not guard.require]
+        q: [edge for edge in edges if not edge[0]]
         for q, edges in nba.transitions.items()})
 
 
@@ -101,13 +114,14 @@ def nba_to_nfa(nba: GuardedAutomaton, nonempty: frozenset[int]) -> GuardedAutoma
     """Same structure, the nonempty-language states accepting: the NFA
     accepts exactly the finite prefixes with a satisfying infinite
     continuation.  The transitions and flagged states are shared with the
-    NBA, not copied."""
-    return replace(nba, acceptance=(), accepting=nonempty)
+    NBA, not copied, and their marks are not read."""
+    return replace(nba, acceptance=0, accepting=nonempty)
 
 
 # Valuations are int bitmasks over a tuple of literals in ``str`` order: bit
 # ``i`` is set when the ``i``-th literal is in the event.  Only this module
-# packs and unpacks masks; other modules see events and guards.
+# and the guarded automata's literal tables pack and unpack masks; other
+# modules see events and guards.
 
 def literal_order(mentioned) -> tuple:
     """The literals of ``mentioned`` in bit order."""
@@ -229,24 +243,28 @@ def quotient_bisim(aut: GuardedAutomaton) -> GuardedAutomaton:
 
     Bisimilar states accept the same finite words, and the quotient
     typically collapses tableau output dramatically before determinisation.
+    Edges are compared as (require, forbid, target block) int triples; the
+    quotient's edges carry no marks.
     """
     block = coarsest_partition({q: (q in aut.accepting, q in aut.flagged) for q in aut.states},
                                aut.transitions,
-                               lambda row, block: frozenset((g, block[dst]) for g, dst in row))
+                               lambda row, block: frozenset(
+                                   (require, forbid, block[dst]) for require, forbid, _, dst in row))
     rep: dict[int, int] = {}
     for q in aut.states:
         rep.setdefault(block[q], q)
     transitions = {
-        b: sorted({(guard, block[dst]) for guard, dst in aut.transitions.get(q, ())},
-                  key=lambda e: (str(e[0]), e[1]))
+        b: [(require, forbid, 0, dst) for require, forbid, dst in sorted(
+            {(require, forbid, block[dst]) for require, forbid, _, dst in aut.transitions.get(q, ())})]
         for b, q in rep.items()
     }
     return GuardedAutomaton(
         states=sorted(rep),
         initial=frozenset(block[q] for q in aut.initial),
         transitions=transitions,
-        accepting=frozenset(block[q] for q in aut.accepting),
         signed=aut.signed,
+        literals=aut.literals,
+        accepting=frozenset(block[q] for q in aut.accepting),
         flagged=frozenset(block[q] for q in aut.flagged),
     )
 
@@ -291,8 +309,9 @@ class DFA:
 
 # The most consistent events one DFA row may map.  Each further name a state
 # reads at least doubles its row, so a wider state is refused before any
-# table over its literals is built.
-ROW_BITS = 20
+# table over its literals is built.  A row of 2^16 events is built in about
+# a second; rows near 2^20 took tens of seconds.
+ROW_BITS = 16
 MAX_ROW = 1 << ROW_BITS
 
 
@@ -307,8 +326,13 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
 
     Unreachable subsets are never built; the empty subset acts as the sink.
     A subset is flagged when it meets the NFA's flagged states.  A subset
-    whose row would exceed ``MAX_ROW`` raises ``TooWideError``.
+    reads the literals its guard masks mention together; each guard is
+    compacted onto those bits, so bit ``i`` of the row stands for the
+    ``i``-th of them in table order.  A subset whose row would exceed
+    ``MAX_ROW`` raises ``TooWideError``.
     """
+    table_lits = nfa.literals
+    transitions = nfa.transitions
     initial = frozenset(nfa.initial)
     ids: dict[frozenset[int], int] = {initial: 0}
     order: list[frozenset[int]] = [initial]
@@ -325,18 +349,20 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
             accepting.add(sid)
         if subset & nfa.flagged:
             flagged.add(sid)
-        mentioned: set = set()
-        grouped: dict[tuple[frozenset, frozenset], set[int]] = {}
+        used = 0
+        grouped: dict[tuple[int, int], set[int]] = {}
         for q in subset:
-            for guard, dst in nfa.transitions.get(q, ()):
-                mentioned |= guard.mentioned()
-                grouped.setdefault((guard.require, guard.forbid), set()).add(dst)
-        lits = literal_order(mentioned)
+            for require, forbid, _, dst in transitions.get(q, ()):
+                used |= require | forbid
+                grouped.setdefault((require, forbid), set()).add(dst)
+        positions = bit_positions(used)
+        lits = tuple(table_lits[p] for p in positions)
         # A row over n literals has at most 2^n masks.
         if len(lits) > ROW_BITS and consistent_count(lits, nfa.signed) > MAX_ROW:
             raise TooWideError(f"a DFA state reads {len(lits)} literals: its row would "
                                 f"map more than {MAX_ROW} consistent events")
-        edges = [(valuation_bits(lits, require), valuation_bits(lits, forbid), frozenset(dsts))
+        rank = {1 << p: 1 << k for k, p in enumerate(positions)}
+        edges = [(_compact(require, rank), _compact(forbid, rank), frozenset(dsts))
                  for (require, forbid), dsts in grouped.items()]
         row: dict[int, int] = {}
         for bits in consistent_masks(lits, nfa.signed):
@@ -356,6 +382,16 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
     return DFA(states=list(range(len(order))), initial=0,
                accepting=frozenset(accepting), signed=nfa.signed,
                lits=lits_of, table=table, flagged=frozenset(flagged))
+
+
+def _compact(mask: int, rank: dict[int, int]) -> int:
+    """The mask with each set bit moved to the bit ``rank`` gives it."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rank[low]
+        mask ^= low
+    return out
 
 
 def minimize(dfa: DFA) -> DFA:

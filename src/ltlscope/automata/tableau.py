@@ -3,12 +3,15 @@
 Classic node-expansion semantics (new/old/next bookkeeping) recast as a
 memoised decomposition: a set of pending formulas is split into all ways of
 satisfying it now (literals plus bookkept composites) and next (postponed
-obligations).  The nodes, with one acceptance set per Until, form a
-generalised Büchi automaton that the pipeline reads as it is: emptiness
-checks every acceptance set per strongly connected component, so no
-quotient or degeneralisation is needed.  Works for both worlds:
-plain atoms with closed-world guards and signed literals with
-presence/absence guards.
+obligations).  A node's successors depend only on its obligations, so the
+automaton has one state per distinct obligation set and one edge per
+completion, carrying the node's literals as an int-mask guard and one
+acceptance mark per Until it fulfils (a transition-based generalised Büchi
+automaton, as in Couvreur, FM 1999, and Gastin and Oddoux, CAV 2001).  The
+pipeline reads it as it is: emptiness checks the marks per strongly
+connected component, so no quotient or degeneralisation is needed.  Works
+for both worlds: plain atoms with closed-world guards and signed literals
+with presence/absence guards.
 
 Sets of subformulas are int bitmasks: bit ``i`` stands for the ``i``-th
 distinct subformula of the root in preorder of first occurrence.
@@ -21,8 +24,8 @@ from typing import Optional
 
 from ..formula import (And, Atom, FalseConst, Formula, Lit, Next, Not, Or,
                        Release, SLit, TrueConst, Until, _children)
-from .guarded import Guard, GuardedAutomaton
-from .pipeline import TooWideError
+from .guarded import Edge, GuardedAutomaton, bit_positions
+from .pipeline import TooWideError, literal_order
 
 Node = tuple[int, int]  # (satisfied-now mask, next-obligation mask)
 
@@ -42,16 +45,6 @@ def _index(root: Formula) -> tuple[list[Formula], dict[Formula, int]]:
 
 def _tested(f: Formula):
     return f.name if isinstance(f, Atom) else f.lit
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 class _Decomposer:
@@ -115,8 +108,6 @@ class _Decomposer:
             self.choices.append(options)
 
         self.memo: dict[int, tuple[Node, ...]] = {0: ((0, 0),)}
-        self._guards: dict[int, Guard] = {}
-        self._positions: dict[int, tuple[int, ...]] = {}
 
     def cover(self, pending: int) -> tuple[Node, ...]:
         """All (now, next) completions of the pending mask, inconsistent
@@ -138,78 +129,73 @@ class _Decomposer:
         result = self.memo[pending] = tuple(out)
         return result
 
-    def guard(self, lits: int) -> Guard:
-        """The guard of a literal mask, one shared ``Guard`` per mask."""
-        guard = self._guards.get(lits)
-        if guard is None:
-            tests = [self.tests[i] for i in _members(lits)]
-            guard = self._guards[lits] = Guard(
-                frozenset(req for req, present in tests if present),
-                frozenset(req for req, present in tests if not present))
-        return guard
-
-    def ordered_cover(self, pending: int) -> list[Node]:
-        """``cover(pending)`` sorted by the positions in now, then in next,
-        each ascending."""
-        leaves = self.cover(pending)
-        positions = self._positions
-        for mask in {m for node in leaves for m in node}.difference(positions):
-            positions[mask] = _members(mask)
-        keyed = sorted([(positions[now], positions[nxt], now, nxt) for now, nxt in leaves])
-        return [(now, nxt) for _, _, now, nxt in keyed]
-
 
 def ltl_to_nba(f: Formula, signed: bool) -> GuardedAutomaton:
-    """Translate an NNF formula into a generalised Büchi automaton.
+    """Translate an NNF formula into a transition-based generalised Büchi
+    automaton whose states are obligation sets.
 
-    The states are the reachable tableau nodes behind a virtual start, state
-    0, which holds nothing now and the formula next and is entered by no
-    edge.  Every edge carries the guard of its target node's literals.
-    There is one acceptance set per Until subformula, in preorder: the
-    nodes where it is not pending or its right operand holds.  ``cover``
-    recurses once per pending subformula, so a node with more of them than
-    the recursion limit allows raises ``TooWideError``.
+    The start state is the formula's own mask.  The state of an obligation
+    mask has one edge per completion ``(now, nxt)`` of it, to the state of
+    ``nxt``: its guard is the literals of ``now``, and its marks have bit
+    ``k`` set when the ``k``-th Until in preorder is not in ``now`` or its
+    right operand is.  Parallel edges with one guard and one target are
+    merged, their marks OR-ed.  States are numbered as they are first
+    reached, breadth first, each row's completions taken in ascending
+    (now, nxt) order; a merged edge keeps its first completion's place.
+    ``cover`` recurses once per pending subformula, so a node with more of
+    them than the recursion limit allows raises ``TooWideError``.
     """
     forms, position = _index(f)
     dec = _Decomposer(forms, position, signed)
+    literals = literal_order({lit for lit, _ in dec.tests.values()})
+    bit = {lit: 1 << i for i, lit in enumerate(literals)}
+    untils = [(1 << i, 1 << position[g.right])
+              for i, g in enumerate(forms) if isinstance(g, Until)]
+    labels: dict[int, tuple[int, int, int]] = {}
 
-    order: list[Node] = [(0, 1 << position[f])]
-    entry: dict[Node, tuple[Guard, int]] = {}  # node -> the one edge object into it
-    rows: dict[int, list[tuple[Guard, int]]] = {}  # by next mask, shared
+    def label(now: int) -> tuple[int, int, int]:
+        """The (require, forbid, marks) of an edge whose completion holds
+        ``now``."""
+        require = forbid = marks = 0
+        for i in bit_positions(now & dec.literals):
+            lit, present = dec.tests[i]
+            if present:
+                require |= bit[lit]
+            else:
+                forbid |= bit[lit]
+        for k, (until, right) in enumerate(untils):
+            if not now & until or now & right:
+                marks |= 1 << k
+        result = labels[now] = (require, forbid, marks)
+        return result
 
-    def successors(nxt: int) -> list[tuple[Guard, int]]:
-        row = rows.get(nxt)
-        if row is None:
-            leaves = dec.ordered_cover(nxt)
-            for node in leaves:
-                if node not in entry:
-                    entry[node] = (dec.guard(node[0] & dec.literals), len(order))
-                    order.append(node)
-            row = rows[nxt] = list(map(entry.__getitem__, leaves))
-        return row
-
-    transitions: dict[int, list[tuple[Guard, int]]] = {}
-    work = [0]
-    while work:
-        uid = work.pop()
-        if uid in transitions:
-            continue
+    start = 1 << position[f]
+    ids = {start: 0}
+    order = [start]
+    transitions: dict[int, list[Edge]] = {}
+    for uid, obligations in enumerate(order):  # order grows as states are reached
         try:
-            row = transitions[uid] = successors(order[uid][1])
+            leaves = sorted(dec.cover(obligations))
         except RecursionError:
             raise TooWideError(f"a tableau node has too many pending subformulas to expand "
                                f"within the recursion limit of {sys.getrecursionlimit()}") from None
-        work.extend(dst for _, dst in row if dst not in transitions)
+        row: dict[tuple[int, int, int], int] = {}
+        for now, nxt in leaves:
+            dst = ids.get(nxt)
+            if dst is None:
+                dst = ids[nxt] = len(order)
+                order.append(nxt)
+            require, forbid, marks = labels.get(now) or label(now)
+            key = (require, forbid, dst)
+            row[key] = row.get(key, 0) | marks
+        transitions[uid] = [(require, forbid, marks, dst)
+                            for (require, forbid, dst), marks in row.items()]
 
-    untils = [(1 << i, 1 << position[g.right])
-              for i, g in enumerate(forms) if isinstance(g, Until)]
-    acceptance = tuple(frozenset(q for q, (now, _) in enumerate(order)
-                                 if not now & until or now & right)
-                       for until, right in untils)
     return GuardedAutomaton(
         states=list(range(len(order))),
         initial=frozenset({0}),
         transitions=transitions,
         signed=signed,
-        acceptance=acceptance,
+        literals=literals,
+        acceptance=(1 << len(untils)) - 1,
     )

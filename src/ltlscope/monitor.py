@@ -30,15 +30,16 @@ from .visibility import EqClass, check_consistent, rendering_map
 
 def subset_dfa(f: Formula, signed: bool) -> DFA:
     """Run one branch of the pipeline up to the subset construction: the
-    tableau's generalised NBA, per-state emptiness, NFA, its bisimulation
-    quotient and DFA.
+    tableau's transition-based generalised NBA over obligation sets,
+    emptiness over its edge marks, NFA, its bisimulation quotient and DFA.
+    Guards stay int masks over the tableau's literal table until the DFA.
 
     A signed branch also flags the states from which the all-empty word is
     accepted; the plain branch never reads flags and skips that check.  The
-    NBA is neither quotiented nor degeneralised: emptiness reads its
-    acceptance sets directly, and bisimilar NBA states have the same Büchi
-    language, so the NFA quotient merges them anyway.  Every stage is
-    called through this module's globals.
+    NBA is neither quotiented nor degeneralised: emptiness reads its marks
+    directly, and bisimilar NBA states have the same Büchi language, so the
+    NFA quotient merges them anyway.  Every stage is called through this
+    module's globals.
     """
     nba = ltl_to_nba(f, signed)
     if signed:

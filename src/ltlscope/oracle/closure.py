@@ -14,7 +14,7 @@ from itertools import product as iter_product
 from typing import Optional, Sequence
 
 from ..formula import (And, Atom, FalseConst, Formula, Lit, Next, Not, Or,
-                       Release, TrueConst, Until, subformulas)
+                       Release, TrueConst, Until, postorder)
 
 
 # Rules by which a closure valuation determines each subformula.
@@ -44,7 +44,7 @@ class ClosureAutomaton:
 
 def build_closure_automaton(f: Formula, signed: bool) -> ClosureAutomaton:
     """Build the valuation automaton of a formula in (absence-)NNF."""
-    subs = tuple(sorted(set(subformulas(f)), key=lambda g: (sum(1 for _ in subformulas(g)), str(g))))
+    subs = tuple(postorder(f))
     index = {g: i for i, g in enumerate(subs)}
     leaves = tuple(g for g in subs if isinstance(g, (Atom, Lit)))
     free = [g for g in subs if isinstance(g, (Atom, Lit, Next))]

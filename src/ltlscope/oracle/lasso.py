@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ..formula import (Always, And, Atom, Eventually, FalseConst, Formula,
                        Implies, Lit, Next, Not, Or, Release, TrueConst, Until,
-                       subformulas)
+                       postorder)
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,9 @@ def eval_lasso(f: Formula, word: LassoWord) -> bool:
     """Truth of ``f`` on ``u . v^omega`` at position 0."""
     n = len(word)
     positions = range(n)
-    # Children before parents.
-    order = sorted(set(subformulas(f)), key=lambda g: sum(1 for _ in subformulas(g)))
     values: dict[Formula, list[bool]] = {}
 
-    for g in order:
-        if g in values:
-            continue
+    for g in postorder(f):  # each distinct node once, children before parents
         if isinstance(g, TrueConst):
             values[g] = [True] * n
         elif isinstance(g, FalseConst):

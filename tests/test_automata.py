@@ -3,6 +3,7 @@
 import itertools
 import random
 from dataclasses import replace
+from typing import NamedTuple
 
 import pytest
 
@@ -44,49 +45,59 @@ def reach_sets(adjacency) -> dict:
     return out
 
 
-def good_cycle_states(reach, acceptance) -> set:
-    """The states on a cycle that meets every acceptance set: a state that
-    reaches itself qualifies when the states it reaches and that reach it
-    back meet each set.  Pairwise reachability, coded separately from the
-    Tarjan pass of ``nonempty_states``."""
+def good_cycle_states(marked, acceptance: int) -> set:
+    """The states on a cycle whose edges' marks cover every Until: a state
+    that reaches itself qualifies when the edges among the states it
+    reaches and that reach it back cover ``acceptance`` together.
+    ``marked`` maps each state to its (marks, target) pairs.  Pairwise
+    reachability, coded separately from the Tarjan pass of
+    ``nonempty_states``."""
+    reach = reach_sets({q: [dst for _, dst in out] for q, out in marked.items()})
     good = set()
     for s, ahead in reach.items():
         if s in ahead:
             mates = {t for t in ahead if s in reach[t]}
-            if all(not mates.isdisjoint(f) for f in acceptance):
+            covered = 0
+            for t in mates:
+                for marks, dst in marked[t]:
+                    if dst in mates:
+                        covered |= marks
+            if covered & acceptance == acceptance:
                 good.add(s)
     return good
 
 
 def lasso_accepted_by_nba(nba: GuardedAutomaton, stem, loop) -> bool:
-    """Independent ultimately-periodic membership check on a generalised
-    Büchi automaton: a run on the loop's product graph reaches a cycle that
-    meets every acceptance set."""
+    """Independent ultimately-periodic membership check on a transition-based
+    generalised Büchi automaton: a run on the loop's product graph reaches a
+    cycle whose edges' marks cover every Until."""
     current = set(nba.initial)
     for event in stem:
         current = {d for q in current for d in nba.successors(q, event)}
         if not current:
             return False
     k = len(loop)
-    edges = {}
+    marked = {}
     work = [(q, 0) for q in current]
     while work:
         q, p = work.pop()
-        if (q, p) not in edges:
-            edges[(q, p)] = [(d, (p + 1) % k) for d in nba.successors(q, loop[p])]
-            work.extend(edges[(q, p)])
-    reach = reach_sets(edges)
-    lifted = [{s for s in edges if s[0] in f} for f in nba.acceptance]
-    good = good_cycle_states(reach, lifted)
+        if (q, p) not in marked:
+            marked[(q, p)] = [(marks, (d, (p + 1) % k))
+                              for require, forbid, marks, d in nba.transitions.get(q, ())
+                              if nba.guard(require, forbid).matches(loop[p])]
+            work.extend(s for _, s in marked[(q, p)])
+    good = good_cycle_states(marked, nba.acceptance)
+    reach = reach_sets({s: [t for _, t in out] for s, out in marked.items()})
     return any(not reach[(q, 0)].isdisjoint(good) for q in current)
 
 
 def emptiness_oracle(nba: GuardedAutomaton) -> frozenset[int]:
-    """Per-state emptiness: the states that reach a cycle meeting every
-    acceptance set."""
-    reach = reach_sets({q: [dst for _, dst in nba.transitions.get(q, ())]
-                        for q in nba.states})
-    good = good_cycle_states(reach, nba.acceptance)
+    """Per-state emptiness: the states that reach a cycle whose edges' marks
+    cover every Until."""
+    marked = {q: [(marks, dst) for _, _, marks, dst in nba.transitions.get(q, ())]
+              for q in nba.states}
+    good = good_cycle_states(marked, nba.acceptance)
+    reach = reach_sets({q: [dst for _, dst in out] for q, out in marked.items()})
     return frozenset(q for q in nba.states if not reach[q].isdisjoint(good))
 
 
@@ -132,23 +143,46 @@ class TestTableau:
                         == lasso_accepted_by_nba(nba, stem, loop))
 
 
-def reference_nba(f, signed: bool) -> GuardedAutomaton:
+class StateBased(NamedTuple):
+    """A state-based generalised Büchi automaton: guards are ``Guard``
+    objects and ``acceptance`` holds one set of states per Until.  A
+    tableau's ``nodes`` give each state's (now, next) sets of formulas."""
+
+    states: list
+    initial: frozenset
+    transitions: dict  # state -> [(Guard, target)]
+    acceptance: tuple
+    nodes: tuple = ()
+
+
+def preorder_positions(f) -> dict:
+    """Each distinct subformula's place in preorder of first occurrence."""
+    return {g: i for i, g in enumerate(dict.fromkeys(subformulas(f)))}
+
+
+def literal_of(g):
+    """The atom name or signed literal a literal formula tests."""
+    g = g.operand if isinstance(g, Not) else g
+    return g.name if isinstance(g, Atom) else g.lit
+
+
+def is_literal(g) -> bool:
+    return isinstance(g, (Atom, Lit)) or (isinstance(g, Not)
+                                           and isinstance(g.operand, (Atom, Lit)))
+
+
+def reference_nba(f, signed: bool) -> StateBased:
     """The tableau on frozensets of formulas, as it stood before subformula
-    sets became bitmasks: the expected output of ``ltl_to_nba``, numbering
-    and edge order included."""
-    order = {g: i for i, g in enumerate(dict.fromkeys(subformulas(f)))}
+    sets became bitmasks and before states became obligation sets: one
+    state per (now, next) node behind a virtual start, state 0, each edge
+    guarded by its target's literals, and one acceptance set of nodes per
+    Until."""
+    order = preorder_positions(f)
     memo = {}
 
-    def literal(g):
-        return isinstance(g, (Atom, Lit)) or (isinstance(g, Not)
-                                               and isinstance(g.operand, (Atom, Lit)))
-
-    def tested(g):
-        return g.name if isinstance(g, Atom) else g.lit
-
     def guard_of(now):
-        return Guard(frozenset(tested(g) for g in now if isinstance(g, (Atom, Lit))),
-                     frozenset(tested(g.operand) for g in now if isinstance(g, Not)))
+        return Guard(frozenset(literal_of(g) for g in now if isinstance(g, (Atom, Lit))),
+                     frozenset(literal_of(g) for g in now if isinstance(g, Not)))
 
     def consistent(guard):
         # Signed literals also clash with the other sign of their name.
@@ -162,7 +196,7 @@ def reference_nba(f, signed: bool) -> GuardedAutomaton:
             return ((none, none, none),)
         if isinstance(g, FalseConst):
             return ()
-        if literal(g):
+        if is_literal(g):
             return ((mark, none, none),)
         if isinstance(g, And):
             return ((mark, none, frozenset({g.left, g.right})),)
@@ -213,14 +247,71 @@ def reference_nba(f, signed: bool) -> GuardedAutomaton:
             work.extend(dst for _, dst in edges[uid] if dst not in edges)
 
     untils = sorted((g for g in order if isinstance(g, Until)), key=order.__getitem__)
-    return GuardedAutomaton(
-        states=list(range(len(nodes))), initial=frozenset({0}),
-        transitions=edges, signed=signed,
+    return StateBased(
+        states=list(range(len(nodes))), initial=frozenset({0}), transitions=edges,
         acceptance=tuple(frozenset(q for q, (now, _) in enumerate(nodes)
-                                   if u not in now or u.right in now) for u in untils))
+                                   if u not in now or u.right in now) for u in untils),
+        nodes=tuple(nodes))
 
 
-def degeneralised(nba: GuardedAutomaton) -> GuardedAutomaton:
+def guard_masks(guard: Guard, literals: tuple) -> tuple[int, int]:
+    """A ``Guard`` as (require, forbid) masks over a literal table."""
+    bit = {lit: 1 << i for i, lit in enumerate(literals)}
+    return sum(bit[l] for l in guard.require), sum(bit[l] for l in guard.forbid)
+
+
+def projected(ref: StateBased, f, signed: bool) -> GuardedAutomaton:
+    """The reference tableau read on next sets, in the shape ``ltl_to_nba``
+    gives: one state per distinct next set, the start being ``{f}``,
+    numbered as first reached breadth first; each row's nodes taken in
+    ascending (now, next) mask order, each entering the state of its next
+    set with its own guard and, as marks, the acceptance sets it is in;
+    edges with one guard and target merged, their marks OR-ed."""
+    order = preorder_positions(f)
+    literals = tuple(sorted({literal_of(g) for g in order if is_literal(g)}, key=str))
+
+    def mask(formulas):
+        return sum(1 << order[g] for g in formulas)
+
+    reader = {}  # next set -> one node whose row is that set's completions
+    for q, (_, nxt) in enumerate(ref.nodes):
+        reader.setdefault(nxt, q)
+    ids, states, transitions = {ref.nodes[0][1]: 0}, [ref.nodes[0][1]], {}
+    for uid, nxt in enumerate(states):
+        row = {}
+        for guard, node in sorted(ref.transitions[reader[nxt]],
+                                  key=lambda e: tuple(map(mask, ref.nodes[e[1]]))):
+            target = ref.nodes[node][1]
+            if target not in ids:
+                ids[target] = len(states)
+                states.append(target)
+            marks = sum(1 << k for k, accepting in enumerate(ref.acceptance) if node in accepting)
+            key = (*guard_masks(guard, literals), ids[target])
+            row[key] = row.get(key, 0) | marks
+        transitions[uid] = [(r, fb, m, d) for (r, fb, d), m in row.items()]
+    return GuardedAutomaton(states=list(range(len(states))), initial=frozenset({0}),
+                            transitions=transitions, signed=signed, literals=literals,
+                            acceptance=(1 << len(ref.acceptance)) - 1)
+
+
+def transition_based(aut: StateBased, signed: bool) -> GuardedAutomaton:
+    """A state-based automaton in the pipeline's shape: each edge takes its
+    target's acceptance sets as marks, and guards become int masks over the
+    literals the edges mention, in ``str`` order."""
+    literals = tuple(sorted({l for row in aut.transitions.values() for guard, _ in row
+                             for l in guard.require | guard.forbid}, key=str))
+
+    def marks(q):
+        return sum(1 << k for k, accepting in enumerate(aut.acceptance) if q in accepting)
+
+    return GuardedAutomaton(
+        states=aut.states, initial=aut.initial, signed=signed, literals=literals,
+        transitions={q: [(*guard_masks(guard, literals), marks(dst), dst) for guard, dst in row]
+                     for q, row in aut.transitions.items()},
+        acceptance=(1 << len(aut.acceptance)) - 1)
+
+
+def degeneralised(nba: StateBased) -> StateBased:
     """The NBA the pipeline read before it took generalised acceptance:
     ``nba`` quotiented by bisimulation over the acceptance sets each state
     is in, then degeneralised by a counter into a single acceptance set."""
@@ -265,22 +356,23 @@ def degeneralised(nba: GuardedAutomaton) -> GuardedAutomaton:
             if (d, j) not in seen:
                 seen.add((d, j))
                 frontier.append((d, j))
-    return GuardedAutomaton(
-        states=sorted(out_ids.values()), initial=frozenset({start}),
-        transitions=transitions, signed=nba.signed,
+    return StateBased(
+        states=sorted(out_ids.values()), initial=frozenset({start}), transitions=transitions,
         acceptance=(frozenset(s for (b, i), s in out_ids.items()
                               if i == 0 and 0 in q_fulfils[b]),))
 
 
 class TestTableauReference:
-    """The bitmask tableau builds exactly the automaton of the frozenset one,
-    acceptance sets included."""
+    """The tableau over obligation-set bitmasks builds exactly the frozenset
+    tableau read on next sets: numbering, edge order, guards and marks."""
 
     @staticmethod
     def assert_same(f, signed):
-        got, want = ltl_to_nba(f, signed=signed), reference_nba(f, signed)
+        got = ltl_to_nba(f, signed=signed)
+        want = projected(reference_nba(f, signed), f, signed)
         assert got.states == want.states, f
         assert got.initial == want.initial, f
+        assert got.literals == want.literals, f
         assert got.acceptance == want.acceptance, f
         assert [got.transitions[q] for q in got.states] == \
             [want.transitions[q] for q in want.states], f
@@ -320,7 +412,7 @@ class TestEmptiness:
     @pytest.mark.parametrize("text", ["G F p & F G !p", "F G !p & G F p", "G F p & G F q"])
     def test_every_acceptance_set_counts(self, text):
         nba = ltl_to_nba(to_nnf(parse_formula(text)), signed=False)
-        assert len(nba.acceptance) == 2
+        assert nba.acceptance == 0b11
         assert nonempty_states(nba) == emptiness_oracle(nba)
 
     def test_case_study_signed_oracle(self):
@@ -621,9 +713,8 @@ class TestCoarsestPartition:
 class TestFlags:
     def test_quotient_keeps_flagged_states_apart(self):
         """Two bisimilar states, one flagged, stay two blocks."""
-        loop = Guard()
         aut = GuardedAutomaton(states=[0, 1], initial=frozenset({0, 1}),
-                               transitions={0: [(loop, 0)], 1: [(loop, 1)]},
+                               transitions={0: [(0, 0, 0, 0)], 1: [(0, 0, 0, 1)]},
                                accepting=frozenset({0, 1}), signed=False,
                                flagged=frozenset({1}))
         quotient = quotient_bisim(aut)
@@ -651,18 +742,27 @@ class TestFlags:
 
 
 class TestSingleQuotient:
-    """Reading the tableau's generalised acceptance, with the NFA quotient
-    as the only quotient, changes no machine: each branch's DFA equals the
-    one built from the quotiented, degeneralised NBA.  Both maps onto the
-    tableau's quotient blocks are bisimulations that keep emptiness and
-    the flag, so the NFA quotients agree."""
+    """The transition-based tableau over obligation sets, read with its
+    edge marks and with the NFA quotient as the only quotient, changes no
+    machine: each branch's DFA equals the one built from the state-based
+    frozenset tableau, quotiented and degeneralised, then given as marks
+    the acceptance set of each edge's target.  The maps from the reference
+    nodes to their next sets and to their quotient blocks are
+    bisimulations that keep emptiness and the flag, so the NFA quotients
+    agree up to renaming, and the subset construction numbers subsets by
+    mask order alone."""
 
     @staticmethod
-    def two_quotient_dfa(f, signed):
-        nba = degeneralised(ltl_to_nba(f, signed=signed))
+    def reference_dfa(f, signed):
+        nba = transition_based(degeneralised(reference_nba(f, signed)), signed)
         if signed:
             nba = replace(nba, flagged=nonempty_states(empty_event_edges(nba)))
         return determinize(quotient_bisim(nba_to_nfa(nba, nonempty_states(nba))))
+
+    def assert_same(self, f, signed):
+        want = self.reference_dfa(f, signed)
+        assert dfa_fields(subset_dfa(f, signed)) == dfa_fields(want), f
+        assert dfa_fields(formula_to_dfa(f, signed)) == dfa_fields(minimize(want)), f
 
     def test_criterion_6_draws(self):
         rng = random.Random(20240817)
@@ -672,10 +772,13 @@ class TestSingleQuotient:
             sat, viol, _ = signed_triple(f, randgen.random_partition(rng, pool))
             for branch, signed in ((to_nnf(f), False), (negate_nnf(f), False),
                                    (sat, True), (viol, True)):
-                raw = self.two_quotient_dfa(branch, signed)
-                assert dfa_fields(subset_dfa(branch, signed)) == dfa_fields(raw), branch
-                assert dfa_fields(formula_to_dfa(branch, signed)) == \
-                    dfa_fields(minimize(raw)), branch
+                self.assert_same(branch, signed)
+
+    @pytest.mark.parametrize("operands", range(2, 8))
+    def test_until_chains(self, operands):
+        f = parse_formula(" U ".join(["p"] * operands))
+        self.assert_same(to_nnf(f), False)
+        self.assert_same(negate_nnf(f), False)
 
 
 class TestProducts:

@@ -457,3 +457,14 @@ class TestWideFormulas:
         with pytest.raises(TooWideError, match=reason):
             run()
         assert time.perf_counter() - t0 < 5.0
+
+    def test_conjunction_of_disjunctions_is_refused(self):
+        """``(p0 | q0) & … & (p9 | q9)`` has 2^10 tableau nodes, and its first
+        DFA state reads 20 literals: a row of 2^20 events, over ``MAX_ROW``.
+        Admitted, it ran for more than 30 s."""
+        f = parse_formula(" & ".join(f"(p{i} | q{i})" for i in range(10)))
+        clear_machine_caches()
+        t0 = time.perf_counter()
+        with pytest.raises(TooWideError, match="reads 20 literals"):
+            synthesize_standard(f)
+        assert time.perf_counter() - t0 < 5.0

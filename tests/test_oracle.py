@@ -1,8 +1,10 @@
 """Ground-truth engine: lasso evaluation, closure automata, verdict oracle."""
 
+import time
+
 import pytest
 
-from ltlscope.formula import (Always, Atom, Eventually, Next, SLit,
+from ltlscope.formula import (Always, And, Atom, Eventually, Implies, Next, SLit,
                               parse_formula, to_nnf)
 from ltlscope.monitor import synthesize_imperfect
 from ltlscope.oracle import (InstanceTooLarge, LassoWord, OracleVerdict,
@@ -10,7 +12,8 @@ from ltlscope.oracle import (InstanceTooLarge, LassoWord, OracleVerdict,
                              eval_lasso, eval_unrolled, live_states,
                              oracle_verdict, prefix_in_language)
 from ltlscope.randgen import random_partition
-from ltlscope.visibility import derive_classes, explicit_trace, visible_trace
+from ltlscope.visibility import (derive_classes, explicit_trace, parse_classes,
+                                 visible_trace)
 
 from conftest import plain_events, random_formula, random_plain_trace
 
@@ -122,6 +125,22 @@ class TestOracleVerdict:
         classes = derive_classes(("p", "q", "r", "s"), [])
         with pytest.raises(InstanceTooLarge):
             oracle_verdict(f, classes, [], bound=4)
+
+    def test_shared_subformulas_are_visited_once(self):
+        """Sixteen levels of ``h & h`` over ``h = p -> X q``: 19 distinct
+        nodes, 2^16 occurrences of ``h``.  The closure automaton and the
+        lasso evaluator list each distinct node once; sorting every
+        occurrence by its size took about 11 s."""
+        h = Implies(Atom("p"), Next(Atom("q")))
+        for _ in range(16):
+            h = And(h, h)
+        classes = parse_classes("p; q")
+        t0 = time.perf_counter()
+        verdict = oracle_verdict(h, classes, [])
+        holds = eval_lasso(h, LassoWord((ev("p"),), (ev("q"),)))
+        assert time.perf_counter() - t0 < 1.0
+        assert verdict == OracleVerdict.UNKNOWN
+        assert holds
 
     def test_agrees_with_pipeline_on_small_instances(self, rng):
         pool = ("p", "q", "r")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .guarded import GuardedAutomaton
 from .moore import MooreMachine
-from .pipeline import DFA
+from .pipeline import DFA, check_row, literal_order
 
 
 def automaton_to_dot(aut) -> str:
@@ -29,7 +29,13 @@ def automaton_to_dot(aut) -> str:
 
 
 def moore_to_dot(machine: MooreMachine) -> str:
+    """One edge per consistent event over the union of the components'
+    literals in each state.  A union whose row would exceed the synthesis
+    row bound raises ``TooWideError`` before any edge is drawn."""
     ids = {state: i for i, state in enumerate(machine.states)}
+    a, b = machine.components
+    for s, v in ids:
+        check_row(literal_order({*a.lits[s], *b.lits[v]}), machine.signed, "a product state")
     lines = ["digraph monitor {", "  rankdir=LR;", "  node [shape=box];"]
     for state, i in ids.items():
         verdict = machine.output(state)

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import prod
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .guarded import Guard, GuardedAutomaton, bit_positions
 
@@ -171,38 +171,6 @@ def consistent_count(lits: tuple, signed: bool) -> int:
     return prod(k + 1 for k in Counter(_names(lits, signed)).values())
 
 
-def inconsistent_masks(lits: tuple, signed: bool, masks) -> list[int]:
-    """The masks, ascending, that set two literals of one name.  Each name's
-    bits are gathered once, so a mask costs one test per name with several
-    literals."""
-    groups: dict = {}
-    for i, name in enumerate(_names(lits, signed)):
-        groups[name] = groups.get(name, 0) | 1 << i
-    shared = [g for g in groups.values() if g & (g - 1)]
-    return sorted(bits for bits in masks
-                  if any(bits & g & ((bits & g) - 1) for g in shared))
-
-
-def least_missing_mask(lits: tuple, signed: bool, present) -> Optional[int]:
-    """The least consistent mask over ``lits`` that ``present`` lacks, or
-    ``None``.  Masks come in ascending order from a depth-first walk, highest
-    bit first and clear before set, so the walk stops after at most
-    ``len(present) + 1`` of them, however many literals there are."""
-    names = _names(lits, signed)
-    stack = [(len(lits), 0, frozenset())]
-    while stack:
-        i, bits, used = stack.pop()
-        if not i:
-            if bits not in present:
-                return bits
-            continue
-        i -= 1
-        if names[i] not in used:
-            stack.append((i, bits | 1 << i, used | {names[i]}))
-        stack.append((i, bits, used))
-    return None
-
-
 def _names(lits: tuple, signed: bool) -> list:
     """The name each literal belongs to; a plain literal is its own name."""
     return [lit.name for lit in lits] if signed else list(lits)
@@ -317,8 +285,19 @@ MAX_ROW = 1 << ROW_BITS
 
 class TooWideError(ValueError):
     """A formula too wide to synthesise: a tableau node has more pending
-    subformulas than the recursion limit lets it expand, or a DFA state's
-    row would map more than ``MAX_ROW`` consistent events."""
+    subformulas than the recursion limit lets it expand, or a row would map
+    more than ``MAX_ROW`` consistent events (``check_row``): a DFA state's,
+    a machine file state's or a product state's drawn for export."""
+
+
+def check_row(lits: tuple, signed: bool, what: str) -> None:
+    """Refuse a row over ``lits`` that would map more than ``MAX_ROW``
+    consistent events, counted without building them: ``TooWideError``
+    names ``what`` reads the literals.  A row over n literals has at most
+    2^n masks, so only a row over more than ``ROW_BITS`` is counted."""
+    if len(lits) > ROW_BITS and consistent_count(lits, signed) > MAX_ROW:
+        raise TooWideError(f"{what} reads {len(lits)} literals: its row would "
+                           f"map more than {MAX_ROW} consistent events")
 
 
 def determinize(nfa: GuardedAutomaton) -> DFA:
@@ -357,10 +336,7 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
                 grouped.setdefault((require, forbid), set()).add(dst)
         positions = bit_positions(used)
         lits = tuple(table_lits[p] for p in positions)
-        # A row over n literals has at most 2^n masks.
-        if len(lits) > ROW_BITS and consistent_count(lits, nfa.signed) > MAX_ROW:
-            raise TooWideError(f"a DFA state reads {len(lits)} literals: its row would "
-                                f"map more than {MAX_ROW} consistent events")
+        check_row(lits, nfa.signed, "a DFA state")
         rank = {1 << p: 1 << k for k, p in enumerate(positions)}
         edges = [(_compact(require, rank), _compact(forbid, rank), frozenset(dsts))
                  for (require, forbid), dsts in grouped.items()]

@@ -1,5 +1,11 @@
 """Command-line surface: synthesis, verification, the case-study grid and
-the metric-comparison experiment."""
+the metric-comparison experiment.
+
+Each input is checked by the code that owns it.  ``main`` alone turns a
+refusal into one line on stderr and exit status 2: a ``Refusal`` raised
+here, or a formula (``ParseError``, ``TooWideError``) or classes
+(``UncoveredAtomError``) error of the library.
+"""
 
 from __future__ import annotations
 
@@ -22,8 +28,13 @@ from .randgen import (derive_seed, experiment_visibility, random_formula,
                       random_plain_trace)
 from .rational import (METRICS, ActiveSession, RationalConfig, ReactiveSession,
                        active_monitor)
-from .visibility import (VisibilitySpec, check_consistent, explicit_trace,
-                         parse_classes, visible_trace)
+from .visibility import (EqClass, VisibilitySpec, check_consistent, explicit_trace,
+                         parse_classes, rendering_map, visible_trace)
+
+
+class Refusal(Exception):
+    """An input a command refuses; ``main`` prints its one-line message on
+    stderr and returns 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +48,7 @@ def _read_text(path: str, what: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise SystemExit(f"{what} error: {exc}")
+        raise Refusal(f"{what} error: {exc}")
 
 
 def _write_text(path: str, text: str, what: str) -> None:
@@ -47,38 +58,46 @@ def _write_text(path: str, text: str, what: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise SystemExit(f"{what} error: {exc}")
+        raise Refusal(f"{what} error: {exc}")
 
 
 def read_plain_trace(path: str,
                      alphabet: Optional[frozenset[str]] = None) -> list[frozenset[str]]:
     """One event per line; comma or space separated atoms; blank line is an
-    empty event.  A token that is not an atom name, or with ``alphabet`` an
-    atom outside it, exits with its line."""
+    empty event.  The first token of a line that is not an atom name, or
+    with ``alphabet`` an atom outside it, is refused with its line."""
     events = []
     checked: set[str] = set()
     for i, line in enumerate(_read_text(path, "trace").splitlines()):
-        event = frozenset(line.replace(",", " ").split())
-        for name in event - checked:
+        event = line.replace(",", " ").split()
+        for name in event:
+            if name in checked:
+                continue
             if not is_atom_name(name):
-                raise SystemExit(f"{path}:{i + 1}: {name!r} is not an atom name")
+                raise Refusal(f"{path}:{i + 1}: {name!r} is not an atom name")
             if alphabet is not None and name not in alphabet:
-                raise SystemExit(f"{path}:{i + 1}: atom {name!r} is in no class")
+                raise Refusal(f"{path}:{i + 1}: atom {name!r} is in no class")
             checked.add(name)
-        events.append(event)
+        events.append(frozenset(event))
     return events
 
 
-def read_signed_trace(path: str) -> list[frozenset[SLit]]:
-    """One event per line of ``name=1`` / ``[group]=0`` tokens.  A bad token
-    exits with its line; an event holding both signs of a name raises
-    ``ValueError`` with its line."""
+def read_signed_trace(path: str,
+                      names: Optional[frozenset[str]] = None) -> list[frozenset[SLit]]:
+    """One event per line of ``name=1`` / ``[group]=0`` tokens.  A bad token,
+    or with ``names`` a literal of another name, is refused with its line;
+    an event holding both signs of a name raises ``ValueError`` with its
+    line."""
     events = []
     for i, line in enumerate(_read_text(path, "trace").splitlines()):
         try:
             event = frozenset(parse_slit(tok) for tok in line.replace(",", " ").split())
         except ValueError as exc:
-            raise SystemExit(f"{path}:{i + 1}: {exc}")
+            raise Refusal(f"{path}:{i + 1}: {exc}")
+        stray = [] if names is None else sorted(l.name for l in event if l.name not in names)
+        if stray:
+            raise Refusal(f"{path}:{i + 1}: {stray[0]!r} is neither a singleton atom "
+                          "nor a class witness")
         try:
             check_consistent(event)
         except ValueError as exc:
@@ -102,15 +121,22 @@ def parse_costs(text: str) -> dict[str, int]:
         if not part:
             continue
         name, eq, value = part.partition("=")
-        if not eq or not value.lstrip("-").isdigit():
-            raise SystemExit(f"bad --costs entry: {part!r}")
+        if not eq or not value.removeprefix("-").isdecimal():
+            raise Refusal(f"bad --costs entry: {part!r}")
         costs[name.strip()] = int(value)
     return costs
 
 
-def _alphabet_arg(args) -> Optional[list[str]]:
-    """The ``--alphabet`` entries, stripped; ``parse_classes`` checks them."""
-    return [name.strip() for name in args.alphabet.split(",")] if args.alphabet else None
+def _classes_arg(args) -> Optional[tuple[EqClass, ...]]:
+    """The ``--classes`` over the stripped ``--alphabet`` entries, or
+    ``None`` without them; ``parse_classes`` checks the names."""
+    if not args.classes:
+        return None
+    alphabet = [name.strip() for name in args.alphabet.split(",")] if args.alphabet else None
+    try:
+        return parse_classes(args.classes, alphabet)
+    except ValueError as exc:
+        raise Refusal(f"classes error: {exc}")
 
 
 def event_to_json(event: frozenset):
@@ -123,36 +149,19 @@ def event_to_json(event: frozenset):
 # synthesize
 # ---------------------------------------------------------------------------
 
-def _synthesize(f: Formula, classes) -> MonitorInstance:
-    """The imperfect monitor over ``classes``, or the standard one without
-    them; a formula too wide to synthesise exits with one line."""
-    try:
-        return synthesize_standard(f) if classes is None else synthesize_imperfect(f, classes)
-    except UncoveredAtomError as exc:
-        raise SystemExit(f"classes error: {exc}")
-    except TooWideError as exc:
-        raise SystemExit(f"formula error: {exc}")
-
-
 def cmd_synthesize(args) -> int:
-    try:
-        f = parse_formula(args.formula)
-    except ParseError as exc:
-        raise SystemExit(f"formula error: {exc}")
+    f = parse_formula(args.formula)
     t0 = time.perf_counter()
-    classes = None
-    if args.classes:
-        try:
-            classes = parse_classes(args.classes, _alphabet_arg(args))
-        except ValueError as exc:
-            raise SystemExit(f"classes error: {exc}")
-    monitor = _synthesize(f, classes)
+    classes = _classes_arg(args)
+    monitor = synthesize_standard(f) if classes is None else synthesize_imperfect(f, classes)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     payload = machine_to_json(monitor, formula_text=args.formula, classes_text=args.classes)
+    # Both texts first, so that a machine too wide to draw leaves no file.
+    dot = moore_to_dot(monitor.machine) if args.dot else None
     _write_text(args.out, payload, "output")
-    if args.dot:
-        _write_text(args.dot, moore_to_dot(monitor.machine), "dot")
+    if dot is not None:
+        _write_text(args.dot, dot, "dot")
     component_sizes = [len(dfa.states) for dfa in monitor.machine.components]
     print(f"mode: {monitor.mode}")
     print(f"product states: {len(monitor.machine.outputs)} "
@@ -172,9 +181,9 @@ def _load_config(args) -> dict:
         try:
             config = json.loads(_read_text(args.config, "config"))
         except ValueError as exc:
-            raise SystemExit(f"config error: {args.config}: {exc}")
+            raise Refusal(f"config error: {args.config}: {exc}")
         if not isinstance(config, dict):
-            raise SystemExit(f"config error: {args.config}: not a JSON object")
+            raise Refusal(f"config error: {args.config}: not a JSON object")
         merged.update(config)
     for key in ("metric", "bound", "window", "seed"):
         value = getattr(args, key, None)
@@ -194,30 +203,22 @@ def cmd_verify(args) -> int:
     t_synth0 = time.perf_counter()
     formula: Optional[Formula] = None
     monitor: Optional[MonitorInstance] = None
-    classes = None
     if args.machine:
         try:
             monitor = machine_from_json(_read_text(args.machine, "machine"))
         except ValueError as exc:
-            raise SystemExit(f"machine error: {exc}")
+            raise Refusal(f"machine error: {exc}")
         if mode not in ("standard", "imperfect"):
-            raise SystemExit("--machine supports standard and imperfect modes only")
+            raise Refusal("--machine supports standard and imperfect modes only")
         if monitor.mode != mode:
-            raise SystemExit(f"machine file is {monitor.mode!r}, requested {mode!r}")
+            raise Refusal(f"machine file is {monitor.mode!r}, requested {mode!r}")
     else:
         if not args.formula:
-            raise SystemExit("either --machine or --formula is required")
-        try:
-            formula = parse_formula(args.formula)
-        except ParseError as exc:
-            raise SystemExit(f"formula error: {exc}")
+            raise Refusal("either --machine or --formula is required")
+        formula = parse_formula(args.formula)
 
     cfg = _load_config(args)
-    if args.classes:
-        try:
-            classes = parse_classes(args.classes, _alphabet_arg(args))
-        except ValueError as exc:
-            raise SystemExit(f"classes error: {exc}")
+    classes = _classes_arg(args)
 
     signed_input = trace_is_signed(args.trace)
     steps: list[dict] = []
@@ -225,37 +226,30 @@ def cmd_verify(args) -> int:
 
     if mode in ("active", "reactive"):
         if formula is None:
-            raise SystemExit("active/reactive modes need --formula")
+            raise Refusal("active/reactive modes need --formula")
         if classes is None:
-            raise SystemExit("active/reactive modes need --classes")
+            raise Refusal("active/reactive modes need --classes")
         if signed_input:
-            raise SystemExit("active/reactive modes consume plain traces")
+            raise Refusal("active/reactive modes consume plain traces")
         if "costs" not in cfg:
-            raise SystemExit("active/reactive modes need --costs")
+            raise Refusal("active/reactive modes need --costs")
         if "bound" not in cfg:
-            raise SystemExit("active/reactive modes need --bound")
-        if mode == "reactive" and "window" not in cfg:
-            raise SystemExit("reactive mode needs --window")
+            raise Refusal("active/reactive modes need --bound")
+        if mode == "reactive" and cfg.get("window") is None:
+            raise Refusal("reactive mode needs --window")
         trace = read_plain_trace(args.trace, _alphabet_of(classes))
         if not isinstance(cfg["costs"], dict):
-            raise SystemExit("config error: costs must map class ids to integers")
+            raise Refusal("config error: costs must map class ids to integers")
+        # The spec and the config check their own values; the session's
+        # refusals (a formula too wide, an atom in no class) reach main.
         try:
-            bound = int(cfg["bound"])
-            vspec = VisibilitySpec(
-                alphabet=_alphabet_of(classes),
-                classes=classes,
-                costs={k: int(v) for k, v in cfg["costs"].items()},
-                bound=bound,
-            )
-            rcfg = RationalConfig(metric=cfg.get("metric", "metric2"), bound=bound,
-                                  window=int(cfg["window"]) if "window" in cfg else None,
-                                  seed=int(cfg.get("seed", 0)))
-            session = (ActiveSession if mode == "active" else ReactiveSession)(
-                formula, vspec, rcfg)
-        except TooWideError as exc:
-            raise SystemExit(f"formula error: {exc}")
-        except (TypeError, ValueError) as exc:
-            raise SystemExit(f"config error: {exc}")
+            vspec = VisibilitySpec(alphabet=_alphabet_of(classes), classes=classes,
+                                   costs=cfg["costs"], bound=cfg["bound"])
+            rcfg = RationalConfig(metric=cfg.get("metric", "metric2"), bound=cfg["bound"],
+                                  window=cfg.get("window"), seed=cfg.get("seed", 0))
+        except ValueError as exc:
+            raise Refusal(f"config error: {exc}")
+        session = (ActiveSession if mode == "active" else ReactiveSession)(formula, vspec, rcfg)
         t_synth1 = time.perf_counter()
         t_run0 = time.perf_counter()
         for event in trace:
@@ -272,23 +266,27 @@ def cmd_verify(args) -> int:
         n_events = len(trace)
     else:
         if monitor is None:
-            if mode == "imperfect" and classes is None:
-                raise SystemExit("imperfect mode needs --classes")
-            monitor = _synthesize(formula, classes if mode == "imperfect" else None)
+            if mode == "standard":
+                monitor = synthesize_standard(formula)
+            elif classes is None:
+                raise Refusal("imperfect mode needs --classes")
+            else:
+                monitor = synthesize_imperfect(formula, classes)
         t_synth1 = time.perf_counter()
         if mode == "standard":
             if signed_input:
-                raise SystemExit("standard mode consumes plain traces")
+                raise Refusal("standard mode consumes plain traces")
             events: list = read_plain_trace(args.trace)
         else:
             if signed_input:
+                names = None if classes is None else frozenset(rendering_map(classes).values())
                 try:
-                    events = read_signed_trace(args.trace)
+                    events = read_signed_trace(args.trace, names)
                 except ValueError as exc:
-                    raise SystemExit(str(exc))
+                    raise Refusal(str(exc))
             else:
                 if classes is None:
-                    raise SystemExit("imperfect mode needs --classes to encode a plain trace")
+                    raise Refusal("imperfect mode needs --classes to encode a plain trace")
                 covered = _alphabet_of(classes)
                 sigma_e = explicit_trace(read_plain_trace(args.trace, covered), covered)
                 events = visible_trace(sigma_e, classes, ())
@@ -297,7 +295,7 @@ def cmd_verify(args) -> int:
             try:
                 verdict = monitor.step(event)
             except ValueError as exc:
-                raise SystemExit(f"event {i}: {exc}")
+                raise Refusal(f"event {i}: {exc}")
             steps.append({"index": i, "event": event_to_json(event),
                           "verdict": verdict.value})
         t_run1 = time.perf_counter()
@@ -378,7 +376,7 @@ def run_metrics_experiment(n_formulas: int, n_traces: int, seed: int,
     counts = {m: {v.value: 0 for v in VERDICT_ORDER} for m in metrics}
     for metric_name in metrics:
         if metric_name not in METRICS:
-            raise SystemExit(f"unknown metric {metric_name!r}")
+            raise Refusal(f"unknown metric {metric_name!r}")
     for i in range(n_formulas):
         rng_f = random.Random(derive_seed(seed, 1, i))
         f = random_formula(rng_f, size)
@@ -399,7 +397,7 @@ def run_metrics_experiment(n_formulas: int, n_traces: int, seed: int,
 def cmd_metrics_experiment(args) -> int:
     for flag, count in (("--formulas", args.formulas), ("--traces", args.traces)):
         if count < 1:
-            raise SystemExit(f"{flag} must be at least 1, got {count}")
+            raise Refusal(f"{flag} must be at least 1, got {count}")
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     counts = run_metrics_experiment(args.formulas, args.traces, args.seed,
                                     metrics, size=args.size)
@@ -479,8 +477,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit status.  A refused input prints
+    one line on stderr and returns 2, like argparse's usage errors;
+    ``casestudy --strict`` returns 1 for a cell off its verdict."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Refusal as exc:
+        message = str(exc)
+    except (ParseError, TooWideError) as exc:
+        message = f"formula error: {exc}"
+    except UncoveredAtomError as exc:
+        message = f"classes error: {exc}"
+    print(message, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -19,9 +19,8 @@ from typing import Iterable, Optional, Sequence
 
 from .automata.moore import (ImpossibleStateError, MooreMachine, Verdict, product2,
                              product3)
-from .automata.pipeline import (DFA, consistent_count, consistent_masks, determinize,
-                                empty_event_edges, inconsistent_masks,
-                                least_missing_mask, minimize, nba_to_nfa,
+from .automata.pipeline import (DFA, TooWideError, check_row, consistent_masks,
+                                determinize, empty_event_edges, minimize, nba_to_nfa,
                                 nonempty_states, quotient_bisim)
 from .automata.tableau import ltl_to_nba
 from .formula import MAX_NESTING, Formula, SLit, height, nnf_pair, parse_slit
@@ -200,11 +199,9 @@ def _automaton_from_json(data: dict) -> DFA:
 def _automaton_problem(dfa: DFA) -> Optional[str]:
     """Why a component read from a file cannot be stepped, or ``None``: its
     initial state and every table target must be states, each state's
-    literals must be distinct, and its row must map every consistent mask
-    over them, and nothing else, to a successor.  A row is counted against
-    the closed-form number of consistent masks before any table over its
-    literals is built: a row listing 64 literals is refused as fast as one
-    listing two."""
+    literals must be distinct and within the synthesis row bound
+    (``check_row``), and its row must map every consistent mask over them,
+    and nothing else, to a successor."""
     states = set(dfa.states)
     if dfa.initial not in states:
         return f"initial state {dfa.initial!r} is not a state"
@@ -219,15 +216,16 @@ def _automaton_problem(dfa: DFA) -> Optional[str]:
                 return f"state {q!r}: mask {bits} does not fit its {len(lits)} literal(s)"
             if dst not in states:
                 return f"state {q!r}: mask {bits} steps to {dst!r}, which is not a state"
-        # A row with as many entries as there are consistent masks is no
-        # smaller than their table, so only then is the table built.
-        complete = len(row) == consistent_count(lits, dfa.signed)
-        inconsistent = (sorted(set(row).difference(consistent_masks(lits, dfa.signed)))
-                        if complete else inconsistent_masks(lits, dfa.signed, row))
-        if inconsistent:
-            return f"state {q!r}: mask {inconsistent[0]} sets both signs of one name"
-        if not complete:
-            missing = least_missing_mask(lits, dfa.signed, row)
+        try:
+            check_row(lits, dfa.signed, f"state {q!r}")
+        except TooWideError as exc:
+            return str(exc)
+        masks = consistent_masks(lits, dfa.signed)
+        inconsistent = min(set(row).difference(masks), default=None)
+        if inconsistent is not None:
+            return f"state {q!r}: mask {inconsistent} sets both signs of one name"
+        missing = next((bits for bits in masks if bits not in row), None)
+        if missing is not None:
             return f"state {q!r}: mask {missing} has no successor"
     return None
 

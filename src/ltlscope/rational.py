@@ -29,7 +29,7 @@ from .formula import (And, Atom, FalseConst, Formula, Implies, Lit, Next, Not,
                       Or, Release, TrueConst, Until, postorder, progress,
                       to_metric_form)
 from .monitor import MonitorInstance, synthesize_imperfect
-from .visibility import (EqClass, VisibilitySpec, expand_witnesses,
+from .visibility import (EqClass, VisibilitySpec, check_breakable, expand_witnesses,
                          explicit_trace, identity_classes,
                          knowledge_from_event, visible_event)
 
@@ -174,16 +174,26 @@ def knapsack(payoffs: Mapping[str, float], costs: Mapping[str, int], bound: int,
 
 @dataclass(frozen=True)
 class RationalConfig:
+    """The metric, budget, window and knapsack seed of a rational run.  An
+    unknown metric, a window that is not a positive integer and a seed that
+    is not an integer raise ``ValueError``; the budget is checked by
+    ``VisibilitySpec`` and ``knapsack``."""
+
     metric: str = "metric2"
     bound: int = 0
     window: Optional[int] = None
     seed: int = 0
 
+    def __post_init__(self):
+        if not isinstance(self.metric, str) or self.metric not in METRICS:
+            raise ValueError(f"unknown metric {self.metric!r}")
+        if self.window is not None and (type(self.window) is not int or self.window < 1):
+            raise ValueError(f"reactive monitoring needs a positive window, got {self.window!r}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+
     def metric_spec(self) -> MetricSpec:
-        try:
-            return METRICS[self.metric]
-        except KeyError:
-            raise ValueError(f"unknown metric {self.metric!r}") from None
+        return METRICS[self.metric]
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,8 +303,6 @@ class Session:
 
     def __init__(self, f: Formula, vspec: VisibilitySpec, cfg: RationalConfig,
                  window: Optional[int], forced_break: Optional[Iterable[str]] = None):
-        if window is not None and window < 1:
-            raise ValueError("reactive monitoring needs a positive window")
         self.vspec = vspec
         self.cfg = cfg
         self.window = window
@@ -309,7 +317,9 @@ class Session:
         if forced_break is None:
             allocation = self._allocate()
         else:
-            allocation = Allocation((), frozenset(forced_break))
+            forced_break = frozenset(forced_break)
+            check_breakable(forced_break, vspec.classes)
+            allocation = Allocation((), forced_break)
         self.allocations = [allocation]
         self.broken = allocation.selection
         self.step_verdicts: list[Verdict] = []

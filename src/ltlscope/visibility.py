@@ -127,8 +127,11 @@ class VisibilitySpec:
             if not cls.is_singleton and cls.canonical_id not in self.costs:
                 raise ValueError(f"missing cost for class {cls.canonical_id!r}")
         for cid, cost in self.costs.items():
-            if cost < 0 or cost != int(cost):
-                raise ValueError(f"cost for {cid!r} must be a non-negative integer")
+            if type(cost) is not int or cost < 0:
+                raise ValueError(f"cost for {cid!r} must be a non-negative integer, "
+                                 f"got {cost!r}")
+        if type(self.bound) is not int:
+            raise ValueError(f"bound must be an integer, got {self.bound!r}")
         if self.bound < 0:
             raise ValueError("bound must be non-negative")
 
@@ -192,13 +195,18 @@ def visible_event(event: SignedEvent, classes: Sequence[EqClass],
     return frozenset(out)
 
 
+def check_breakable(broken: Iterable[str], classes: Sequence[EqClass]) -> None:
+    """Refuse a class id in ``broken`` that names no class with several
+    members: only those can be broken."""
+    stray = set(broken) - {c.canonical_id for c in classes if not c.is_singleton}
+    if stray:
+        raise ValueError(f"cannot break non-existent or singleton class(es): {sorted(stray)}")
+
+
 def visible_trace(explicit: Sequence[SignedEvent], classes: Sequence[EqClass],
                   broken: Iterable[str] = ()) -> list[SignedEvent]:
     broken = set(broken)
-    breakable = {c.canonical_id for c in classes if not c.is_singleton}
-    stray = broken - breakable
-    if stray:
-        raise ValueError(f"cannot break non-existent or singleton class(es): {sorted(stray)}")
+    check_breakable(broken, classes)
     return [visible_event(ev, classes, broken) for ev in explicit]
 
 

@@ -1,5 +1,7 @@
 """Command-line surface: formats, determinism, round trips."""
 
+import contextlib
+import io
 import json
 import time
 
@@ -106,9 +108,9 @@ class TestVerify:
         assert report["steps"][0]["event"] == ["[cs]=1", "w=0"]
 
     def test_missing_flags_error(self, trace_file, capsys):
-        with pytest.raises(SystemExit):
-            main(["verify", "-f", "F p", "--trace", trace_file, "--mode", "active",
-                  "--classes", "p~q"])
+        message = one_line_exit(["verify", "-f", "F p", "--trace", trace_file,
+                                 "--mode", "active", "--classes", "p~q"])
+        assert message == "active/reactive modes need --costs"
 
     def test_reports_are_deterministic(self, trace_file, tmp_path, capsys):
         args = ["verify", "-f", "F (c & X w)", "--trace", trace_file,
@@ -132,12 +134,14 @@ class TestVerify:
 
 
 def one_line_exit(argv) -> str:
-    """Run the CLI, expecting it to exit with a one-line message."""
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    message = err.value.code
-    assert isinstance(message, str) and message and "\n" not in message
-    return message
+    """Run the CLI, expecting it to refuse with status 2 and one line on
+    stderr; the line, without its newline."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    message = err.getvalue()
+    assert code == 2 and message.count("\n") == 1 and message.endswith("\n"), (code, message)
+    return message[:-1]
 
 
 class TestLongRuns:
@@ -187,6 +191,14 @@ class TestUserErrors:
         message = one_line_exit(["verify", "-f", "F p", "--trace", str(trace)])
         assert message.startswith(f"{trace}:2: ") and repr(token) in message
 
+    def test_first_bad_token_of_a_line_is_named(self, tmp_path):
+        """The refusal names the line's first bad token, whatever the hash
+        seed orders sets by."""
+        trace = tmp_path / "t.txt"
+        trace.write_text("p\nq 3bad 1bad 2bad\n", encoding="utf-8")
+        message = one_line_exit(["verify", "-f", "F p", "--trace", str(trace)])
+        assert message == f"{trace}:2: '3bad' is not an atom name"
+
     def test_inconsistent_signed_event_via_cli(self, tmp_path):
         trace = tmp_path / "t.txt"
         trace.write_text("p=1\np=1 p=0\n", encoding="utf-8")
@@ -197,7 +209,10 @@ class TestUserErrors:
     @pytest.mark.parametrize("command", [
         ["synthesize", "--out", "m.json"],
         ["verify", "--mode", "imperfect", "--trace", "t.txt"],
-    ], ids=["synthesize", "verify-imperfect"])
+        ["verify", "--mode", "active", "--trace", "t.txt", "--costs", "pq=1", "--bound", "1"],
+        ["verify", "--mode", "reactive", "--trace", "t.txt", "--costs", "pq=1", "--bound", "1",
+         "--window", "1"],
+    ], ids=["synthesize", "verify-imperfect", "verify-active", "verify-reactive"])
     def test_formula_atom_outside_the_classes(self, tmp_path, monkeypatch, command):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "t.txt").write_text("p\n", encoding="utf-8")
@@ -239,6 +254,18 @@ class TestUserErrors:
         (tmp_path / "t.txt").write_text("p\n", encoding="utf-8")
         message = one_line_exit([*command, "-f", "F p", "--classes", f"p~{name}"])
         assert message.startswith("classes error: ") and repr(name) in message
+
+    @pytest.mark.parametrize("line, classes", [("p=1", "p~q"), ("zz=1", "p~q"),
+                                               ("[pq]=1", "p; q")])
+    def test_signed_literal_outside_the_classes(self, tmp_path, line, classes):
+        """With classes, a signed literal names a singleton atom or a class
+        witness; another one is refused, not ignored by the monitor."""
+        trace = tmp_path / "t.txt"
+        trace.write_text(f"\n{line}\n", encoding="utf-8")
+        message = one_line_exit(["verify", "-f", "F p", "--classes", classes,
+                                 "--mode", "imperfect", "--trace", str(trace)])
+        assert message.startswith(f"{trace}:2: ")
+        assert repr(line.partition("=")[0]) in message
 
     @pytest.mark.parametrize("mode", ["imperfect", "active", "reactive"])
     def test_trace_atom_outside_the_classes(self, tmp_path, mode):
@@ -299,12 +326,19 @@ class TestUserErrors:
         ({"seed": "x"}, [], "'x'"),
         ({}, ["--costs", "cs=-1,abg=3"], "non-negative integer"),
         ({}, ["--costs", "xy=1"], "missing cost for class 'abg'"),
+        ({"costs": {"cs": 1.5, "abg": 3}}, [], "got 1.5"),
+        ({"bound": 1.7}, [], "got 1.7"),
+        ({"costs": {"cs": True, "abg": 3}}, [], "got True"),
+        ({"window": 1.5}, [], "got 1.5"),
+        ({"seed": False}, [], "got False"),
     ], ids=["cost-text", "costs-list", "bound-text", "bound-negative", "window-text",
             "window-zero", "window-flag-zero", "metric", "seed-text", "cost-negative",
-            "cost-unknown-class"])
+            "cost-unknown-class", "cost-fraction", "bound-fraction", "cost-bool",
+            "window-fraction", "seed-bool"])
     def test_refused_rational_setting(self, trace_file, tmp_path, config, flags, needle):
         """Values the visibility spec, the rational config or the session
-        refuse end ``verify`` with one line."""
+        refuse end ``verify`` with one line; none is truncated to an
+        integer first."""
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"costs": {"cs": 2, "abg": 3}, "bound": 3, "window": 2,
                                     **config}), encoding="utf-8")
@@ -312,6 +346,14 @@ class TestUserErrors:
                                  "--mode", "reactive", *CASE_ARGS, "--config", str(path),
                                  *flags])
         assert message.startswith("config error: ") and needle in message
+
+    def test_null_window_is_no_window(self, trace_file, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"costs": {"cs": 2, "abg": 3}, "bound": 3, "window": None}),
+                        encoding="utf-8")
+        message = one_line_exit(["verify", "-f", "F (c & X w)", "--trace", trace_file,
+                                 "--mode", "reactive", *CASE_ARGS, "--config", str(path)])
+        assert message == "reactive mode needs --window"
 
 
     @pytest.mark.parametrize("count, command, classes", [
@@ -343,6 +385,18 @@ class TestUserErrors:
 
 
 class TestSynthesize:
+    def test_machine_too_wide_to_draw_leaves_no_file(self, tmp_path):
+        """``a0 | … | a10`` over singleton classes synthesises, but its initial
+        product state has 3^11 edges; ``--dot`` refuses it before either file
+        is written."""
+        names = [f"a{i}" for i in range(11)]
+        out, dot = tmp_path / "m.json", tmp_path / "m.dot"
+        message = one_line_exit(["synthesize", "-f", " | ".join(names),
+                                 "--classes", "; ".join(names),
+                                 "--out", str(out), "--dot", str(dot)])
+        assert message.startswith("formula error: a product state reads 22 literals")
+        assert not out.exists() and not dot.exists()
+
     def test_roundtrip_bit_identical(self, tmp_path, capsys):
         out_path = tmp_path / "m.json"
         code, _ = run_cli(["synthesize", "-f", "F (c & X w)", *CASE_ARGS,
@@ -377,11 +431,9 @@ class TestSynthesize:
         out_path.write_text(json.dumps(payload), encoding="utf-8")
         trace = tmp_path / "t.txt"
         trace.write_text("c=1\n", encoding="utf-8")
-        with pytest.raises(SystemExit) as err:
-            main(["verify", "--machine", str(out_path), "--trace", str(trace),
-                  "--mode", "imperfect"])
-        message = str(err.value.code)
-        assert message.startswith("machine error: ") and "\n" not in message
+        message = one_line_exit(["verify", "--machine", str(out_path), "--trace", str(trace),
+                                 "--mode", "imperfect"])
+        assert message.startswith("machine error: ")
 
     @pytest.mark.parametrize("formula, classes, claimed", [
         ("p", [], "imperfect"),
@@ -460,10 +512,9 @@ class TestSynthesize:
         assert json.loads(out)["final"] == "FALSE"
 
     def test_malformed_classes_error(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["synthesize", "-f", "p", "--classes", "p~~!x",
-                  "--out", str(tmp_path / "m.json")])
-        assert "classes" in str(err.value)
+        message = one_line_exit(["synthesize", "-f", "p", "--classes", "p~~!x",
+                                 "--out", str(tmp_path / "m.json")])
+        assert message.startswith("classes error: ")
 
 
 class TestCaseStudyCommand:

@@ -241,7 +241,7 @@ class TestMachineRoundTrip:
     ], ids=["plain", "signed", "both-signs"])
     def test_wide_row_is_refused_by_counting(self, literals):
         """A state listing 64 literals with a one-entry table is refused by
-        comparing its size with the count of consistent masks, not by
+        the synthesis row bound, which counts its consistent masks instead of
         building the 2^64 (or 3^32) masks its row would need."""
         signed = "=" in literals[0]
         m = synthesize_imperfect(Atom("p"), derive_classes(("p",), [])) if signed \
@@ -250,9 +250,26 @@ class TestMachineRoundTrip:
         payload["components"][0]["literals"]["0"] = literals
         payload["components"][0]["table"]["0"] = {"0": 0}
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="state 0: mask 1 has no successor"):
+        with pytest.raises(ValueError, match="state 0 reads 64 literals"):
             machine_from_json(json.dumps(payload))
         assert time.perf_counter() - start < 0.5
+
+    def test_row_at_the_bound_loads_and_steps(self):
+        """A state reading 16 plain literals, a full row of ``MAX_ROW``
+        masks, loads and steps like the machine it widens; one literal more
+        is refused by the bound, before its row is compared with its table."""
+        m = synthesize_standard(Atom("p"))
+        payload = json.loads(machine_to_json(m))
+        component = payload["components"][0]
+        row = component["table"]["0"]
+        component["literals"]["0"] = ["p"] + [f"x{i}" for i in range(15)]
+        component["table"]["0"] = {str(bits): row[str(bits & 1)] for bits in range(1 << 16)}
+        wide = machine_from_json(json.dumps(payload))
+        for event in ({"p", "x3"}, {"x14"}, set()):
+            assert wide.clone().step(event) == m.clone().step(event)
+        component["literals"]["0"].append("x15")
+        with pytest.raises(ValueError, match="state 0 reads 17 literals"):
+            machine_from_json(json.dumps(payload))
 
     def test_inconsistent_flags_are_a_value_error(self):
         """Components whose accepting sets leave a product state in neither
@@ -311,6 +328,20 @@ class TestMachineBytes:
             for m in (synthesize_imperfect(f, classes), synthesize_standard(f)):
                 digest.update(machine_to_json(m).encode())
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestDotBound:
+    def test_product_row_past_the_bound_is_refused(self):
+        """``a0 | … | a10`` over singleton classes synthesises, each DFA row
+        reading 11 literals, but its initial product state reads both signs
+        of 11 names: 3^11 edges, over ``MAX_ROW``.  DOT export refuses it
+        before drawing any edge."""
+        names = [f"a{i}" for i in range(11)]
+        m = synthesize_imperfect(parse_formula(" | ".join(names)), derive_classes(names, []))
+        start = time.perf_counter()
+        with pytest.raises(TooWideError, match="a product state reads 22 literals"):
+            moore_to_dot(m.machine)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestDotBytes:

@@ -1,10 +1,15 @@
 """Hypothesis-driven invariants over generated formulas and traces."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ltlscope.cli import main
 from ltlscope.formula import (FALSE, TRUE, Always, And, Atom, Eventually,
                               Formula, Implies, Next, Not, Or, ParseError,
                               Release, Until, fmt, is_nnf, parse_formula,
@@ -186,3 +191,51 @@ class TestMachineFileProperties:
             machine_from_json(text[:at] + insert + text[at + 1:])
         except ValueError:
             pass
+
+
+# Inputs of ``verify`` that nothing else fuzzes: trace-file text, --classes
+# and --costs.  Each draws well-formed values, malformed ones, or text over
+# the separators and characters the readers split on or refuse.
+TRACE_TOKENS = ("p", "q", "r", "p=1", "q=0", "[pq]=1", "[pq]=0", "zz=1", "=", "p=",
+                "[", "]", ",", "p,q", "\t", "é", "p²", "[pq]", "")
+TRACE_CHARS = "pqr=01[],\t \n~;é²"
+trace_texts = st.one_of(
+    st.lists(st.sampled_from(("p", "q", "r", "p q", "q,r", "")), max_size=6).map("\n".join),
+    st.lists(st.lists(st.sampled_from(TRACE_TOKENS), max_size=4).map(" ".join),
+             max_size=6).map("\n".join),
+    st.text(alphabet=TRACE_CHARS, max_size=30))
+classes_texts = st.one_of(
+    st.sampled_from(("p~q", "q~p~r", "p; q")),
+    st.sampled_from(("p", " p ~ q ", "p~", "~", "p;;q", "p~é", "")),
+    st.text(alphabet="pqr~; é[]", max_size=10))
+costs_texts = st.one_of(
+    st.sampled_from(("pq=1", "pqr=2", "pq=0,pqr=1")),
+    st.sampled_from(("pq=-1", "pq=--1", "pq=²", "pq", "=", "pq=1,pq=2", "é=1", "")),
+    st.text(alphabet="pqr=,-01²é ", max_size=10))
+
+
+class TestCommandLineFuzz:
+    @given(st.sampled_from(("standard", "imperfect", "active", "reactive")), trace_texts,
+           st.none() | classes_texts, st.none() | costs_texts)
+    @settings(max_examples=300, deadline=None)
+    def test_verify_runs_or_refuses_with_one_line(self, mode, trace, classes, costs):
+        """``verify`` over a fixed formula either runs (status 0) or refuses
+        with status 2 and one line on stderr; no exception escapes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(trace)
+            argv = ["verify", "-f", "F (p & X q)", "--trace", path, "--mode", mode,
+                    "--bound", "1", "--window", "1", "--omit-timing"]
+            if classes is not None:
+                argv.append(f"--classes={classes}")
+            if costs is not None:
+                argv.append(f"--costs={costs}")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        if code == 0:
+            assert json.loads(out.getvalue())["final"] and not err.getvalue()
+        else:
+            message = err.getvalue()
+            assert code == 2 and message.count("\n") == 1 and message.endswith("\n"), message

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -264,6 +265,24 @@ class TestActiveMonitor:
         cfg = RationalConfig(metric="metric2", bound=3)
         result = active_monitor(SIGMA, PHI1, vspec(), cfg)
         assert len(result.step_verdicts) == len(SIGMA)
+
+    @pytest.mark.parametrize("stray", ["zz", "w"], ids=["no-class", "singleton"])
+    def test_forced_break_names_only_breakable_classes(self, stray):
+        """A forced break of a class that does not exist, or of a singleton,
+        is refused as ``visible_trace`` refuses it, not run unbroken and
+        reported as broken."""
+        cfg = RationalConfig(metric="metric2", bound=3)
+        with pytest.raises(ValueError, match="cannot break non-existent or singleton"):
+            active_monitor(SIGMA, PHI1, vspec(), cfg, forced_break=(stray,))
+        assert active_monitor(SIGMA, PHI1, vspec(), cfg, forced_break=("cs",)).broken \
+            == frozenset({"cs"})
+
+    @pytest.mark.parametrize("field, value", [
+        ("metric", "nope"), ("metric", ["metric2"]), ("window", 0), ("window", 1.5),
+        ("window", True), ("seed", "x"), ("seed", 1.0)])
+    def test_config_refuses_what_it_cannot_use(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            RationalConfig(**{field: value})
 
 
 class TestReactiveMonitor:

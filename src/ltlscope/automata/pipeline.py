@@ -13,16 +13,18 @@ bits; valuations are packed into integer bitmasks so stepping is a dict
 lookup.
 One partition-refinement kernel, ``coarsest_partition``, serves both
 merges: the bisimulation quotient of the NFA before the exponential subset
-step and the minimisation of the DFA over each state's own literals.  The
-Moore product joins two DFA rows on the names both read
-(``product_successors``), so no event over the union of their literals is
-built.
+step and the minimisation of the DFA over each state's own literals.  A
+merge that merges nothing passes its input's structure on.  The Moore
+product joins two DFA rows on the names both read (``product_successors``),
+so no event over the union of their literals is built; rows that read no
+name in common, or of which one has a single successor, give every pair of
+their successors.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from typing import Iterator
@@ -42,19 +44,27 @@ def nonempty_states(nba: GuardedAutomaton) -> frozenset[int]:
     # Tarjan emits a component after every component it reaches, so one
     # pass sees each edge leaving a component with its target decided.
     for scc in tarjan_sccs(edges, nba.states):
-        members = set(scc)
-        if any(not good.isdisjoint(edges[q]) for q in scc):
-            good |= members
-            continue
-        cyclic, covered = False, 0
-        for q in scc:
-            for _, _, marks, dst in transitions.get(q, ()):
-                if dst in members:
-                    cyclic = True
-                    covered |= marks
-        if cyclic and covered & full == full:
-            good |= members
+        if len(scc) == 1:  # most components: one state, cyclic only by a self-loop
+            q = scc[0]
+            found = not good.isdisjoint(edges[q]) or _cycle_covers(
+                [marks for _, _, marks, dst in transitions.get(q, ()) if dst == q], full)
+        else:
+            members = set(scc)
+            found = any(not good.isdisjoint(edges[q]) for q in scc) or _cycle_covers(
+                [marks for q in scc for _, _, marks, dst in transitions.get(q, ())
+                 if dst in members], full)
+        if found:
+            good.update(scc)
     return frozenset(good)
+
+
+def _cycle_covers(marks: list[int], full: int) -> bool:
+    """Whether a component whose internal edges carry ``marks`` has an
+    internal edge and its marks cover ``full`` together."""
+    covered = 0
+    for m in marks:
+        covered |= m
+    return bool(marks) and covered & full == full
 
 
 def tarjan_sccs(edges: dict[int, list[int]], states) -> list[list[int]]:
@@ -105,9 +115,12 @@ def empty_event_edges(nba: GuardedAutomaton) -> GuardedAutomaton:
     """The automaton restricted to the edges an empty event can take (guards
     that require nothing).  Its nonempty states are those from which the
     all-empty word is accepted."""
-    return replace(nba, transitions={
-        q: [edge for edge in edges if not edge[0]]
-        for q, edges in nba.transitions.items()})
+    return GuardedAutomaton(
+        states=nba.states, initial=nba.initial,
+        transitions={q: [edge for edge in edges if not edge[0]]
+                     for q, edges in nba.transitions.items()},
+        signed=nba.signed, literals=nba.literals, acceptance=nba.acceptance,
+        accepting=nba.accepting, flagged=nba.flagged)
 
 
 def nba_to_nfa(nba: GuardedAutomaton, nonempty: frozenset[int]) -> GuardedAutomaton:
@@ -115,7 +128,9 @@ def nba_to_nfa(nba: GuardedAutomaton, nonempty: frozenset[int]) -> GuardedAutoma
     accepts exactly the finite prefixes with a satisfying infinite
     continuation.  The transitions and flagged states are shared with the
     NBA, not copied, and their marks are not read."""
-    return replace(nba, acceptance=0, accepting=nonempty)
+    return GuardedAutomaton(states=nba.states, initial=nba.initial,
+                            transitions=nba.transitions, signed=nba.signed,
+                            literals=nba.literals, accepting=nonempty, flagged=nba.flagged)
 
 
 # Valuations are int bitmasks over a tuple of literals in ``str`` order: bit
@@ -184,25 +199,27 @@ def coarsest_partition(keys: dict, rows: dict, read) -> dict:
     its outgoing row; ``read(row, block)`` gives what the row computes under
     the current blocks, as a hashable value.  Two states stay together while
     their keys and their reads agree.  Returns each state's block, numbered
-    by the block's first state in the iteration order of ``keys``.  A row
-    object that several states share is read once per round.
+    by the block's first state in the iteration order of ``keys``.  A partition
+    whose every block holds one state cannot split, so it is returned
+    without another round: keys that already tell every state apart read
+    no row.
     """
     remap: dict = {}
     block = {q: remap.setdefault(key, len(remap)) for q, key in keys.items()}
     count = len(remap)
-    while True:
-        reads: dict[int, object] = {}
+    while count < len(block):
         remap = {}
-        refined = {}
-        for q in keys:
-            row = rows.get(q, ())
-            value = reads.get(id(row))
-            if value is None:
-                value = reads[id(row)] = read(row, block)
-            refined[q] = remap.setdefault((block[q], value), len(remap))
-        if len(remap) == count:
-            return refined
+        refined = {q: remap.setdefault((block[q], read(rows.get(q, ()), block)), len(remap))
+                   for q in keys}
+        if len(remap) == count:  # no block split: ``refined`` numbers them as ``block``
+            break
         block, count = refined, len(remap)
+    return block
+
+
+def _discrete(block: dict) -> bool:
+    """Whether every state is its own block: its number is the state's."""
+    return all(q == b for q, b in block.items())
 
 
 def quotient_bisim(aut: GuardedAutomaton) -> GuardedAutomaton:
@@ -211,13 +228,21 @@ def quotient_bisim(aut: GuardedAutomaton) -> GuardedAutomaton:
 
     Bisimilar states accept the same finite words, and the quotient
     typically collapses tableau output dramatically before determinisation.
-    Edges are compared as (require, forbid, target block) int triples; the
-    quotient's edges carry no marks.
+    Edges are compared as (require, forbid, target block) int triples; a
+    merged state's edges are rebuilt in that order and carry no marks.
+    When no two states merge (each state its own block, numbered as
+    itself), the quotient shares the input's states and transitions, edges
+    in the tableau's order with their marks, which an NFA does not read.
     """
     block = coarsest_partition({q: (q in aut.accepting, q in aut.flagged) for q in aut.states},
                                aut.transitions,
                                lambda row, block: frozenset(
                                    (require, forbid, block[dst]) for require, forbid, _, dst in row))
+    if _discrete(block):
+        return GuardedAutomaton(states=aut.states, initial=aut.initial,
+                                transitions=aut.transitions, signed=aut.signed,
+                                literals=aut.literals, accepting=aut.accepting,
+                                flagged=aut.flagged)
     rep: dict[int, int] = {}
     for q in aut.states:
         rep.setdefault(block[q], q)
@@ -307,8 +332,9 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
     A subset is flagged when it meets the NFA's flagged states.  A subset
     reads the literals its guard masks mention together; each guard is
     compacted onto those bits, so bit ``i`` of the row stands for the
-    ``i``-th of them in table order.  A subset whose row would exceed
-    ``MAX_ROW`` raises ``TooWideError``.
+    ``i``-th of them in table order.  A subset whose guards mention no
+    literal gets its one-entry row directly.  A subset whose row would
+    exceed ``MAX_ROW`` raises ``TooWideError``.
     """
     table_lits = nfa.literals
     transitions = nfa.transitions
@@ -320,13 +346,10 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
     accepting: set[int] = set()
     flagged: set[int] = set()
 
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        sid = ids[subset]
-        if subset & nfa.accepting:
+    for sid, subset in enumerate(order):  # order grows as subsets are reached
+        if not subset.isdisjoint(nfa.accepting):
             accepting.add(sid)
-        if subset & nfa.flagged:
+        if not subset.isdisjoint(nfa.flagged):
             flagged.add(sid)
         used = 0
         grouped: dict[tuple[int, int], set[int]] = {}
@@ -334,14 +357,22 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
             for require, forbid, _, dst in transitions.get(q, ()):
                 used |= require | forbid
                 grouped.setdefault((require, forbid), set()).add(dst)
-        positions = bit_positions(used)
-        lits = tuple(table_lits[p] for p in positions)
-        check_row(lits, nfa.signed, "a DFA state")
-        rank = {1 << p: 1 << k for k, p in enumerate(positions)}
-        edges = [(_compact(require, rank), _compact(forbid, rank), frozenset(dsts))
-                 for (require, forbid), dsts in grouped.items()]
+        if used:
+            positions = bit_positions(used)
+            lits = tuple(table_lits[p] for p in positions)
+            check_row(lits, nfa.signed, "a DFA state")
+            if used & (used + 1):  # the row's bits are not the table's lowest
+                rank = {1 << p: 1 << k for k, p in enumerate(positions)}
+                edges = [(_compact(require, rank), _compact(forbid, rank), dsts)
+                         for (require, forbid), dsts in grouped.items()]
+            else:
+                edges = [(require, forbid, dsts) for (require, forbid), dsts in grouped.items()]
+            masks = consistent_masks(lits, nfa.signed)
+        else:  # no guard reads a literal: one entry, which every edge takes
+            lits, masks = (), (0,)
+            edges = [(0, 0, dsts) for dsts in grouped.values()]
         row: dict[int, int] = {}
-        for bits in consistent_masks(lits, nfa.signed):
+        for bits in masks:
             target: set[int] = set()
             for req, forb, dsts in edges:
                 if bits & req == req and not bits & forb:
@@ -353,7 +384,6 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
             row[bits] = ids[key]
         lits_of[sid] = lits
         table[sid] = row
-        i += 1
 
     return DFA(states=list(range(len(order))), initial=0,
                accepting=frozenset(accepting), signed=nfa.signed,
@@ -374,13 +404,19 @@ def minimize(dfa: DFA) -> DFA:
     """Merge language-equivalent states with equal flags by partition
     refinement, reading each row under the current blocks over only the
     literals it depends on: states that behave alike read alike whatever
-    literals they store, and no event over their union is built."""
+    literals they store, and no event over their union is built.
+
+    Always a new ``DFA``.  When no two states merge (each state its own
+    block, numbered as itself), it shares the input's literal tuples and
+    rows instead of rebuilding them."""
     def read(row, block) -> tuple:
         lits, table = row
-        mapped = tuple(map(block.__getitem__, table.values()))
-        if len(set(mapped)) == 1:  # one successor block: no literal matters
-            return (), mapped[:1]
-        at = dict(zip(table, mapped))
+        if not lits:  # one entry, under mask 0
+            return (), (block[table[0]],)
+        at = {m: block[dst] for m, dst in table.items()}
+        blocks = set(at.values())
+        if len(blocks) == 1:  # one successor block: no literal matters
+            return (), tuple(blocks)
         kept = 0  # a literal is kept when clearing it changes some successor's block
         for i in range(len(lits)):
             bit = 1 << i
@@ -388,12 +424,17 @@ def minimize(dfa: DFA) -> DFA:
                 if m & bit and b != at[m ^ bit]:
                     kept |= bit
                     break
+        if kept == (1 << len(lits)) - 1:  # every literal matters: the whole row
+            return lits, tuple(at[m] for m in sorted(at))
         return (tuple(lit for i, lit in enumerate(lits) if kept >> i & 1),
                 tuple(b for m, b in sorted(at.items()) if not m & ~kept))
 
     rows = {q: (lits, dfa.table[q]) for q, lits in dfa.lits.items()}
     block = coarsest_partition({q: (q in dfa.accepting, q in dfa.flagged) for q in dfa.states},
                                rows, read)
+    if _discrete(block):
+        return DFA(states=list(dfa.states), initial=dfa.initial, accepting=dfa.accepting,
+                   signed=dfa.signed, lits=dfa.lits, table=dfa.table, flagged=dfa.flagged)
 
     # Blocks are numbered 0, 1, ... by their first state, which represents them.
     rep: dict[int, int] = {}
@@ -411,7 +452,10 @@ def product_successors(a: DFA, s: int, b: DFA, v: int) -> set[tuple[int, int]]:
     """The distinct successor pairs of the product state ``(s, v)`` under
     every consistent event over the union of the two states' literals.
 
-    A choice over the names both rows read picks none of a name's literals
+    When the rows read no name in common, or either row has one distinct
+    successor, every pair of their successors is reached: an event can
+    agree with any mask of one row and any mask of the other.  Otherwise a
+    choice over the names both rows read picks none of a name's literals
     or one of them (``_joined_rows``); the two rows' private names never
     conflict, so each choice contributes the cross product of the
     successors each row reaches under it.  The choices are walked as every
@@ -419,6 +463,11 @@ def product_successors(a: DFA, s: int, b: DFA, v: int) -> set[tuple[int, int]]:
     the other half, so only two lists of about the square root of their
     number are held.
     """
+    row_a, row_b = a.table[s], b.table[v]
+    succ_a, succ_b = set(row_a.values()), set(row_b.values())
+    if (len(succ_a) == 1 or len(succ_b) == 1
+            or set(_names(a.lits[s], a.signed)).isdisjoint(_names(b.lits[v], b.signed))):
+        return {(p, q) for p in succ_a for q in succ_b}
     joint, leaves_a, leaves_b = _joined_rows(a, s, b, v)
     options = list(joint.values())
     half = len(options) // 2

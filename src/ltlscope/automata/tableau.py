@@ -43,8 +43,20 @@ def _index(root: Formula) -> tuple[list[Formula], dict[Formula, int]]:
     return list(position), position
 
 
-def _tested(f: Formula):
-    return f.name if isinstance(f, Atom) else f.lit
+def _test(f: Formula) -> Optional[tuple[object, bool]]:
+    """A literal's (atom name or signed literal, present?); None for any
+    other subformula."""
+    kind = type(f)
+    if kind is Not:
+        f, present = f.operand, False
+        kind = type(f)
+    else:
+        present = True
+    if kind is Atom:
+        return f.name, present
+    if kind is Lit:
+        return f.lit, present
+    return None
 
 
 class _Decomposer:
@@ -52,60 +64,47 @@ class _Decomposer:
 
     def __init__(self, forms: list[Formula], position: dict[Formula, int], signed: bool):
         self.forms = forms
-        bit = [1 << i for i in range(len(forms))]
+        bit = {g: 1 << i for g, i in position.items()}
 
-        def mask(*subs: Formula) -> int:
-            out = 0
-            for g in subs:
-                out |= bit[position[g]]
-            return out
-
-        # The literals, by position: (atom name or signed literal, present?).
+        # Per subformula, its ways of holding now as (now, next, new,
+        # conflicts) masks, None outside NNF; a literal's are set below.
+        # ``tests`` holds the literals by position: (atom name or signed
+        # literal, present?).
         self.tests: dict[int, tuple[object, bool]] = {}
-        for i, g in enumerate(forms):
-            if isinstance(g, (Atom, Lit)):
-                self.tests[i] = (_tested(g), True)
-            elif isinstance(g, Not) and isinstance(g.operand, (Atom, Lit)):
-                self.tests[i] = (_tested(g.operand), False)
-        self.literals = sum(bit[i] for i in self.tests)
+        self.choices: list[Optional[tuple]] = []
+        for i, f in enumerate(forms):
+            kind, me = type(f), 1 << i
+            if kind is And:
+                options = ((me, 0, bit[f.left] | bit[f.right], 0),)
+            elif kind is Or:
+                options = ((me, 0, bit[f.left], 0), (me, 0, bit[f.right], 0))
+            elif kind is Until:
+                options = ((me, me, bit[f.left], 0), (me, 0, bit[f.right], 0))
+            elif kind is Release:
+                options = ((me, me, bit[f.right], 0), (me, 0, bit[f.left] | bit[f.right], 0))
+            elif kind is Next:
+                options = ((me, bit[f.operand], 0, 0),)
+            elif kind is TrueConst:
+                options = ((0, 0, 0, 0),)
+            elif kind is FalseConst:
+                options = ()
+            else:
+                options = None
+                test = _test(f)
+                if test is not None:
+                    self.tests[i] = test
+            self.choices.append(options)
+        self.literals = sum(1 << i for i in self.tests)
 
         # A literal conflicts with its negation and, among signed literals,
         # with the other sign of its name.  Consistency is pairwise, so a
         # consistent node stays so when its new literal meets no conflict.
-        where = {test: i for i, test in self.tests.items()}
-        conflicts = dict.fromkeys(self.tests, 0)
+        where = {test: 1 << i for i, test in self.tests.items()}
         for i, (req, present) in self.tests.items():
-            rivals = [(req, not present)]
-            if signed and present and isinstance(forms[i], Lit):
-                rivals.append((SLit(req.name, not req.sign), True))
-            for rival in rivals:
-                if rival in where:
-                    conflicts[i] |= bit[where[rival]]
-
-        # Per subformula, its ways of holding now as (now, next, new,
-        # conflicts) masks; None outside NNF.
-        self.choices: list[Optional[tuple]] = []
-        for i, f in enumerate(forms):
-            me = bit[i]
-            if i in conflicts:
-                options = ((me, 0, 0, conflicts[i]),)
-            elif isinstance(f, TrueConst):
-                options = ((0, 0, 0, 0),)
-            elif isinstance(f, FalseConst):
-                options = ()
-            elif isinstance(f, And):
-                options = ((me, 0, mask(f.left, f.right), 0),)
-            elif isinstance(f, Next):
-                options = ((me, mask(f.operand), 0, 0),)
-            elif isinstance(f, Or):
-                options = ((me, 0, mask(f.left), 0), (me, 0, mask(f.right), 0))
-            elif isinstance(f, Until):
-                options = ((me, me, mask(f.left), 0), (me, 0, mask(f.right), 0))
-            elif isinstance(f, Release):
-                options = ((me, me, mask(f.right), 0), (me, 0, mask(f.left, f.right), 0))
-            else:
-                options = None
-            self.choices.append(options)
+            conflicts = where.get((req, not present), 0)
+            if signed and present and type(forms[i]) is Lit:
+                conflicts |= where.get((SLit(req.name, not req.sign), True), 0)
+            self.choices[i] = ((1 << i, 0, 0, conflicts),)
 
         self.memo: dict[int, tuple[Node, ...]] = {0: ((0, 0),)}
 

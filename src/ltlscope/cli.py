@@ -198,14 +198,35 @@ def _alphabet_of(classes) -> frozenset[str]:
     return frozenset(a for cls in classes for a in cls.members)
 
 
+def _machine_names(text: str, monitor: MonitorInstance) -> frozenset[str]:
+    """The literal names a signed trace may use with a signed machine file:
+    those of the classes text the file stores and those its components
+    read.  A machine synthesised with ``--alphabet`` reads singleton atoms
+    that its classes text does not name.  Stored classes that do not parse
+    are refused as a machine error."""
+    names = {lit.name for dfa in monitor.machine.components
+             for lits in dfa.lits.values() for lit in lits}
+    stored = json.loads(text).get("classes")
+    if stored is None:
+        return frozenset(names)
+    if not isinstance(stored, str):
+        raise Refusal(f"machine error: stored classes {stored!r} are not a classes text")
+    try:
+        classes = parse_classes(stored)
+    except ValueError as exc:
+        raise Refusal(f"machine error: stored classes: {exc}")
+    return frozenset(names.union(rendering_map(classes).values()))
+
+
 def cmd_verify(args) -> int:
     mode = args.mode
     t_synth0 = time.perf_counter()
     formula: Optional[Formula] = None
     monitor: Optional[MonitorInstance] = None
     if args.machine:
+        machine_text = _read_text(args.machine, "machine")
         try:
-            monitor = machine_from_json(_read_text(args.machine, "machine"))
+            monitor = machine_from_json(machine_text)
         except ValueError as exc:
             raise Refusal(f"machine error: {exc}")
         if mode not in ("standard", "imperfect"):
@@ -279,7 +300,9 @@ def cmd_verify(args) -> int:
             events: list = read_plain_trace(args.trace)
         else:
             if signed_input:
-                names = None if classes is None else frozenset(rendering_map(classes).values())
+                # Without --classes the monitor is a machine file's.
+                names = (_machine_names(machine_text, monitor) if classes is None
+                         else frozenset(rendering_map(classes).values()))
                 try:
                     events = read_signed_trace(args.trace, names)
                 except ValueError as exc:

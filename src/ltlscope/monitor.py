@@ -13,7 +13,7 @@ flagged DFAs assigns one of the six verdicts to every reachable state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -42,7 +42,7 @@ def subset_dfa(f: Formula, signed: bool) -> DFA:
     """
     nba = ltl_to_nba(f, signed)
     if signed:
-        nba = replace(nba, flagged=nonempty_states(empty_event_edges(nba)))
+        nba.flagged = nonempty_states(empty_event_edges(nba))
     return determinize(quotient_bisim(nba_to_nfa(nba, nonempty_states(nba))))
 
 

@@ -17,7 +17,7 @@ from ltlscope.automata.guarded import Guard
 from ltlscope.automata.moore import product2, product3
 from ltlscope.automata.pipeline import (coarsest_partition, consistent_count,
                                         consistent_masks, empty_event_edges,
-                                        quotient_bisim)
+                                        literal_order, quotient_bisim)
 from ltlscope.formula import (FALSE, TRUE, And, Atom, FalseConst, Lit, Next,
                               Not, Or, Release, SLit, TrueConst, Until,
                               negate_nnf, parse_formula, subformulas, to_nnf)
@@ -681,19 +681,27 @@ def greatest_bisimulation(keys, rows):
         related = kept
 
 
+def partition_case(rng, discrete: bool):
+    """Random states, keys and labelled rows; ``discrete`` keys tell every
+    state apart."""
+    states = rng.sample(range(10), rng.randint(1, 7))
+    keys = ({q: k for k, q in enumerate(states)} if discrete
+            else {q: rng.randint(0, 2) for q in states})
+    rows = {}
+    for q in states:
+        if rows and rng.random() < 0.3:
+            rows[q] = rows[rng.choice(list(rows))]  # one shared row object
+        else:
+            rows[q] = [(rng.choice("ab"), rng.choice(states))
+                       for _ in range(rng.randint(0, 3))]
+    return states, keys, rows
+
+
 class TestCoarsestPartition:
     def test_matches_pair_refinement(self):
         rng = random.Random(20261018)
-        for _ in range(400):
-            states = rng.sample(range(10), rng.randint(1, 7))
-            keys = {q: rng.randint(0, 2) for q in states}
-            rows = {}
-            for q in states:
-                if rows and rng.random() < 0.3:
-                    rows[q] = rows[rng.choice(list(rows))]  # one shared row object
-                else:
-                    rows[q] = [(rng.choice("ab"), rng.choice(states))
-                               for _ in range(rng.randint(0, 3))]
+        for discrete in [False] * 400 + [True] * 100:
+            states, keys, rows = partition_case(rng, discrete)
             block = coarsest_partition(
                 keys, rows, lambda row, block: frozenset((a, block[b]) for a, b in row))
             related = greatest_bisimulation(keys, rows)
@@ -701,6 +709,111 @@ class TestCoarsestPartition:
                     if block[p] == block[q]} == related, (keys, rows)
             first_seen = list(dict.fromkeys(block[q] for q in states))
             assert first_seen == list(range(len(first_seen)))
+
+    def test_discrete_keys_read_no_row(self):
+        """A partition whose every block holds one state cannot split."""
+        def read(row, block):
+            raise AssertionError(f"read {row!r}")
+
+        rng = random.Random(20261020)
+        for _ in range(100):
+            states, keys, rows = partition_case(rng, discrete=True)
+            assert coarsest_partition(keys, rows, read) == keys
+
+    def test_refinement_stops_once_discrete(self):
+        """One round tells three states with one key apart; no second round
+        reads their rows again to confirm it."""
+        reads = []
+
+        def read(row, block):
+            reads.append(row)
+            return row
+
+        block = coarsest_partition(dict.fromkeys("abc", 0), {"a": "x", "b": "y", "c": "z"}, read)
+        assert block == {"a": 0, "b": 1, "c": 2}
+        assert reads == ["x", "y", "z"]
+
+
+def rebuilt_quotient(aut: GuardedAutomaton, block: dict) -> GuardedAutomaton:
+    """The quotient rebuilt from each block's first state, as ``quotient_bisim``
+    builds every quotient that merges states: edges as sorted (require,
+    forbid, target block) triples, marks dropped."""
+    rep: dict[int, int] = {}
+    for q in aut.states:
+        rep.setdefault(block[q], q)
+    return GuardedAutomaton(
+        states=sorted(rep), initial=frozenset(block[q] for q in aut.initial),
+        transitions={b: [(require, forbid, 0, dst) for require, forbid, dst in sorted(
+            {(require, forbid, block[dst]) for require, forbid, _, dst in aut.transitions.get(q, ())})]
+            for b, q in rep.items()},
+        signed=aut.signed, literals=aut.literals,
+        accepting=frozenset(block[q] for q in aut.accepting),
+        flagged=frozenset(block[q] for q in aut.flagged))
+
+
+def rebuilt_minimal(dfa: DFA, block: dict) -> DFA:
+    """The minimal DFA rebuilt from each block's first state, as ``minimize``
+    builds every DFA that merges states."""
+    rep: dict[int, int] = {}
+    for q in dfa.states:
+        rep.setdefault(block[q], q)
+    return DFA(states=list(rep), initial=block[dfa.initial],
+               accepting=frozenset(block[q] for q in dfa.accepting), signed=dfa.signed,
+               lits={b: dfa.lits[q] for b, q in rep.items()},
+               table={b: {bits: block[dst] for bits, dst in dfa.table[q].items()}
+                      for b, q in rep.items()},
+               flagged=frozenset(block[q] for q in dfa.flagged))
+
+
+def nfa_fields(aut: GuardedAutomaton) -> tuple:
+    """What the subset construction reads of an NFA: edges as sorted (require,
+    forbid, target) triples, in no order and without marks."""
+    return (aut.states, aut.initial, aut.signed, aut.literals, aut.accepting, aut.flagged,
+            {q: sorted((require, forbid, dst) for require, forbid, _, dst in edges)
+             for q, edges in aut.transitions.items()})
+
+
+class TestUnmergedStages:
+    """A quotient or minimisation that merges no states passes its input's
+    structure on instead of rebuilding it: the result matches the rebuild
+    field for field (the quotient's edges keep the tableau's order and
+    marks, which no later stage reads), and the subset construction and the
+    minimal DFA are unchanged."""
+
+    def test_criterion_6_draws(self):
+        rng = random.Random(20261020)
+        pool = ("p", "q", "r", "s")
+        unmerged = [0, 0]
+        for _ in range(150):
+            f = randgen.random_formula(rng, rng.randint(1, 8), pool)
+            sat, viol, _ = signed_triple(f, randgen.random_partition(rng, pool))
+            for branch, signed in ((to_nnf(f), False), (negate_nnf(f), False),
+                                   (sat, True), (viol, True)):
+                nba = ltl_to_nba(branch, signed)
+                if signed:
+                    nba.flagged = nonempty_states(empty_event_edges(nba))
+                nfa = nba_to_nfa(nba, nonempty_states(nba))
+                quotient = quotient_bisim(nfa)
+                if len(quotient.states) == len(nfa.states):
+                    unmerged[0] += 1
+                    identity = {q: q for q in nfa.states}
+                    rebuilt = rebuilt_quotient(nfa, identity)
+                    assert quotient.transitions is nfa.transitions
+                    assert nfa_fields(quotient) == nfa_fields(rebuilt), branch
+                    assert dfa_fields(determinize(quotient)) == dfa_fields(determinize(rebuilt))
+                dfa = determinize(quotient)
+                small = minimize(dfa)
+                assert small is not dfa
+                if len(small.states) == len(dfa.states):
+                    unmerged[1] += 1
+                    assert dfa_fields(small) == dfa_fields(
+                        rebuilt_minimal(dfa, {q: q for q in dfa.states})), branch
+        assert min(unmerged) > 100, unmerged
+
+    def test_minimize_returns_a_new_dfa(self):
+        dfa = formula_to_dfa(to_nnf(parse_formula("F p")), signed=False)
+        again = minimize(dfa)
+        assert again is not dfa and dfa_fields(again) == dfa_fields(dfa)
 
 
 class TestFlags:
@@ -895,9 +1008,48 @@ def product_cases():
         yield (f"wide {atoms}", *wide_example(atoms))
 
 
+def random_rows_dfa(rng, names, signed: bool, one_successor: float) -> DFA:
+    """A total DFA of two to four states, every state accepting; each state
+    reads up to three random literals over ``names`` (both signs of a name
+    may be among them), and with probability ``one_successor`` its row
+    maps every mask to one successor."""
+    literals = [SLit(n, sign) for n in names for sign in (True, False)] if signed else list(names)
+    n = rng.randint(2, 4)
+    lits, table = {}, {}
+    for q in range(n):
+        lits[q] = literal_order(rng.sample(literals, rng.randint(0, min(3, len(literals)))))
+        only = rng.randrange(n) if rng.random() < one_successor else None
+        table[q] = {bits: rng.randrange(n) if only is None else only
+                    for bits in consistent_masks(lits[q], signed)}
+    return DFA(states=list(range(n)), initial=0, accepting=frozenset(range(n)),
+               signed=signed, lits=lits, table=table)
+
+
+def row_pair_cases():
+    """(label, a, b) component pairs whose state pairs include rows that read
+    no name in common and rows with one successor."""
+    rng = random.Random(20261020)
+    for k in range(60):
+        for signed in (False, True):
+            world = "signed" if signed else "plain"
+            yield (f"disjoint {world} {k}", random_rows_dfa(rng, "pq", signed, 0.0),
+                   random_rows_dfa(rng, "rs", signed, 0.0))
+            yield (f"one successor {world} {k}", random_rows_dfa(rng, "pqr", signed, 0.5),
+                   random_rows_dfa(rng, "pqr", signed, 0.5))
+            yield (f"shared {world} {k}", random_rows_dfa(rng, "pq", signed, 0.0),
+                   random_rows_dfa(rng, "pq", signed, 0.0))
+
+
 class TestProductJoin:
     """The product joins the component rows on shared names; the union walk
     it replaced is kept here as ``reference_product``."""
+
+    def test_row_pairs_match_the_union_walk(self):
+        """Rows that read no name in common, or of which one has a single
+        successor, give every pair of their successors."""
+        for label, a, b in row_pair_cases():
+            assert product2(a, b).outputs == reference_product(
+                a, b, lambda s, v: classify2(True, True)), label
 
     @staticmethod
     def components(f, classes):

@@ -267,6 +267,55 @@ class TestUserErrors:
         assert message.startswith(f"{trace}:2: ")
         assert repr(line.partition("=")[0]) in message
 
+    @staticmethod
+    def machine_file(tmp_path, capsys, *flags, stored=None) -> str:
+        """A signed machine of ``F (p | r)`` synthesised with ``flags``; with
+        ``stored``, the file's classes text is replaced by it."""
+        path = tmp_path / "m.json"
+        code, _ = run_cli(["synthesize", "-f", "F (p | r)", *flags, "--out", str(path)],
+                          capsys)
+        assert code == 0
+        if stored is not None:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload["classes"] = stored[0]
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        return str(path)
+
+    def run_machine(self, machine, tmp_path, lines):
+        trace = tmp_path / "t.txt"
+        trace.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return trace, ["verify", "--machine", machine, "--mode", "imperfect",
+                       "--trace", str(trace), "--omit-timing"]
+
+    @pytest.mark.parametrize("stored", [None, (None,)], ids=["stored-classes", "no-classes"])
+    def test_signed_literal_outside_a_machine_file(self, tmp_path, capsys, stored):
+        """With ``--machine`` and no ``--classes``, signed literals are checked
+        against the classes text the file stores, or, with none stored,
+        against the names its components read."""
+        machine = self.machine_file(tmp_path, capsys, "--classes", "p~q; r", stored=stored)
+        for lines, name in ((["zz=1", "p=1"], "zz"), (["[pq]=0", "p=1"], "p")):
+            trace, argv = self.run_machine(machine, tmp_path, lines)
+            message = one_line_exit(argv)
+            assert message.startswith(f"{trace}:{lines.index(name + '=1') + 1}: ")
+            assert repr(name) in message
+        code, out = run_cli(self.run_machine(machine, tmp_path, ["[pq]=0 r=1"])[1], capsys)
+        assert code == 0 and json.loads(out)["final"] == "TRUE"
+
+    def test_machine_file_accepts_the_atoms_it_reads(self, tmp_path, capsys):
+        """An ``--alphabet`` singleton that the stored classes text does not
+        name is still a name the machine reads."""
+        machine = self.machine_file(tmp_path, capsys, "--classes", "p~q",
+                                    "--alphabet", "p,q,r")
+        code, out = run_cli(self.run_machine(machine, tmp_path, ["r=1"])[1], capsys)
+        assert code == 0 and json.loads(out)["final"] == "TRUE"
+
+    @pytest.mark.parametrize("stored", ["p~~q", 7])
+    def test_unreadable_stored_classes(self, tmp_path, capsys, stored):
+        machine = self.machine_file(tmp_path, capsys, "--classes", "p~q; r",
+                                    stored=(stored,))
+        message = one_line_exit(self.run_machine(machine, tmp_path, ["r=1"])[1])
+        assert message.startswith("machine error: ")
+
     @pytest.mark.parametrize("mode", ["imperfect", "active", "reactive"])
     def test_trace_atom_outside_the_classes(self, tmp_path, mode):
         trace = tmp_path / "t.txt"

@@ -193,9 +193,10 @@ class TestMachineFileProperties:
             pass
 
 
-# Inputs of ``verify`` that nothing else fuzzes: trace-file text, --classes
-# and --costs.  Each draws well-formed values, malformed ones, or text over
-# the separators and characters the readers split on or refuse.
+# Inputs of the command line that nothing else fuzzes: trace-file text,
+# --classes, --costs and --alphabet.  Each draws well-formed values,
+# malformed ones, or text over the separators and characters the readers
+# split on or refuse.
 TRACE_TOKENS = ("p", "q", "r", "p=1", "q=0", "[pq]=1", "[pq]=0", "zz=1", "=", "p=",
                 "[", "]", ",", "p,q", "\t", "é", "p²", "[pq]", "")
 TRACE_CHARS = "pqr=01[],\t \n~;é²"
@@ -212,6 +213,22 @@ costs_texts = st.one_of(
     st.sampled_from(("pq=1", "pqr=2", "pq=0,pqr=1")),
     st.sampled_from(("pq=-1", "pq=--1", "pq=²", "pq", "=", "pq=1,pq=2", "é=1", "")),
     st.text(alphabet="pqr=,-01²é ", max_size=10))
+alphabet_texts = st.one_of(
+    st.sampled_from(("p,q", "p,q,r", " p , q ", "p,q,r,s", "p,q,p")),
+    st.sampled_from(("q,r", "p", "", ",", "p,,q", "p q", "true", "X", "1p", "é")),
+    st.text(alphabet="pqrs, ~;é", max_size=10))
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    """The status, stdout and stderr of one command-line run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_line_refusal(code: int, err: str) -> None:
+    assert code == 2 and err.count("\n") == 1 and err.endswith("\n"), (code, err)
 
 
 class TestCommandLineFuzz:
@@ -231,11 +248,34 @@ class TestCommandLineFuzz:
                 argv.append(f"--classes={classes}")
             if costs is not None:
                 argv.append(f"--costs={costs}")
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
+            code, out, err = run_cli(argv)
         if code == 0:
-            assert json.loads(out.getvalue())["final"] and not err.getvalue()
+            assert json.loads(out)["final"] and not err
         else:
-            message = err.getvalue()
-            assert code == 2 and message.count("\n") == 1 and message.endswith("\n"), message
+            assert_one_line_refusal(code, err)
+
+    @given(st.sampled_from(("synthesize", "verify")), alphabet_texts,
+           st.none() | classes_texts)
+    @settings(max_examples=300, deadline=None)
+    def test_alphabet_runs_or_refuses_with_one_line(self, command, alphabet, classes):
+        """``synthesize`` and imperfect ``verify`` with an ``--alphabet``
+        either run (status 0) or refuse with status 2 and one line on
+        stderr; no exception escapes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            if command == "synthesize":
+                argv = ["synthesize", "--out", os.path.join(tmp, "m.json")]
+            else:
+                path = os.path.join(tmp, "t.txt")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write("p\nq\n")
+                argv = ["verify", "--mode", "imperfect", "--trace", path, "--omit-timing"]
+            argv += ["-f", "F (p & X q)", f"--alphabet={alphabet}"]
+            if classes is not None:
+                argv.append(f"--classes={classes}")
+            code, out, err = run_cli(argv)
+        if code == 0:
+            assert not err
+            if command == "verify":
+                assert json.loads(out)["final"]
+        else:
+            assert_one_line_refusal(code, err)

@@ -10,7 +10,12 @@ stay int masks over the automaton's literal table through the quotient and
 the subset construction, which determinises over consistent valuations of
 the literals each subset's guards mention, compacted onto the row's own
 bits; valuations are packed into integer bitmasks so stepping is a dict
-lookup.
+lookup.  A universal NFA state is accepting, flagged on the signed branch,
+and has an edge that requires and forbids nothing back to itself: it takes
+every event and keeps acceptance and the flag, so every subset that holds
+it has the same outputs after any word.  The subset construction replaces
+each such subset by the singleton of its lowest-numbered universal state,
+and the minimal DFA is the one it would have had without.
 One partition-refinement kernel, ``coarsest_partition``, serves both
 merges: the bisimulation quotient of the NFA before the exponential subset
 step and the minimisation of the DFA over each state's own literals.  A
@@ -335,12 +340,41 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
     ``i``-th of them in table order.  A subset whose guards mention no
     literal gets its one-entry row directly.  A subset whose row would
     exceed ``MAX_ROW`` raises ``TooWideError``.
+
+    A universal NFA state is accepting, flagged on the signed branch, and
+    has an edge that requires and forbids nothing back to itself.  It takes
+    every event and stays, so every subset that holds it stays accepting,
+    and flagged on the signed branch, after any word: all such subsets have
+    the same outputs, and the minimal DFA cannot tell them apart.  Each is
+    replaced by the singleton of the lowest-numbered universal state it
+    holds, whose row is one entry back to itself over no literal.
     """
     table_lits = nfa.literals
     transitions = nfa.transitions
-    initial = frozenset(nfa.initial)
-    ids: dict[frozenset[int], int] = {initial: 0}
-    order: list[frozenset[int]] = [initial]
+    universal = frozenset(
+        q for q in nfa.accepting
+        if (q in nfa.flagged or not nfa.signed)
+        and any(dst == q and not require | forbid
+                for require, forbid, _, dst in transitions.get(q, ())))
+    ids: dict[frozenset[int], int] = {}  # a collapsed subset maps to its singleton's id
+    order: list[frozenset[int]] = []
+    absorbing: set[int] = set()  # ids of universal singletons
+
+    def enter(subset: frozenset[int]) -> int:
+        """The id of a subset not yet in ``ids``: its singleton's when it
+        holds a universal state, else a new one."""
+        held = subset & universal
+        if held:
+            subset = frozenset((min(held),))
+            known = ids.get(subset)
+            if known is not None:
+                return known
+            absorbing.add(len(order))
+        fresh = ids[subset] = len(order)
+        order.append(subset)
+        return fresh
+
+    enter(frozenset(nfa.initial))
     lits_of: dict[int, tuple] = {}
     table: dict[int, dict[int, int]] = {}
     accepting: set[int] = set()
@@ -351,6 +385,9 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
             accepting.add(sid)
         if not subset.isdisjoint(nfa.flagged):
             flagged.add(sid)
+        if sid in absorbing:  # every event stays: its guards are not read
+            lits_of[sid], table[sid] = (), {0: sid}
+            continue
         used = 0
         grouped: dict[tuple[int, int], set[int]] = {}
         for q in subset:
@@ -378,10 +415,10 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
                 if bits & req == req and not bits & forb:
                     target |= dsts
             key = frozenset(target)
-            if key not in ids:
-                ids[key] = len(order)
-                order.append(key)
-            row[bits] = ids[key]
+            dst = ids.get(key)
+            if dst is None:
+                dst = ids[key] = enter(key)
+            row[bits] = dst
         lits_of[sid] = lits
         table[sid] = row
 

@@ -89,6 +89,10 @@ class MonitorInstance:
         return fresh
 
     def encode_event(self, event) -> frozenset:
+        """The event as a frozenset of literals.  A ``str`` is refused, not
+        read as the set of its characters."""
+        if type(event) is str:
+            raise ValueError(f"{self.mode} events are sets, not the string {event!r}")
         encoded = frozenset(event)
         signed = self.machine.signed
         for item in encoded:

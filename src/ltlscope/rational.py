@@ -331,7 +331,10 @@ class Session:
 
     def step(self, plain_event: Iterable[str]) -> Verdict:
         """Feed the next event.  An event naming an atom outside the
-        alphabet raises ``ValueError`` and leaves the session as it was."""
+        alphabet, or a ``str`` instead of a set of names, raises
+        ``ValueError`` and leaves the session as it was."""
+        if type(plain_event) is str:
+            raise ValueError(f"an event is a set of atom names, not the string {plain_event!r}")
         event = frozenset(plain_event)
         seen = len(self.visible_events)
         if not event <= self.vspec.alphabet:

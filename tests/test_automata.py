@@ -17,11 +17,12 @@ from ltlscope.automata.guarded import Guard
 from ltlscope.automata.moore import product2, product3
 from ltlscope.automata.pipeline import (coarsest_partition, consistent_count,
                                         consistent_masks, empty_event_edges,
-                                        literal_order, quotient_bisim)
+                                        literal_order, mask_event, quotient_bisim)
 from ltlscope.formula import (FALSE, TRUE, And, Atom, FalseConst, Lit, Next,
                               Not, Or, Release, SLit, TrueConst, Until,
                               negate_nnf, parse_formula, subformulas, to_nnf)
-from ltlscope.monitor import formula_to_dfa, subset_dfa, synthesize_imperfect
+from ltlscope.monitor import (formula_to_dfa, subset_dfa, synthesize_imperfect,
+                              synthesize_standard)
 from ltlscope.oracle.lasso import LassoWord, eval_lasso
 from ltlscope.oracle.verdict import signed_triple
 from ltlscope.visibility import (derive_classes, explicit_trace, identity_classes,
@@ -361,6 +362,18 @@ def degeneralised(nba: StateBased) -> StateBased:
                               if i == 0 and 0 in q_fulfils[b]),))
 
 
+def criterion_6_branches():
+    """(formula, signed) for all four branches of 320 seeded criterion-6
+    draws: both plain normal forms and the signed pair under a random
+    partition."""
+    rng = random.Random(20240817)
+    pool = ("p", "q", "r", "s")
+    for _ in range(320):
+        f = randgen.random_formula(rng, rng.randint(1, 8), pool)
+        sat, viol, _ = signed_triple(f, randgen.random_partition(rng, pool))
+        yield from ((to_nnf(f), False), (negate_nnf(f), False), (sat, True), (viol, True))
+
+
 class TestTableauReference:
     """The tableau over obligation-set bitmasks builds exactly the frozenset
     tableau read on next sets: numbering, edge order, guards and marks."""
@@ -377,14 +390,8 @@ class TestTableauReference:
             [want.transitions[q] for q in want.states], f
 
     def test_criterion_6_draws(self):
-        rng = random.Random(20240817)
-        pool = ("p", "q", "r", "s")
-        for _ in range(320):
-            f = randgen.random_formula(rng, rng.randint(1, 8), pool)
-            sat, viol, _ = signed_triple(f, randgen.random_partition(rng, pool))
-            for branch, signed in ((to_nnf(f), False), (negate_nnf(f), False),
-                                   (sat, True), (viol, True)):
-                self.assert_same(branch, signed)
+        for branch, signed in criterion_6_branches():
+            self.assert_same(branch, signed)
 
     @pytest.mark.parametrize("operands", range(2, 8))
     def test_until_chains(self, operands):
@@ -541,6 +548,42 @@ class TestDeterminize:
         assert dfa.accepting == frozenset()
 
 
+def quotient_nfa(f, signed: bool) -> GuardedAutomaton:
+    """The stages of ``subset_dfa`` before the subset construction."""
+    nba = ltl_to_nba(f, signed)
+    if signed:
+        nba.flagged = nonempty_states(empty_event_edges(nba))
+    return quotient_bisim(nba_to_nfa(nba, nonempty_states(nba)))
+
+
+def uncollapsed_determinize(nfa: GuardedAutomaton) -> DFA:
+    """The subset construction without the collapse onto universal states:
+    every reached subset is its own state.  Each subset reads the literals
+    its guards mention, in table order, and steps under each consistent
+    mask over them, ascending, to the targets of the guards the mask's
+    event meets; subsets are numbered as they are reached."""
+    initial = frozenset(nfa.initial)
+    ids, order = {initial: 0}, [initial]
+    lits_of, table = {}, {}
+    for sid, subset in enumerate(order):
+        edges = [(nfa.guard(require, forbid), dst) for q in subset
+                 for require, forbid, _, dst in nfa.transitions.get(q, ())]
+        lits = literal_order({lit for guard, _ in edges for lit in (*guard.require, *guard.forbid)})
+        row = {}
+        for bits in consistent_masks(lits, nfa.signed):
+            event = mask_event(lits, bits)
+            key = frozenset(dst for guard, dst in edges if guard.matches(event))
+            if key not in ids:
+                ids[key] = len(order)
+                order.append(key)
+            row[bits] = ids[key]
+        lits_of[sid], table[sid] = lits, row
+    return DFA(states=list(range(len(order))), initial=0,
+               accepting=frozenset(i for i, s in enumerate(order) if s & nfa.accepting),
+               signed=nfa.signed, lits=lits_of, table=table,
+               flagged=frozenset(i for i, s in enumerate(order) if s & nfa.flagged))
+
+
 def reference_minimize(dfa: DFA) -> DFA:
     """``minimize`` by the universe table: each state's successor under every
     consistent event over the union of all literals, labelled by the event's
@@ -653,12 +696,15 @@ class TestMinimize:
 
     def test_wide_signed_alphabet_is_minimised(self):
         """Eight atoms whose both signs are read give a union of 3^8
-        consistent events; the violation DFA still minimises, to 82 of its
-        162 states, and the machine has 99 Moore states."""
+        consistent events; the violation DFA without the collapse onto
+        universal states still minimises, to 82 of its 162 states, and the
+        machine has 99 Moore states.  With the collapse, the subset
+        construction gives the 82 minimal states directly."""
         f, classes = both_signs_example()
         _, viol, _ = signed_triple(f, classes)
-        dfa = subset_dfa(viol, signed=True)
+        dfa = uncollapsed_determinize(quotient_nfa(viol, signed=True))
         assert (len(dfa.states), len(minimize(dfa).states)) == (162, 82)
+        assert len(subset_dfa(viol, signed=True).states) == 82
         assert len(synthesize_imperfect(f, classes).machine.outputs) == 99
 
 
@@ -850,41 +896,114 @@ class TestFlags:
 class TestSingleQuotient:
     """The transition-based tableau over obligation sets, read with its
     edge marks and with the NFA quotient as the only quotient, changes no
-    machine: each branch's DFA equals the one built from the state-based
-    frozenset tableau, quotiented and degeneralised, then given as marks
-    the acceptance set of each edge's target.  The maps from the reference
-    nodes to their next sets and to their quotient blocks are
+    machine: each branch's minimal DFA equals the one built from the
+    state-based frozenset tableau, quotiented and degeneralised, then given
+    as marks the acceptance set of each edge's target.  The maps from the
+    reference nodes to their next sets and to their quotient blocks are
     bisimulations that keep emptiness and the flag, so the NFA quotients
-    agree up to renaming, and the subset construction numbers subsets by
-    mask order alone."""
+    agree up to renaming, and the subset construction without the collapse
+    onto universal states numbers subsets by mask order alone: its DFAs are
+    equal.  With the collapse they may differ, since which NFA states are
+    universal depends on the automaton: either side may collapse more.
+    The pipeline's subset DFA is no larger than its uncollapsed one, and
+    both sides minimise to the same DFA."""
 
     @staticmethod
-    def reference_dfa(f, signed):
+    def reference_nfa(f, signed):
         nba = transition_based(degeneralised(reference_nba(f, signed)), signed)
         if signed:
             nba = replace(nba, flagged=nonempty_states(empty_event_edges(nba)))
-        return determinize(quotient_bisim(nba_to_nfa(nba, nonempty_states(nba))))
+        return quotient_bisim(nba_to_nfa(nba, nonempty_states(nba)))
 
     def assert_same(self, f, signed):
-        want = self.reference_dfa(f, signed)
-        assert dfa_fields(subset_dfa(f, signed)) == dfa_fields(want), f
-        assert dfa_fields(formula_to_dfa(f, signed)) == dfa_fields(minimize(want)), f
+        reference = self.reference_nfa(f, signed)
+        uncollapsed = uncollapsed_determinize(quotient_nfa(f, signed))
+        assert dfa_fields(uncollapsed) == dfa_fields(uncollapsed_determinize(reference)), f
+        assert len(subset_dfa(f, signed).states) <= len(uncollapsed.states), f
+        want = minimize(determinize(reference))
+        assert dfa_fields(formula_to_dfa(f, signed)) == dfa_fields(want), f
 
     def test_criterion_6_draws(self):
-        rng = random.Random(20240817)
-        pool = ("p", "q", "r", "s")
-        for _ in range(320):
-            f = randgen.random_formula(rng, rng.randint(1, 8), pool)
-            sat, viol, _ = signed_triple(f, randgen.random_partition(rng, pool))
-            for branch, signed in ((to_nnf(f), False), (negate_nnf(f), False),
-                                   (sat, True), (viol, True)):
-                self.assert_same(branch, signed)
+        for branch, signed in criterion_6_branches():
+            self.assert_same(branch, signed)
 
     @pytest.mark.parametrize("operands", range(2, 8))
     def test_until_chains(self, operands):
         f = parse_formula(" U ".join(["p"] * operands))
         self.assert_same(to_nnf(f), False)
         self.assert_same(negate_nnf(f), False)
+
+
+def collapse_cases():
+    """(formula, signed) branches for the collapse checks: the criterion-6
+    draws, the rover properties' plain branches and their signed ones under
+    the case-study and the singleton classes, and the both-signs formula."""
+    yield from criterion_6_branches()
+    vspec = casestudy.spec()
+    for f in casestudy.formulas().values():
+        yield from ((to_nnf(f), False), (negate_nnf(f), False))
+        for classes in (vspec.classes, identity_classes(vspec.alphabet)):
+            sat, viol, _ = signed_triple(f, classes)
+            yield from ((sat, True), (viol, True))
+    f, classes = both_signs_example()
+    sat, viol, _ = signed_triple(f, classes)
+    yield from ((to_nnf(f), False), (negate_nnf(f), False), (sat, True), (viol, True))
+
+
+class TestUniversalCollapse:
+    """The subset construction replaces every subset that holds a universal
+    NFA state (accepting, flagged on the signed branch, with a ``true``
+    loop) by that state's singleton.  No minimal DFA changes: it equals the
+    minimisation of the construction without the collapse in states,
+    initial state, acceptance, flags and rows, except that a state that
+    maps to itself may now read no literal."""
+
+    def test_minimal_dfas_are_unchanged(self):
+        collapsed = shrunk = 0
+        for f, signed in collapse_cases():
+            nfa = quotient_nfa(f, signed)
+            plain = uncollapsed_determinize(nfa)
+            want, got = minimize(plain), formula_to_dfa(f, signed)
+            assert (got.states, got.initial, got.accepting, got.flagged) == \
+                (want.states, want.initial, want.accepting, want.flagged), f
+            for q in got.states:
+                if (got.lits[q], got.table[q]) != (want.lits[q], want.table[q]):
+                    assert set(want.table[q].values()) == {q}, (f, q)
+                    assert (got.lits[q], got.table[q]) == ((), {0: q}), (f, q)
+                    collapsed += 1
+            shrunk += len(determinize(nfa).states) < len(plain.states)
+        assert collapsed > 100 and shrunk > 100, (collapsed, shrunk)
+
+    def test_plain_eventually_is_universal(self):
+        """``{F p}`` is accepting and its ``true`` loop stays in it: the
+        subset DFA of ``F p`` is one state that takes every event."""
+        dfa = subset_dfa(to_nnf(parse_formula("F p")), signed=False)
+        assert dfa_fields(dfa) == ([0], 0, {0: ()}, {0: {0: 0}}, frozenset({0}), frozenset())
+
+    def test_signed_eventually_is_not_flagged(self):
+        """``{F p=1}`` has a ``true`` loop, but looping never fulfils the
+        Until, so the empty continuation fails there and it is not flagged:
+        not universal.  Its subset DFA reads ``p=1`` and is flagged only
+        once ``p=1`` was seen."""
+        sat, viol, _ = signed_triple(parse_formula("F p"), derive_classes(("p",), []))
+        dfa = subset_dfa(sat, signed=True)
+        pos = SLit("p", True)
+        assert pos in dfa.lits[dfa.initial]
+        assert dfa.initial in dfa.accepting and dfa.initial not in dfa.flagged
+        assert dfa.step(dfa.initial, frozenset()) not in dfa.flagged
+        assert dfa.step(dfa.initial, frozenset({pos})) in dfa.flagged
+        cursor = synthesize_imperfect(parse_formula("F p"), derive_classes(("p",), []))
+        assert cursor.run([frozenset(), frozenset({pos})]) == Verdict.TRUE
+
+    def test_empty_state_with_a_true_loop_is_not_universal(self):
+        """``F (p & !p)`` loops on ``true`` but its language is empty, so its
+        subsets must not collapse: ``X q`` still decides the verdict."""
+        f = parse_formula("F (p & !p) | X q")
+        assert synthesize_standard(f).run([frozenset(), frozenset({"q"})]) == Verdict.TRUE
+        assert synthesize_standard(f).run([frozenset(), frozenset()]) == Verdict.FALSE
+        dfa = subset_dfa(to_nnf(f), signed=False)
+        assert dfa.accepts_prefix([frozenset(), frozenset({"q"})])
+        assert not dfa.accepts_prefix([frozenset(), frozenset()])
 
 
 class TestProducts:

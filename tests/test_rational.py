@@ -533,6 +533,18 @@ class TestSessions:
         batch = active_monitor if window is None else reactive_monitor
         assert session.result() == batch(SIGMA, PSI, vspec(), cfg)
 
+    def test_string_event_is_refused(self):
+        """Over the alphabet ``p, q`` the string ``"pq"`` is not read as the
+        event {p, q}: it is refused and the session runs on unchanged."""
+        from ltlscope.rational import Session
+        spec = VisibilitySpec(alphabet=frozenset({"p", "q"}),
+                              classes=parse_classes("p; q", ("p", "q")))
+        session = Session(parse_formula("p & q"), spec, RationalConfig(metric="metric2"), None)
+        with pytest.raises(ValueError, match="not the string 'pq'"):
+            session.step("pq")
+        assert session.result().visible_events == []
+        assert session.step({"p", "q"}) == Verdict.TRUE
+
     def test_session_exposes_running_verdict(self):
         from ltlscope.rational import ActiveSession
         cfg = RationalConfig(metric="metric2", bound=3)

@@ -1,7 +1,7 @@
 """Automata pipeline: tableau, emptiness, determinisation, Moore products."""
 
 from .dot import automaton_to_dot, moore_to_dot
-from .guarded import Guard, GuardedAutomaton
+from .guarded import GuardedAutomaton
 from .moore import (ImpossibleStateError, MooreMachine, REFINEMENTS, Verdict,
                     classify2, classify3, product2, product3)
 from .pipeline import (DFA, consistent_masks, determinize, minimize,
@@ -9,7 +9,7 @@ from .pipeline import (DFA, consistent_masks, determinize, minimize,
 from .tableau import ltl_to_nba
 
 __all__ = [
-    "DFA", "Guard", "GuardedAutomaton", "ImpossibleStateError", "MooreMachine",
+    "DFA", "GuardedAutomaton", "ImpossibleStateError", "MooreMachine",
     "REFINEMENTS", "Verdict", "automaton_to_dot", "classify2", "classify3",
     "consistent_masks", "determinize", "ltl_to_nba", "minimize",
     "moore_to_dot", "nba_to_nfa", "nonempty_states", "product2", "product3",

@@ -3,10 +3,11 @@
 Transitions carry symbolic guards instead of letters from the (astronomically
 large) powerset alphabet.  A guard requires some literals to be present in the
 event and forbids others; literals the guard does not mention are ignored.
-Guards are int masks over the automaton's literal table: bit ``i`` stands
-for ``literals[i]``, and the table is in ``str`` order, the order of a DFA
-state's literals.  ``Guard`` objects are built only to export an edge or
-to match an event.
+A guard is a pair of int masks over the automaton's literal table, the
+literals it requires and those it forbids: bit ``i`` stands for
+``literals[i]``, and the table is in ``str`` order, the order of a DFA
+state's literals.  An event is matched by its own mask over the table
+(``valuation_bits``).
 
 The NBA is transition-based: its states are the tableau's obligation sets,
 and each edge carries acceptance marks, bit ``k`` for the ``k``-th Until.
@@ -17,7 +18,7 @@ words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 Edge = tuple[int, int, int, int]  # (require mask, forbid mask, marks, target)
 
@@ -32,19 +33,13 @@ def bit_positions(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Guard(NamedTuple):
-    """Conjunction of presence requirements and absence requirements."""
-
-    require: frozenset = frozenset()
-    forbid: frozenset = frozenset()
-
-    def matches(self, event: frozenset) -> bool:
-        return self.require <= event and not (self.forbid & event)
-
-    def __str__(self) -> str:
-        parts = [str(l) for l in sorted(self.require, key=str)]
-        parts += [f"!{l}" for l in sorted(self.forbid, key=str)]
-        return " & ".join(parts) if parts else "true"
+def valuation_bits(lits: tuple, event) -> int:
+    """The mask of ``event`` over ``lits``; other literals are ignored."""
+    bits = 0
+    for i, lit in enumerate(lits):
+        if lit in event:
+            bits |= 1 << i
+    return bits
 
 
 @dataclass
@@ -68,14 +63,10 @@ class GuardedAutomaton:
     accepting: frozenset[int] = frozenset()
     flagged: frozenset[int] = frozenset()
 
-    def guard(self, require: int, forbid: int) -> Guard:
-        """The guard of a pair of masks, to export an edge or match an event."""
-        return Guard(frozenset(self.literals[i] for i in bit_positions(require)),
-                     frozenset(self.literals[i] for i in bit_positions(forbid)))
-
     def successors(self, state: int, event: frozenset) -> Iterator[int]:
+        bits = valuation_bits(self.literals, event)
         for require, forbid, _, dst in self.transitions.get(state, ()):
-            if self.guard(require, forbid).matches(event):
+            if bits & require == require and not bits & forbid:
                 yield dst
 
     def accepts_prefix(self, events: Iterable[frozenset]) -> bool:

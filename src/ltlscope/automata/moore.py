@@ -15,10 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
-from .guarded import Guard
-from .pipeline import DFA, product_edges, product_successors
+from .pipeline import DFA, product_successors
 
 
 class Verdict(Enum):
@@ -99,35 +97,29 @@ def classify2(in_sat: bool, in_viol: bool) -> Verdict:
 
 @dataclass
 class MooreMachine:
-    """Product of the component DFAs with a verdict per reachable state."""
+    """Product of the two component DFAs with a verdict per reachable state."""
 
-    components: tuple[DFA, ...]
-    initial: tuple[int, ...]
-    outputs: dict[tuple[int, ...], Verdict]
+    components: tuple[DFA, DFA]
+    initial: tuple[int, int]
+    outputs: dict[tuple[int, int], Verdict]
     signed: bool
 
     @property
-    def states(self) -> list[tuple[int, ...]]:
+    def states(self) -> list[tuple[int, int]]:
         return sorted(self.outputs)
 
-    def output(self, state: tuple[int, ...]) -> Verdict:
+    def output(self, state: tuple[int, int]) -> Verdict:
         return self.outputs[state]
 
-    def step(self, state: tuple[int, ...], event: frozenset) -> tuple[int, ...]:
-        return tuple(dfa.step(q, event) for dfa, q in zip(self.components, state))
-
-    def transitions(self, state: tuple[int, ...]) -> Iterator[tuple[Guard, tuple[int, ...]]]:
-        """Materialise guarded product transitions, one per consistent event
-        over the literals the components read in ``state`` (export and
-        inspection)."""
+    def step(self, state: tuple[int, int], event: frozenset) -> tuple[int, int]:
         (a, b), (s, v) = self.components, state
-        return product_edges(a, s, b, v)
+        return a.step(s, event), b.step(v, event)
 
 
 def _build_product(a: DFA, b: DFA, classify) -> MooreMachine:
     """Walk the reachable state pairs; ``classify`` maps one to its verdict."""
     initial = (a.initial, b.initial)
-    outputs: dict[tuple[int, ...], Verdict] = {}
+    outputs: dict[tuple[int, int], Verdict] = {}
 
     work = [initial]
     while work:

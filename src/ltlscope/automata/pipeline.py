@@ -32,9 +32,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Iterator
 
-from .guarded import Guard, GuardedAutomaton, bit_positions
+from .guarded import GuardedAutomaton, bit_positions, valuation_bits
 
 
 def nonempty_states(nba: GuardedAutomaton) -> frozenset[int]:
@@ -139,9 +138,9 @@ def nba_to_nfa(nba: GuardedAutomaton, nonempty: frozenset[int]) -> GuardedAutoma
 
 
 # Valuations are int bitmasks over a tuple of literals in ``str`` order: bit
-# ``i`` is set when the ``i``-th literal is in the event.  Only this module
-# and the guarded automata's literal tables pack and unpack masks; other
-# modules see events and guards.
+# ``i`` is set when the ``i``-th literal is in the event.  Two literals
+# exclude each other when they are the two signs of one name; a plain atom
+# is its own name and excludes nothing, so no table needs a world flag.
 
 def literal_order(mentioned) -> tuple:
     """The literals of ``mentioned`` in bit order."""
@@ -149,28 +148,17 @@ def literal_order(mentioned) -> tuple:
 
 
 @lru_cache(maxsize=65536)
-def consistent_masks(lits: tuple, signed: bool) -> tuple[int, ...]:
-    """All valuation bitmasks over ``lits`` under which no base name carries
+def consistent_masks(lits: tuple) -> tuple[int, ...]:
+    """All valuation bitmasks over ``lits`` under which no name carries
     both signs, ascending.  Built per name: none of its literals or exactly
-    one; plain-world literals never conflict."""
-    if not signed:
-        return tuple(range(1 << len(lits)))
-    choices: dict[str, list[int]] = {}
-    for i, lit in enumerate(lits):
-        choices.setdefault(lit.name, [0]).append(1 << i)
+    one."""
+    choices: dict[object, list[int]] = {}
+    for i, name in enumerate(_names(lits)):
+        choices.setdefault(name, [0]).append(1 << i)
     masks = [0]
     for bits in choices.values():
         masks = [mask | bit for mask in masks for bit in bits]
     return tuple(sorted(masks))
-
-
-def valuation_bits(lits: tuple, event) -> int:
-    """The mask of ``event`` over ``lits``; other literals are ignored."""
-    bits = 0
-    for i, lit in enumerate(lits):
-        if lit in event:
-            bits |= 1 << i
-    return bits
 
 
 def mask_event(lits: tuple, bits: int) -> frozenset:
@@ -178,22 +166,16 @@ def mask_event(lits: tuple, bits: int) -> frozenset:
     return frozenset(lit for i, lit in enumerate(lits) if bits >> i & 1)
 
 
-def mask_guard(lits: tuple, bits: int) -> Guard:
-    """The guard that holds exactly under the mask: it requires the literals
-    the mask sets and forbids the others."""
-    return Guard(mask_event(lits, bits),
-                 frozenset(lit for i, lit in enumerate(lits) if not bits >> i & 1))
-
-
-def consistent_count(lits: tuple, signed: bool) -> int:
+def consistent_count(lits: tuple) -> int:
     """How many masks ``consistent_masks`` gives over distinct literals,
     without building them: per name, one more than its literals."""
-    return prod(k + 1 for k in Counter(_names(lits, signed)).values())
+    return prod(k + 1 for k in Counter(_names(lits)).values())
 
 
-def _names(lits: tuple, signed: bool) -> list:
-    """The name each literal belongs to; a plain literal is its own name."""
-    return [lit.name for lit in lits] if signed else list(lits)
+def _names(lits: tuple) -> list:
+    """The name each literal belongs to: a plain atom is its own name, a
+    signed literal's is ``lit.name``."""
+    return [lit if isinstance(lit, str) else lit.name for lit in lits]
 
 
 def coarsest_partition(keys: dict, rows: dict, read) -> dict:
@@ -298,12 +280,6 @@ class DFA:
     def accepts_prefix(self, events) -> bool:
         return self.run_prefix(events) in self.accepting
 
-    def guard_edges(self, state: int) -> Iterator[tuple[Guard, int]]:
-        """Materialise (guard, successor) pairs for export and inspection."""
-        lits = self.lits[state]
-        for bits in sorted(self.table[state]):
-            yield mask_guard(lits, bits), self.table[state][bits]
-
 
 # The most consistent events one DFA row may map.  Each further name a state
 # reads at least doubles its row, so a wider state is refused before any
@@ -320,12 +296,12 @@ class TooWideError(ValueError):
     a machine file state's or a product state's drawn for export."""
 
 
-def check_row(lits: tuple, signed: bool, what: str) -> None:
+def check_row(lits: tuple, what: str) -> None:
     """Refuse a row over ``lits`` that would map more than ``MAX_ROW``
     consistent events, counted without building them: ``TooWideError``
     names ``what`` reads the literals.  A row over n literals has at most
     2^n masks, so only a row over more than ``ROW_BITS`` is counted."""
-    if len(lits) > ROW_BITS and consistent_count(lits, signed) > MAX_ROW:
+    if len(lits) > ROW_BITS and consistent_count(lits) > MAX_ROW:
         raise TooWideError(f"{what} reads {len(lits)} literals: its row would "
                            f"map more than {MAX_ROW} consistent events")
 
@@ -337,9 +313,8 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
     A subset is flagged when it meets the NFA's flagged states.  A subset
     reads the literals its guard masks mention together; each guard is
     compacted onto those bits, so bit ``i`` of the row stands for the
-    ``i``-th of them in table order.  A subset whose guards mention no
-    literal gets its one-entry row directly.  A subset whose row would
-    exceed ``MAX_ROW`` raises ``TooWideError``.
+    ``i``-th of them in table order.  A subset whose row would exceed
+    ``MAX_ROW`` raises ``TooWideError``.
 
     A universal NFA state is accepting, flagged on the signed branch, and
     has an edge that requires and forbids nothing back to itself.  It takes
@@ -394,22 +369,17 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
             for require, forbid, _, dst in transitions.get(q, ()):
                 used |= require | forbid
                 grouped.setdefault((require, forbid), set()).add(dst)
-        if used:
-            positions = bit_positions(used)
-            lits = tuple(table_lits[p] for p in positions)
-            check_row(lits, nfa.signed, "a DFA state")
-            if used & (used + 1):  # the row's bits are not the table's lowest
-                rank = {1 << p: 1 << k for k, p in enumerate(positions)}
-                edges = [(_compact(require, rank), _compact(forbid, rank), dsts)
-                         for (require, forbid), dsts in grouped.items()]
-            else:
-                edges = [(require, forbid, dsts) for (require, forbid), dsts in grouped.items()]
-            masks = consistent_masks(lits, nfa.signed)
-        else:  # no guard reads a literal: one entry, which every edge takes
-            lits, masks = (), (0,)
-            edges = [(0, 0, dsts) for dsts in grouped.values()]
+        positions = bit_positions(used)
+        lits = tuple(table_lits[p] for p in positions)
+        check_row(lits, "a DFA state")
+        if used & (used + 1):  # the row's bits are not the table's lowest
+            rank = {1 << p: 1 << k for k, p in enumerate(positions)}
+            edges = [(_compact(require, rank), _compact(forbid, rank), dsts)
+                     for (require, forbid), dsts in grouped.items()]
+        else:  # already compact, a subset that reads no literal included
+            edges = [(require, forbid, dsts) for (require, forbid), dsts in grouped.items()]
         row: dict[int, int] = {}
-        for bits in masks:
+        for bits in consistent_masks(lits):
             target: set[int] = set()
             for req, forb, dsts in edges:
                 if bits & req == req and not bits & forb:
@@ -503,7 +473,7 @@ def product_successors(a: DFA, s: int, b: DFA, v: int) -> set[tuple[int, int]]:
     row_a, row_b = a.table[s], b.table[v]
     succ_a, succ_b = set(row_a.values()), set(row_b.values())
     if (len(succ_a) == 1 or len(succ_b) == 1
-            or set(_names(a.lits[s], a.signed)).isdisjoint(_names(b.lits[v], b.signed))):
+            or set(_names(a.lits[s])).isdisjoint(_names(b.lits[v]))):
         return {(p, q) for p in succ_a for q in succ_b}
     joint, leaves_a, leaves_b = _joined_rows(a, s, b, v)
     options = list(joint.values())
@@ -530,7 +500,7 @@ def _joined_rows(a: DFA, s: int, b: DFA, v: int) -> tuple[dict, dict, dict]:
     whichever rows list it), and per row its leaves: the successors over
     its private names, by the part of the mask over its shared names."""
     la, lb = a.lits[s], b.lits[v]
-    name_a, name_b = _names(la, a.signed), _names(lb, b.signed)
+    name_a, name_b = _names(la), _names(lb)
     in_b = set(name_b)
     joint = {n: [(0, 0)] for n in name_a if n in in_b}
     bit_a = {lit: 1 << i for i, (lit, n) in enumerate(zip(la, name_a)) if n in joint}
@@ -548,14 +518,3 @@ def _leaves(row: dict[int, int], shared: int) -> dict[int, set[int]]:
     for bits, dst in row.items():
         leaves.setdefault(bits & shared, set()).add(dst)
     return leaves
-
-
-def product_edges(a: DFA, s: int, b: DFA, v: int) -> Iterator[tuple[Guard, tuple[int, int]]]:
-    """Every consistent event over the union of the two states' literals, in
-    mask order, as its guard and the pair of successors it reaches (export:
-    one edge per event).  The union's masks are built for this call only and
-    kept out of the ``consistent_masks`` cache."""
-    lits = literal_order({*a.lits[s], *b.lits[v]})
-    for bits in consistent_masks.__wrapped__(lits, a.signed):
-        event = mask_event(lits, bits)
-        yield mask_guard(lits, bits), (a.step(s, event), b.step(v, event))

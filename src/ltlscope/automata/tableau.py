@@ -62,7 +62,7 @@ def _test(f: Formula) -> Optional[tuple[object, bool]]:
 class _Decomposer:
     """Memoised expansion of pending-subformula masks into completed nodes."""
 
-    def __init__(self, forms: list[Formula], position: dict[Formula, int], signed: bool):
+    def __init__(self, forms: list[Formula], position: dict[Formula, int]):
         self.forms = forms
         bit = {g: 1 << i for g, i in position.items()}
 
@@ -96,13 +96,13 @@ class _Decomposer:
             self.choices.append(options)
         self.literals = sum(1 << i for i in self.tests)
 
-        # A literal conflicts with its negation and, among signed literals,
-        # with the other sign of its name.  Consistency is pairwise, so a
-        # consistent node stays so when its new literal meets no conflict.
+        # A literal conflicts with its negation and, when it is a signed
+        # literal, with the other sign of its name.  Consistency is pairwise,
+        # so a consistent node stays so when its new literal meets no conflict.
         where = {test: 1 << i for i, test in self.tests.items()}
         for i, (req, present) in self.tests.items():
             conflicts = where.get((req, not present), 0)
-            if signed and present and type(forms[i]) is Lit:
+            if present and type(forms[i]) is Lit:
                 conflicts |= where.get((SLit(req.name, not req.sign), True), 0)
             self.choices[i] = ((1 << i, 0, 0, conflicts),)
 
@@ -145,7 +145,7 @@ def ltl_to_nba(f: Formula, signed: bool) -> GuardedAutomaton:
     them than the recursion limit allows raises ``TooWideError``.
     """
     forms, position = _index(f)
-    dec = _Decomposer(forms, position, signed)
+    dec = _Decomposer(forms, position)
     literals = literal_order({lit for lit, _ in dec.tests.values()})
     bit = {lit: 1 << i for i, lit in enumerate(literals)}
     untils = [(1 << i, 1 << position[g.right])

@@ -23,8 +23,8 @@ from .automata.pipeline import (DFA, TooWideError, check_row, consistent_masks,
                                 determinize, empty_event_edges, minimize, nba_to_nfa,
                                 nonempty_states, quotient_bisim)
 from .automata.tableau import ltl_to_nba
-from .formula import MAX_NESTING, Formula, SLit, height, nnf_pair, parse_slit
-from .visibility import EqClass, check_consistent, rendering_map
+from .formula import MAX_NESTING, Formula, SLit, height, is_atom_name, nnf_pair, parse_slit
+from .visibility import EqClass, check_consistent, event_set, rendering_map
 
 
 def subset_dfa(f: Formula, signed: bool) -> DFA:
@@ -56,7 +56,7 @@ class MonitorInstance:
     """A Moore machine with a cursor; safe to hand around, not to share."""
 
     machine: MooreMachine
-    current: tuple[int, ...] = field(init=False)
+    current: tuple[int, int] = field(init=False)
 
     def __post_init__(self):
         self.current = self.machine.initial
@@ -89,16 +89,14 @@ class MonitorInstance:
         return fresh
 
     def encode_event(self, event) -> frozenset:
-        """The event as a frozenset of literals.  A ``str`` is refused, not
-        read as the set of its characters."""
-        if type(event) is str:
-            raise ValueError(f"{self.mode} events are sets, not the string {event!r}")
-        encoded = frozenset(event)
+        """The event as a frozenset of literals (``event_set``), each of
+        the machine's kind and, when signed, no two signs of one name."""
         signed = self.machine.signed
+        what = "signed literals" if signed else "atom names"
+        encoded = event_set(event, what)
         for item in encoded:
             if not isinstance(item, SLit if signed else str):
-                raise ValueError(f"{self.mode} events are sets of "
-                                 f"{'signed literals' if signed else 'atom names'}, got {item!r}")
+                raise ValueError(f"{self.mode} events are sets of {what}, got {item!r}")
         if signed:
             check_consistent(encoded)
         return encoded
@@ -202,10 +200,10 @@ def _automaton_from_json(data: dict) -> DFA:
 
 def _automaton_problem(dfa: DFA) -> Optional[str]:
     """Why a component read from a file cannot be stepped, or ``None``: its
-    initial state and every table target must be states, each state's
-    literals must be distinct and within the synthesis row bound
-    (``check_row``), and its row must map every consistent mask over them,
-    and nothing else, to a successor."""
+    initial state and every table target must be states, a plain state's
+    literals must be atom names, each state's literals must be distinct and
+    within the synthesis row bound (``check_row``), and its row must map
+    every consistent mask over them, and nothing else, to a successor."""
     states = set(dfa.states)
     if dfa.initial not in states:
         return f"initial state {dfa.initial!r} is not a state"
@@ -213,6 +211,9 @@ def _automaton_problem(dfa: DFA) -> Optional[str]:
         if q not in dfa.lits or q not in dfa.table:
             return f"state {q!r} has no literals or no table row"
         lits, row = dfa.lits[q], dfa.table[q]
+        for lit in () if dfa.signed else lits:
+            if not (isinstance(lit, str) and is_atom_name(lit)):
+                return f"state {q!r}: plain literal {lit!r} is not an atom name"
         if len(set(lits)) != len(lits):
             return f"state {q!r} repeats a literal in {[str(l) for l in lits]}"
         for bits, dst in row.items():
@@ -221,10 +222,10 @@ def _automaton_problem(dfa: DFA) -> Optional[str]:
             if dst not in states:
                 return f"state {q!r}: mask {bits} steps to {dst!r}, which is not a state"
         try:
-            check_row(lits, dfa.signed, f"state {q!r}")
+            check_row(lits, f"state {q!r}")
         except TooWideError as exc:
             return str(exc)
-        masks = consistent_masks(lits, dfa.signed)
+        masks = consistent_masks(lits)
         inconsistent = min(set(row).difference(masks), default=None)
         if inconsistent is not None:
             return f"state {q!r}: mask {inconsistent} sets both signs of one name"

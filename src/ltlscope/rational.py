@@ -29,8 +29,8 @@ from .formula import (And, Atom, FalseConst, Formula, Implies, Lit, Next, Not,
                       Or, Release, TrueConst, Until, postorder, progress,
                       to_metric_form)
 from .monitor import MonitorInstance, synthesize_imperfect
-from .visibility import (EqClass, VisibilitySpec, check_breakable, expand_witnesses,
-                         explicit_trace, identity_classes,
+from .visibility import (EqClass, VisibilitySpec, check_breakable, event_set,
+                         expand_witnesses, explicit_trace, identity_classes,
                          knowledge_from_event, visible_event)
 
 _EPS = 1e-9
@@ -331,11 +331,10 @@ class Session:
 
     def step(self, plain_event: Iterable[str]) -> Verdict:
         """Feed the next event.  An event naming an atom outside the
-        alphabet, or a ``str`` instead of a set of names, raises
-        ``ValueError`` and leaves the session as it was."""
-        if type(plain_event) is str:
-            raise ValueError(f"an event is a set of atom names, not the string {plain_event!r}")
-        event = frozenset(plain_event)
+        alphabet, or a value that is not a set of names (a ``str``, a
+        mapping, ``None``: ``event_set``), raises ``ValueError`` and leaves
+        the session as it was."""
+        event = event_set(plain_event, "atom names")
         seen = len(self.visible_events)
         if not event <= self.vspec.alphabet:
             unknown = sorted(event - self.vspec.alphabet)

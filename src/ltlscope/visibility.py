@@ -233,6 +233,23 @@ def knowledge_from_event(event: SignedEvent, classes: Sequence[EqClass]) -> dict
     return {lit.name: lit.sign for lit in expand_witnesses(event, classes)}
 
 
+def event_set(event, what: str) -> frozenset:
+    """``event`` as a frozenset of ``what``.  A ``str`` is refused, not read
+    as the set of its characters, and so is a mapping, not read as its
+    keys; ``None``, an int or any other value that is not a collection of
+    hashable items raises ``ValueError`` too, not ``TypeError``."""
+    if type(event) is frozenset:  # the common case: neither a string nor a mapping
+        return event
+    if isinstance(event, str):
+        raise ValueError(f"an event is a set of {what}, not the string {event!r}")
+    if isinstance(event, Mapping):
+        raise ValueError(f"an event is a set of {what}, not the mapping {event!r}")
+    try:
+        return frozenset(event)
+    except TypeError:
+        raise ValueError(f"an event is a set of {what}, not {event!r}") from None
+
+
 def check_consistent(event: SignedEvent) -> None:
     """Reject events carrying both signs of one literal name."""
     seen: dict[str, bool] = {}

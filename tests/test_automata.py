@@ -13,7 +13,6 @@ from ltlscope.automata import (DFA, GuardedAutomaton, ImpossibleStateError,
                                ltl_to_nba, minimize, nba_to_nfa,
                                nonempty_states)
 from ltlscope.automata.dot import automaton_to_dot, moore_to_dot
-from ltlscope.automata.guarded import Guard
 from ltlscope.automata.moore import product2, product3
 from ltlscope.automata.pipeline import (coarsest_partition, consistent_count,
                                         consistent_masks, empty_event_edges,
@@ -67,6 +66,17 @@ def good_cycle_states(marked, acceptance: int) -> set:
     return good
 
 
+def guard_sets(aut: GuardedAutomaton, require: int, forbid: int) -> tuple:
+    """An edge's guard masks as its (required, forbidden) sets of literals."""
+    return mask_event(aut.literals, require), mask_event(aut.literals, forbid)
+
+
+def matches(guard: tuple, event: frozenset) -> bool:
+    """Whether ``event`` meets a (required, forbidden) pair of literal sets."""
+    require, forbid = guard
+    return require <= event and not forbid & event
+
+
 def lasso_accepted_by_nba(nba: GuardedAutomaton, stem, loop) -> bool:
     """Independent ultimately-periodic membership check on a transition-based
     generalised Büchi automaton: a run on the loop's product graph reaches a
@@ -84,7 +94,7 @@ def lasso_accepted_by_nba(nba: GuardedAutomaton, stem, loop) -> bool:
         if (q, p) not in marked:
             marked[(q, p)] = [(marks, (d, (p + 1) % k))
                               for require, forbid, marks, d in nba.transitions.get(q, ())
-                              if nba.guard(require, forbid).matches(loop[p])]
+                              if matches(guard_sets(nba, require, forbid), loop[p])]
             work.extend(s for _, s in marked[(q, p)])
     good = good_cycle_states(marked, nba.acceptance)
     reach = reach_sets({s: [t for _, t in out] for s, out in marked.items()})
@@ -144,13 +154,14 @@ class TestTableau:
 
 
 class StateBased(NamedTuple):
-    """A state-based generalised Büchi automaton: guards are ``Guard``
-    objects and ``acceptance`` holds one set of states per Until.  A
-    tableau's ``nodes`` give each state's (now, next) sets of formulas."""
+    """A state-based generalised Büchi automaton: guards are (required,
+    forbidden) pairs of literal sets and ``acceptance`` holds one set of
+    states per Until.  A tableau's ``nodes`` give each state's (now, next)
+    sets of formulas."""
 
     states: list
     initial: frozenset
-    transitions: dict  # state -> [(Guard, target)]
+    transitions: dict  # state -> [((require, forbid), target)]
     acceptance: tuple
     nodes: tuple = ()
 
@@ -181,14 +192,15 @@ def reference_nba(f, signed: bool) -> StateBased:
     memo = {}
 
     def guard_of(now):
-        return Guard(frozenset(literal_of(g) for g in now if isinstance(g, (Atom, Lit))),
-                     frozenset(literal_of(g) for g in now if isinstance(g, Not)))
+        return (frozenset(literal_of(g) for g in now if isinstance(g, (Atom, Lit))),
+                frozenset(literal_of(g) for g in now if isinstance(g, Not)))
 
     def consistent(guard):
         # Signed literals also clash with the other sign of their name.
+        require, forbid = guard
         signs = {}
-        return not guard.require & guard.forbid and not (signed and any(
-            signs.setdefault(l.name, l.sign) != l.sign for l in guard.require))
+        return not require & forbid and not (signed and any(
+            signs.setdefault(l.name, l.sign) != l.sign for l in require))
 
     def choices(g):
         mark, none = frozenset({g}), frozenset()
@@ -254,10 +266,11 @@ def reference_nba(f, signed: bool) -> StateBased:
         nodes=tuple(nodes))
 
 
-def guard_masks(guard: Guard, literals: tuple) -> tuple[int, int]:
-    """A ``Guard`` as (require, forbid) masks over a literal table."""
+def guard_masks(guard: tuple, literals: tuple) -> tuple[int, int]:
+    """A (required, forbidden) pair of literal sets as masks over a literal
+    table."""
     bit = {lit: 1 << i for i, lit in enumerate(literals)}
-    return sum(bit[l] for l in guard.require), sum(bit[l] for l in guard.forbid)
+    return tuple(sum(bit[l] for l in part) for part in guard)
 
 
 def projected(ref: StateBased, f, signed: bool) -> GuardedAutomaton:
@@ -299,7 +312,7 @@ def transition_based(aut: StateBased, signed: bool) -> GuardedAutomaton:
     target's acceptance sets as marks, and guards become int masks over the
     literals the edges mention, in ``str`` order."""
     literals = tuple(sorted({l for row in aut.transitions.values() for guard, _ in row
-                             for l in guard.require | guard.forbid}, key=str))
+                             for part in guard for l in part}, key=str))
 
     def marks(q):
         return sum(1 << k for k, accepting in enumerate(aut.acceptance) if q in accepting)
@@ -491,13 +504,13 @@ class TestConsistentMasks:
                 lits.sort(key=str)
             else:
                 rng.shuffle(lits)
-            assert consistent_masks(tuple(lits), True) == filtered_masks(tuple(lits), True)
+            assert consistent_masks(tuple(lits)) == filtered_masks(tuple(lits), True)
 
     def test_plain_world_matches_the_filter(self, rng):
         for _ in range(50):
             lits = tuple(rng.sample(self.NAMES, rng.randint(0, 7)))
-            assert consistent_masks(lits, False) == filtered_masks(lits, False)
-            assert len(consistent_masks(lits, False)) == 2 ** len(lits)
+            assert consistent_masks(lits) == filtered_masks(lits, False)
+            assert len(consistent_masks(lits)) == 2 ** len(lits)
 
     def test_count_matches_the_table(self, rng):
         """The closed-form count that ``check_row`` compares with ``MAX_ROW``
@@ -512,7 +525,7 @@ class TestConsistentMasks:
             else:
                 lits = rng.sample(self.NAMES, rng.randint(0, 6))
             lits = tuple(lits)
-            assert consistent_count(lits, signed) == len(consistent_masks(lits, signed))
+            assert consistent_count(lits) == len(consistent_masks(lits))
 
 
 class TestDeterminize:
@@ -566,13 +579,13 @@ def uncollapsed_determinize(nfa: GuardedAutomaton) -> DFA:
     ids, order = {initial: 0}, [initial]
     lits_of, table = {}, {}
     for sid, subset in enumerate(order):
-        edges = [(nfa.guard(require, forbid), dst) for q in subset
+        edges = [(guard_sets(nfa, require, forbid), dst) for q in subset
                  for require, forbid, _, dst in nfa.transitions.get(q, ())]
-        lits = literal_order({lit for guard, _ in edges for lit in (*guard.require, *guard.forbid)})
+        lits = literal_order({lit for guard, _ in edges for part in guard for lit in part})
         row = {}
-        for bits in consistent_masks(lits, nfa.signed):
+        for bits in consistent_masks(lits):
             event = mask_event(lits, bits)
-            key = frozenset(dst for guard, dst in edges if guard.matches(event))
+            key = frozenset(dst for guard, dst in edges if matches(guard, event))
             if key not in ids:
                 ids[key] = len(order)
                 order.append(key)
@@ -590,7 +603,7 @@ def reference_minimize(dfa: DFA) -> DFA:
     index, refined to the coarsest stable partition."""
     universe = tuple(sorted({l for lits in dfa.lits.values() for l in lits}, key=str))
     events = [frozenset(l for i, l in enumerate(universe) if bits >> i & 1)
-              for bits in consistent_masks(universe, dfa.signed)]
+              for bits in consistent_masks(universe)]
     rows = {q: [(k, dfa.step(q, event)) for k, event in enumerate(events)]
             for q in dfa.states}
     block = coarsest_partition(
@@ -1087,7 +1100,7 @@ def reference_product(a: DFA, b: DFA, classify) -> dict:
         outputs[state] = classify(*state)
         s, v = state
         union = tuple(sorted({*a.lits[s], *b.lits[v]}, key=str))
-        for bits in consistent_masks.__wrapped__(union, a.signed):
+        for bits in consistent_masks.__wrapped__(union):
             event = frozenset(l for i, l in enumerate(union) if bits >> i & 1)
             work.append((a.step(s, event), b.step(v, event)))
     return outputs
@@ -1139,7 +1152,7 @@ def random_rows_dfa(rng, names, signed: bool, one_successor: float) -> DFA:
         lits[q] = literal_order(rng.sample(literals, rng.randint(0, min(3, len(literals)))))
         only = rng.randrange(n) if rng.random() < one_successor else None
         table[q] = {bits: rng.randrange(n) if only is None else only
-                    for bits in consistent_masks(lits[q], signed)}
+                    for bits in consistent_masks(lits[q])}
     return DFA(states=list(range(n)), initial=0, accepting=frozenset(range(n)),
                signed=signed, lits=lits, table=table)
 
@@ -1232,3 +1245,38 @@ class TestDot:
         assert "doublecircle" in automaton_to_dot(nba_to_nfa(nba, nonempty_states(nba)))
         dfa = formula_to_dfa(to_nnf(parse_formula("F p")), signed=False)
         assert "digraph" in automaton_to_dot(dfa)
+
+
+class TestDotLabels:
+    """Edge labels are decoded from guard masks: the required literals, then
+    the forbidden ones negated, each part in ``str`` order, and ``true``
+    for a guard that reads nothing."""
+
+    def test_plain_guards(self):
+        dot = automaton_to_dot(ltl_to_nba(to_nnf(parse_formula("F p")), signed=False))
+        assert '  q0 -> q0 [label="true"];' in dot
+        assert '  q0 -> q1 [label="p"];' in dot
+        forbid_only = automaton_to_dot(ltl_to_nba(to_nnf(parse_formula("G !p")), signed=False))
+        assert '  q0 -> q0 [label="!p"];' in forbid_only
+
+    def test_class_witness_guards(self):
+        m = synthesize_imperfect(parse_formula("F c"), derive_classes(("c", "s"), [("c", "s")]))
+        sat, viol = (automaton_to_dot(dfa) for dfa in m.machine.components)
+        assert '  q0 -> q1 [label="[cs]=1"];' in sat
+        assert '  q0 -> q0 [label="![cs]=1"];' in sat
+        assert '  q1 -> q1 [label="true"];' in sat
+        assert '  q0 -> q1 [label="![cs]=0"];' in viol
+
+    def test_product_edges(self):
+        """One edge per consistent event over the union of the components'
+        literals, in mask order; the required part comes first even where
+        it sorts after the forbidden one."""
+        plain = moore_to_dot(synthesize_standard(parse_formula("p U q")).machine)
+        assert [line for line in plain.splitlines() if line.startswith("  s0 -> ")] == [
+            '  s0 -> s1 [label="!p & !q"];', '  s0 -> s0 [label="p & !q"];',
+            '  s0 -> s2 [label="q & !p"];', '  s0 -> s2 [label="p & q"];']
+        m = synthesize_imperfect(parse_formula("F c"), derive_classes(("c", "s"), [("c", "s")]))
+        signed = moore_to_dot(m.machine)
+        assert [line for line in signed.splitlines() if line.startswith("  s0 -> ")] == [
+            '  s0 -> s1 [label="![cs]=0 & ![cs]=1"];', '  s0 -> s0 [label="[cs]=0 & ![cs]=1"];',
+            '  s0 -> s2 [label="[cs]=1 & ![cs]=0"];']

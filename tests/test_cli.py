@@ -521,8 +521,10 @@ class TestSynthesize:
          lambda c: (c["literals"].update({"0": ["p=1", "p=1"]}),
                     c["table"].update({"0": {"0": 0, "1": 1, "2": 1}})),
          "state 0 repeats a literal"),
+        ("p", [], "standard",
+         lambda c: c["literals"].update({"0": [5]}), "plain literal 5 is not an atom name"),
     ], ids=["target-outside-states", "initial-outside-states", "mask-past-literals",
-            "inconsistent-mask", "missing-mask", "repeated-literal"])
+            "inconsistent-mask", "missing-mask", "repeated-literal", "plain-literal-no-atom"])
     def test_broken_table_is_a_one_line_error(self, tmp_path, capsys, formula, classes,
                                                mode, edit, needle):
         """A machine file whose table cannot be stepped is refused with one

@@ -74,6 +74,17 @@ class TestStandardMonitor:
         assert m.current == m.machine.initial
         assert m.step({"b1"}) == Verdict.TRUE
 
+    @pytest.mark.parametrize("event", [{"b1": 0}, None, 1])
+    def test_non_set_event_is_refused(self, event):
+        """``{'b1': 0}`` is not read as its key ``b1``, which would conclude
+        ``F b1``; ``None`` and an int raise ``ValueError``, not
+        ``TypeError``.  The cursor stays where it was."""
+        m = synthesize_standard(parse_formula("F b1"))
+        with pytest.raises(ValueError, match="an event is a set of atom names, not"):
+            m.step(event)
+        assert m.current == m.machine.initial
+        assert m.verdict == Verdict.UNKNOWN
+
 
 class TestImperfectMonitor:
     @pytest.mark.parametrize("prop,expected", [
@@ -116,6 +127,12 @@ class TestImperfectMonitor:
         m = synthesize_imperfect(Atom("p"), derive_classes(("p",), []))
         with pytest.raises(ValueError, match="not the string"):
             m.step("p=1")
+        assert m.step({SLit("p", True)}) == Verdict.TRUE
+
+    def test_signed_mapping_event_is_refused(self):
+        m = synthesize_imperfect(Atom("p"), derive_classes(("p",), []))
+        with pytest.raises(ValueError, match="signed literals, not the mapping"):
+            m.step({SLit("p", True): 1})
         assert m.step({SLit("p", True)}) == Verdict.TRUE
 
     def test_uu_reachable_and_absorbing(self):
@@ -225,6 +242,17 @@ class TestMachineRoundTrip:
         for event in PLAIN_VIEW:
             assert m.step(event) == reloaded.step(event)
 
+
+    @pytest.mark.parametrize("literal", [5, "5", "p q", "true", None, ["p"]])
+    def test_plain_literal_that_is_no_atom_name_is_refused(self, literal):
+        """A standard file whose literal ``p`` is replaced by something no
+        event can hold is refused, not loaded to answer ``?`` for ever."""
+        payload = json.loads(machine_to_json(synthesize_standard(parse_formula("F p"))))
+        for component in payload["components"]:
+            component["literals"] = {q: [literal if l == "p" else l for l in row]
+                                     for q, row in component["literals"].items()}
+        with pytest.raises(ValueError, match="is not an atom name"):
+            machine_from_json(json.dumps(payload))
 
     def test_old_three_component_file_is_refused(self):
         """A file from before the flagged format (no ``format`` field, a third

@@ -4,11 +4,13 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ltlscope.automata.pipeline import consistent_count, literal_order
 from ltlscope.cli import main
 from ltlscope.formula import (FALSE, TRUE, Always, And, Atom, Eventually,
                               Formula, Implies, Next, Not, Or, ParseError,
@@ -279,3 +281,31 @@ class TestCommandLineFuzz:
                 assert json.loads(out)["final"]
         else:
             assert_one_line_refusal(code, err)
+
+    @given(st.one_of(formulas.map(fmt), st.sampled_from(("p", "true", "X", "p &", "", "F é"))),
+           st.none() | classes_texts)
+    @settings(max_examples=150, deadline=None)
+    def test_dot_runs_or_refuses_with_one_line(self, formula, classes):
+        """``synthesize --dot`` either writes the machine and its DOT file
+        (status 0), with one edge out of each product state per consistent
+        event over the union of its components' literals, or refuses with
+        status 2 and one line on stderr; no exception escapes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            out_path, dot_path = os.path.join(tmp, "m.json"), os.path.join(tmp, "m.dot")
+            argv = ["synthesize", "-f", formula, "--out", out_path, "--dot", dot_path]
+            if classes is not None:
+                argv.append(f"--classes={classes}")
+            code, _, err = run_cli(argv)
+            if code != 0:
+                assert_one_line_refusal(code, err)
+                return
+            assert not err
+            with open(out_path, encoding="utf-8") as fh:
+                machine = machine_from_json(fh.read()).machine
+            with open(dot_path, encoding="utf-8") as fh:
+                sources = re.findall(r"^  s(\d+) -> s\d+ \[label=", fh.read(), re.M)
+        a, b = machine.components
+        expected = [consistent_count(literal_order({*a.lits[s], *b.lits[v]}))
+                    for s, v in machine.states]
+        assert [sources.count(str(i)) for i in range(len(expected))] == expected
+        assert len(sources) == sum(expected)

@@ -545,6 +545,19 @@ class TestSessions:
         assert session.result().visible_events == []
         assert session.step({"p", "q"}) == Verdict.TRUE
 
+    @pytest.mark.parametrize("event", [{"p": 1, "q": 0}, None, 7])
+    def test_non_set_event_is_refused(self, event):
+        """A mapping is not read as its keys, and ``None`` or an int raise
+        ``ValueError``, not ``TypeError``; the session runs on unchanged."""
+        from ltlscope.rational import Session
+        spec = VisibilitySpec(alphabet=frozenset({"p", "q"}),
+                              classes=parse_classes("p; q", ("p", "q")))
+        session = Session(parse_formula("p & q"), spec, RationalConfig(metric="metric2"), None)
+        with pytest.raises(ValueError, match="an event is a set of atom names, not"):
+            session.step(event)
+        assert session.result().visible_events == []
+        assert session.step({"p", "q"}) == Verdict.TRUE
+
     def test_session_exposes_running_verdict(self):
         from ltlscope.rational import ActiveSession
         cfg = RationalConfig(metric="metric2", bound=3)

@@ -21,7 +21,7 @@ from .automata.dot import moore_to_dot
 from .automata.moore import Verdict
 from .automata.pipeline import TooWideError
 from .formula import (Formula, ParseError, SLit, UncoveredAtomError,
-                      is_atom_name, parse_formula, parse_slit)
+                      is_atom_name, is_literal_name, parse_formula, parse_slit)
 from .monitor import (MonitorInstance, machine_from_json, machine_to_json,
                       synthesize_imperfect, synthesize_standard)
 from .randgen import (derive_seed, experiment_visibility, random_formula,
@@ -65,8 +65,13 @@ def read_plain_trace(path: str,
                      alphabet: Optional[frozenset[str]] = None) -> list[frozenset[str]]:
     """One event per line; comma or space separated atoms; blank line is an
     empty event.  The first token of a line that is not an atom name, or
-    with ``alphabet`` an atom outside it, is refused with its line."""
+    with ``alphabet`` an atom outside it, is refused with its line.
+
+    Equal events are one object, so a long trace holds each distinct event
+    once, and the monitor, which remembers the events it checked by
+    identity (``MonitorInstance.step``), checks each distinct event once."""
     events = []
+    distinct: dict[frozenset[str], frozenset[str]] = {}
     checked: set[str] = set()
     for i, line in enumerate(_read_text(path, "trace").splitlines()):
         event = line.replace(",", " ").split()
@@ -78,22 +83,33 @@ def read_plain_trace(path: str,
             if alphabet is not None and name not in alphabet:
                 raise Refusal(f"{path}:{i + 1}: atom {name!r} is in no class")
             checked.add(name)
-        events.append(frozenset(event))
+        event = frozenset(event)
+        events.append(distinct.setdefault(event, event))
     return events
 
 
 def read_signed_trace(path: str,
                       names: Optional[frozenset[str]] = None) -> list[frozenset[SLit]]:
     """One event per line of ``name=1`` / ``[group]=0`` tokens.  A bad token,
-    or with ``names`` a literal of another name, is refused with its line;
-    an event holding both signs of a name raises ``ValueError`` with its
-    line."""
+    a literal whose name is neither an atom name nor a class witness name
+    (``is_literal_name``), or with ``names`` a literal of another name, is
+    refused with its line; an event holding both signs of a name raises
+    ``ValueError`` with its line.  Equal events are one object, as in
+    ``read_plain_trace``."""
     events = []
+    distinct: dict[frozenset[SLit], frozenset[SLit]] = {}
     for i, line in enumerate(_read_text(path, "trace").splitlines()):
         try:
             event = frozenset(parse_slit(tok) for tok in line.replace(",", " ").split())
         except ValueError as exc:
             raise Refusal(f"{path}:{i + 1}: {exc}")
+        if event in distinct:
+            events.append(distinct[event])
+            continue
+        bad = sorted(l.name for l in event if not is_literal_name(l.name))
+        if bad:
+            raise Refusal(f"{path}:{i + 1}: {bad[0]!r} is neither an atom name "
+                          "nor a class witness name")
         stray = [] if names is None else sorted(l.name for l in event if l.name not in names)
         if stray:
             raise Refusal(f"{path}:{i + 1}: {stray[0]!r} is neither a singleton atom "
@@ -102,6 +118,7 @@ def read_signed_trace(path: str,
             check_consistent(event)
         except ValueError as exc:
             raise ValueError(f"{path}:{i + 1}: {exc}") from None
+        distinct[event] = event
         events.append(event)
     return events
 
@@ -310,9 +327,13 @@ def cmd_verify(args) -> int:
             else:
                 if classes is None:
                     raise Refusal("imperfect mode needs --classes to encode a plain trace")
+                # Each distinct event is made visible once, into one object.
                 covered = _alphabet_of(classes)
-                sigma_e = explicit_trace(read_plain_trace(args.trace, covered), covered)
-                events = visible_trace(sigma_e, classes, ())
+                plain = read_plain_trace(args.trace, covered)
+                distinct = list(dict.fromkeys(plain))
+                view = dict(zip(distinct, visible_trace(explicit_trace(distinct, covered),
+                                                        classes, ())))
+                events = [view[event] for event in plain]
         t_run0 = time.perf_counter()
         for i, event in enumerate(events):
             try:

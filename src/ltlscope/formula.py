@@ -332,6 +332,20 @@ def is_atom_name(name: str) -> bool:
         return False
 
 
+def is_literal_name(name: str) -> bool:
+    """Whether a signed literal may carry ``name``: an atom name, or a class
+    witness name ``[x]`` (``EqClass.witness_name``).  ``x`` is the class's
+    atom names run together, so it is one word of the characters atom names
+    are made of, though the word itself may be a keyword (``[true]`` from
+    ``tr~ue``).  The rule for literal names in machine files and signed
+    traces alike."""
+    if name[:1] == "[" and name[-1:] == "]":
+        body = name[1:-1]
+        return ((body[:1].isalpha() or body[:1] == "_")
+                and all(ch.isalnum() or ch == "_" for ch in body))
+    return is_atom_name(name)
+
+
 def height(f: Formula) -> int:
     """Operator height of a formula (0 for a leaf), computed without
     recursion so that it is safe on any depth.  Each level holds each

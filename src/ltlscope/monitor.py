@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .automata.moore import (ImpossibleStateError, MooreMachine, Verdict, product2,
-                             product3)
+from .automata.moore import (MEMO_LIMIT, ImpossibleStateError, MooreMachine, Verdict,
+                             product2, product3)
 from .automata.pipeline import (DFA, TooWideError, check_row, consistent_masks,
                                 determinize, empty_event_edges, minimize, nba_to_nfa,
                                 nonempty_states, quotient_bisim)
 from .automata.tableau import ltl_to_nba
-from .formula import MAX_NESTING, Formula, SLit, height, is_atom_name, nnf_pair, parse_slit
+from .formula import (MAX_NESTING, Formula, SLit, height, is_atom_name, is_literal_name,
+                      nnf_pair, parse_slit)
 from .visibility import EqClass, check_consistent, event_set, rendering_map
 
 
@@ -71,9 +72,23 @@ class MonitorInstance:
         return self.machine.output(self.current)
 
     def step(self, event) -> Verdict:
-        event = self.encode_event(event)
-        self.current = self.machine.step(self.current, event)
-        return self.verdict
+        """Move the cursor over one event and return the new verdict.  An
+        event is checked by ``encode_event`` the first time this machine
+        meets it; a ``frozenset`` that passed is remembered by identity in
+        ``machine.validated``, so the same object is not checked again.
+        Callers that reuse their event objects (``SessionMemo``,
+        ``random_plain_trace``, the command line's trace readers) pay for
+        each distinct event once.  An equal object that is not the same
+        one is checked afresh."""
+        machine = self.machine
+        validated = machine.validated
+        if not (type(event) is frozenset and validated.get(id(event)) is event):
+            encoded = self.encode_event(event)
+            if encoded is event and len(validated) < MEMO_LIMIT:
+                validated[id(event)] = event
+            event = encoded
+        self.current = machine.step(self.current, event)
+        return machine.outputs[self.current]
 
     def run(self, trace: Iterable) -> Verdict:
         for event in trace:
@@ -201,9 +216,11 @@ def _automaton_from_json(data: dict) -> DFA:
 def _automaton_problem(dfa: DFA) -> Optional[str]:
     """Why a component read from a file cannot be stepped, or ``None``: its
     initial state and every table target must be states, a plain state's
-    literals must be atom names, each state's literals must be distinct and
-    within the synthesis row bound (``check_row``), and its row must map
-    every consistent mask over them, and nothing else, to a successor."""
+    literals must be atom names and a signed state's must name an atom or
+    a class witness (``is_literal_name``), each state's literals must be
+    distinct and within the synthesis row bound (``check_row``), and its
+    row must map every consistent mask over them, and nothing else, to a
+    successor."""
     states = set(dfa.states)
     if dfa.initial not in states:
         return f"initial state {dfa.initial!r} is not a state"
@@ -211,8 +228,12 @@ def _automaton_problem(dfa: DFA) -> Optional[str]:
         if q not in dfa.lits or q not in dfa.table:
             return f"state {q!r} has no literals or no table row"
         lits, row = dfa.lits[q], dfa.table[q]
-        for lit in () if dfa.signed else lits:
-            if not (isinstance(lit, str) and is_atom_name(lit)):
+        for lit in lits:
+            if dfa.signed:
+                if not is_literal_name(lit.name):
+                    return (f"state {q!r}: signed literal {str(lit)!r} names neither "
+                            "an atom nor a class witness")
+            elif not (isinstance(lit, str) and is_atom_name(lit)):
                 return f"state {q!r}: plain literal {lit!r} is not an atom name"
         if len(set(lits)) != len(lits):
             return f"state {q!r} repeats a literal in {[str(l) for l in lits]}"

@@ -7,8 +7,10 @@ leaves come from a small pool, so corpora are reproducible from a single seed.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Sequence
 
+from .automata.moore import MEMO_LIMIT
 from .formula import (Always, And, Atom, Eventually, Formula, Implies, Next,
                       Not, Or, Release, Until)
 from .visibility import EqClass, VisibilitySpec, derive_classes
@@ -35,8 +37,20 @@ def random_formula(rng: random.Random, size: int,
 
 def random_plain_trace(rng: random.Random, length: int,
                        pool: Sequence[str] = DEFAULT_POOL) -> list[frozenset[str]]:
-    return [frozenset(a for a in pool if rng.random() < 0.5)
+    """``length`` events, each holding every atom of the pool with
+    probability 1/2, drawn in pool order.  Equal events drawn over one pool
+    are one shared object (``_plain_event``), so an experiment of many
+    short traces holds each distinct event once, not once per position.
+    Sharing also lets a frozenset's cached hash serve every lookup, and a
+    monitor that steps the events directly checks each of them once
+    (``MonitorInstance.step`` remembers checked events by identity)."""
+    return [_plain_event(tuple(a for a in pool if rng.random() < 0.5))
             for _ in range(length)]
+
+
+@lru_cache(maxsize=MEMO_LIMIT)
+def _plain_event(atoms: tuple[str, ...]) -> frozenset[str]:
+    return frozenset(atoms)
 
 
 def random_partition(rng: random.Random, pool: Sequence[str]) -> tuple[EqClass, ...]:

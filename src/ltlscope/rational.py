@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .automata.moore import Verdict
+from .automata.moore import MEMO_LIMIT, Verdict
 from .formula import (And, Atom, FalseConst, Formula, Implies, Lit, Next, Not,
                       Or, Release, TrueConst, Until, postorder, progress,
                       to_metric_form)
@@ -234,11 +234,6 @@ class RationalRun:
         return self.allocations[0].selection if self.allocations else frozenset()
 
 
-# Most entries each dict of a SessionMemo holds; past it, results are
-# computed and not kept.
-MEMO_LIMIT = 4096
-
-
 class SessionMemo:
     """What the sessions over one alphabet and class structure computed,
     shared between them: the visible and the decoded form of each (plain
@@ -252,7 +247,10 @@ class SessionMemo:
     once per formula, not once per session.  A reactive run that meets a
     residual and an event it met before progresses without decoding the
     event or walking the residual, so its windows cost as little late in a
-    long trace as early.
+    long trace as early.  Because every session steps the same decoded
+    object for an event, the machine checks that object once
+    (``MooreMachine.validated``) and later steps skip the check.  Each dict
+    holds at most ``MEMO_LIMIT`` entries.
     """
 
     __slots__ = ("events", "allocations", "forms", "knowledge", "progressions")

@@ -82,7 +82,10 @@ def parse_classes(text: str, alphabet: Optional[Iterable[str]] = None) -> tuple[
     Atoms outside the groups become singletons when an alphabet is given;
     otherwise the alphabet is the set of mentioned atoms.  Every name, in
     the groups and in the alphabet, must be one the formula grammar reads
-    as an atom (``is_atom_name``); another raises ``ValueError``.
+    as an atom (``is_atom_name``); another raises ``ValueError``.  So do
+    two classes whose members run together into one witness name (``ab~c``
+    and ``a~bc`` are both ``[abc]``): a signed literal could not tell them
+    apart.
     """
     pairs: list[tuple[str, str]] = []
     mentioned: set[str] = set()
@@ -103,7 +106,16 @@ def parse_classes(text: str, alphabet: Optional[Iterable[str]] = None) -> tuple[
     missing = mentioned - full
     if missing:
         raise ValueError(f"classes mention atoms outside the alphabet: {sorted(missing)}")
-    return derive_classes(full, pairs)
+    classes = derive_classes(full, pairs)
+    witnessed: dict[str, EqClass] = {}
+    for cls in classes:
+        if not cls.is_singleton:
+            other = witnessed.setdefault(cls.witness_name, cls)
+            if other is not cls:
+                raise ValueError(f"classes {'~'.join(sorted(other.members))} and "
+                                 f"{'~'.join(sorted(cls.members))} share the witness "
+                                 f"name {cls.witness_name!r}")
+    return classes
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import pytest
 
 from ltlscope import casestudy
 from ltlscope.automata import Verdict
-from ltlscope.cli import main, parse_costs, read_plain_trace, read_signed_trace
+from ltlscope.cli import Refusal, main, parse_costs, read_plain_trace, read_signed_trace
 from ltlscope.formula import SLit, fmt
 
 from conftest import balanced_conjunction
@@ -49,6 +49,23 @@ class TestTraceFiles:
         path.write_text("c=1 c=0\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_signed_trace(str(path))
+
+    def test_signed_token_naming_no_literal_is_refused(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("p=1\n[5]=0 p=1\n", encoding="utf-8")
+        with pytest.raises(Refusal, match=r":2: '\[5\]' is neither an atom name nor a class"):
+            read_signed_trace(str(path))
+
+    def test_equal_events_are_one_object(self, tmp_path):
+        """Both readers hand out one object per distinct event, so the
+        monitor checks each distinct event once."""
+        plain, signed = tmp_path / "p.txt", tmp_path / "s.txt"
+        plain.write_text("p q\nq p\n\np,q\n\n", encoding="utf-8")
+        signed.write_text("p=1 [qr]=0\n[qr]=0 p=1\nq=1\n[qr]=0,p=1\n", encoding="utf-8")
+        events = read_plain_trace(str(plain))
+        assert [id(e) for e in events] == [id(events[k]) for k in (0, 0, 2, 0, 2)]
+        events = read_signed_trace(str(signed))
+        assert [id(e) for e in events] == [id(events[k]) for k in (0, 0, 2, 0)]
 
     def test_costs_flag(self):
         assert parse_costs("cs=2,abg=3") == {"cs": 2, "abg": 3}
@@ -254,6 +271,13 @@ class TestUserErrors:
         (tmp_path / "t.txt").write_text("p\n", encoding="utf-8")
         message = one_line_exit([*command, "-f", "F p", "--classes", f"p~{name}"])
         assert message.startswith("classes error: ") and repr(name) in message
+
+    @CLASS_COMMANDS
+    def test_classes_sharing_a_witness_name(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.txt").write_text("ab\n", encoding="utf-8")
+        message = one_line_exit([*command, "-f", "F ab", "--classes", "ab~c; a~bc"])
+        assert message.startswith("classes error: ") and "'[abc]'" in message
 
     @pytest.mark.parametrize("line, classes", [("p=1", "p~q"), ("zz=1", "p~q"),
                                                ("[pq]=1", "p; q")])
@@ -523,8 +547,13 @@ class TestSynthesize:
          "state 0 repeats a literal"),
         ("p", [], "standard",
          lambda c: c["literals"].update({"0": [5]}), "plain literal 5 is not an atom name"),
+        ("F p", ["--classes", "p"], "imperfect",
+         lambda c: c["literals"].update({q: ["5 6=1" if l == "p=1" else l for l in row]
+                                         for q, row in c["literals"].items()}),
+         "signed literal '5 6=1' names neither an atom nor a class witness"),
     ], ids=["target-outside-states", "initial-outside-states", "mask-past-literals",
-            "inconsistent-mask", "missing-mask", "repeated-literal", "plain-literal-no-atom"])
+            "inconsistent-mask", "missing-mask", "repeated-literal", "plain-literal-no-atom",
+            "signed-literal-no-name"])
     def test_broken_table_is_a_one_line_error(self, tmp_path, capsys, formula, classes,
                                                mode, edit, needle):
         """A machine file whose table cannot be stepped is refused with one

@@ -10,7 +10,7 @@ import pytest
 from ltlscope import casestudy, monitor as monitor_module
 from ltlscope.automata import Verdict, ltl_to_nba, nba_to_nfa, nonempty_states
 from ltlscope.automata.dot import automaton_to_dot, moore_to_dot
-from ltlscope.automata.moore import REFINEMENTS, classify3
+from ltlscope.automata.moore import MEMO_LIMIT, REFINEMENTS, classify3
 from ltlscope.automata.pipeline import TooWideError
 from ltlscope.formula import Atom, SLit, parse_formula
 from ltlscope.monitor import (clear_machine_caches, machine_from_json,
@@ -159,6 +159,122 @@ class TestBatchIncremental:
             assert incremental.current == batch.current
             assert seen[-1] == batch.verdict
 
+    def test_equivalence_on_repeated_event_objects(self, rng):
+        """A trace that repeats a few event objects, which the machine
+        remembers as checked, steps like equal copies made afresh."""
+        for _ in range(30):
+            f = random_formula(rng, rng.randint(1, 6), pool=("p", "q", "r"))
+            classes = random_partition(rng, ("p", "q", "r"))
+            m = synthesize_imperfect(f, classes)
+            shared = [random_signed_event(rng, ["p", "q", "r"]) for _ in range(3)]
+            trace = [rng.choice(shared) for _ in range(12)]
+            copies = [frozenset(list(event)) for event in trace]
+            assert all(copy is not event for copy, event in zip(copies, trace))
+            incremental = m.clone()
+            seen = [incremental.step(event) for event in trace]
+            batch = m.clone()
+            batch.run(trace)
+            fresh = m.clone()
+            assert [fresh.step(event) for event in copies] == seen
+            assert incremental.current == batch.current == fresh.current
+            assert seen[-1] == batch.verdict
+
+
+class TestValidatedEvents:
+    """``MonitorInstance.step`` checks each ``frozenset`` event object once
+    per machine and remembers it by identity in ``machine.validated``."""
+
+    @staticmethod
+    def fresh(signed: bool):
+        """A monitor of ``F p`` over a machine no other test has stepped."""
+        f = parse_formula("F p")
+        m = synthesize_imperfect(f, derive_classes(("p",), [])) if signed \
+            else synthesize_standard(f)
+        return machine_from_json(machine_to_json(m))
+
+    def test_equal_event_of_pairs_is_still_refused(self):
+        """``frozenset({("p", True)})`` equals and hashes like the signed
+        event stepped before it, but it holds no signed literal."""
+        m = self.fresh(signed=True)
+        signed = frozenset({SLit("p", True)})
+        assert m.step(signed) == Verdict.TRUE
+        assert id(signed) in m.machine.validated
+        pairs = frozenset({("p", True)})
+        assert pairs == signed and hash(pairs) == hash(signed)
+        m.reset()
+        with pytest.raises(ValueError, match="imperfect events are sets of signed literals"):
+            m.step(pairs)
+        assert m.current == m.machine.initial
+        assert id(pairs) not in m.machine.validated
+
+    def test_stale_entry_vouches_for_nothing(self):
+        """An entry whose id now belongs to another object, as in a copied
+        or unpickled memo, does not let that object skip the check."""
+        m = self.fresh(signed=True)
+        pairs = frozenset({("p", True)})
+        m.machine.validated[id(pairs)] = frozenset({SLit("p", True)})
+        with pytest.raises(ValueError, match="sets of signed literals"):
+            m.step(pairs)
+
+    @pytest.mark.parametrize("signed", [False, True], ids=["standard", "imperfect"])
+    @pytest.mark.parametrize("event, message", [
+        ("p", "not the string"),
+        ({"p": 1}, "not the mapping"),
+        (None, "not None"),
+    ], ids=["str", "mapping", "none"])
+    def test_refused_values_stay_refused(self, signed, event, message):
+        """A value that is no event is refused every time, and nothing is
+        remembered."""
+        m = self.fresh(signed)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                m.step(event)
+        assert m.current == m.machine.initial and not m.machine.validated
+
+    @pytest.mark.parametrize("kind", [set, list])
+    def test_mutable_events_are_checked_each_time(self, kind):
+        """A ``set`` or ``list`` event is read as today and never
+        remembered: changed in place, it is checked again."""
+        m = self.fresh(signed=True)
+        event = kind([SLit("p", False)])
+        assert m.step(event) == Verdict.UNKNOWN
+        assert not m.machine.validated
+        if kind is set:
+            event.add(SLit("p", True))
+        else:
+            event.append(SLit("p", True))
+        with pytest.raises(ValueError, match="inconsistent event"):
+            m.step(event)
+        plain = self.fresh(signed=False)
+        assert plain.step(kind(["p"])) == Verdict.TRUE
+        assert not plain.machine.validated
+
+    def test_memo_never_exceeds_the_limit(self, monkeypatch):
+        """Past ``MEMO_LIMIT`` events are checked and stepped but not
+        remembered; the machine steps as it does with nothing remembered."""
+        m = self.fresh(signed=False)
+        events = [frozenset({"q"}) if k % 2 else frozenset() for k in range(MEMO_LIMIT + 50)]
+        events.append(frozenset({"p"}))
+        verdicts = [m.step(event) for event in events]
+        assert len(m.machine.validated) == MEMO_LIMIT
+        assert verdicts[-1] == Verdict.TRUE
+        monkeypatch.setattr(monitor_module, "MEMO_LIMIT", 0)
+        bare = self.fresh(signed=False)
+        assert [bare.step(event) for event in events] == verdicts
+        assert not bare.machine.validated
+        monkeypatch.setattr(monitor_module, "MEMO_LIMIT", 3)
+        small = self.fresh(signed=False)
+        assert [small.step(event) for event in events] == verdicts
+        assert len(small.machine.validated) == 3
+
+    def test_memo_is_no_part_of_the_machine(self):
+        """Machines equal before stepping stay equal, and print alike."""
+        m, other = self.fresh(signed=True), self.fresh(signed=True)
+        m.step(frozenset({SLit("p", True)}))
+        assert m.machine.validated and not other.machine.validated
+        assert m.machine == other.machine
+        assert repr(m.machine) == repr(other.machine)
+
 
 class TestVerdictDynamics:
     def test_finality_and_refinement(self, rng):
@@ -253,6 +369,28 @@ class TestMachineRoundTrip:
                                      for q, row in component["literals"].items()}
         with pytest.raises(ValueError, match="is not an atom name"):
             machine_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("name", ["5 6", "5", "[5]", "[]", "[p q]", "p]", "true"])
+    def test_signed_literal_naming_no_literal_is_refused(self, name):
+        """A signed file of ``F p`` whose ``p=1`` is renamed ``5 6=1`` is
+        refused, not loaded to answer ``?≁⊥`` where ``F p`` holds."""
+        payload = json.loads(machine_to_json(
+            synthesize_imperfect(parse_formula("F p"), derive_classes(("p",), []))))
+        for component in payload["components"]:
+            component["literals"] = {q: [f"{name}=1" if l == "p=1" else l for l in row]
+                                     for q, row in component["literals"].items()}
+        with pytest.raises(ValueError, match=r"^component 0: state \d+: signed literal "):
+            machine_from_json(json.dumps(payload))
+
+    def test_signed_literal_renamed_to_a_witness_loads(self):
+        """A witness name is a name even when its word is a keyword."""
+        payload = json.loads(machine_to_json(
+            synthesize_imperfect(parse_formula("F p"), derive_classes(("p",), []))))
+        for component in payload["components"]:
+            component["literals"] = {q: [l.replace("p=", "[true]=") for l in row]
+                                     for q, row in component["literals"].items()}
+        m = machine_from_json(json.dumps(payload))
+        assert m.step(frozenset({SLit("[true]", True)})) == Verdict.TRUE
 
     def test_old_three_component_file_is_refused(self):
         """A file from before the flagged format (no ``format`` field, a third

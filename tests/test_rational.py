@@ -13,6 +13,7 @@ from ltlscope.formula import (FALSE, TRUE, And, Atom, FalseConst, Formula,
                               Until, _mk_and, _mk_implies, _mk_not, _mk_or,
                               height, parse_formula, progress, to_metric_form)
 from ltlscope.monitor import clear_machine_caches, synthesize_imperfect
+from ltlscope import randgen
 from ltlscope.randgen import random_partition
 import ltlscope.rational as rational
 from ltlscope.rational import (METRICS, MetricSpec, RationalConfig,
@@ -566,6 +567,53 @@ class TestSessions:
         for event in SIGMA:
             session.step(event)
         assert session.verdict == Verdict.TRUE
+
+    @pytest.mark.parametrize("window", [None, 2])
+    def test_every_event_reaches_both_step_layers(self, monkeypatch, window):
+        """``N`` session steps make ``N`` calls each to ``MonitorInstance.step``
+        and ``MooreMachine.step``, however many of the events the machine
+        remembers as checked; the benchmark's tracer wraps both by name."""
+        from ltlscope.automata.moore import MooreMachine
+        from ltlscope.monitor import MonitorInstance
+        from ltlscope.rational import ActiveSession
+        calls = {"monitor": 0, "moore": 0}
+
+        def counted(key, step):
+            def wrapper(*args):
+                calls[key] += 1
+                return step(*args)
+            return wrapper
+
+        monkeypatch.setattr(MonitorInstance, "step", counted("monitor", MonitorInstance.step))
+        monkeypatch.setattr(MooreMachine, "step", counted("moore", MooreMachine.step))
+        cfg = RationalConfig(metric="metric2", bound=3, window=window)
+        trace = SIGMA * 3
+        for _ in range(2):
+            session = (ActiveSession(PSI, vspec(), cfg) if window is None
+                       else ReactiveSession(PSI, vspec(), cfg))
+            for event in trace:
+                session.step(event)
+        assert calls == {"monitor": 2 * len(trace), "moore": 2 * len(trace)}
+
+
+def previous_random_plain_trace(rng, length, pool=randgen.DEFAULT_POOL):
+    """``random_plain_trace`` before it shared equal events."""
+    return [frozenset(a for a in pool if rng.random() < 0.5)
+            for _ in range(length)]
+
+
+class TestRandomPlainTrace:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20240821])
+    @pytest.mark.parametrize("pool", [randgen.DEFAULT_POOL, ("b", "a"), ()])
+    def test_same_values_as_before(self, seed, pool):
+        assert randgen.random_plain_trace(random.Random(seed), 40, pool) == \
+            previous_random_plain_trace(random.Random(seed), 40, pool)
+
+    def test_equal_events_are_one_object(self):
+        events = [event for seed in range(20)
+                  for event in randgen.random_plain_trace(random.Random(seed), 8)]
+        distinct = {id(event) for event in events}
+        assert len(distinct) == len(set(events)) <= 16
 
 
 def reference_progress(f, knowledge):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ltlscope.formula import SLit
+from ltlscope.formula import SLit, is_literal_name
 from ltlscope.visibility import (EqClass, VisibilitySpec, check_consistent,
                                  derive_classes, expand_witnesses,
                                  explicit_trace, identity_classes,
@@ -23,6 +23,18 @@ def ev(*tokens):
         name, _, value = tok.partition("=")
         out.add(SLit(name, value == "1"))
     return frozenset(out)
+
+
+@pytest.mark.parametrize("name, ok", [
+    ("p", True), ("b1", True), ("[cs]", True), ("[abg]", True), ("[true]", True),
+    ("[_a1]", True), ("", False), ("5", False), ("5 6", False), ("true", False),
+    ("X", False), ("[]", False), ("[5]", False), ("[p q]", False), ("[p", False),
+    ("p]", False), ("[[p]]", False), ("p=1", False),
+])
+def test_literal_names(name, ok):
+    """A signed literal names an atom or a class witness ``[x]``, with ``x``
+    a word of atom-name characters."""
+    assert is_literal_name(name) is ok
 
 
 class TestDeriveClasses:
@@ -50,6 +62,16 @@ class TestDeriveClasses:
         assert cls.canonical_id == "cs"
         assert cls.representative == "c"
         assert cls.witness_name == "[cs]"
+
+    def test_witness_names_are_literal_names(self):
+        for text in ("c~s; a~b~g", "tr~ue", "b1~b2~_x", "p"):
+            for cls in parse_classes(text):
+                assert is_literal_name(cls.witness_name)
+
+    def test_classes_sharing_a_witness_name_are_refused(self):
+        """``ab~c`` and ``a~bc`` would both render as ``[abc]``."""
+        with pytest.raises(ValueError, match=r"a~bc and ab~c share the witness name '\[abc\]'"):
+            parse_classes("ab~c; a~bc")
 
     def test_parse_classes_syntax(self):
         classes = parse_classes("c~s; a~b~g", ALPHABET)

@@ -16,7 +16,7 @@ def automaton_to_dot(aut) -> str:
     for q in aut.states:
         shape = "doublecircle" if q in aut.accepting else "circle"
         lines.append(f'  q{q} [shape={shape}, label="{q}"];')
-    initial = aut.initial if isinstance(aut, GuardedAutomaton) else frozenset({aut.initial})
+    initial = set(aut.initial) if isinstance(aut, GuardedAutomaton) else {aut.initial}
     for q in sorted(initial):
         lines.append(f"  __start{q} [shape=point];")
         lines.append(f"  __start{q} -> q{q};")

@@ -51,11 +51,14 @@ class GuardedAutomaton:
     0 accepts every infinite run.  On an NFA, ``accepting`` holds the states
     that accept a finite word ending there, and marks are not read.
     ``flagged`` marks the states from which the all-empty word is Büchi
-    accepted; only the signed branch of the pipeline fills it in.
+    accepted; only a signed monitor's pipeline fills it in.  ``initial``
+    holds one state per root, in the roots' order: a monitor's automaton
+    has two, its satisfaction and its violation branch, and membership
+    reads them together.
     """
 
     states: list[int]
-    initial: frozenset[int]
+    initial: tuple[int, ...]
     transitions: dict[int, list[Edge]]
     signed: bool  # signed literals (open world) vs plain atoms (closed world)
     literals: tuple = ()  # the literal table, in ``str`` order

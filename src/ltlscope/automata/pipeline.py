@@ -1,21 +1,28 @@
 """NBA -> NFA -> DFA pipeline stages.
 
+A monitor's two branches, the formula and its negation, go through the
+first stages as one automaton with one initial state per root: one
+emptiness pass, one flag pass on a signed monitor and one NFA quotient
+serve both, and the subset construction and minimisation then run once
+per root.  Emptiness, the flag, bisimilarity and universality depend only
+on what a state reaches, so each branch gets the DFA it would get alone.
+
 Emptiness turns the transition-based generalised Büchi automaton into an
 NFA over finite prefixes: a state is nonempty when it reaches a strongly
 connected component whose internal edges' marks together cover every
-Until.  On the signed branch a second emptiness check, over the edges an
+Until.  On a signed monitor a second emptiness check, over the edges an
 empty event can take, flags the states from which the all-empty word is
 accepted; every later stage carries that flag alongside acceptance.  Guards
 stay int masks over the automaton's literal table through the quotient and
 the subset construction, which determinises over consistent valuations of
 the literals each subset's guards mention, compacted onto the row's own
 bits; valuations are packed into integer bitmasks so stepping is a dict
-lookup.  A universal NFA state is accepting, flagged on the signed branch,
+lookup.  A universal NFA state is accepting, flagged on a signed monitor,
 and has an edge that requires and forbids nothing back to itself: it takes
 every event and keeps acceptance and the flag, so every subset that holds
-it has the same outputs after any word.  The subset construction replaces
-each such subset by the singleton of its lowest-numbered universal state,
-and the minimal DFA is the one it would have had without.
+it has the same outputs after any word.  The subset construction makes
+all such subsets one state, and the minimal DFA is the one it would have
+had without.
 One partition-refinement kernel, ``coarsest_partition``, serves both
 merges: the bisimulation quotient of the NFA before the exponential subset
 step and the minimisation of the DFA over each state's own literals.  A
@@ -23,7 +30,7 @@ merge that merges nothing passes its input's structure on.  The Moore
 product joins two DFA rows on the names both read (``product_successors``),
 so no event over the union of their literals is built; rows that read no
 name in common, or of which one has a single successor, give every pair of
-their successors.
+their successors, and rows over one literal tuple are zipped mask by mask.
 """
 
 from __future__ import annotations
@@ -240,7 +247,7 @@ def quotient_bisim(aut: GuardedAutomaton) -> GuardedAutomaton:
     }
     return GuardedAutomaton(
         states=sorted(rep),
-        initial=frozenset(block[q] for q in aut.initial),
+        initial=tuple(block[q] for q in aut.initial),
         transitions=transitions,
         signed=aut.signed,
         literals=aut.literals,
@@ -306,23 +313,28 @@ def check_row(lits: tuple, what: str) -> None:
                            f"map more than {MAX_ROW} consistent events")
 
 
-def determinize(nfa: GuardedAutomaton) -> DFA:
-    """Rabin-Scott subset construction over consistent guard valuations.
+def determinize(nfa: GuardedAutomaton, root: int) -> DFA:
+    """Rabin-Scott subset construction over consistent guard valuations,
+    from the singleton of ``root``, one of the NFA's initial states.
 
-    Unreachable subsets are never built; the empty subset acts as the sink.
-    A subset is flagged when it meets the NFA's flagged states.  A subset
-    reads the literals its guard masks mention together; each guard is
-    compacted onto those bits, so bit ``i`` of the row stands for the
-    ``i``-th of them in table order.  A subset whose row would exceed
-    ``MAX_ROW`` raises ``TooWideError``.
+    Unreachable subsets are never built, so a monitor's NFA, which holds
+    both branches, is read in place for each root, not copied: only the
+    states ``root`` reaches are met, and subsets are numbered as they are
+    reached in mask order.  The empty subset acts as the sink.  A subset is
+    flagged when it meets the NFA's flagged states.  A subset reads the
+    literals its guard masks mention together; each guard is compacted onto
+    those bits, so bit ``i`` of the row stands for the ``i``-th of them in
+    table order.  A subset whose row would exceed ``MAX_ROW`` raises
+    ``TooWideError``.
 
-    A universal NFA state is accepting, flagged on the signed branch, and
+    A universal NFA state is accepting, flagged on a signed monitor, and
     has an edge that requires and forbids nothing back to itself.  It takes
-    every event and stays, so every subset that holds it stays accepting,
-    and flagged on the signed branch, after any word: all such subsets have
-    the same outputs, and the minimal DFA cannot tell them apart.  Each is
-    replaced by the singleton of the lowest-numbered universal state it
-    holds, whose row is one entry back to itself over no literal.
+    every event and stays, so every subset that holds one stays accepting,
+    and flagged on a signed monitor, after any word: all such subsets have
+    the same outputs, and the minimal DFA cannot tell them apart.  They are
+    all one DFA state, whose row is one entry back to itself over no
+    literal.  Which universal states a subset holds is not read, so the DFA
+    does not depend on how the NFA numbers its states.
     """
     table_lits = nfa.literals
     transitions = nfa.transitions
@@ -331,25 +343,26 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
         if (q in nfa.flagged or not nfa.signed)
         and any(dst == q and not require | forbid
                 for require, forbid, _, dst in transitions.get(q, ())))
-    ids: dict[frozenset[int], int] = {}  # a collapsed subset maps to its singleton's id
+    ids: dict[frozenset[int], int] = {}
     order: list[frozenset[int]] = []
-    absorbing: set[int] = set()  # ids of universal singletons
+    absorbing = -1  # the id of every subset that holds a universal state, once one is reached
 
     def enter(subset: frozenset[int]) -> int:
-        """The id of a subset not yet in ``ids``: its singleton's when it
+        """The id of a subset not yet in ``ids``: ``absorbing`` when it
         holds a universal state, else a new one."""
-        held = subset & universal
-        if held:
-            subset = frozenset((min(held),))
-            known = ids.get(subset)
-            if known is not None:
-                return known
-            absorbing.add(len(order))
-        fresh = ids[subset] = len(order)
-        order.append(subset)
-        return fresh
+        nonlocal absorbing
+        if subset.isdisjoint(universal):
+            sid = len(order)
+            order.append(subset)
+        else:
+            if absorbing < 0:
+                absorbing = len(order)
+                order.append(universal)  # its outputs are any universal state's
+            sid = absorbing
+        ids[subset] = sid
+        return sid
 
-    enter(frozenset(nfa.initial))
+    enter(frozenset((root,)))
     lits_of: dict[int, tuple] = {}
     table: dict[int, dict[int, int]] = {}
     accepting: set[int] = set()
@@ -360,7 +373,7 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
             accepting.add(sid)
         if not subset.isdisjoint(nfa.flagged):
             flagged.add(sid)
-        if sid in absorbing:  # every event stays: its guards are not read
+        if sid == absorbing:  # every event stays: its guards are not read
             lits_of[sid], table[sid] = (), {0: sid}
             continue
         used = 0
@@ -387,7 +400,7 @@ def determinize(nfa: GuardedAutomaton) -> DFA:
             key = frozenset(target)
             dst = ids.get(key)
             if dst is None:
-                dst = ids[key] = enter(key)
+                dst = enter(key)
             row[bits] = dst
         lits_of[sid] = lits
         table[sid] = row
@@ -461,7 +474,10 @@ def product_successors(a: DFA, s: int, b: DFA, v: int) -> set[tuple[int, int]]:
 
     When the rows read no name in common, or either row has one distinct
     successor, every pair of their successors is reached: an event can
-    agree with any mask of one row and any mask of the other.  Otherwise a
+    agree with any mask of one row and any mask of the other.  When both
+    read the same literal tuple, as two states of one monitor often do,
+    each consistent mask over it gives one pair, zipped from the two rows.
+    Otherwise a
     choice over the names both rows read picks none of a name's literals
     or one of them (``_joined_rows``); the two rows' private names never
     conflict, so each choice contributes the cross product of the
@@ -472,9 +488,12 @@ def product_successors(a: DFA, s: int, b: DFA, v: int) -> set[tuple[int, int]]:
     """
     row_a, row_b = a.table[s], b.table[v]
     succ_a, succ_b = set(row_a.values()), set(row_b.values())
+    lits_a, lits_b = a.lits[s], b.lits[v]
     if (len(succ_a) == 1 or len(succ_b) == 1
-            or set(_names(a.lits[s])).isdisjoint(_names(b.lits[v]))):
+            or set(_names(lits_a)).isdisjoint(_names(lits_b))):
         return {(p, q) for p in succ_a for q in succ_b}
+    if lits_a == lits_b:  # both rows map exactly the consistent masks over them
+        return {(dst, row_b[bits]) for bits, dst in row_a.items()}
     joint, leaves_a, leaves_b = _joined_rows(a, s, b, v)
     options = list(joint.values())
     half = len(options) // 2

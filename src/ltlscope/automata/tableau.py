@@ -13,8 +13,14 @@ connected component, so no quotient or degeneralisation is needed.  Works
 for both worlds: plain atoms with closed-world guards and signed literals
 with presence/absence guards.
 
+A monitor translates its two branches, the formula and its negation, in
+one automaton with one initial state per root: they share the subformula
+index, the decomposition memo and the literal table, and an obligation set
+both reach is one state.
+
 Sets of subformulas are int bitmasks: bit ``i`` stands for the ``i``-th
-distinct subformula of the root in preorder of first occurrence.
+distinct subformula of the roots in preorder of first occurrence, root 0's
+first.
 """
 
 from __future__ import annotations
@@ -30,11 +36,11 @@ from .pipeline import TooWideError, literal_order
 Node = tuple[int, int]  # (satisfied-now mask, next-obligation mask)
 
 
-def _index(root: Formula) -> tuple[list[Formula], dict[Formula, int]]:
-    """The distinct subformulas of ``root`` in preorder of first occurrence,
-    and the position of each among them."""
+def _index(roots: tuple[Formula, ...]) -> tuple[list[Formula], dict[Formula, int]]:
+    """The distinct subformulas of the roots in preorder of first occurrence,
+    root 0's first, and the position of each among them."""
     position: dict[Formula, int] = {}
-    stack = [root]
+    stack = list(reversed(roots))
     while stack:
         g = stack.pop()
         if g not in position:
@@ -129,22 +135,31 @@ class _Decomposer:
         return result
 
 
-def ltl_to_nba(f: Formula, signed: bool) -> GuardedAutomaton:
-    """Translate an NNF formula into a transition-based generalised Büchi
-    automaton whose states are obligation sets.
+def ltl_to_nba(roots: tuple[Formula, ...], signed: bool) -> GuardedAutomaton:
+    """Translate NNF formulas into one transition-based generalised Büchi
+    automaton whose states are obligation sets, with one initial state per
+    root.
 
-    The start state is the formula's own mask.  The state of an obligation
-    mask has one edge per completion ``(now, nxt)`` of it, to the state of
-    ``nxt``: its guard is the literals of ``now``, and its marks have bit
-    ``k`` set when the ``k``-th Until in preorder is not in ``now`` or its
-    right operand is.  Parallel edges with one guard and one target are
-    merged, their marks OR-ed.  States are numbered as they are first
-    reached, breadth first, each row's completions taken in ascending
-    (now, nxt) order; a merged edge keeps its first completion's place.
-    ``cover`` recurses once per pending subformula, so a node with more of
-    them than the recursion limit allows raises ``TooWideError``.
+    The roots share one index of their distinct subformulas (preorder of
+    first occurrence, root 0's first), one decomposition memo, one literal
+    table and one list of Untils, so an obligation set that several roots
+    reach is one state.  ``initial[k]`` is the state of root ``k``'s own
+    mask.  The state of an obligation mask has one edge per completion
+    ``(now, nxt)`` of it, to the state of ``nxt``: its guard is the
+    literals of ``now``, and its marks have bit ``k`` set when the ``k``-th
+    Until in preorder is not in ``now`` or its right operand is.  Parallel
+    edges with one guard and one target are merged, their marks OR-ed.
+    States are numbered as they are first reached, breadth first from root
+    0 and then from each later root over the states not yet reached, each
+    row's completions taken in ascending (now, nxt) order; a merged edge
+    keeps its first completion's place.  So the part reachable from root 0
+    is root 0's own automaton, edge for edge, up to the wider literal table
+    and the marks of the later roots' own Untils, which it never holds and
+    so always sets.  ``cover`` recurses once per pending subformula, so a
+    node with more of them than the recursion limit allows raises
+    ``TooWideError``.
     """
-    forms, position = _index(f)
+    forms, position = _index(roots)
     dec = _Decomposer(forms, position)
     literals = literal_order({lit for lit, _ in dec.tests.values()})
     bit = {lit: 1 << i for i, lit in enumerate(literals)}
@@ -168,31 +183,40 @@ def ltl_to_nba(f: Formula, signed: bool) -> GuardedAutomaton:
         result = labels[now] = (require, forbid, marks)
         return result
 
-    start = 1 << position[f]
-    ids = {start: 0}
-    order = [start]
+    ids: dict[int, int] = {}
+    order: list[int] = []
+    initial: list[int] = []
     transitions: dict[int, list[Edge]] = {}
-    for uid, obligations in enumerate(order):  # order grows as states are reached
-        try:
-            leaves = sorted(dec.cover(obligations))
-        except RecursionError:
-            raise TooWideError(f"a tableau node has too many pending subformulas to expand "
-                               f"within the recursion limit of {sys.getrecursionlimit()}") from None
-        row: dict[tuple[int, int, int], int] = {}
-        for now, nxt in leaves:
-            dst = ids.get(nxt)
-            if dst is None:
-                dst = ids[nxt] = len(order)
-                order.append(nxt)
-            require, forbid, marks = labels.get(now) or label(now)
-            key = (require, forbid, dst)
-            row[key] = row.get(key, 0) | marks
-        transitions[uid] = [(require, forbid, marks, dst)
-                            for (require, forbid, dst), marks in row.items()]
+    uid = 0  # the next state to expand
+    for root in roots:
+        start = 1 << position[root]
+        if start not in ids:
+            ids[start] = len(order)
+            order.append(start)
+        initial.append(ids[start])
+        while uid < len(order):  # order grows as states are reached
+            try:
+                leaves = sorted(dec.cover(order[uid]))
+            except RecursionError:
+                raise TooWideError(
+                    f"a tableau node has too many pending subformulas to expand "
+                    f"within the recursion limit of {sys.getrecursionlimit()}") from None
+            row: dict[tuple[int, int, int], int] = {}
+            for now, nxt in leaves:
+                dst = ids.get(nxt)
+                if dst is None:
+                    dst = ids[nxt] = len(order)
+                    order.append(nxt)
+                require, forbid, marks = labels.get(now) or label(now)
+                key = (require, forbid, dst)
+                row[key] = row.get(key, 0) | marks
+            transitions[uid] = [(require, forbid, marks, dst)
+                                for (require, forbid, dst), marks in row.items()]
+            uid += 1
 
     return GuardedAutomaton(
         states=list(range(len(order))),
-        initial=frozenset({0}),
+        initial=tuple(initial),
         transitions=transitions,
         signed=signed,
         literals=literals,

@@ -197,7 +197,7 @@ def _load_config(args) -> dict:
     if args.config:
         try:
             config = json.loads(_read_text(args.config, "config"))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # nesting past the recursion limit
             raise Refusal(f"config error: {args.config}: {exc}")
         if not isinstance(config, dict):
             raise Refusal(f"config error: {args.config}: not a JSON object")

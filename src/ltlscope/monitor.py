@@ -8,6 +8,8 @@ states are flagged when the prefix, continued by empty events forever,
 satisfies the branch formula.  A prefix can still become forever-undefined
 exactly when neither branch is flagged, so the Moore product of the two
 flagged DFAs assigns one of the six verdicts to every reachable state.
+Either monitor runs its two branches through one front end: one tableau,
+one emptiness pass and one NFA quotient (``subset_dfas``).
 """
 
 from __future__ import annotations
@@ -28,28 +30,34 @@ from .formula import (MAX_NESTING, Formula, SLit, height, is_atom_name, is_liter
 from .visibility import EqClass, check_consistent, event_set, rendering_map
 
 
-def subset_dfa(f: Formula, signed: bool) -> DFA:
-    """Run one branch of the pipeline up to the subset construction: the
-    tableau's transition-based generalised NBA over obligation sets,
-    emptiness over its edge marks, NFA, its bisimulation quotient and DFA.
-    Guards stay int masks over the tableau's literal table until the DFA.
+def subset_dfas(roots: tuple[Formula, ...], signed: bool) -> tuple[DFA, ...]:
+    """Run a monitor's pipeline up to the subset construction: one front
+    end for all its roots, then one subset DFA per root.
 
-    A signed branch also flags the states from which the all-empty word is
-    accepted; the plain branch never reads flags and skips that check.  The
+    The front end is the roots' one tableau, a transition-based generalised
+    NBA over obligation sets with one initial state per root, one emptiness
+    pass over its edge marks, its NFA and one bisimulation quotient.  On a
+    signed monitor one more emptiness pass, over the edges an empty event
+    can take, flags the states from which the all-empty word is accepted;
+    a plain monitor never reads flags and skips it.  Guards stay int masks
+    over the tableau's literal table until the DFA.  Each root's subset
+    construction starts from its own quotient state and reads only what
+    that state reaches, so it gives the DFA the root would get alone.  The
     NBA is neither quotiented nor degeneralised: emptiness reads its marks
-    directly, and bisimilar NBA states have the same Büchi language, so the
-    NFA quotient merges them anyway.  Every stage is called through this
-    module's globals.
+    directly, and bisimilar NBA states have the same Büchi language, so
+    the NFA quotient merges them anyway.  Every stage is called through
+    this module's globals.
     """
-    nba = ltl_to_nba(f, signed)
+    nba = ltl_to_nba(roots, signed)
     if signed:
         nba.flagged = nonempty_states(empty_event_edges(nba))
-    return determinize(quotient_bisim(nba_to_nfa(nba, nonempty_states(nba))))
+    nfa = quotient_bisim(nba_to_nfa(nba, nonempty_states(nba)))
+    return tuple(determinize(nfa, root) for root in nfa.initial)
 
 
-def formula_to_dfa(f: Formula, signed: bool) -> DFA:
-    """One branch of the pipeline: the minimal DFA of ``subset_dfa``."""
-    return minimize(subset_dfa(f, signed))
+def minimal_dfas(roots: tuple[Formula, ...], signed: bool) -> tuple[DFA, ...]:
+    """A monitor's pipeline: the minimal DFA of each root's ``subset_dfas``."""
+    return tuple(minimize(dfa) for dfa in subset_dfas(roots, signed))
 
 
 @dataclass
@@ -128,8 +136,7 @@ def _check_height(f: Formula) -> None:
 @lru_cache(maxsize=4096)
 def _standard_machine(f: Formula) -> MooreMachine:
     _check_height(f)
-    sat, viol = nnf_pair(f)
-    return product2(formula_to_dfa(sat, signed=False), formula_to_dfa(viol, signed=False))
+    return product2(*minimal_dfas(nnf_pair(f), signed=False))
 
 
 def signed_triple(f: Formula, classes: Sequence[EqClass]) -> tuple[Formula, Formula]:
@@ -146,8 +153,7 @@ def signed_triple(f: Formula, classes: Sequence[EqClass]) -> tuple[Formula, Form
 @lru_cache(maxsize=4096)
 def _imperfect_machine(f: Formula, classes: tuple[EqClass, ...]) -> MooreMachine:
     _check_height(f)
-    sat, viol = signed_triple(f, classes)
-    return product3(formula_to_dfa(sat, signed=True), formula_to_dfa(viol, signed=True))
+    return product3(*minimal_dfas(signed_triple(f, classes), signed=True))
 
 
 def synthesize_standard(f: Formula) -> MonitorInstance:
@@ -271,7 +277,10 @@ def machine_to_json(monitor: MonitorInstance, formula_text: Optional[str] = None
 def machine_from_json(text: str) -> MonitorInstance:
     """Reload a machine written by ``machine_to_json``.  A file of another
     format, mode or shape raises ``ValueError`` with a one-line reason."""
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("machine file nests deeper than the recursion limit") from None
     found = payload.get("format") if isinstance(payload, dict) else None
     if found != MACHINE_FORMAT:
         raise ValueError(f"machine file format {found!r} is not {MACHINE_FORMAT}; "

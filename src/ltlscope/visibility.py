@@ -72,8 +72,30 @@ def derive_classes(alphabet: Iterable[str], relation: Iterable[tuple[str, str]])
     groups: dict[str, set[str]] = {}
     for a in alphabet:
         groups.setdefault(find(a), set()).add(a)
-    return tuple(sorted((EqClass(frozenset(g)) for g in groups.values()),
-                        key=lambda c: c.representative))
+    classes = tuple(sorted((EqClass(frozenset(g)) for g in groups.values()),
+                           key=lambda c: c.representative))
+    if len(classes) <= len(alphabet) - 2:  # else fewer than two classes have several members
+        witness_names(classes)
+    return classes
+
+
+def witness_names(classes: Iterable[EqClass]) -> dict[str, EqClass]:
+    """Each class with several members by its witness name.  Two classes
+    whose members run together into one witness name (``ab~c`` and ``a~bc``
+    are both ``[abc]``) raise ``ValueError``: a signed literal could not
+    tell them apart.  ``derive_classes``, ``VisibilitySpec`` and
+    ``rendering_map`` check every class structure that enters the library
+    here."""
+    out: dict[str, EqClass] = {}
+    for cls in classes:
+        if len(cls.members) > 1:
+            name = cls.witness_name
+            other = out.setdefault(name, cls)
+            if other.members != cls.members:
+                raise ValueError(f"classes {'~'.join(sorted(other.members))} and "
+                                 f"{'~'.join(sorted(cls.members))} share the witness "
+                                 f"name {name!r}")
+    return out
 
 
 def parse_classes(text: str, alphabet: Optional[Iterable[str]] = None) -> tuple[EqClass, ...]:
@@ -83,9 +105,7 @@ def parse_classes(text: str, alphabet: Optional[Iterable[str]] = None) -> tuple[
     otherwise the alphabet is the set of mentioned atoms.  Every name, in
     the groups and in the alphabet, must be one the formula grammar reads
     as an atom (``is_atom_name``); another raises ``ValueError``.  So do
-    two classes whose members run together into one witness name (``ab~c``
-    and ``a~bc`` are both ``[abc]``): a signed literal could not tell them
-    apart.
+    two classes that share a witness name (``witness_names``).
     """
     pairs: list[tuple[str, str]] = []
     mentioned: set[str] = set()
@@ -106,16 +126,7 @@ def parse_classes(text: str, alphabet: Optional[Iterable[str]] = None) -> tuple[
     missing = mentioned - full
     if missing:
         raise ValueError(f"classes mention atoms outside the alphabet: {sorted(missing)}")
-    classes = derive_classes(full, pairs)
-    witnessed: dict[str, EqClass] = {}
-    for cls in classes:
-        if not cls.is_singleton:
-            other = witnessed.setdefault(cls.witness_name, cls)
-            if other is not cls:
-                raise ValueError(f"classes {'~'.join(sorted(other.members))} and "
-                                 f"{'~'.join(sorted(cls.members))} share the witness "
-                                 f"name {cls.witness_name!r}")
-    return classes
+    return derive_classes(full, pairs)
 
 
 @dataclass(frozen=True)
@@ -135,6 +146,7 @@ class VisibilitySpec:
             covered |= cls.members
         if covered != self.alphabet:
             raise ValueError("classes do not partition the alphabet")
+        witness_names(self.classes)
         for cls in self.classes:
             if not cls.is_singleton and cls.canonical_id not in self.costs:
                 raise ValueError(f"missing cost for class {cls.canonical_id!r}")
@@ -154,11 +166,11 @@ class VisibilitySpec:
 
 def rendering_map(classes: Sequence[EqClass]) -> dict[str, str]:
     """Literal base name standing for each atom: itself for singletons, the
-    class witness otherwise."""
-    out: dict[str, str] = {}
-    for cls in classes:
-        for atom in cls.members:
-            out[atom] = atom if cls.is_singleton else cls.witness_name
+    class witness otherwise.  Two classes that share a witness name raise
+    ``ValueError`` (``witness_names``)."""
+    out = {atom: atom for cls in classes if cls.is_singleton for atom in cls.members}
+    for name, cls in witness_names(classes).items():
+        out.update(dict.fromkeys(cls.members, name))
     return out
 
 

@@ -180,7 +180,7 @@ def test_criterion_05_lemma1_counterexample():
     sv = visible_trace(explicit_trace(sigma, ("p", "q", "r")), classes, ())
     memberships = []
     for g in (sat, viol):
-        nba = ltl_to_nba(g, signed=True)
+        nba = ltl_to_nba((g,), signed=True)
         nfa = nba_to_nfa(nba, nonempty_states(nba))
         memberships.append(nfa.accepts_prefix(sv))
     ok = memberships == [False, False]

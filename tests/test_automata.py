@@ -20,7 +20,7 @@ from ltlscope.automata.pipeline import (coarsest_partition, consistent_count,
 from ltlscope.formula import (FALSE, TRUE, And, Atom, FalseConst, Lit, Next,
                               Not, Or, Release, SLit, TrueConst, Until,
                               negate_nnf, parse_formula, subformulas, to_nnf)
-from ltlscope.monitor import (formula_to_dfa, subset_dfa, synthesize_imperfect,
+from ltlscope.monitor import (minimal_dfas, subset_dfas, synthesize_imperfect,
                               synthesize_standard)
 from ltlscope.oracle.lasso import LassoWord, eval_lasso
 from ltlscope.oracle.verdict import signed_triple
@@ -113,12 +113,12 @@ def emptiness_oracle(nba: GuardedAutomaton) -> frozenset[int]:
 
 class TestTableau:
     def test_eventually_needs_a_witness(self):
-        nba = ltl_to_nba(to_nnf(parse_formula("F p")), signed=False)
+        nba = ltl_to_nba((to_nnf(parse_formula("F p")),), signed=False)
         assert lasso_accepted_by_nba(nba, (frozenset(),), (frozenset({"p"}),))
         assert not lasso_accepted_by_nba(nba, (), (frozenset(),))
 
     def test_signed_atom_checks_first_event(self):
-        nba = ltl_to_nba(Lit(SLit("p", True)), signed=True)
+        nba = ltl_to_nba((Lit(SLit("p", True)),), signed=True)
         yes = frozenset({SLit("p", True)})
         no = frozenset({SLit("p", False)})
         assert lasso_accepted_by_nba(nba, (yes,), (frozenset(),))
@@ -129,7 +129,7 @@ class TestTableau:
         """Exhaustive lasso agreement for the signed cut-warning property."""
         classes = derive_classes(("c", "s", "w"), [("c", "s")])
         sat, _, _ = signed_triple(parse_formula("F (c & X w)"), classes)
-        nba = ltl_to_nba(sat, signed=True)
+        nba = ltl_to_nba((sat,), signed=True)
         literals = [SLit("[cs]", True), SLit("[cs]", False), SLit("w", True), SLit("w", False)]
         events = [frozenset(), frozenset({literals[0]}), frozenset({literals[2]}),
                   frozenset({literals[0], literals[2]}), frozenset({literals[1], literals[3]})]
@@ -145,7 +145,7 @@ class TestTableau:
         events = plain_events(("p", "q"))
         for _ in range(30):
             f = to_nnf(random_formula(rng, rng.randint(1, 6), pool=("p", "q")))
-            nba = ltl_to_nba(f, signed=False)
+            nba = ltl_to_nba((f,), signed=False)
             for _ in range(20):
                 stem = tuple(rng.choice(events) for _ in range(rng.randint(0, 3)))
                 loop = tuple(rng.choice(events) for _ in range(rng.randint(1, 3)))
@@ -160,7 +160,7 @@ class StateBased(NamedTuple):
     sets of formulas."""
 
     states: list
-    initial: frozenset
+    initial: tuple
     transitions: dict  # state -> [((require, forbid), target)]
     acceptance: tuple
     nodes: tuple = ()
@@ -260,7 +260,7 @@ def reference_nba(f, signed: bool) -> StateBased:
 
     untils = sorted((g for g in order if isinstance(g, Until)), key=order.__getitem__)
     return StateBased(
-        states=list(range(len(nodes))), initial=frozenset({0}), transitions=edges,
+        states=list(range(len(nodes))), initial=(0,), transitions=edges,
         acceptance=tuple(frozenset(q for q, (now, _) in enumerate(nodes)
                                    if u not in now or u.right in now) for u in untils),
         nodes=tuple(nodes))
@@ -302,7 +302,7 @@ def projected(ref: StateBased, f, signed: bool) -> GuardedAutomaton:
             key = (*guard_masks(guard, literals), ids[target])
             row[key] = row.get(key, 0) | marks
         transitions[uid] = [(r, fb, m, d) for (r, fb, d), m in row.items()]
-    return GuardedAutomaton(states=list(range(len(states))), initial=frozenset({0}),
+    return GuardedAutomaton(states=list(range(len(states))), initial=(0,),
                             transitions=transitions, signed=signed, literals=literals,
                             acceptance=(1 << len(ref.acceptance)) - 1)
 
@@ -370,7 +370,7 @@ def degeneralised(nba: StateBased) -> StateBased:
                 seen.add((d, j))
                 frontier.append((d, j))
     return StateBased(
-        states=sorted(out_ids.values()), initial=frozenset({start}), transitions=transitions,
+        states=sorted(out_ids.values()), initial=(start,), transitions=transitions,
         acceptance=(frozenset(s for (b, i), s in out_ids.items()
                               if i == 0 and 0 in q_fulfils[b]),))
 
@@ -393,7 +393,7 @@ class TestTableauReference:
 
     @staticmethod
     def assert_same(f, signed):
-        got = ltl_to_nba(f, signed=signed)
+        got = ltl_to_nba((f,), signed=signed)
         want = projected(reference_nba(f, signed), f, signed)
         assert got.states == want.states, f
         assert got.initial == want.initial, f
@@ -415,22 +415,22 @@ class TestTableauReference:
 
 class TestEmptiness:
     def test_universal_language(self):
-        nba = ltl_to_nba(TRUE, signed=False)
+        nba = ltl_to_nba((TRUE,), signed=False)
         assert nonempty_states(nba) == frozenset(nba.states)
 
     def test_empty_language(self):
-        nba = ltl_to_nba(FALSE, signed=False)
+        nba = ltl_to_nba((FALSE,), signed=False)
         assert nonempty_states(nba) == frozenset()
 
     def test_matches_independent_oracle(self, rng):
         for _ in range(40):
             f = to_nnf(random_formula(rng, rng.randint(1, 7)))
-            nba = ltl_to_nba(f, signed=False)
+            nba = ltl_to_nba((f,), signed=False)
             assert nonempty_states(nba) == emptiness_oracle(nba)
 
     @pytest.mark.parametrize("text", ["G F p & F G !p", "F G !p & G F p", "G F p & G F q"])
     def test_every_acceptance_set_counts(self, text):
-        nba = ltl_to_nba(to_nnf(parse_formula(text)), signed=False)
+        nba = ltl_to_nba((to_nnf(parse_formula(text)),), signed=False)
         assert nba.acceptance == 0b11
         assert nonempty_states(nba) == emptiness_oracle(nba)
 
@@ -440,13 +440,13 @@ class TestEmptiness:
         sat, viol, und = signed_triple(
             parse_formula("F (g & (b1 | b2 | b3) & X mb)"), classes)
         for formula in (sat, viol, und):
-            nba = ltl_to_nba(formula, signed=True)
+            nba = ltl_to_nba((formula,), signed=True)
             assert nonempty_states(nba) == emptiness_oracle(nba)
 
 
 class TestNfa:
     def test_liveness_has_no_bad_prefix(self, rng):
-        nba = ltl_to_nba(to_nnf(parse_formula("F p")), signed=False)
+        nba = ltl_to_nba((to_nnf(parse_formula("F p")),), signed=False)
         nfa = nba_to_nfa(nba, nonempty_states(nba))
         for n in range(4):
             for word in all_words(plain_events(("p",)), n):
@@ -456,7 +456,7 @@ class TestNfa:
         f = to_nnf(parse_formula("G p"))
         classes = derive_classes(("p",), [])
         sat, _, _ = signed_triple(f, classes)
-        nba = ltl_to_nba(sat, signed=True)
+        nba = ltl_to_nba((sat,), signed=True)
         nfa = nba_to_nfa(nba, nonempty_states(nba))
         good = frozenset({SLit("p", True)})
         bad = frozenset()
@@ -470,7 +470,7 @@ class TestNfa:
         alphabet = ("b1", "b2", "b3", "c", "s", "a", "b", "g", "mb", "w")
         classes = derive_classes(alphabet, [("c", "s"), ("a", "b"), ("b", "g")])
         _, viol, _ = signed_triple(parse_formula("F (c & X w)"), classes)
-        nba = ltl_to_nba(viol, signed=True)
+        nba = ltl_to_nba((viol,), signed=True)
         nfa = nba_to_nfa(nba, nonempty_states(nba))
         sigma = [set(), {"g", "b1", "c"}, {"g", "c", "mb", "b2"}, {"c"}, {"w"}]
         sv = visible_trace(explicit_trace(sigma, alphabet), classes, ())
@@ -535,8 +535,8 @@ class TestDeterminize:
             f = to_nnf(random_formula(rng, rng.randint(1, 5), pool=("p", "q")))
             classes = derive_classes(("p", "q"), [("p", "q")] if rng.random() < 0.5 else [])
             sat, _, _ = signed_triple(f, classes)
-            nba = ltl_to_nba(sat, signed=True)
-            dfa = determinize(nba_to_nfa(nba, nonempty_states(nba)))
+            nba = ltl_to_nba((sat,), signed=True)
+            dfa = determinize_one(nba_to_nfa(nba, nonempty_states(nba)))
             names = {lit.name for q in dfa.states for lit in dfa.lits[q]} | {"zz"}
             for _ in range(20):
                 event = random_signed_event(rng, sorted(names))
@@ -548,22 +548,41 @@ class TestDeterminize:
         events = plain_events(("p", "q"))
         for _ in range(30):
             f = to_nnf(random_formula(rng, rng.randint(1, 6), pool=("p", "q")))
-            nba = ltl_to_nba(f, signed=False)
+            nba = ltl_to_nba((f,), signed=False)
             nfa = nba_to_nfa(nba, nonempty_states(nba))
-            dfa = determinize(nfa)
+            dfa = determinize_one(nfa)
             for n in range(0, 4):
                 for word in all_words(events, n):
                     assert nfa.accepts_prefix(word) == dfa.accepts_prefix(word)
 
     def test_empty_language_has_no_accepting_reachable(self):
-        nba = ltl_to_nba(FALSE, signed=False)
-        dfa = determinize(nba_to_nfa(nba, nonempty_states(nba)))
+        nba = ltl_to_nba((FALSE,), signed=False)
+        dfa = determinize_one(nba_to_nfa(nba, nonempty_states(nba)))
         assert dfa.accepting == frozenset()
 
 
+def determinize_one(nfa: GuardedAutomaton) -> DFA:
+    """The subset construction from the one root of ``nfa``."""
+    (root,) = nfa.initial
+    return determinize(nfa, root)
+
+
+def branch_subset_dfa(f, signed: bool) -> DFA:
+    """The subset DFA of one root alone, through the monitor's pipeline."""
+    (dfa,) = subset_dfas((f,), signed)
+    return dfa
+
+
+def branch_dfa(f, signed: bool) -> DFA:
+    """The minimal DFA of one root alone, through the monitor's pipeline."""
+    (dfa,) = minimal_dfas((f,), signed)
+    return dfa
+
+
 def quotient_nfa(f, signed: bool) -> GuardedAutomaton:
-    """The stages of ``subset_dfa`` before the subset construction."""
-    nba = ltl_to_nba(f, signed)
+    """The stages of ``subset_dfas`` before the subset construction, for one
+    root."""
+    nba = ltl_to_nba((f,), signed)
     if signed:
         nba.flagged = nonempty_states(empty_event_edges(nba))
     return quotient_bisim(nba_to_nfa(nba, nonempty_states(nba)))
@@ -632,8 +651,8 @@ class TestMinimize:
         events = plain_events(("p", "q"))
         for _ in range(30):
             f = to_nnf(random_formula(rng, rng.randint(1, 6), pool=("p", "q")))
-            nba = ltl_to_nba(f, signed=False)
-            dfa = determinize(nba_to_nfa(nba, nonempty_states(nba)))
+            nba = ltl_to_nba((f,), signed=False)
+            dfa = determinize_one(nba_to_nfa(nba, nonempty_states(nba)))
             small = minimize(dfa)
             assert len(small.states) <= len(dfa.states)
             for n in range(0, 5):
@@ -641,7 +660,7 @@ class TestMinimize:
                     assert dfa.accepts_prefix(word) == small.accepts_prefix(word)
 
     def test_minimal_input_is_stable(self):
-        dfa = formula_to_dfa(to_nnf(parse_formula("F p")), signed=False)
+        dfa = branch_dfa(to_nnf(parse_formula("F p")), signed=False)
         again = minimize(dfa)
         assert len(again.states) == len(dfa.states)
 
@@ -704,7 +723,7 @@ class TestMinimize:
             sat, viol, _ = signed_triple(f, randgen.random_partition(rng, pool))
             for branch, signed in ((to_nnf(f), False), (negate_nnf(f), False),
                                    (sat, True), (viol, True)):
-                dfa = subset_dfa(branch, signed)
+                dfa = branch_subset_dfa(branch, signed)
                 assert dfa_fields(minimize(dfa)) == dfa_fields(reference_minimize(dfa)), branch
 
     def test_wide_signed_alphabet_is_minimised(self):
@@ -717,7 +736,7 @@ class TestMinimize:
         _, viol, _ = signed_triple(f, classes)
         dfa = uncollapsed_determinize(quotient_nfa(viol, signed=True))
         assert (len(dfa.states), len(minimize(dfa).states)) == (162, 82)
-        assert len(subset_dfa(viol, signed=True).states) == 82
+        assert len(branch_subset_dfa(viol, signed=True).states) == 82
         assert len(synthesize_imperfect(f, classes).machine.outputs) == 99
 
 
@@ -801,7 +820,7 @@ def rebuilt_quotient(aut: GuardedAutomaton, block: dict) -> GuardedAutomaton:
     for q in aut.states:
         rep.setdefault(block[q], q)
     return GuardedAutomaton(
-        states=sorted(rep), initial=frozenset(block[q] for q in aut.initial),
+        states=sorted(rep), initial=tuple(block[q] for q in aut.initial),
         transitions={b: [(require, forbid, 0, dst) for require, forbid, dst in sorted(
             {(require, forbid, block[dst]) for require, forbid, _, dst in aut.transitions.get(q, ())})]
             for b, q in rep.items()},
@@ -848,7 +867,7 @@ class TestUnmergedStages:
             sat, viol, _ = signed_triple(f, randgen.random_partition(rng, pool))
             for branch, signed in ((to_nnf(f), False), (negate_nnf(f), False),
                                    (sat, True), (viol, True)):
-                nba = ltl_to_nba(branch, signed)
+                nba = ltl_to_nba((branch,), signed)
                 if signed:
                     nba.flagged = nonempty_states(empty_event_edges(nba))
                 nfa = nba_to_nfa(nba, nonempty_states(nba))
@@ -859,8 +878,9 @@ class TestUnmergedStages:
                     rebuilt = rebuilt_quotient(nfa, identity)
                     assert quotient.transitions is nfa.transitions
                     assert nfa_fields(quotient) == nfa_fields(rebuilt), branch
-                    assert dfa_fields(determinize(quotient)) == dfa_fields(determinize(rebuilt))
-                dfa = determinize(quotient)
+                    assert (dfa_fields(determinize_one(quotient))
+                            == dfa_fields(determinize_one(rebuilt)))
+                dfa = determinize_one(quotient)
                 small = minimize(dfa)
                 assert small is not dfa
                 if len(small.states) == len(dfa.states):
@@ -870,7 +890,7 @@ class TestUnmergedStages:
         assert min(unmerged) > 100, unmerged
 
     def test_minimize_returns_a_new_dfa(self):
-        dfa = formula_to_dfa(to_nnf(parse_formula("F p")), signed=False)
+        dfa = branch_dfa(to_nnf(parse_formula("F p")), signed=False)
         again = minimize(dfa)
         assert again is not dfa and dfa_fields(again) == dfa_fields(dfa)
 
@@ -878,7 +898,7 @@ class TestUnmergedStages:
 class TestFlags:
     def test_quotient_keeps_flagged_states_apart(self):
         """Two bisimilar states, one flagged, stay two blocks."""
-        aut = GuardedAutomaton(states=[0, 1], initial=frozenset({0, 1}),
+        aut = GuardedAutomaton(states=[0, 1], initial=(0, 1),
                                transitions={0: [(0, 0, 0, 0)], 1: [(0, 0, 0, 1)]},
                                accepting=frozenset({0, 1}), signed=False,
                                flagged=frozenset({1}))
@@ -897,7 +917,7 @@ class TestFlags:
             f = random_formula(rng, rng.randint(1, 6), pool=names)
             classes = derive_classes(names, [names] if rng.random() < 0.5 else [])
             for branch in signed_triple(f, classes)[:2]:
-                dfa = (formula_to_dfa if minimized else subset_dfa)(branch, signed=True)
+                dfa = (branch_dfa if minimized else branch_subset_dfa)(branch, signed=True)
                 literals = sorted({lit.name for q in dfa.states for lit in dfa.lits[q]})
                 for _ in range(6):
                     prefix = tuple(random_signed_event(rng, literals)
@@ -932,9 +952,9 @@ class TestSingleQuotient:
         reference = self.reference_nfa(f, signed)
         uncollapsed = uncollapsed_determinize(quotient_nfa(f, signed))
         assert dfa_fields(uncollapsed) == dfa_fields(uncollapsed_determinize(reference)), f
-        assert len(subset_dfa(f, signed).states) <= len(uncollapsed.states), f
-        want = minimize(determinize(reference))
-        assert dfa_fields(formula_to_dfa(f, signed)) == dfa_fields(want), f
+        assert len(branch_subset_dfa(f, signed).states) <= len(uncollapsed.states), f
+        want = minimize(determinize_one(reference))
+        assert dfa_fields(branch_dfa(f, signed)) == dfa_fields(want), f
 
     def test_criterion_6_draws(self):
         for branch, signed in criterion_6_branches():
@@ -947,36 +967,49 @@ class TestSingleQuotient:
         self.assert_same(negate_nnf(f), False)
 
 
-def collapse_cases():
-    """(formula, signed) branches for the collapse checks: the criterion-6
-    draws, the rover properties' plain branches and their signed ones under
-    the case-study and the singleton classes, and the both-signs formula."""
-    yield from criterion_6_branches()
+def monitor_cases():
+    """(roots, signed) of both monitors of the criterion-6 draws and of the
+    rover properties under the case-study and the singleton classes, of
+    until chains of 2 to 7 operands and of the both-signs formula."""
+    branches = criterion_6_branches()
+    for (sat, signed), (viol, _) in zip(branches, branches):  # consecutive pairs
+        yield (sat, viol), signed
     vspec = casestudy.spec()
     for f in casestudy.formulas().values():
-        yield from ((to_nnf(f), False), (negate_nnf(f), False))
+        yield (to_nnf(f), negate_nnf(f)), False
         for classes in (vspec.classes, identity_classes(vspec.alphabet)):
-            sat, viol, _ = signed_triple(f, classes)
-            yield from ((sat, True), (viol, True))
+            yield signed_triple(f, classes)[:2], True
+    for operands in range(2, 8):
+        f = parse_formula(" U ".join("pqr"[k % 3] for k in range(operands)))
+        yield (to_nnf(f), negate_nnf(f)), False
+        yield signed_triple(f, derive_classes("pqr", [("p", "q")]))[:2], True
     f, classes = both_signs_example()
-    sat, viol, _ = signed_triple(f, classes)
-    yield from ((to_nnf(f), False), (negate_nnf(f), False), (sat, True), (viol, True))
+    yield (to_nnf(f), negate_nnf(f)), False
+    yield signed_triple(f, classes)[:2], True
+
+
+def collapse_cases():
+    """(formula, signed) branches for the collapse checks: each root of
+    ``monitor_cases``."""
+    for roots, signed in monitor_cases():
+        for root in roots:
+            yield root, signed
 
 
 class TestUniversalCollapse:
-    """The subset construction replaces every subset that holds a universal
+    """The subset construction makes every subset that holds a universal
     NFA state (accepting, flagged on the signed branch, with a ``true``
-    loop) by that state's singleton.  No minimal DFA changes: it equals the
-    minimisation of the construction without the collapse in states,
-    initial state, acceptance, flags and rows, except that a state that
-    maps to itself may now read no literal."""
+    loop) one state, which takes every event.  No minimal DFA changes: it
+    equals the minimisation of the construction without the collapse in
+    states, initial state, acceptance, flags and rows, except that a state
+    that maps to itself may now read no literal."""
 
     def test_minimal_dfas_are_unchanged(self):
         collapsed = shrunk = 0
         for f, signed in collapse_cases():
             nfa = quotient_nfa(f, signed)
             plain = uncollapsed_determinize(nfa)
-            want, got = minimize(plain), formula_to_dfa(f, signed)
+            want, got = minimize(plain), branch_dfa(f, signed)
             assert (got.states, got.initial, got.accepting, got.flagged) == \
                 (want.states, want.initial, want.accepting, want.flagged), f
             for q in got.states:
@@ -984,13 +1017,13 @@ class TestUniversalCollapse:
                     assert set(want.table[q].values()) == {q}, (f, q)
                     assert (got.lits[q], got.table[q]) == ((), {0: q}), (f, q)
                     collapsed += 1
-            shrunk += len(determinize(nfa).states) < len(plain.states)
+            shrunk += len(determinize_one(nfa).states) < len(plain.states)
         assert collapsed > 100 and shrunk > 100, (collapsed, shrunk)
 
     def test_plain_eventually_is_universal(self):
         """``{F p}`` is accepting and its ``true`` loop stays in it: the
         subset DFA of ``F p`` is one state that takes every event."""
-        dfa = subset_dfa(to_nnf(parse_formula("F p")), signed=False)
+        dfa = branch_subset_dfa(to_nnf(parse_formula("F p")), signed=False)
         assert dfa_fields(dfa) == ([0], 0, {0: ()}, {0: {0: 0}}, frozenset({0}), frozenset())
 
     def test_signed_eventually_is_not_flagged(self):
@@ -999,7 +1032,7 @@ class TestUniversalCollapse:
         not universal.  Its subset DFA reads ``p=1`` and is flagged only
         once ``p=1`` was seen."""
         sat, viol, _ = signed_triple(parse_formula("F p"), derive_classes(("p",), []))
-        dfa = subset_dfa(sat, signed=True)
+        dfa = branch_subset_dfa(sat, signed=True)
         pos = SLit("p", True)
         assert pos in dfa.lits[dfa.initial]
         assert dfa.initial in dfa.accepting and dfa.initial not in dfa.flagged
@@ -1014,9 +1047,49 @@ class TestUniversalCollapse:
         f = parse_formula("F (p & !p) | X q")
         assert synthesize_standard(f).run([frozenset(), frozenset({"q"})]) == Verdict.TRUE
         assert synthesize_standard(f).run([frozenset(), frozenset()]) == Verdict.FALSE
-        dfa = subset_dfa(to_nnf(f), signed=False)
+        dfa = branch_subset_dfa(to_nnf(f), signed=False)
         assert dfa.accepts_prefix([frozenset(), frozenset({"q"})])
         assert not dfa.accepts_prefix([frozenset(), frozenset()])
+
+
+def decoded_edges(aut: GuardedAutomaton, q: int, acceptance: int) -> list:
+    """A state's edges with their guards as sets of literals and only the
+    marks within ``acceptance``."""
+    return [(*guard_sets(aut, require, forbid), marks & acceptance, dst)
+            for require, forbid, marks, dst in aut.transitions[q]]
+
+
+class TestSharedFrontEnd:
+    """A monitor's two roots share one tableau, one emptiness pass, one flag
+    pass and one NFA quotient, and still each root's subset DFA and minimal
+    DFA equal, field for field, those the root gets through the pipeline
+    alone."""
+
+    def test_each_root_gets_its_own_dfas(self):
+        shared = 0
+        for roots, signed in monitor_cases():
+            for k, (subset, small) in enumerate(zip(subset_dfas(roots, signed),
+                                                    minimal_dfas(roots, signed))):
+                assert dfa_fields(subset) == dfa_fields(branch_subset_dfa(roots[k], signed)), roots
+                assert dfa_fields(small) == dfa_fields(branch_dfa(roots[k], signed)), roots
+            nba = ltl_to_nba(roots, signed)
+            alone = sum(len(ltl_to_nba((root,), signed).states) for root in roots)
+            shared += len(nba.states) < alone
+        assert shared > 100, shared
+
+    def test_root_0_part_is_the_one_root_tableau(self):
+        """States are numbered breadth first from root 0 before root 1, so
+        the states root 0 reaches come first and, with guards read as sets
+        of literals and marks within its own Untils, carry its one-root
+        tableau's edges.  Its edges set the mark of every Until that only
+        root 1 holds."""
+        for roots, signed in monitor_cases():
+            nba, alone = ltl_to_nba(roots, signed), ltl_to_nba(roots[:1], signed)
+            assert nba.initial[0] == 0 and len(nba.initial) == 2, roots
+            own, later = alone.acceptance, nba.acceptance & ~alone.acceptance
+            for q in alone.states:
+                assert decoded_edges(nba, q, own) == decoded_edges(alone, q, own), roots
+                assert all(marks & later == later for _, _, marks, _ in nba.transitions[q])
 
 
 class TestProducts:
@@ -1172,6 +1245,19 @@ def row_pair_cases():
                    random_rows_dfa(rng, "pq", signed, 0.0))
 
 
+def same_literal_cases():
+    """(label, a, b) component pairs over one state set whose states read the
+    same literal tuples, with rows of their own: signed ones may read both
+    signs of a name, so only the consistent masks are keys."""
+    rng = random.Random(20261021)
+    for k in range(60):
+        for signed in (False, True):
+            a = random_rows_dfa(rng, "pqr", signed, 0.0)
+            b = replace(a, table={q: {bits: rng.randrange(len(a.states)) for bits in row}
+                                  for q, row in a.table.items()})
+            yield f"same literals {'signed' if signed else 'plain'} {k}", a, b
+
+
 class TestProductJoin:
     """The product joins the component rows on shared names; the union walk
     it replaced is kept here as ``reference_product``."""
@@ -1183,11 +1269,24 @@ class TestProductJoin:
             assert product2(a, b).outputs == reference_product(
                 a, b, lambda s, v: classify2(True, True)), label
 
+    def test_rows_over_one_literal_tuple_are_zipped(self):
+        """Two rows over one literal tuple map the same consistent masks, so
+        their successor pairs are the rows zipped mask by mask."""
+        zipped = 0
+        for label, a, b in same_literal_cases():
+            outputs = product2(a, b).outputs
+            assert outputs == reference_product(
+                a, b, lambda s, v: classify2(True, True)), label
+            zipped += sum(1 for s, v in outputs
+                          if a.lits[s] == b.lits[v] and len(set(a.table[s].values())) > 1
+                          and len(set(b.table[v].values())) > 1)
+        assert zipped > 100, zipped
+
     @staticmethod
     def components(f, classes):
         sat, viol, _ = signed_triple(f, classes)
-        return ((formula_to_dfa(to_nnf(f), signed=False), formula_to_dfa(negate_nnf(f), signed=False)),
-                (formula_to_dfa(sat, signed=True), formula_to_dfa(viol, signed=True)))
+        return ((branch_dfa(to_nnf(f), signed=False), branch_dfa(negate_nnf(f), signed=False)),
+                (branch_dfa(sat, signed=True), branch_dfa(viol, signed=True)))
 
     def test_outputs_match_the_union_walk(self):
         for label, f, classes in product_cases():
@@ -1230,7 +1329,7 @@ class TestLemma1:
         sv = visible_trace(explicit_trace(sigma, ("p", "q", "r")), classes, ())
         assert sv[1] == frozenset({SLit("r", False)})
         for formula in (sat, viol):
-            nba = ltl_to_nba(formula, signed=True)
+            nba = ltl_to_nba((formula,), signed=True)
             nfa = nba_to_nfa(nba, nonempty_states(nba))
             assert not nfa.accepts_prefix(sv)
 
@@ -1241,9 +1340,9 @@ class TestDot:
         m = synthesize_imperfect(Atom("p"), classes)
         dot = moore_to_dot(m.machine)
         assert dot.startswith("digraph") and "?" in dot
-        nba = ltl_to_nba(to_nnf(parse_formula("F p")), signed=False)
+        nba = ltl_to_nba((to_nnf(parse_formula("F p")),), signed=False)
         assert "doublecircle" in automaton_to_dot(nba_to_nfa(nba, nonempty_states(nba)))
-        dfa = formula_to_dfa(to_nnf(parse_formula("F p")), signed=False)
+        dfa = branch_dfa(to_nnf(parse_formula("F p")), signed=False)
         assert "digraph" in automaton_to_dot(dfa)
 
 
@@ -1253,10 +1352,10 @@ class TestDotLabels:
     for a guard that reads nothing."""
 
     def test_plain_guards(self):
-        dot = automaton_to_dot(ltl_to_nba(to_nnf(parse_formula("F p")), signed=False))
+        dot = automaton_to_dot(ltl_to_nba((to_nnf(parse_formula("F p")),), signed=False))
         assert '  q0 -> q0 [label="true"];' in dot
         assert '  q0 -> q1 [label="p"];' in dot
-        forbid_only = automaton_to_dot(ltl_to_nba(to_nnf(parse_formula("G !p")), signed=False))
+        forbid_only = automaton_to_dot(ltl_to_nba((to_nnf(parse_formula("G !p")),), signed=False))
         assert '  q0 -> q0 [label="!p"];' in forbid_only
 
     def test_class_witness_guards(self):

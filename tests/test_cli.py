@@ -200,6 +200,15 @@ class TestUserErrors:
                                  "--config", str(config)])
         assert message.startswith("config error: ")
 
+    @pytest.mark.parametrize("option, what", [("--config", "config"), ("--machine", "machine")])
+    def test_deeply_nested_json_file(self, trace_file, tmp_path, option, what):
+        """JSON nested past the recursion limit is refused, not a traceback."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        message = one_line_exit(["verify", "-f", "F p", "--trace", trace_file,
+                                 option, str(path)])
+        assert message.startswith(f"{what} error: ")
+
     @pytest.mark.parametrize("token", ["1bad", "p-q", "true", "X"])
     def test_plain_token_that_is_no_atom_name(self, tmp_path, token):
         """Trace atoms follow the formula grammar's atom names."""

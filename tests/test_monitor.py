@@ -328,7 +328,7 @@ class TestMembershipEquivalence:
             monitor = synthesize_imperfect(f, classes)
             nfas = []
             for g in signed_triple(f, classes):
-                nba = ltl_to_nba(g, signed=True)
+                nba = ltl_to_nba((g,), signed=True)
                 nfas.append(nba_to_nfa(nba, nonempty_states(nba)))
             trace = random_plain_trace(rng, rng.randint(0, 5), pool)
             sv = visible_trace(explicit_trace(trace, pool), classes, ())
@@ -623,17 +623,32 @@ class TestSlowDraw:
             _check_every_prefix(f, classes, visible)
 
 
-def test_imperfect_machine_builds_two_dfas(monkeypatch):
-    """The six-valued monitor needs only the satisfaction and violation
-    DFAs; no forever-undefined automaton is synthesised."""
-    built = []
-    determinize = monitor_module.determinize
-    monkeypatch.setattr(monitor_module, "determinize",
-                        lambda nfa: built.append(nfa) or determinize(nfa))
+# The pipeline stages ``monitor`` calls through its globals, by the names
+# the benchmark's tracer wraps.
+STAGES = ("ltl_to_nba", "nonempty_states", "quotient_bisim", "determinize", "minimize",
+          "signed_triple")
+
+
+@pytest.mark.parametrize("mode", ["standard", "imperfect"])
+def test_one_front_end_per_monitor(monkeypatch, mode):
+    """Both branches of a monitor share one tableau, one emptiness pass (and
+    one flag pass when signed) and one NFA quotient; the subset
+    construction and minimisation run once per branch.  The six-valued
+    monitor needs only the satisfaction and violation DFAs: no
+    forever-undefined automaton is synthesised."""
+    calls = dict.fromkeys(STAGES, 0)
+    for name in STAGES:
+        def counted(*args, _stage=getattr(monitor_module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _stage(*args, **kwargs)
+        monkeypatch.setattr(monitor_module, name, counted)
     clear_machine_caches()
-    m = synthesize_imperfect(parse_formula(PROPS["phi2"]), CLASSES)
-    assert len(built) == 2
-    assert len(m.machine.components) == 2
+    f = parse_formula(PROPS["phi2"])
+    signed = mode == "imperfect"
+    m = synthesize_imperfect(f, CLASSES) if signed else synthesize_standard(f)
+    assert m.mode == mode and len(m.machine.components) == 2
+    assert calls == {"ltl_to_nba": 1, "nonempty_states": 1 + signed, "quotient_bisim": 1,
+                     "determinize": 2, "minimize": 2, "signed_triple": int(signed)}
 
 
 class TestWideFormulas:
@@ -643,7 +658,7 @@ class TestWideFormulas:
 
     def test_tableau_refuses_a_node_past_the_recursion_limit(self):
         with pytest.raises(TooWideError, match="recursion limit"):
-            ltl_to_nba(balanced_conjunction(1200), signed=False)
+            ltl_to_nba((balanced_conjunction(1200),), signed=False)
 
     @pytest.mark.parametrize("entry, count, reason", [
         ("standard", 1200, "recursion limit"), ("standard", 300, "reads 300 literals"),

@@ -221,6 +221,32 @@ alphabet_texts = st.one_of(
     st.text(alphabet="pqrs, ~;é", max_size=10))
 
 
+# --config documents: a valid config with up to three keys, known or not,
+# set to any JSON value and up to two known keys dropped, or any JSON value.
+config_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(min_value=-3, max_value=5),
+              st.integers(min_value=-10 ** 30, max_value=10 ** 30), st.floats(),
+              st.sampled_from(("metric0", "metric3", "pq", "")),
+              st.text(alphabet="pq=1é", max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(("pq", "pqr", "zz", "")), inner,
+                                            max_size=3)),
+    max_leaves=5)
+VALID_CONFIG = {"metric": st.sampled_from(("metric0", "metric1", "metric2")),
+                "costs": st.fixed_dictionaries({"pq": st.integers(min_value=0, max_value=3)}),
+                "bound": st.integers(min_value=0, max_value=3),
+                "window": st.integers(min_value=1, max_value=3),
+                "seed": st.integers(min_value=-3, max_value=3)}
+config_docs = st.one_of(
+    st.builds(lambda valid, edits, dropped: {key: value for key, value in {**valid, **edits}.items()
+                                             if key not in dropped},
+              st.fixed_dictionaries(VALID_CONFIG),
+              st.dictionaries(st.sampled_from((*VALID_CONFIG, "extra", "Bound")), config_values,
+                              max_size=3),
+              st.sets(st.sampled_from(tuple(VALID_CONFIG)), max_size=2)),
+    config_values)
+
+
 def run_cli(argv) -> tuple[int, str, str]:
     """The status, stdout and stderr of one command-line run."""
     out, err = io.StringIO(), io.StringIO()
@@ -251,6 +277,25 @@ class TestCommandLineFuzz:
             if costs is not None:
                 argv.append(f"--costs={costs}")
             code, out, err = run_cli(argv)
+        if code == 0:
+            assert json.loads(out)["final"] and not err
+        else:
+            assert_one_line_refusal(code, err)
+
+    @given(st.sampled_from(("standard", "imperfect", "active", "reactive")), config_docs)
+    @settings(max_examples=300, deadline=None)
+    def test_config_file_runs_or_refuses_with_one_line(self, mode, config):
+        """``verify --config`` either runs (status 0) or refuses with status
+        2 and one line on stderr, whatever JSON the file holds."""
+        with tempfile.TemporaryDirectory() as tmp:
+            trace, config_path = os.path.join(tmp, "t.txt"), os.path.join(tmp, "c.json")
+            with open(trace, "w", encoding="utf-8") as fh:
+                fh.write("p\nq\n")
+            with open(config_path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            code, out, err = run_cli(["verify", "-f", "F (p & X q)", "--trace", trace,
+                                      "--mode", mode, "--classes", "p~q", "--config", config_path,
+                                      "--omit-timing"])
         if code == 0:
             assert json.loads(out)["final"] and not err
         else:

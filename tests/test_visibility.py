@@ -2,7 +2,7 @@
 
 import pytest
 
-from ltlscope.formula import SLit, is_literal_name
+from ltlscope.formula import SLit, is_literal_name, parse_formula
 from ltlscope.visibility import (EqClass, VisibilitySpec, check_consistent,
                                  derive_classes, expand_witnesses,
                                  explicit_trace, identity_classes,
@@ -72,6 +72,10 @@ class TestDeriveClasses:
         """``ab~c`` and ``a~bc`` would both render as ``[abc]``."""
         with pytest.raises(ValueError, match=r"a~bc and ab~c share the witness name '\[abc\]'"):
             parse_classes("ab~c; a~bc")
+
+    def test_derived_classes_sharing_a_witness_name_are_refused(self):
+        with pytest.raises(ValueError, match=r"a~bc and ab~c share the witness name '\[abc\]'"):
+            derive_classes(("ab", "c", "a", "bc"), [("ab", "c"), ("a", "bc")])
 
     def test_parse_classes_syntax(self):
         classes = parse_classes("c~s; a~b~g", ALPHABET)
@@ -212,3 +216,33 @@ class TestVisibilitySpec:
         classes = identity_classes(("b", "a"))
         assert [c.canonical_id for c in classes] == ["a", "b"]
         assert rendering_map(classes) == {"a": "a", "b": "b"}
+
+
+# Two classes built directly, not derived, whose members run together into
+# one witness name: every way classes enter the library refuses them.
+COLLIDING = (EqClass(frozenset({"a", "bc"})), EqClass(frozenset({"ab", "c"})))
+SHARED_NAME = r"a~bc and ab~c share the witness name '\[abc\]'"
+
+
+class TestSharedWitnessNames:
+    def test_rendering_map(self):
+        with pytest.raises(ValueError, match=SHARED_NAME):
+            rendering_map(COLLIDING)
+
+    def test_synthesize_imperfect(self):
+        from ltlscope.monitor import synthesize_imperfect
+        with pytest.raises(ValueError, match=SHARED_NAME):
+            synthesize_imperfect(parse_formula("F (a & X c)"), COLLIDING)
+
+    def test_visibility_spec(self):
+        with pytest.raises(ValueError, match=SHARED_NAME):
+            VisibilitySpec(alphabet=frozenset({"a", "ab", "bc", "c"}), classes=COLLIDING,
+                           costs={"abc": 1}, bound=1)
+
+    def test_session(self):
+        from ltlscope.rational import RationalConfig, active_monitor
+        with pytest.raises(ValueError, match=SHARED_NAME):
+            active_monitor([{"a"}], parse_formula("F (a & X c)"),
+                           VisibilitySpec(alphabet=frozenset({"a", "ab", "bc", "c"}),
+                                          classes=COLLIDING, costs={"abc": 1}, bound=1),
+                           RationalConfig(bound=1))

@@ -88,11 +88,10 @@ def read_plain_trace(path: str,
     return events
 
 
-def read_signed_trace(path: str,
-                      names: Optional[frozenset[str]] = None) -> list[frozenset[SLit]]:
+def read_signed_trace(path: str, names: frozenset[str]) -> list[frozenset[SLit]]:
     """One event per line of ``name=1`` / ``[group]=0`` tokens.  A bad token,
     a literal whose name is neither an atom name nor a class witness name
-    (``is_literal_name``), or with ``names`` a literal of another name, is
+    (``is_literal_name``), or a literal of a name outside ``names``, is
     refused with its line; an event holding both signs of a name raises
     ``ValueError`` with its line.  Equal events are one object, as in
     ``read_plain_trace``."""
@@ -110,7 +109,7 @@ def read_signed_trace(path: str,
         if bad:
             raise Refusal(f"{path}:{i + 1}: {bad[0]!r} is neither an atom name "
                           "nor a class witness name")
-        stray = [] if names is None else sorted(l.name for l in event if l.name not in names)
+        stray = sorted(l.name for l in event if l.name not in names)
         if stray:
             raise Refusal(f"{path}:{i + 1}: {stray[0]!r} is neither a singleton atom "
                           "nor a class witness")
@@ -259,8 +258,7 @@ def cmd_verify(args) -> int:
     classes = _classes_arg(args)
 
     signed_input = trace_is_signed(args.trace)
-    steps: list[dict] = []
-    broken_per_window: list[list[str]] = []
+    session: Optional[ActiveSession | ReactiveSession] = None
 
     if mode in ("active", "reactive"):
         if formula is None:
@@ -275,7 +273,7 @@ def cmd_verify(args) -> int:
             raise Refusal("active/reactive modes need --bound")
         if mode == "reactive" and cfg.get("window") is None:
             raise Refusal("reactive mode needs --window")
-        trace = read_plain_trace(args.trace, _alphabet_of(classes))
+        events: list = read_plain_trace(args.trace, _alphabet_of(classes))
         if not isinstance(cfg["costs"], dict):
             raise Refusal("config error: costs must map class ids to integers")
         # The spec and the config check their own values; the session's
@@ -289,19 +287,7 @@ def cmd_verify(args) -> int:
             raise Refusal(f"config error: {exc}")
         session = (ActiveSession if mode == "active" else ReactiveSession)(formula, vspec, rcfg)
         t_synth1 = time.perf_counter()
-        t_run0 = time.perf_counter()
-        for event in trace:
-            session.step(event)
-        result = session.result()
-        t_run1 = time.perf_counter()
-        final = result.final
-        for i, (event, verdict) in enumerate(zip(result.visible_events, result.step_verdicts)):
-            steps.append({"index": i, "event": event_to_json(event),
-                          "verdict": verdict.value})
-        broken_per_window = [sorted(b) for b in result.broken_per_window]
-        allocations = [{"payoffs": dict(a.payoffs), "broken": sorted(a.selection)}
-                       for a in result.allocations]
-        n_events = len(trace)
+        step = session.step
     else:
         if monitor is None:
             if mode == "standard":
@@ -314,7 +300,7 @@ def cmd_verify(args) -> int:
         if mode == "standard":
             if signed_input:
                 raise Refusal("standard mode consumes plain traces")
-            events: list = read_plain_trace(args.trace)
+            events = read_plain_trace(args.trace)
         else:
             if signed_input:
                 # Without --classes the monitor is a machine file's.
@@ -334,32 +320,36 @@ def cmd_verify(args) -> int:
                 view = dict(zip(distinct, visible_trace(explicit_trace(distinct, covered),
                                                         classes, ())))
                 events = [view[event] for event in plain]
-        t_run0 = time.perf_counter()
-        for i, event in enumerate(events):
-            try:
-                verdict = monitor.step(event)
-            except ValueError as exc:
-                raise Refusal(f"event {i}: {exc}")
-            steps.append({"index": i, "event": event_to_json(event),
-                          "verdict": verdict.value})
-        t_run1 = time.perf_counter()
-        final = monitor.verdict
-        n_events = len(events)
+        step = monitor.step
 
-    timing = {
-        "synthesis_ms": 0.0 if args.omit_timing else round((t_synth1 - t_synth0) * 1000.0, 3),
-        "verify_ms": 0.0 if args.omit_timing else round((t_run1 - t_run0) * 1000.0, 3),
-        "per_event_ns": 0.0 if args.omit_timing or not n_events
-        else round((t_run1 - t_run0) * 1e9 / n_events, 1),
+    t_run0 = time.perf_counter()
+    verdicts = []
+    for i, event in enumerate(events):
+        try:
+            verdicts.append(step(event))
+        except ValueError as exc:
+            raise Refusal(f"event {i}: {exc}")
+    t_run1 = time.perf_counter()
+
+    n_events = len(events)
+    report: dict = {
+        "final": (monitor if session is None else session).verdict.value,
+        "broken_per_window": [],
+        "timing": {
+            "synthesis_ms": 0.0 if args.omit_timing else round((t_synth1 - t_synth0) * 1000.0, 3),
+            "verify_ms": 0.0 if args.omit_timing else round((t_run1 - t_run0) * 1000.0, 3),
+            "per_event_ns": 0.0 if args.omit_timing or not n_events
+            else round((t_run1 - t_run0) * 1e9 / n_events, 1),
+        },
     }
-    report = {
-        "final": final.value,
-        "steps": steps,
-        "broken_per_window": broken_per_window,
-        "timing": timing,
-    }
-    if mode in ("active", "reactive"):
-        report["allocations"] = allocations
+    if session is not None:
+        result = session.result()
+        events = result.visible_events
+        report["broken_per_window"] = [sorted(b) for b in result.broken_per_window]
+        report["allocations"] = [{"payoffs": dict(a.payoffs), "broken": sorted(a.selection)}
+                                 for a in result.allocations]
+    report["steps"] = [{"index": i, "event": event_to_json(event), "verdict": verdict.value}
+                       for i, (event, verdict) in enumerate(zip(events, verdicts))]
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         _write_text(args.out, text, "output")

@@ -4,7 +4,8 @@ States are total truth assignments over the subformula closure that respect
 the boolean structure and the one-step expansion laws of Until and Release.
 This is a different construction family from the on-the-fly tableau used by
 the synthesis pipeline and shares no code with it, which is the point: the
-two paths disagreeing means one of them is broken.
+two paths disagreeing means one of them is broken.  ``live_states`` and
+``accepts_lasso`` decide liveness in one component pass (Couvreur, FM 1999).
 """
 
 from __future__ import annotations
@@ -165,24 +166,23 @@ def build_closure_automaton(f: Formula, signed: bool) -> ClosureAutomaton:
 
 def live_states(aut: ClosureAutomaton) -> frozenset[int]:
     """States from which some infinite generalised-accepting run exists."""
-    sccs = _sccs(aut.edges, len(aut.states))
-    good: set[int] = set()
-    for scc in sccs:
+    return _live(aut.edges, len(aut.states), aut.accept_sets)
+
+
+def _live(edges: dict[int, list[int]], n: int,
+          accept_sets: Sequence[frozenset[int]]) -> frozenset[int]:
+    """Nodes with a path to a cycle meeting every acceptance set.  ``_sccs``
+    emits a component after every one it reaches, so it is live when an edge
+    enters a live node, or when it has an internal edge and meets every set."""
+    live: set[int] = set()
+    for scc in _sccs(edges, n):
         members = set(scc)
-        if not any(dst in members for q in scc for dst in aut.edges.get(q, ())):
-            continue
-        if all(members & acc for acc in aut.accept_sets):
-            good |= members
-    changed = True
-    while changed:
-        changed = False
-        for q in range(len(aut.states)):
-            if q in good:
-                continue
-            if any(dst in good for dst in aut.edges.get(q, ())):
-                good.add(q)
-                changed = True
-    return frozenset(good)
+        out = [edges.get(q, ()) for q in scc]
+        if any(not live.isdisjoint(dsts) for dsts in out) or (
+                any(not members.isdisjoint(dsts) for dsts in out)
+                and all(members & acc for acc in accept_sets)):
+            live |= members
+    return frozenset(live)
 
 
 def _sccs(edges: dict[int, list[int]], n: int) -> list[list[int]]:
@@ -232,66 +232,39 @@ def _sccs(edges: dict[int, list[int]], n: int) -> list[list[int]]:
 
 
 def prefix_in_language(aut: ClosureAutomaton, prefix: Sequence[frozenset],
-                       live: Optional[frozenset[int]] = None) -> bool:
+                       live: frozenset[int]) -> bool:
     """Does the finite prefix extend to an infinite word of the language?"""
-    if live is None:
-        live = live_states(aut)
+    return not live.isdisjoint(_after(aut, prefix))
+
+
+def _after(aut: ClosureAutomaton, prefix: Sequence[frozenset]) -> set[int]:
+    """The states a run can be in after reading ``prefix``."""
     current = set(aut.initial)
     for event in prefix:
-        current = {q for q in current if aut.matches_event(q, event)}
-        if not current:
-            return False
-        current = {dst for q in current for dst in aut.edges.get(q, ())}
-    return bool(current & live)
+        current = {dst for q in current if aut.matches_event(q, event)
+                   for dst in aut.edges.get(q, ())}
+    return current
 
 
 def accepts_lasso(aut: ClosureAutomaton, stem: Sequence[frozenset],
                   loop: Sequence[frozenset]) -> bool:
     """Membership of the ultimately periodic word ``stem . loop^omega``."""
-    current = set(aut.initial)
-    for event in stem:
-        current = {q for q in current if aut.matches_event(q, event)}
-        current = {dst for q in current for dst in aut.edges.get(q, ())}
-        if not current:
-            return False
-
-    # Product of automaton states with loop positions; accepting lasso needed.
+    # Product of states with loop positions; the word is accepted when a root is live.
     k = len(loop)
-    prod_edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    seen: set[tuple[int, int]] = set()
-    work = [(q, 0) for q in current]
-    roots = list(work)
-    seen.update(work)
-    while work:
-        q, p = work.pop()
-        if not aut.matches_event(q, loop[p]):
-            prod_edges[(q, p)] = []
-            continue
-        succ = [(dst, (p + 1) % k) for dst in aut.edges.get(q, ())]
-        prod_edges[(q, p)] = succ
-        for s in succ:
-            if s not in seen:
-                seen.add(s)
-                work.append(s)
-
-    nodes = sorted(seen)
+    roots = _after(aut, stem)
+    nodes = [(q, 0) for q in roots]
     ids = {s: i for i, s in enumerate(nodes)}
-    int_edges = {ids[s]: [ids[d] for d in prod_edges.get(s, ())] for s in nodes}
-    sccs = _sccs(int_edges, len(nodes))
-    good: set[int] = set()
-    for scc in sccs:
-        members = set(scc)
-        if not any(dst in members for q in scc for dst in int_edges.get(q, ())):
-            continue
-        if all(any(nodes[m][0] in acc for m in members) for acc in aut.accept_sets):
-            good |= members
-    if not good:
-        return False
-    reach = {ids[r] for r in roots if r in ids}
-    frontier = set(reach)
-    while frontier:
-        if frontier & good:
-            return True
-        frontier = {d for q in frontier for d in int_edges.get(q, ())} - reach
-        reach |= frontier
-    return False
+    edges: dict[int, list[int]] = {}
+    for i, (q, p) in enumerate(nodes):  # nodes grows as successors are reached
+        if aut.matches_event(q, loop[p]):
+            out = edges[i] = []
+            for dst in aut.edges.get(q, ()):
+                s = (dst, (p + 1) % k)
+                if s not in ids:
+                    ids[s] = len(nodes)
+                    nodes.append(s)
+                out.append(ids[s])
+    accept_sets = [frozenset(j for j, s in enumerate(nodes) if s[0] in acc)
+                   for acc in aut.accept_sets]
+    live = _live(edges, len(nodes), accept_sets)
+    return not live.isdisjoint(range(len(roots)))

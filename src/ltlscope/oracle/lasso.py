@@ -103,43 +103,3 @@ def _fixpoint(word: LassoWord, left: list[bool], right: list[bool], least: bool)
             break
     return values
 
-
-def eval_unrolled(f: Formula, word: LassoWord, depth: int, pos: int = 0) -> bool:
-    """Naive recursive evaluation with bounded unrolling.
-
-    Exact on Until-free formulas whose Next nesting fits in ``depth``; used
-    purely as a second opinion on :func:`eval_lasso`.
-    """
-    if isinstance(f, TrueConst):
-        return True
-    if isinstance(f, FalseConst):
-        return False
-    if isinstance(f, (Atom, Lit)):
-        return _holds_leaf(f, word.event(pos))
-    if isinstance(f, Not):
-        return not eval_unrolled(f.operand, word, depth, pos)
-    if isinstance(f, And):
-        return eval_unrolled(f.left, word, depth, pos) and eval_unrolled(f.right, word, depth, pos)
-    if isinstance(f, Or):
-        return eval_unrolled(f.left, word, depth, pos) or eval_unrolled(f.right, word, depth, pos)
-    if isinstance(f, Implies):
-        return (not eval_unrolled(f.left, word, depth, pos)) or eval_unrolled(f.right, word, depth, pos)
-    if isinstance(f, Next):
-        return eval_unrolled(f.operand, word, depth, pos + 1)
-    if isinstance(f, (Until, Release, Eventually, Always)):
-        if depth <= 0:
-            return not isinstance(f, (Until, Eventually))
-        if isinstance(f, Until):
-            here = eval_unrolled(f.right, word, depth, pos)
-            return here or (eval_unrolled(f.left, word, depth, pos)
-                            and eval_unrolled(f, word, depth - 1, pos + 1))
-        if isinstance(f, Eventually):
-            return (eval_unrolled(f.operand, word, depth, pos)
-                    or eval_unrolled(f, word, depth - 1, pos + 1))
-        if isinstance(f, Release):
-            here = eval_unrolled(f.right, word, depth, pos)
-            return here and (eval_unrolled(f.left, word, depth, pos)
-                             or eval_unrolled(f, word, depth - 1, pos + 1))
-        return (eval_unrolled(f.operand, word, depth, pos)
-                and eval_unrolled(f, word, depth - 1, pos + 1))
-    raise TypeError(f"not a formula: {f!r}")

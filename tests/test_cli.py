@@ -41,20 +41,26 @@ class TestTraceFiles:
     def test_signed_trace_tokens(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("c=1 s=0 [abg]=0\n", encoding="utf-8")
-        assert read_signed_trace(str(path)) == [
+        assert read_signed_trace(str(path), frozenset({"c", "s", "[abg]"})) == [
             frozenset({SLit("c", True), SLit("s", False), SLit("[abg]", False)})]
 
     def test_inconsistent_signed_trace_rejected(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("c=1 c=0\n", encoding="utf-8")
         with pytest.raises(ValueError):
-            read_signed_trace(str(path))
+            read_signed_trace(str(path), frozenset({"c"}))
 
     def test_signed_token_naming_no_literal_is_refused(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("p=1\n[5]=0 p=1\n", encoding="utf-8")
         with pytest.raises(Refusal, match=r":2: '\[5\]' is neither an atom name nor a class"):
-            read_signed_trace(str(path))
+            read_signed_trace(str(path), frozenset({"p", "[5]"}))
+
+    def test_signed_literal_of_another_name_is_refused(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("p=1\nq=0\n", encoding="utf-8")
+        with pytest.raises(Refusal, match=r":2: 'q' is neither a singleton atom nor a class"):
+            read_signed_trace(str(path), frozenset({"p"}))
 
     def test_equal_events_are_one_object(self, tmp_path):
         """Both readers hand out one object per distinct event, so the
@@ -64,7 +70,7 @@ class TestTraceFiles:
         signed.write_text("p=1 [qr]=0\n[qr]=0 p=1\nq=1\n[qr]=0,p=1\n", encoding="utf-8")
         events = read_plain_trace(str(plain))
         assert [id(e) for e in events] == [id(events[k]) for k in (0, 0, 2, 0, 2)]
-        events = read_signed_trace(str(signed))
+        events = read_signed_trace(str(signed), frozenset({"p", "q", "[qr]"}))
         assert [id(e) for e in events] == [id(events[k]) for k in (0, 0, 2, 0)]
 
     def test_costs_flag(self):

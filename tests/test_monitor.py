@@ -20,8 +20,8 @@ from ltlscope.oracle.lasso import LassoWord, eval_lasso
 from ltlscope.oracle.verdict import signed_triple
 from ltlscope.randgen import random_formula as criterion_formula
 from ltlscope.randgen import random_partition
-from ltlscope.visibility import (derive_classes, explicit_trace, parse_classes,
-                                 standard_view, visible_trace)
+from ltlscope.visibility import (derive_classes, explicit_trace, identity_classes,
+                                 parse_classes, standard_view, visible_trace)
 
 from conftest import (balanced_conjunction, random_formula, random_plain_trace,
                       random_signed_event)
@@ -335,6 +335,43 @@ class TestMembershipEquivalence:
             monitor.run(sv)
             memberships = tuple(nfa.accepts_prefix(sv) for nfa in nfas)
             assert monitor.verdict == classify3(*memberships)
+
+
+EQUIVALENT_PAIRS = [
+    ("F F a", "F a"),
+    ("a U a", "a"),
+    ("!(a U b)", "!a R !b"),
+    ("G a & G b", "G (a & b)"),
+] + [(" U ".join(["a"] * count), "a") for count in range(2, 9)]
+
+
+class TestEquivalentFormulas:
+    """Equivalent formulas give equal verdicts on every seeded trace, and
+    machines of equal size: minimal DFAs are unique up to isomorphism, so
+    the state counts are a sharp check."""
+
+    @staticmethod
+    def _shape(m):
+        return len(m.machine.outputs), tuple(len(dfa.states) for dfa in m.machine.components)
+
+    @pytest.mark.parametrize("left, right", EQUIVALENT_PAIRS)
+    def test_equal_verdicts_and_state_counts(self, left, right):
+        pool = ("a", "b")
+        classes = identity_classes(pool)
+        rng = random.Random(3)
+        pair = [(synthesize_standard(parse_formula(text)),
+                 synthesize_imperfect(parse_formula(text), classes)) for text in (left, right)]
+        (std1, imp1), (std2, imp2) = pair
+        assert self._shape(std1) == self._shape(std2)
+        assert self._shape(imp1) == self._shape(imp2)
+        for _ in range(30):
+            trace = random_plain_trace(rng, rng.randint(0, 6), pool)
+            sv = visible_trace(explicit_trace(trace, pool), classes, ())
+            for m in (std1, imp1, std2, imp2):
+                m.reset()
+            assert [std1.step(e) for e in trace] == [std2.step(e) for e in trace]
+            assert [imp1.step(e) for e in sv] == [imp2.step(e) for e in sv]
+            assert (std1.verdict, imp1.verdict) == (std2.verdict, imp2.verdict)
 
 
 class TestMachineRoundTrip:

@@ -4,22 +4,141 @@ import time
 
 import pytest
 
-from ltlscope.formula import (Always, And, Atom, Eventually, Implies, Next, SLit,
+from ltlscope import casestudy
+from ltlscope.automata.pipeline import tarjan_sccs
+from ltlscope.formula import (Always, And, Atom, Eventually, FalseConst, Implies,
+                              Lit, Next, Not, Or, Release, SLit, TrueConst, Until,
                               parse_formula, to_nnf)
 from ltlscope.monitor import synthesize_imperfect
 from ltlscope.oracle import (InstanceTooLarge, LassoWord, OracleVerdict,
                              accepts_lasso, build_closure_automaton,
-                             eval_lasso, eval_unrolled, live_states,
-                             oracle_verdict, prefix_in_language)
+                             eval_lasso, live_states, oracle_verdict,
+                             prefix_in_language, signed_triple)
+from ltlscope.oracle.closure import _live
 from ltlscope.randgen import random_partition
-from ltlscope.visibility import (derive_classes, explicit_trace, parse_classes,
-                                 visible_trace)
+from ltlscope.visibility import (derive_classes, explicit_trace, identity_classes,
+                                 parse_classes, rendering_map, visible_trace)
 
-from conftest import plain_events, random_formula, random_plain_trace
+from conftest import (plain_events, random_formula, random_plain_trace,
+                      random_signed_event)
 
 
 def ev(*names):
     return frozenset(names)
+
+
+def eval_unrolled(f, word: LassoWord, depth: int, pos: int = 0) -> bool:
+    """Naive recursive evaluation with bounded unrolling.
+
+    Exact on Until-free formulas whose Next nesting fits in ``depth``; a
+    second opinion on :func:`eval_lasso`.
+    """
+    if isinstance(f, TrueConst):
+        return True
+    if isinstance(f, FalseConst):
+        return False
+    if isinstance(f, Atom):
+        return f.name in word.event(pos)
+    if isinstance(f, Lit):
+        return f.lit in word.event(pos)
+    if isinstance(f, Not):
+        return not eval_unrolled(f.operand, word, depth, pos)
+    if isinstance(f, And):
+        return eval_unrolled(f.left, word, depth, pos) and eval_unrolled(f.right, word, depth, pos)
+    if isinstance(f, Or):
+        return eval_unrolled(f.left, word, depth, pos) or eval_unrolled(f.right, word, depth, pos)
+    if isinstance(f, Implies):
+        return (not eval_unrolled(f.left, word, depth, pos)) or eval_unrolled(f.right, word, depth, pos)
+    if isinstance(f, Next):
+        return eval_unrolled(f.operand, word, depth, pos + 1)
+    if isinstance(f, (Until, Release, Eventually, Always)):
+        if depth <= 0:
+            return not isinstance(f, (Until, Eventually))
+        if isinstance(f, Until):
+            here = eval_unrolled(f.right, word, depth, pos)
+            return here or (eval_unrolled(f.left, word, depth, pos)
+                            and eval_unrolled(f, word, depth - 1, pos + 1))
+        if isinstance(f, Eventually):
+            return (eval_unrolled(f.operand, word, depth, pos)
+                    or eval_unrolled(f, word, depth - 1, pos + 1))
+        if isinstance(f, Release):
+            here = eval_unrolled(f.right, word, depth, pos)
+            return here and (eval_unrolled(f.left, word, depth, pos)
+                             or eval_unrolled(f, word, depth - 1, pos + 1))
+        return (eval_unrolled(f.operand, word, depth, pos)
+                and eval_unrolled(f, word, depth - 1, pos + 1))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_live_states(aut) -> frozenset[int]:
+    """Liveness as a component pass, then a backward rescan until nothing
+    changes.  Components come from the pipeline's Tarjan, so a fault in the
+    oracle's own component walk shows here too."""
+    good: set[int] = set()
+    for scc in tarjan_sccs(aut.edges, range(len(aut.states))):
+        members = set(scc)
+        if not any(dst in members for q in scc for dst in aut.edges.get(q, ())):
+            continue
+        if all(members & acc for acc in aut.accept_sets):
+            good |= members
+    changed = True
+    while changed:
+        changed = False
+        for q in range(len(aut.states)):
+            if q in good:
+                continue
+            if any(dst in good for dst in aut.edges.get(q, ())):
+                good.add(q)
+                changed = True
+    return frozenset(good)
+
+
+def reference_accepts_lasso(aut, stem, loop) -> bool:
+    """Lasso membership as a component pass over the (state, loop position)
+    product, a goodness test, then a forward search from the roots."""
+    current = set(aut.initial)
+    for event in stem:
+        current = {q for q in current if aut.matches_event(q, event)}
+        current = {dst for q in current for dst in aut.edges.get(q, ())}
+        if not current:
+            return False
+    k = len(loop)
+    prod_edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    seen: set[tuple[int, int]] = set()
+    work = [(q, 0) for q in current]
+    roots = list(work)
+    seen.update(work)
+    while work:
+        q, p = work.pop()
+        if not aut.matches_event(q, loop[p]):
+            prod_edges[(q, p)] = []
+            continue
+        succ = [(dst, (p + 1) % k) for dst in aut.edges.get(q, ())]
+        prod_edges[(q, p)] = succ
+        for s in succ:
+            if s not in seen:
+                seen.add(s)
+                work.append(s)
+    nodes = sorted(seen)
+    ids = {s: i for i, s in enumerate(nodes)}
+    int_edges = {ids[s]: [ids[d] for d in prod_edges.get(s, ())] for s in nodes}
+    good: set[int] = set()
+    for scc in tarjan_sccs(int_edges, range(len(nodes))):
+        members = set(scc)
+        if not any(dst in members for q in scc for dst in int_edges.get(q, ())):
+            continue
+        if all(any(nodes[m][0] in acc for m in members) for acc in aut.accept_sets):
+            good |= members
+    if not good:
+        return False
+    reach = {ids[r] for r in roots}
+    frontier = set(reach)
+    while frontier:
+        if frontier & good:
+            return True
+        frontier = {d for q in frontier for d in int_edges.get(q, ())} - reach
+        reach |= frontier
+    return False
 
 
 class TestEvalLasso:
@@ -92,6 +211,71 @@ class TestClosureAutomaton:
         live = live_states(aut)
         assert prefix_in_language(aut, [ev("p"), ev("p")], live)
         assert not prefix_in_language(aut, [ev("p"), ev()], live)
+
+
+def _assert_liveness_matches_reference(rng, aut, events, lassos):
+    assert live_states(aut) == reference_live_states(aut)
+    for _ in range(lassos):
+        stem = tuple(rng.choice(events) for _ in range(rng.randint(0, 3)))
+        loop = tuple(rng.choice(events) for _ in range(rng.randint(1, 3)))
+        assert accepts_lasso(aut, stem, loop) == reference_accepts_lasso(aut, stem, loop)
+
+
+def _until_chain(count: int, pool=("p", "q", "r")):
+    """``p U (q U (r U (p U …)))`` with ``count`` operands."""
+    chain = Atom(pool[(count - 1) % len(pool)])
+    for i in range(count - 2, -1, -1):
+        chain = Until(Atom(pool[i % len(pool)]), chain)
+    return chain
+
+
+class TestLiveness:
+    """One component pass decides liveness of states and of lasso words;
+    the references are the component pass with a rescan and a forward
+    search that it replaced."""
+
+    @pytest.mark.parametrize("structure", ["case study", "singleton"])
+    def test_rover_automata_match_reference(self, rng, structure):
+        classes = (casestudy.spec().classes if structure == "case study"
+                   else identity_classes(casestudy.ALPHABET))
+        names = sorted(set(rendering_map(classes).values()))
+        events = [random_signed_event(rng, names) for _ in range(12)]
+        for _, text in casestudy.PROPERTIES:
+            for g in signed_triple(parse_formula(text), classes):
+                aut = build_closure_automaton(g, signed=True)
+                _assert_liveness_matches_reference(rng, aut, events, 4)
+
+    def test_seeded_formulas_match_reference(self, rng):
+        events = plain_events(("p", "q", "r"))
+        for _ in range(300):
+            f = random_formula(rng, rng.randint(1, 9), pool=("p", "q", "r"))
+            for branch in (f, Not(f)):
+                aut = build_closure_automaton(to_nnf(branch), signed=False)
+                _assert_liveness_matches_reference(rng, aut, events, 3)
+
+    @pytest.mark.parametrize("count", range(2, 8))
+    def test_until_chains_match_reference(self, rng, count):
+        events = plain_events(("p", "q", "r"))
+        chain = _until_chain(count)
+        for branch in (chain, Not(chain)):
+            aut = build_closure_automaton(to_nnf(branch), signed=False)
+            _assert_liveness_matches_reference(rng, aut, events, 10)
+
+    @pytest.mark.parametrize("edges, n, accept_sets, live", [
+        pytest.param({0: [0]}, 1, [{0}], {0}, id="self-loop"),
+        pytest.param({0: [0]}, 1, [{1}], set(), id="self-loop-missing-a-set"),
+        pytest.param({0: []}, 1, [{0}], set(), id="no-edge-every-set"),
+        pytest.param({0: [1], 1: []}, 2, [{0, 1}], set(), id="acyclic-every-set"),
+        pytest.param({0: [0, 1], 1: [1]}, 2, [{1}, {1}], {0, 1}, id="downstream-meets-all"),
+        pytest.param({0: [0, 1], 1: [1]}, 2, [{0}, {0, 1}], {0}, id="upstream-meets-all"),
+        pytest.param({0: [0, 1], 1: []}, 2, [{0}, {1}], set(), id="cycle-meets-one-of-two"),
+        pytest.param({0: [1], 1: [0], 2: [0], 3: []}, 4, [], {0, 1, 2}, id="no-sets"),
+        pytest.param({}, 0, [{0}], set(), id="empty-graph"),
+        pytest.param({}, 0, [], set(), id="empty-graph-no-sets"),
+    ])
+    def test_live_on_hand_built_graphs(self, edges, n, accept_sets, live):
+        accept_sets = [frozenset(acc) for acc in accept_sets]
+        assert _live(edges, n, accept_sets) == live
 
 
 LEMMA1_CLASSES = derive_classes(("p", "q", "r"), [("p", "q")])

@@ -472,25 +472,23 @@ def product_successors(a: DFA, s: int, b: DFA, v: int) -> set[tuple[int, int]]:
     """The distinct successor pairs of the product state ``(s, v)`` under
     every consistent event over the union of the two states' literals.
 
-    When the rows read no name in common, or either row has one distinct
-    successor, every pair of their successors is reached: an event can
-    agree with any mask of one row and any mask of the other.  When both
-    read the same literal tuple, as two states of one monitor often do,
-    each consistent mask over it gives one pair, zipped from the two rows.
-    Otherwise a
-    choice over the names both rows read picks none of a name's literals
-    or one of them (``_joined_rows``); the two rows' private names never
-    conflict, so each choice contributes the cross product of the
-    successors each row reaches under it.  The choices are walked as every
-    choice over one half of the shared names joined with every choice over
-    the other half, so only two lists of about the square root of their
-    number are held.
+    When either row has one distinct successor, every pair of their
+    successors is reached: an event can agree with any mask of one row and
+    any mask of the other.  When both read the same literal tuple, as two
+    states of one monitor often do, each consistent mask over it gives one
+    pair, zipped from the two rows.  Otherwise a choice over the names both
+    rows read picks none of a name's literals or one of them
+    (``_joined_rows``); the two rows' private names never conflict, so each
+    choice contributes the cross product of the successors each row reaches
+    under it, and rows that share no name make one empty choice.  The
+    choices are walked as every choice over one half of the shared names
+    joined with every choice over the other half, so only two lists of
+    about the square root of their number are held.
     """
     row_a, row_b = a.table[s], b.table[v]
     succ_a, succ_b = set(row_a.values()), set(row_b.values())
     lits_a, lits_b = a.lits[s], b.lits[v]
-    if (len(succ_a) == 1 or len(succ_b) == 1
-            or set(_names(lits_a)).isdisjoint(_names(lits_b))):
+    if len(succ_a) == 1 or len(succ_b) == 1:
         return {(p, q) for p in succ_a for q in succ_b}
     if lits_a == lits_b:  # both rows map exactly the consistent masks over them
         return {(dst, row_b[bits]) for bits, dst in row_a.items()}

@@ -170,7 +170,7 @@ def _arbitrate(cell: GridCell, vspec: VisibilitySpec) -> OracleVerdict:
                           bound=0, allow_large=True)
 
 
-def render_grid(cells: list[GridCell], with_oracle: bool = False) -> str:
+def render_grid(cells: list[GridCell]) -> str:
     props = [name for name, _ in PROPERTIES]
     width = max(len(p) for p in props) + 2
     lines = []
@@ -197,10 +197,9 @@ def render_grid(cells: list[GridCell], with_oracle: bool = False) -> str:
             elif c.verdict == c.sound:
                 note += f"  [disputed: {DISPUTED_CELLS[c.row, c.prop][1]}]"
             lines.append(note)
-    if with_oracle:
-        flagged = next(c for c in cells if (c.row, c.prop) == FLAGGED_CELL)
-        if flagged.matches and flagged.oracle is not None:
-            lines.append("")
-            lines.append(f"flagged cell {FLAGGED_CELL[0]}/{FLAGGED_CELL[1]}: "
-                         f"oracle {Verdict[flagged.oracle.value].symbol}")
+    flagged = next(c for c in cells if (c.row, c.prop) == FLAGGED_CELL)
+    if flagged.matches and flagged.oracle is not None:  # a grid run with the oracle
+        lines.append("")
+        lines.append(f"flagged cell {FLAGGED_CELL[0]}/{FLAGGED_CELL[1]}: "
+                     f"oracle {Verdict[flagged.oracle.value].symbol}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ import json
 import random
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import casestudy
 from .automata.dot import moore_to_dot
@@ -29,7 +29,7 @@ from .randgen import (derive_seed, experiment_visibility, random_formula,
 from .rational import (METRICS, ActiveSession, RationalConfig, ReactiveSession,
                        active_monitor)
 from .visibility import (EqClass, VisibilitySpec, check_consistent, explicit_trace,
-                         parse_classes, rendering_map, visible_trace)
+                         parse_classes, rendering_map, visible_event)
 
 
 class Refusal(Exception):
@@ -61,65 +61,68 @@ def _write_text(path: str, text: str, what: str) -> None:
         raise Refusal(f"{what} error: {exc}")
 
 
+def _read_events(path: str, event_of: Callable[[list[str]], frozenset]) -> list[frozenset]:
+    """The events of a trace file, one per line of comma or space separated
+    tokens.  ``event_of`` makes a line's tokens into its event once per
+    distinct line text; a ``ValueError`` it raises is refused with the
+    line.  Equal events are one object, so a long trace holds each distinct
+    event once, and the monitor, which remembers the events it checked by
+    identity (``MonitorInstance.step``), checks each distinct event once."""
+    events = []
+    by_line: dict[str, frozenset] = {}
+    distinct: dict[frozenset, frozenset] = {}
+    for i, line in enumerate(_read_text(path, "trace").splitlines()):
+        event = by_line.get(line)
+        if event is None:
+            try:
+                event = event_of(line.replace(",", " ").split())
+            except ValueError as exc:
+                raise Refusal(f"{path}:{i + 1}: {exc}") from None
+            event = by_line[line] = distinct.setdefault(event, event)
+        events.append(event)
+    return events
+
+
+def _plain_event(alphabet: Optional[frozenset[str]]) -> Callable[[list[str]], frozenset[str]]:
+    """``read_plain_trace``'s rule for one line, checking each name once."""
+    checked: set[str] = set()
+
+    def event_of(tokens: list[str]) -> frozenset[str]:
+        for name in tokens:
+            if name not in checked:
+                if not is_atom_name(name):
+                    raise ValueError(f"{name!r} is not an atom name")
+                if alphabet is not None and name not in alphabet:
+                    raise ValueError(f"atom {name!r} is in no class")
+                checked.add(name)
+        return frozenset(tokens)
+    return event_of
+
+
 def read_plain_trace(path: str,
                      alphabet: Optional[frozenset[str]] = None) -> list[frozenset[str]]:
     """One event per line; comma or space separated atoms; blank line is an
     empty event.  The first token of a line that is not an atom name, or
-    with ``alphabet`` an atom outside it, is refused with its line.
-
-    Equal events are one object, so a long trace holds each distinct event
-    once, and the monitor, which remembers the events it checked by
-    identity (``MonitorInstance.step``), checks each distinct event once."""
-    events = []
-    distinct: dict[frozenset[str], frozenset[str]] = {}
-    checked: set[str] = set()
-    for i, line in enumerate(_read_text(path, "trace").splitlines()):
-        event = line.replace(",", " ").split()
-        for name in event:
-            if name in checked:
-                continue
-            if not is_atom_name(name):
-                raise Refusal(f"{path}:{i + 1}: {name!r} is not an atom name")
-            if alphabet is not None and name not in alphabet:
-                raise Refusal(f"{path}:{i + 1}: atom {name!r} is in no class")
-            checked.add(name)
-        event = frozenset(event)
-        events.append(distinct.setdefault(event, event))
-    return events
+    with ``alphabet`` an atom outside it, is refused with its line."""
+    return _read_events(path, _plain_event(alphabet))
 
 
 def read_signed_trace(path: str, names: frozenset[str]) -> list[frozenset[SLit]]:
     """One event per line of ``name=1`` / ``[group]=0`` tokens.  A bad token,
     a literal whose name is neither an atom name nor a class witness name
-    (``is_literal_name``), or a literal of a name outside ``names``, is
-    refused with its line; an event holding both signs of a name raises
-    ``ValueError`` with its line.  Equal events are one object, as in
-    ``read_plain_trace``."""
-    events = []
-    distinct: dict[frozenset[SLit], frozenset[SLit]] = {}
-    for i, line in enumerate(_read_text(path, "trace").splitlines()):
-        try:
-            event = frozenset(parse_slit(tok) for tok in line.replace(",", " ").split())
-        except ValueError as exc:
-            raise Refusal(f"{path}:{i + 1}: {exc}")
-        if event in distinct:
-            events.append(distinct[event])
-            continue
+    (``is_literal_name``), a literal of a name outside ``names``, or an
+    event holding both signs of a name, is refused with its line."""
+    def event_of(tokens: list[str]) -> frozenset[SLit]:
+        event = frozenset(parse_slit(tok) for tok in tokens)
         bad = sorted(l.name for l in event if not is_literal_name(l.name))
         if bad:
-            raise Refusal(f"{path}:{i + 1}: {bad[0]!r} is neither an atom name "
-                          "nor a class witness name")
+            raise ValueError(f"{bad[0]!r} is neither an atom name nor a class witness name")
         stray = sorted(l.name for l in event if l.name not in names)
         if stray:
-            raise Refusal(f"{path}:{i + 1}: {stray[0]!r} is neither a singleton atom "
-                          "nor a class witness")
-        try:
-            check_consistent(event)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{i + 1}: {exc}") from None
-        distinct[event] = event
-        events.append(event)
-    return events
+            raise ValueError(f"{stray[0]!r} is neither a singleton atom nor a class witness")
+        check_consistent(event)
+        return event
+    return _read_events(path, event_of)
 
 
 def trace_is_signed(path: str) -> bool:
@@ -306,20 +309,15 @@ def cmd_verify(args) -> int:
                 # Without --classes the monitor is a machine file's.
                 names = (_machine_names(machine_text, monitor) if classes is None
                          else frozenset(rendering_map(classes).values()))
-                try:
-                    events = read_signed_trace(args.trace, names)
-                except ValueError as exc:
-                    raise Refusal(str(exc))
+                events = read_signed_trace(args.trace, names)
             else:
                 if classes is None:
                     raise Refusal("imperfect mode needs --classes to encode a plain trace")
-                # Each distinct event is made visible once, into one object.
+                # Each distinct line is made visible once.
                 covered = _alphabet_of(classes)
-                plain = read_plain_trace(args.trace, covered)
-                distinct = list(dict.fromkeys(plain))
-                view = dict(zip(distinct, visible_trace(explicit_trace(distinct, covered),
-                                                        classes, ())))
-                events = [view[event] for event in plain]
+                plain = _plain_event(covered)
+                events = _read_events(args.trace, lambda tokens: visible_event(
+                    explicit_trace([plain(tokens)], covered)[0], classes, ()))
         step = monitor.step
 
     t_run0 = time.perf_counter()
@@ -383,7 +381,7 @@ def cmd_casestudy(args) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        sys.stdout.write(casestudy.render_grid(cells, with_oracle=args.oracle))
+        sys.stdout.write(casestudy.render_grid(cells))
         print(f"elapsed: {elapsed:.2f}s")
     unsound = [c for c in cells if c.verdict != c.sound]
     return 1 if unsound and args.strict else 0
@@ -393,8 +391,7 @@ def cmd_casestudy(args) -> int:
 # metrics experiment
 # ---------------------------------------------------------------------------
 
-VERDICT_ORDER = [Verdict.TRUE, Verdict.FALSE, Verdict.UU, Verdict.UNKNOWN,
-                 Verdict.UNKNOWN_NOT_FALSE, Verdict.UNKNOWN_NOT_TRUE]
+VERDICT_ORDER = list(Verdict)
 
 
 EXPERIMENT_TRACE_LEN = 8  # events per trace of the metric comparison

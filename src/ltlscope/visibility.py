@@ -197,7 +197,7 @@ def explicit_trace(trace: Sequence[Iterable[str]], alphabet: Iterable[str]) -> l
 
 
 def visible_event(event: SignedEvent, classes: Sequence[EqClass],
-                  broken: Iterable[str] = ()) -> SignedEvent:
+                  broken: Iterable[str]) -> SignedEvent:
     """Filter one explicit event through the visibility of the classes.
 
     ``broken`` holds canonical ids of classes whose members are individually
@@ -228,7 +228,7 @@ def check_breakable(broken: Iterable[str], classes: Sequence[EqClass]) -> None:
 
 
 def visible_trace(explicit: Sequence[SignedEvent], classes: Sequence[EqClass],
-                  broken: Iterable[str] = ()) -> list[SignedEvent]:
+                  broken: Iterable[str]) -> list[SignedEvent]:
     broken = set(broken)
     check_breakable(broken, classes)
     return [visible_event(ev, classes, broken) for ev in explicit]

@@ -45,7 +45,7 @@ class TestGrid:
                 assert cell.oracle.value == cell.verdict.value
 
     def test_render_mentions_mismatches(self, grid):
-        text = render_grid(grid, with_oracle=True)
+        text = render_grid(grid)
         assert "flagged cell" in text
         assert "oracle" in text
 

@@ -3,14 +3,15 @@
 import contextlib
 import io
 import json
+import random
 import time
 
 import pytest
 
-from ltlscope import casestudy
+from ltlscope import casestudy, cli
 from ltlscope.automata import Verdict
 from ltlscope.cli import Refusal, main, parse_costs, read_plain_trace, read_signed_trace
-from ltlscope.formula import SLit, fmt
+from ltlscope.formula import SLit, fmt, is_atom_name
 
 from conftest import balanced_conjunction
 
@@ -47,7 +48,7 @@ class TestTraceFiles:
     def test_inconsistent_signed_trace_rejected(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("c=1 c=0\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(Refusal, match=r":1: inconsistent event"):
             read_signed_trace(str(path), frozenset({"c"}))
 
     def test_signed_token_naming_no_literal_is_refused(self, tmp_path):
@@ -72,6 +73,29 @@ class TestTraceFiles:
         assert [id(e) for e in events] == [id(events[k]) for k in (0, 0, 2, 0, 2)]
         events = read_signed_trace(str(signed), frozenset({"p", "q", "[qr]"}))
         assert [id(e) for e in events] == [id(events[k]) for k in (0, 0, 2, 0)]
+
+    def test_reordered_lines_are_one_event_checked_once(self, tmp_path, monkeypatch):
+        """Lines that list one event's atoms in different orders are one
+        object, and each atom name is checked once however many distinct
+        lines name it."""
+        names = ["a", "b", "c", "d"]
+        rng = random.Random(5)
+        lines = set()
+        while len(lines) < 20:
+            rng.shuffle(names)
+            lines.add(rng.choice((" ", ", ", ",")).join(names))
+        path = tmp_path / "t.txt"
+        path.write_text("\n".join(sorted(lines)) + "\n", encoding="utf-8")
+        checked = []
+
+        def counted(name):
+            checked.append(name)
+            return is_atom_name(name)
+        monkeypatch.setattr(cli, "is_atom_name", counted)
+        events = read_plain_trace(str(path), frozenset(names))
+        assert len(events) == 20 and len({id(e) for e in events}) == 1
+        assert events[0] == frozenset(names)
+        assert sorted(checked) == sorted(names)
 
     def test_costs_flag(self):
         assert parse_costs("cs=2,abg=3") == {"cs": 2, "abg": 3}

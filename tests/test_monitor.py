@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 import time
 
 import pytest
@@ -12,7 +13,7 @@ from ltlscope.automata import Verdict, ltl_to_nba, nba_to_nfa, nonempty_states
 from ltlscope.automata.dot import automaton_to_dot, moore_to_dot
 from ltlscope.automata.moore import MEMO_LIMIT, REFINEMENTS, classify3
 from ltlscope.automata.pipeline import TooWideError
-from ltlscope.formula import Atom, SLit, parse_formula
+from ltlscope.formula import Atom, SLit, fmt, parse_formula
 from ltlscope.monitor import (clear_machine_caches, machine_from_json,
                               machine_to_json, synthesize_imperfect,
                               synthesize_standard)
@@ -372,6 +373,68 @@ class TestEquivalentFormulas:
             assert [std1.step(e) for e in trace] == [std2.step(e) for e in trace]
             assert [imp1.step(e) for e in sv] == [imp2.step(e) for e in sv]
             assert (std1.verdict, imp1.verdict) == (std2.verdict, imp2.verdict)
+
+
+class TestMetamorphic:
+    """Relations between monitors of one seeded criterion-6 draw, checked
+    at every step of seeded traces."""
+
+    POOL = ("p", "q", "r", "s")
+    # z4 > y3 > x2 > w1 reverses the pool's str order, and so the order of
+    # every literal table.
+    RENAMED = dict(zip(POOL, ("z4", "y3", "x2", "w1")))
+
+    # The imperfect verdicts each standard verdict allows over singleton classes.
+    SINGLETON = {Verdict.TRUE: {Verdict.TRUE, Verdict.UNKNOWN_NOT_FALSE},
+                 Verdict.FALSE: {Verdict.FALSE, Verdict.UNKNOWN_NOT_TRUE},
+                 Verdict.UNKNOWN: {Verdict.UNKNOWN}}
+
+    def _rename(self, text: str) -> str:
+        return re.sub(r"\b[pqrs]\b", lambda m: self.RENAMED[m.group()], text)
+
+    @staticmethod
+    def _shape(m):
+        return len(m.machine.outputs), tuple(len(dfa.states) for dfa in m.machine.components)
+
+    def test_singleton_classes_follow_the_standard_verdict(self):
+        """Over singleton classes every atom is visible, so the imperfect
+        verdict is ⊤ or ?≁⊥ exactly where the standard one is ⊤, ⊥ or ?≁⊤
+        exactly where it is ⊥, and ? where it is ?."""
+        rng = random.Random(6)
+        classes = identity_classes(self.POOL)
+        for _ in range(300):
+            f = criterion_formula(rng, rng.randint(1, 8), self.POOL)
+            standard, imperfect = synthesize_standard(f), synthesize_imperfect(f, classes)
+            for _ in range(5):
+                trace = random_plain_trace(rng, 8, self.POOL)
+                visible = visible_trace(explicit_trace(trace, self.POOL), classes, ())
+                standard.reset()
+                imperfect.reset()
+                for event, signed in zip(trace, visible):
+                    expected = self.SINGLETON[standard.step(event)]
+                    assert imperfect.step(signed) in expected, (fmt(f), trace)
+
+    def test_renamed_atoms_keep_verdicts_and_state_counts(self):
+        """Renaming the atoms in the formula, the classes and the trace
+        changes no verdict and no state count, standard or over ``p~q``."""
+        rng = random.Random(6)
+        renamed_pool = tuple(self.RENAMED.values())
+        classes = parse_classes("p~q; r; s")
+        renamed_classes = parse_classes(self._rename("p~q; r; s"))
+        for _ in range(200):
+            f = criterion_formula(rng, rng.randint(1, 8), self.POOL)
+            g = parse_formula(self._rename(fmt(f)))
+            trace = random_plain_trace(rng, 8, self.POOL)
+            renamed = [frozenset(self.RENAMED[a] for a in event) for event in trace]
+            runs = [(synthesize_standard(f), trace, synthesize_standard(g), renamed),
+                    (synthesize_imperfect(f, classes),
+                     visible_trace(explicit_trace(trace, self.POOL), classes, ()),
+                     synthesize_imperfect(g, renamed_classes),
+                     visible_trace(explicit_trace(renamed, renamed_pool), renamed_classes, ()))]
+            for m, events, m_renamed, events_renamed in runs:
+                assert self._shape(m) == self._shape(m_renamed), fmt(f)
+                assert ([m.step(e) for e in events]
+                        == [m_renamed.step(e) for e in events_renamed]), (fmt(f), trace)
 
 
 class TestMachineRoundTrip:

@@ -18,7 +18,6 @@ words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 Edge = tuple[int, int, int, int]  # (require mask, forbid mask, marks, target)
 
@@ -65,18 +64,3 @@ class GuardedAutomaton:
     acceptance: int = 0
     accepting: frozenset[int] = frozenset()
     flagged: frozenset[int] = frozenset()
-
-    def successors(self, state: int, event: frozenset) -> Iterator[int]:
-        bits = valuation_bits(self.literals, event)
-        for require, forbid, _, dst in self.transitions.get(state, ()):
-            if bits & require == require and not bits & forbid:
-                yield dst
-
-    def accepts_prefix(self, events: Iterable[frozenset]) -> bool:
-        """Nondeterministic membership of a finite word (subset simulation)."""
-        current = set(self.initial)
-        for event in events:
-            current = {dst for q in current for dst in self.successors(q, event)}
-            if not current:
-                return False
-        return bool(current & self.accepting)

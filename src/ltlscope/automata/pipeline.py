@@ -278,15 +278,6 @@ class DFA:
     def step(self, state: int, event: frozenset) -> int:
         return self.table[state][valuation_bits(self.lits[state], event)]
 
-    def run_prefix(self, events) -> int:
-        q = self.initial
-        for event in events:
-            q = self.step(q, event)
-        return q
-
-    def accepts_prefix(self, events) -> bool:
-        return self.run_prefix(events) in self.accepting
-
 
 # The most consistent events one DFA row may map.  Each further name a state
 # reads at least doubles its row, so a wider state is refused before any

@@ -90,7 +90,6 @@ DISPUTED_CELLS: dict[tuple[str, str], tuple[Verdict, str]] = {
 
 def spec() -> VisibilitySpec:
     return VisibilitySpec(
-        alphabet=frozenset(ALPHABET),
         classes=parse_classes(CLASSES_TEXT, ALPHABET),
         costs=dict(COSTS),
         bound=BOUND,

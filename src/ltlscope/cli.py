@@ -282,8 +282,7 @@ def cmd_verify(args) -> int:
         # The spec and the config check their own values; the session's
         # refusals (a formula too wide, an atom in no class) reach main.
         try:
-            vspec = VisibilitySpec(alphabet=_alphabet_of(classes), classes=classes,
-                                   costs=cfg["costs"], bound=cfg["bound"])
+            vspec = VisibilitySpec(classes=classes, costs=cfg["costs"], bound=cfg["bound"])
             rcfg = RationalConfig(metric=cfg.get("metric", "metric2"), bound=cfg["bound"],
                                   window=cfg.get("window"), seed=cfg.get("seed", 0))
         except ValueError as exc:

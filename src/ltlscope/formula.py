@@ -553,11 +553,6 @@ def nnf_pair(f: Formula, rendering: Optional[Mapping[str, str]] = None,
     return done[f]
 
 
-def to_nnf(f: Formula) -> Formula:
-    """Push negation to atoms; expand ->, F and G into their core duals."""
-    return nnf_pair(f)[0]
-
-
 def negate_nnf(f: Formula) -> Formula:
     """NNF of the negation of ``f``.  On a signed NNF formula this is its
     classical negation: the negation of a presence test is its absence test."""
@@ -567,17 +562,6 @@ def negate_nnf(f: Formula) -> Formula:
 def to_metric_form(f: Formula) -> Formula:
     """The form the payoff metric consumes: NNF, except that ``->`` is kept."""
     return nnf_pair(f, keep_implies=True)[0]
-
-
-def is_nnf(f: Formula) -> bool:
-    """True when negation occurs only directly above leaves and no derived
-    operators remain.  Each distinct subformula is visited once."""
-    for g in postorder(f):
-        if isinstance(g, (Implies, Eventually, Always)):
-            return False
-        if isinstance(g, Not) and not isinstance(g.operand, (Atom, Lit)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -313,10 +313,12 @@ def machine_from_json(text: str) -> MonitorInstance:
 
 
 def clear_machine_caches() -> None:
-    """Reset the memoised machines and the rational sessions' shared memos
-    (benchmarking support)."""
+    """Reset the memoised standard, imperfect and rational machines,
+    ``session_memo`` and ``progress``'s node memo (benchmarking support)."""
+    from . import formula
     from .rational import rational_machine, session_memo  # rational imports this module
     _standard_machine.cache_clear()
     _imperfect_machine.cache_clear()
     rational_machine.cache_clear()
     session_memo.cache_clear()
+    formula._last_progressed = ({}, {})

@@ -77,7 +77,6 @@ def experiment_visibility(rng: random.Random) -> VisibilitySpec:
     classes = derive_classes(DEFAULT_POOL, [(paired[0], paired[1])])
     cid = next(c.canonical_id for c in classes if not c.is_singleton)
     return VisibilitySpec(
-        alphabet=frozenset(DEFAULT_POOL),
         classes=classes,
         costs={cid: rng.randint(1, 3)},
         bound=2,

@@ -114,17 +114,6 @@ def metric(f: Formula, atom: str, spec: MetricSpec) -> float:
     return value[f]
 
 
-def _payoffs(classes: Iterable[EqClass], form: Formula,
-             spec: MetricSpec) -> dict[str, float]:
-    return {cls.canonical_id: sum(metric(form, atom, spec) for atom in sorted(cls.members))
-            for cls in classes}
-
-
-def payoff(classes: Sequence[EqClass], f: Formula, spec: MetricSpec) -> dict[str, float]:
-    """Expected payoff of breaking each class: sum of its members' metrics."""
-    return _payoffs(classes, to_metric_form(f), spec)
-
-
 def knapsack(payoffs: Mapping[str, float], costs: Mapping[str, int], bound: int,
              sizes: Mapping[str, int], seed: int = 0) -> frozenset[str]:
     """0/1 knapsack over the cost dimension.
@@ -206,10 +195,12 @@ class Allocation:
 
 
 def allocate(form: Formula, vspec: VisibilitySpec, cfg: RationalConfig) -> Allocation:
-    """Score every breakable class on ``form``, already in metric form, and
-    break the best ones within the budget."""
+    """Score each breakable class by its members' summed metrics on ``form``,
+    already in metric form, and break the best ones within the budget."""
     breakable = vspec.breakable
-    pays = _payoffs(breakable, form, cfg.metric_spec())
+    spec = cfg.metric_spec()
+    pays = {cls.canonical_id: sum(metric(form, atom, spec) for atom in sorted(cls.members))
+            for cls in breakable}
     sizes = {c.canonical_id: len(c) for c in breakable}
     selection = knapsack(pays, vspec.costs, cfg.bound, sizes, cfg.seed)
     return Allocation(tuple(sorted(pays.items())), selection)
@@ -235,7 +226,7 @@ class RationalRun:
 
 
 class SessionMemo:
-    """What the sessions over one alphabet and class structure computed,
+    """What the sessions over one class structure computed,
     shared between them: the visible and the decoded form of each (plain
     event, broken classes), the allocation of each (residual, costs,
     config), the metric form of each formula, the member knowledge each
@@ -264,7 +255,7 @@ class SessionMemo:
 
 
 @lru_cache(maxsize=512)
-def session_memo(alphabet: frozenset[str], classes: tuple[EqClass, ...]) -> SessionMemo:
+def session_memo(classes: tuple[EqClass, ...]) -> SessionMemo:
     return SessionMemo()
 
 
@@ -296,17 +287,21 @@ class Session:
     reproduce the fixed configurations of the verdict grid).  Decoded events
     and allocations, the formula's metric form, the knowledge each visible
     event carries and progressed residuals come from the ``SessionMemo`` of
-    the session's classes.
+    the session's classes.  A config whose budget differs from the spec's
+    raises ``ValueError``.
     """
 
     def __init__(self, f: Formula, vspec: VisibilitySpec, cfg: RationalConfig,
-                 window: Optional[int], forced_break: Optional[Iterable[str]] = None):
+                 window: Optional[int], forced_break: Optional[Iterable[str]]):
+        if cfg.bound != vspec.bound:
+            raise ValueError(f"config budget {cfg.bound!r} differs from spec budget "
+                             f"{vspec.bound!r}")
         self.vspec = vspec
         self.cfg = cfg
         self.window = window
         # The machine first: it refuses a formula too tall for the normal forms.
         self.monitor = MonitorInstance(rational_machine(f, vspec.alphabet).machine)
-        self.memo = session_memo(vspec.alphabet, vspec.classes)
+        self.memo = session_memo(vspec.classes)
         self.residual = self.memo.forms.get(f)
         if self.residual is None:
             self.residual = to_metric_form(f)
@@ -405,7 +400,7 @@ class ReactiveSession(Session):
     def __init__(self, f: Formula, vspec: VisibilitySpec, cfg: RationalConfig):
         if cfg.window is None:
             raise ValueError("reactive monitoring needs a positive window")
-        super().__init__(f, vspec, cfg, cfg.window)
+        super().__init__(f, vspec, cfg, cfg.window, None)
 
 
 def active_monitor(trace: Sequence[Iterable[str]], f: Formula, vspec: VisibilitySpec,

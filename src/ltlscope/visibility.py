@@ -131,12 +131,12 @@ def parse_classes(text: str, alphabet: Optional[Iterable[str]] = None) -> tuple[
 
 @dataclass(frozen=True)
 class VisibilitySpec:
-    """Alphabet, classes, per-class break costs and budget."""
+    """Classes, per-class break costs and budget; the alphabet is their union."""
 
-    alphabet: frozenset[str]
     classes: tuple[EqClass, ...]
     costs: Mapping[str, int] = field(default_factory=dict)  # canonical_id -> cost
     bound: int = 0
+    alphabet: frozenset[str] = field(init=False)
 
     def __post_init__(self):
         covered: set[str] = set()
@@ -144,8 +144,7 @@ class VisibilitySpec:
             if covered & cls.members:
                 raise ValueError("classes overlap")
             covered |= cls.members
-        if covered != self.alphabet:
-            raise ValueError("classes do not partition the alphabet")
+        object.__setattr__(self, "alphabet", frozenset(covered))
         witness_names(self.classes)
         for cls in self.classes:
             if not cls.is_singleton and cls.canonical_id not in self.costs:

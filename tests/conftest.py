@@ -1,4 +1,6 @@
-"""Shared generators and event spaces for the test suite."""
+"""Shared generators, event spaces and reference helpers for the test
+suite.  The helpers are the ones only tests need: the plain NNF, the payoff
+of each class, and membership of a finite word in an NFA or a DFA."""
 
 from __future__ import annotations
 
@@ -7,8 +9,66 @@ import random
 
 import pytest
 
-from ltlscope.formula import (Always, And, Atom, Eventually, Implies, Next,
-                              Not, Or, Release, SLit, Until)
+from ltlscope.automata.guarded import valuation_bits
+from ltlscope.automata.pipeline import DFA
+from ltlscope.formula import (Always, And, Atom, Eventually, Implies, Lit,
+                              Next, Not, Or, Release, SLit, Until, nnf_pair,
+                              postorder, to_metric_form)
+from ltlscope.rational import metric
+
+
+def to_nnf(f):
+    """Push negation to atoms; expand ->, F and G into their core duals."""
+    return nnf_pair(f)[0]
+
+
+def is_nnf(f) -> bool:
+    """True when negation occurs only directly above leaves and no derived
+    operators remain.  Each distinct subformula is visited once."""
+    for g in postorder(f):
+        if isinstance(g, (Implies, Eventually, Always)):
+            return False
+        if isinstance(g, Not) and not isinstance(g.operand, (Atom, Lit)):
+            return False
+    return True
+
+
+def payoff(classes, f, spec) -> dict[str, float]:
+    """Expected payoff of breaking each class: the sum of its members'
+    metrics on the metric form of ``f``, as ``allocate`` scores it."""
+    form = to_metric_form(f)
+    return {cls.canonical_id: sum(metric(form, atom, spec) for atom in sorted(cls.members))
+            for cls in classes}
+
+
+def successors(aut, state: int, event: frozenset):
+    """The targets of the edges of a guarded automaton's ``state`` whose
+    guards ``event`` meets."""
+    bits = valuation_bits(aut.literals, event)
+    for require, forbid, _, dst in aut.transitions.get(state, ()):
+        if bits & require == require and not bits & forbid:
+            yield dst
+
+
+def run_prefix(dfa: DFA, events) -> int:
+    """The state a DFA reaches on a finite word."""
+    q = dfa.initial
+    for event in events:
+        q = dfa.step(q, event)
+    return q
+
+
+def accepts_prefix(aut, events) -> bool:
+    """Membership of a finite word in a DFA, or in an NFA by subset
+    simulation."""
+    if isinstance(aut, DFA):
+        return run_prefix(aut, events) in aut.accepting
+    current = set(aut.initial)
+    for event in events:
+        current = {dst for q in current for dst in successors(aut, q, event)}
+        if not current:
+            return False
+    return bool(current & aut.accepting)
 
 
 def random_formula(rng: random.Random, size: int, pool=("p", "q", "r", "s")):

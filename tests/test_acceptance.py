@@ -24,10 +24,12 @@ from ltlscope.randgen import (derive_seed, experiment_visibility,
                               random_formula, random_partition,
                               random_plain_trace)
 from ltlscope.rational import (METRICS, RationalConfig, active_monitor,
-                               knapsack, metric, payoff, rational_machine,
+                               knapsack, metric, rational_machine,
                                reactive_monitor)
 from ltlscope.visibility import (VisibilitySpec, derive_classes,
                                  explicit_trace, parse_classes, visible_trace)
+
+from conftest import accepts_prefix, payoff
 
 SEED = 20240817
 
@@ -123,8 +125,7 @@ def test_criterion_03_liveness_payoff_knapsack_verdict():
     f = parse_formula("F (c & X w)")
     pays = payoff([c for c in classes if not c.is_singleton], f, METRICS["metric2"])
     selection = knapsack(pays, costs, 3, {"cs": 2, "abg": 3})
-    spec = VisibilitySpec(alphabet=frozenset(alphabet), classes=classes,
-                          costs=costs, bound=3)
+    spec = VisibilitySpec(classes=classes, costs=costs, bound=3)
     sigma = [set(), {"g", "b1", "c"}, {"g", "c", "mb", "b2"}, {"c"}, {"w"}]
     run = active_monitor(sigma, f, spec, RationalConfig(metric="metric2", bound=3))
     ok = (pays["cs"] == 0.7 and pays["abg"] == 0.0
@@ -150,8 +151,7 @@ def test_criterion_04_disjoined_safety_metrics_and_reactive():
     values = {atom: metric(form, atom, spec2) for atom in ("c", "g", "s", "a", "b")}
     pays = payoff([c for c in classes if not c.is_singleton], f, spec2)
     selection = knapsack(pays, {"cs": 2, "abg": 3}, 3, {"cs": 2, "abg": 3})
-    vspec = VisibilitySpec(alphabet=frozenset(alphabet), classes=classes,
-                           costs={"cs": 2, "abg": 3}, bound=3)
+    vspec = VisibilitySpec(classes=classes, costs={"cs": 2, "abg": 3}, bound=3)
     sigma = [set(), {"g", "b1", "c"}, {"g", "c", "mb", "b2"}, {"c"}, {"w"}]
     run = reactive_monitor(sigma, f, vspec,
                            RationalConfig(metric="metric2", bound=3, window=2))
@@ -182,7 +182,7 @@ def test_criterion_05_lemma1_counterexample():
     for g in (sat, viol):
         nba = ltl_to_nba((g,), signed=True)
         nfa = nba_to_nfa(nba, nonempty_states(nba))
-        memberships.append(nfa.accepts_prefix(sv))
+        memberships.append(accepts_prefix(nfa, sv))
     ok = memberships == [False, False]
     report(5, "hidden-atom prefix outside both prefix languages", ok,
            f"memberships sat={memberships[0]}, viol={memberships[1]}")

@@ -19,7 +19,7 @@ from ltlscope.automata.pipeline import (coarsest_partition, consistent_count,
                                         literal_order, mask_event, quotient_bisim)
 from ltlscope.formula import (FALSE, TRUE, And, Atom, FalseConst, Lit, Next,
                               Not, Or, Release, SLit, TrueConst, Until,
-                              negate_nnf, parse_formula, subformulas, to_nnf)
+                              negate_nnf, parse_formula, subformulas)
 from ltlscope.monitor import (minimal_dfas, subset_dfas, synthesize_imperfect,
                               synthesize_standard)
 from ltlscope.oracle.lasso import LassoWord, eval_lasso
@@ -27,7 +27,8 @@ from ltlscope.oracle.verdict import signed_triple
 from ltlscope.visibility import (derive_classes, explicit_trace, identity_classes,
                                  visible_trace)
 
-from conftest import all_words, plain_events, random_formula, random_signed_event
+from conftest import (accepts_prefix, all_words, plain_events, random_formula,
+                      random_signed_event, run_prefix, successors, to_nnf)
 
 
 def reach_sets(adjacency) -> dict:
@@ -83,7 +84,7 @@ def lasso_accepted_by_nba(nba: GuardedAutomaton, stem, loop) -> bool:
     cycle whose edges' marks cover every Until."""
     current = set(nba.initial)
     for event in stem:
-        current = {d for q in current for d in nba.successors(q, event)}
+        current = {d for q in current for d in successors(nba, q, event)}
         if not current:
             return False
     k = len(loop)
@@ -450,7 +451,7 @@ class TestNfa:
         nfa = nba_to_nfa(nba, nonempty_states(nba))
         for n in range(4):
             for word in all_words(plain_events(("p",)), n):
-                assert nfa.accepts_prefix(word)
+                assert accepts_prefix(nfa, word)
 
     def test_safety_bad_prefix_rejected(self):
         f = to_nnf(parse_formula("G p"))
@@ -460,8 +461,8 @@ class TestNfa:
         nfa = nba_to_nfa(nba, nonempty_states(nba))
         good = frozenset({SLit("p", True)})
         bad = frozenset()
-        assert nfa.accepts_prefix([good, good])
-        assert not nfa.accepts_prefix([good, bad])
+        assert accepts_prefix(nfa, [good, good])
+        assert not accepts_prefix(nfa, [good, bad])
 
     def test_case_study_violation_prefix(self):
         """The unbroken visible trace stops being violable once the warning
@@ -474,8 +475,8 @@ class TestNfa:
         nfa = nba_to_nfa(nba, nonempty_states(nba))
         sigma = [set(), {"g", "b1", "c"}, {"g", "c", "mb", "b2"}, {"c"}, {"w"}]
         sv = visible_trace(explicit_trace(sigma, alphabet), classes, ())
-        assert nfa.accepts_prefix(sv[:4])
-        assert not nfa.accepts_prefix(sv)
+        assert accepts_prefix(nfa, sv[:4])
+        assert not accepts_prefix(nfa, sv)
 
 
 def filtered_masks(lits: tuple, signed: bool) -> tuple[int, ...]:
@@ -553,7 +554,7 @@ class TestDeterminize:
             dfa = determinize_one(nfa)
             for n in range(0, 4):
                 for word in all_words(events, n):
-                    assert nfa.accepts_prefix(word) == dfa.accepts_prefix(word)
+                    assert accepts_prefix(nfa, word) == accepts_prefix(dfa, word)
 
     def test_empty_language_has_no_accepting_reachable(self):
         nba = ltl_to_nba((FALSE,), signed=False)
@@ -657,7 +658,7 @@ class TestMinimize:
             assert len(small.states) <= len(dfa.states)
             for n in range(0, 5):
                 for word in all_words(events, n):
-                    assert dfa.accepts_prefix(word) == small.accepts_prefix(word)
+                    assert accepts_prefix(dfa, word) == accepts_prefix(small, word)
 
     def test_minimal_input_is_stable(self):
         dfa = branch_dfa(to_nnf(parse_formula("F p")), signed=False)
@@ -923,7 +924,7 @@ class TestFlags:
                     prefix = tuple(random_signed_event(rng, literals)
                                    for _ in range(rng.randint(0, 5)))
                     want = eval_lasso(branch, LassoWord(prefix, (frozenset(),)))
-                    assert (dfa.run_prefix(prefix) in dfa.flagged) == want
+                    assert (run_prefix(dfa, prefix) in dfa.flagged) == want
 
 
 class TestSingleQuotient:
@@ -1048,8 +1049,8 @@ class TestUniversalCollapse:
         assert synthesize_standard(f).run([frozenset(), frozenset({"q"})]) == Verdict.TRUE
         assert synthesize_standard(f).run([frozenset(), frozenset()]) == Verdict.FALSE
         dfa = branch_subset_dfa(to_nnf(f), signed=False)
-        assert dfa.accepts_prefix([frozenset(), frozenset({"q"})])
-        assert not dfa.accepts_prefix([frozenset(), frozenset()])
+        assert accepts_prefix(dfa, [frozenset(), frozenset({"q"})])
+        assert not accepts_prefix(dfa, [frozenset(), frozenset()])
 
 
 def decoded_edges(aut: GuardedAutomaton, q: int, acceptance: int) -> list:
@@ -1331,7 +1332,7 @@ class TestLemma1:
         for formula in (sat, viol):
             nba = ltl_to_nba((formula,), signed=True)
             nfa = nba_to_nfa(nba, nonempty_states(nba))
-            assert not nfa.accepts_prefix(sv)
+            assert not accepts_prefix(nfa, sv)
 
 
 class TestDot:

@@ -16,13 +16,13 @@ from ltlscope.formula import (FALSE, MAX_NESTING, TRUE, Always, And, Atom,
                               Next, Not, Or, ParseError, Release, SLit,
                               TrueConst, UncoveredAtomError, Until, _mk_and,
                               _mk_implies, _mk_not, _mk_or, atoms, fmt, height,
-                              is_nnf, negate_nnf, nnf_pair, parse_formula,
-                              progress, to_nnf, to_metric_form)
+                              negate_nnf, nnf_pair, parse_formula, progress,
+                              to_metric_form)
 from ltlscope.oracle.lasso import LassoWord, eval_lasso
 from ltlscope.randgen import random_partition
 from ltlscope.visibility import derive_classes, rendering_map
 
-from conftest import plain_events, random_formula
+from conftest import is_nnf, plain_events, random_formula, to_nnf
 
 
 class TestParser:
@@ -105,7 +105,7 @@ class TestParser:
         for _ in range(depth):
             f = Next(f)
         classes = derive_classes(("p",), [])
-        spec = VisibilitySpec(alphabet=frozenset({"p"}), classes=classes)
+        spec = VisibilitySpec(classes=classes)
         run = {
             "standard": lambda: synthesize_standard(f),
             "imperfect": lambda: synthesize_imperfect(f, classes),

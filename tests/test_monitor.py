@@ -24,8 +24,8 @@ from ltlscope.randgen import random_partition
 from ltlscope.visibility import (derive_classes, explicit_trace, identity_classes,
                                  parse_classes, standard_view, visible_trace)
 
-from conftest import (balanced_conjunction, random_formula, random_plain_trace,
-                      random_signed_event)
+from conftest import (accepts_prefix, balanced_conjunction, random_formula,
+                      random_plain_trace, random_signed_event)
 
 ALPHABET = ("b1", "b2", "b3", "c", "s", "a", "b", "g", "mb", "w")
 CLASSES = derive_classes(ALPHABET, [("c", "s"), ("a", "b"), ("b", "g")])
@@ -334,7 +334,7 @@ class TestMembershipEquivalence:
             trace = random_plain_trace(rng, rng.randint(0, 5), pool)
             sv = visible_trace(explicit_trace(trace, pool), classes, ())
             monitor.run(sv)
-            memberships = tuple(nfa.accepts_prefix(sv) for nfa in nfas)
+            memberships = tuple(accepts_prefix(nfa, sv) for nfa in nfas)
             assert monitor.verdict == classify3(*memberships)
 
 
@@ -772,7 +772,7 @@ class TestWideFormulas:
         f = balanced_conjunction(count)
         names = [f"p{i}" for i in range(count)]
         classes = derive_classes(names, [])
-        spec = VisibilitySpec(alphabet=frozenset(names), classes=classes)
+        spec = VisibilitySpec(classes=classes)
         run = {
             "standard": lambda: synthesize_standard(f),
             "imperfect": lambda: synthesize_imperfect(f, classes),

@@ -8,7 +8,7 @@ from ltlscope import casestudy
 from ltlscope.automata.pipeline import tarjan_sccs
 from ltlscope.formula import (Always, And, Atom, Eventually, FalseConst, Implies,
                               Lit, Next, Not, Or, Release, SLit, TrueConst, Until,
-                              parse_formula, to_nnf)
+                              parse_formula)
 from ltlscope.monitor import synthesize_imperfect
 from ltlscope.oracle import (InstanceTooLarge, LassoWord, OracleVerdict,
                              accepts_lasso, build_closure_automaton,
@@ -20,7 +20,7 @@ from ltlscope.visibility import (derive_classes, explicit_trace, identity_classe
                                  parse_classes, rendering_map, visible_trace)
 
 from conftest import (plain_events, random_formula, random_plain_trace,
-                      random_signed_event)
+                      random_signed_event, to_nnf)
 
 
 def ev(*names):

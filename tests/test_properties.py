@@ -14,14 +14,15 @@ from ltlscope.automata.pipeline import consistent_count, literal_order
 from ltlscope.cli import main
 from ltlscope.formula import (FALSE, TRUE, Always, And, Atom, Eventually,
                               Formula, Implies, Next, Not, Or, ParseError,
-                              Release, Until, fmt, is_nnf, parse_formula,
-                              to_nnf)
+                              Release, Until, fmt, parse_formula)
 from ltlscope.monitor import (machine_from_json, machine_to_json, synthesize_imperfect,
                               synthesize_standard)
 from ltlscope.oracle.lasso import LassoWord, eval_lasso
 from ltlscope.rational import knapsack
 from ltlscope.visibility import (derive_classes, explicit_trace,
                                  knowledge_from_event, visible_trace)
+
+from conftest import is_nnf, to_nnf
 
 ATOMS = ("p", "q", "r")
 

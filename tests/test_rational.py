@@ -18,12 +18,12 @@ from ltlscope.randgen import random_partition
 import ltlscope.rational as rational
 from ltlscope.rational import (METRICS, MetricSpec, RationalConfig,
                                ReactiveSession, active_monitor, allocate,
-                               knapsack, metric, payoff, reactive_monitor)
+                               knapsack, metric, reactive_monitor)
 from ltlscope.visibility import (VisibilitySpec, explicit_trace,
                                  knowledge_from_event, parse_classes,
                                  visible_trace)
 
-from conftest import random_formula, random_plain_trace
+from conftest import payoff, random_formula, random_plain_trace
 
 ALPHABET = ("b1", "b2", "b3", "c", "s", "a", "b", "g", "mb", "w")
 CLASSES = parse_classes("c~s; a~b~g", ALPHABET)
@@ -35,8 +35,7 @@ PSI = parse_formula("(G ((b1 | b2 | b3) -> X !c)) | (G (g -> !(b1 | b2 | b3)))")
 
 
 def vspec(bound=3):
-    return VisibilitySpec(alphabet=frozenset(ALPHABET), classes=CLASSES,
-                          costs=COSTS, bound=bound)
+    return VisibilitySpec(classes=CLASSES, costs=COSTS, bound=bound)
 
 
 class TestMetric:
@@ -253,8 +252,7 @@ class TestActiveMonitor:
         """Classes ``b1~b2`` and ``a~b~g`` tie on payoff; the three-atom class
         wins although its id is the shorter one."""
         alphabet = ("b1", "b2", "a", "b", "g")
-        spec = VisibilitySpec(alphabet=frozenset(alphabet),
-                              classes=parse_classes("b1~b2; a~b~g", alphabet),
+        spec = VisibilitySpec(classes=parse_classes("b1~b2; a~b~g", alphabet),
                               costs={"b1b2": 1, "abg": 1}, bound=1)
         cfg = RationalConfig(metric="metric2", bound=1)
         result = active_monitor([{"b1", "a"}], parse_formula("F (b1 & a)"), spec, cfg)
@@ -329,8 +327,7 @@ class TestReactiveMonitor:
                      for c in classes if not c.is_singleton}
             trace = random_plain_trace(rng, rng.randint(1, 6), pool)
             bound, window = rng.randint(0, 4), len(trace) + rng.randint(0, 3)
-            spec = VisibilitySpec(alphabet=frozenset(pool), classes=classes,
-                                  costs=costs, bound=bound)
+            spec = VisibilitySpec(classes=classes, costs=costs, bound=bound)
             cfg = RationalConfig(metric="metric2", bound=bound, window=window, seed=7)
             active = active_monitor(trace, f, spec, cfg)
             reactive = reactive_monitor(trace, f, spec, cfg)
@@ -361,8 +358,7 @@ class TestSessions:
                      for c in classes if not c.is_singleton}
             trace = random_plain_trace(rng, rng.randint(1, 7), pool)
             bound, window = rng.randint(0, 4), rng.randint(1, 3)
-            spec = VisibilitySpec(alphabet=frozenset(pool), classes=classes,
-                                  costs=costs, bound=bound)
+            spec = VisibilitySpec(classes=classes, costs=costs, bound=bound)
             cfg = RationalConfig(metric="metric2", bound=bound, window=window, seed=11)
             for session_cls, batch in ((ActiveSession, active_monitor),
                                        (ReactiveSession, reactive_monitor)):
@@ -396,8 +392,7 @@ class TestSessions:
         monkeypatch.setattr(rational, "knowledge_from_event", counted)
         rational.session_memo.cache_clear()
         classes = parse_classes("p~q; r", ("p", "q", "r"))
-        spec = VisibilitySpec(alphabet=frozenset("pqr"), classes=classes,
-                              costs={"pq": 1}, bound=1)
+        spec = VisibilitySpec(classes=classes, costs={"pq": 1}, bound=1)
         cfg = RationalConfig(metric="metric2", bound=1, window=2)
         session = ReactiveSession(parse_formula("F p"), spec, cfg)
         counts = []
@@ -421,8 +416,7 @@ class TestSessions:
             costs = {c.canonical_id: rng.randint(1, 3)
                      for c in classes if not c.is_singleton}
             trace = random_plain_trace(rng, rng.randint(1, 9), pool)
-            spec = VisibilitySpec(alphabet=frozenset(pool), classes=classes,
-                                  costs=costs, bound=rng.randint(0, 4))
+            spec = VisibilitySpec(classes=classes, costs=costs, bound=rng.randint(0, 4))
             cfg = RationalConfig(metric="metric2", bound=spec.bound,
                                  window=rng.randint(1, 3), seed=5)
             cases.append((trace, f, spec, cfg))
@@ -438,7 +432,7 @@ class TestSessions:
         monkeypatch.setattr(rational, "MEMO_LIMIT", 0)
         fresh = [fields(run) for run in runs()]
         for _, _, spec, _ in cases:
-            memo = rational.session_memo(spec.alphabet, spec.classes)
+            memo = rational.session_memo(spec.classes)
             assert not (memo.events or memo.allocations or memo.forms or memo.knowledge
                         or memo.progressions)
         monkeypatch.setattr(rational, "MEMO_LIMIT", 2)
@@ -448,7 +442,7 @@ class TestSessions:
         runs()
         assert [fields(run) for run in runs()] == fresh
         for _, _, spec, _ in cases:
-            assert rational.session_memo(spec.alphabet, spec.classes).events
+            assert rational.session_memo(spec.classes).events
 
     def test_sessions_share_events_and_allocations(self):
         """Two runs over the same classes hold the same event and allocation
@@ -459,8 +453,7 @@ class TestSessions:
         assert second.allocations[0] is first.allocations[0]
         assert all(a is b for a, b in zip(first.visible_events, second.visible_events))
         assert first.broken == frozenset({"abg"})
-        dear = VisibilitySpec(alphabet=frozenset(ALPHABET), classes=CLASSES,
-                              costs={"cs": 2, "abg": 4}, bound=3)
+        dear = VisibilitySpec(classes=CLASSES, costs={"cs": 2, "abg": 4}, bound=3)
         assert active_monitor(SIGMA, PSI, dear, cfg).broken == frozenset({"cs"})
 
     def test_sessions_over_one_formula_share_its_metric_form(self, monkeypatch):
@@ -503,16 +496,35 @@ class TestSessions:
 
     def test_clear_machine_caches_forgets_session_memos(self):
         spec = vspec()
-        memo = rational.session_memo(spec.alphabet, spec.classes)
-        assert rational.session_memo(spec.alphabet, spec.classes) is memo
+        memo = rational.session_memo(spec.classes)
+        assert rational.session_memo(spec.classes) is memo
         clear_machine_caches()
-        assert rational.session_memo(spec.alphabet, spec.classes) is not memo
+        assert rational.session_memo(spec.classes) is not memo
 
     def test_clear_machine_caches_forgets_rational_machines(self):
         rational.rational_machine(PHI1, vspec().alphabet)
         assert rational.rational_machine.cache_info().currsize > 0
         clear_machine_caches()
         assert rational.rational_machine.cache_info().currsize == 0
+
+    def test_clear_machine_caches_forgets_progressed_nodes(self):
+        """``progress`` keeps its node results for the next call under the
+        same knowledge; clearing the caches empties that memo too."""
+        from ltlscope import formula
+        progress(to_metric_form(PHI1), {"c": False})
+        assert formula._last_progressed[1]
+        clear_machine_caches()
+        assert formula._last_progressed == ({}, {})
+
+    def test_config_budget_must_be_the_spec_budget(self):
+        """A spec budget of 5 with a config budget of 0 is refused, naming
+        both, instead of running on the config's budget alone."""
+        spec = vspec(bound=5)
+        for make in (lambda cfg: rational.ActiveSession(PSI, spec, cfg),
+                     lambda cfg: ReactiveSession(PSI, spec, cfg)):
+            with pytest.raises(ValueError, match="config budget 0 differs from spec budget 5"):
+                make(RationalConfig(metric="metric2", bound=0, window=2))
+        assert active_monitor(SIGMA, PSI, spec, RationalConfig(bound=5)).broken
 
     @pytest.mark.parametrize("window", [None, 1, 2])
     def test_refused_event_names_its_position_and_changes_nothing(self, window):
@@ -521,7 +533,7 @@ class TestSessions:
         never been offered."""
         from ltlscope.rational import Session
         cfg = RationalConfig(metric="metric2", bound=3, window=window)
-        session = Session(PSI, vspec(), cfg, window)
+        session = Session(PSI, vspec(), cfg, window, None)
         for event in SIGMA[:2]:
             session.step(event)
         before = session.result()
@@ -538,9 +550,8 @@ class TestSessions:
         """Over the alphabet ``p, q`` the string ``"pq"`` is not read as the
         event {p, q}: it is refused and the session runs on unchanged."""
         from ltlscope.rational import Session
-        spec = VisibilitySpec(alphabet=frozenset({"p", "q"}),
-                              classes=parse_classes("p; q", ("p", "q")))
-        session = Session(parse_formula("p & q"), spec, RationalConfig(metric="metric2"), None)
+        spec = VisibilitySpec(classes=parse_classes("p; q", ("p", "q")))
+        session = Session(parse_formula("p & q"), spec, RationalConfig(metric="metric2"), None, None)
         with pytest.raises(ValueError, match="not the string 'pq'"):
             session.step("pq")
         assert session.result().visible_events == []
@@ -551,9 +562,8 @@ class TestSessions:
         """A mapping is not read as its keys, and ``None`` or an int raise
         ``ValueError``, not ``TypeError``; the session runs on unchanged."""
         from ltlscope.rational import Session
-        spec = VisibilitySpec(alphabet=frozenset({"p", "q"}),
-                              classes=parse_classes("p; q", ("p", "q")))
-        session = Session(parse_formula("p & q"), spec, RationalConfig(metric="metric2"), None)
+        spec = VisibilitySpec(classes=parse_classes("p; q", ("p", "q")))
+        session = Session(parse_formula("p & q"), spec, RationalConfig(metric="metric2"), None, None)
         with pytest.raises(ValueError, match="an event is a set of atom names, not"):
             session.step(event)
         assert session.result().visible_events == []
@@ -696,8 +706,7 @@ def repeats_a_conjunct(f):
 
 def unknown_spec():
     """Classes under which an event with ``p`` and not ``q`` leaves both unknown."""
-    return VisibilitySpec(alphabet=frozenset("pq"), classes=parse_classes("p~q"),
-                          costs={"pq": 5}, bound=1)
+    return VisibilitySpec(classes=parse_classes("p~q"), costs={"pq": 5}, bound=1)
 
 
 class TestProgression:
@@ -805,8 +814,7 @@ class TestDominance:
             classes = random_partition(rng, pool)
             costs = {c.canonical_id: rng.randint(1, 3)
                      for c in classes if not c.is_singleton}
-            spec = VisibilitySpec(alphabet=frozenset(pool), classes=classes,
-                                  costs=costs, bound=sum(costs.values()))
+            spec = VisibilitySpec(classes=classes, costs=costs, bound=sum(costs.values()))
             cfg = RationalConfig(metric="metric2", bound=spec.bound, seed=3)
             trace = random_plain_trace(rng, rng.randint(1, 5), pool)
             active = active_monitor(trace, f, spec, cfg)

@@ -1,7 +1,10 @@
 """Classes, witnesses, and the explicit/visible trace forms."""
 
+from dataclasses import replace
+
 import pytest
 
+from ltlscope import casestudy
 from ltlscope.formula import SLit, is_literal_name, parse_formula
 from ltlscope.visibility import (EqClass, VisibilitySpec, check_consistent,
                                  derive_classes, expand_witnesses,
@@ -209,8 +212,25 @@ class TestStandardView:
 class TestVisibilitySpec:
     def test_missing_cost_rejected(self):
         with pytest.raises(ValueError):
-            VisibilitySpec(alphabet=frozenset(ALPHABET), classes=CLASSES,
-                           costs={"cs": 2}, bound=3)
+            VisibilitySpec(classes=CLASSES, costs={"cs": 2}, bound=3)
+
+    def test_overlapping_classes_rejected(self):
+        """Classes built directly, not derived, may share a member."""
+        overlapping = (EqClass(frozenset({"a", "b"})), EqClass(frozenset({"b", "c"})))
+        with pytest.raises(ValueError, match="classes overlap"):
+            VisibilitySpec(classes=overlapping, costs={"ab": 1, "bc": 1})
+
+    @pytest.mark.parametrize("classes", [
+        casestudy.spec().classes,
+        identity_classes(ALPHABET),
+        derive_classes(ALPHABET, RELATION),
+    ], ids=["casestudy", "singletons", "derived"])
+    def test_alphabet_is_the_union_of_the_classes(self, classes):
+        costs = {c.canonical_id: 1 for c in classes if not c.is_singleton}
+        spec = VisibilitySpec(classes=classes, costs=costs, bound=2)
+        union = frozenset(a for c in classes for a in c.members)
+        assert spec.alphabet == union == frozenset(ALPHABET)
+        assert replace(spec, bound=3).alphabet == union
 
     def test_identity_classes(self):
         classes = identity_classes(("b", "a"))
@@ -236,13 +256,11 @@ class TestSharedWitnessNames:
 
     def test_visibility_spec(self):
         with pytest.raises(ValueError, match=SHARED_NAME):
-            VisibilitySpec(alphabet=frozenset({"a", "ab", "bc", "c"}), classes=COLLIDING,
-                           costs={"abc": 1}, bound=1)
+            VisibilitySpec(classes=COLLIDING, costs={"abc": 1}, bound=1)
 
     def test_session(self):
         from ltlscope.rational import RationalConfig, active_monitor
         with pytest.raises(ValueError, match=SHARED_NAME):
             active_monitor([{"a"}], parse_formula("F (a & X c)"),
-                           VisibilitySpec(alphabet=frozenset({"a", "ab", "bc", "c"}),
-                                          classes=COLLIDING, costs={"abc": 1}, bound=1),
+                           VisibilitySpec(classes=COLLIDING, costs={"abc": 1}, bound=1),
                            RationalConfig(bound=1))

@@ -11,8 +11,7 @@ state's literals.  An event is matched by its own mask over the table
 
 The NBA is transition-based: its states are the tableau's obligation sets,
 and each edge carries acceptance marks, bit ``k`` for the ``k``-th Until.
-The NFA has the same structure and a set of accepting states for finite
-words.
+The NFA is the same object: emptiness fills its accepting states in place.
 """
 
 from __future__ import annotations
@@ -43,17 +42,17 @@ def valuation_bits(lits: tuple, event) -> int:
 
 @dataclass
 class GuardedAutomaton:
-    """NBA or NFA: a state set and guarded transitions, each an ``Edge``.
-
-    On an NBA, ``acceptance`` has one bit per Until: a run is accepted when
-    the marks of the edges it takes infinitely often cover it together, so
-    0 accepts every infinite run.  On an NFA, ``accepting`` holds the states
-    that accept a finite word ending there, and marks are not read.
-    ``flagged`` marks the states from which the all-empty word is Büchi
-    accepted; only a signed monitor's pipeline fills it in.  ``initial``
-    holds one state per root, in the roots' order: a monitor's automaton
-    has two, its satisfaction and its violation branch, and membership
-    reads them together.
+    """NBA and NFA in one object: a state set and guarded transitions, each
+    an ``Edge``.  The NBA reads the marks and ``acceptance``, one bit per
+    Until: a run is accepted when the marks of the edges it takes
+    infinitely often cover it together, so 0 accepts every infinite run.
+    The NFA reads ``accepting``, the states that accept a finite word
+    ending there: the tableau leaves it empty and emptiness fills it in
+    place.  ``flagged`` marks the states from which the all-empty word is
+    Büchi accepted; only a signed monitor's pipeline fills it in.
+    ``initial`` holds one state per root, in the roots' order: a monitor's
+    automaton has two, its satisfaction and its violation branch, and
+    membership reads them together.
     """
 
     states: list[int]

@@ -7,26 +7,28 @@ serve both, and the subset construction and minimisation then run once
 per root.  Emptiness, the flag, bisimilarity and universality depend only
 on what a state reaches, so each branch gets the DFA it would get alone.
 
-Emptiness turns the transition-based generalised Büchi automaton into an
-NFA over finite prefixes: a state is nonempty when it reaches a strongly
-connected component whose internal edges' marks together cover every
-Until.  On a signed monitor a second emptiness check, over the edges an
-empty event can take, flags the states from which the all-empty word is
-accepted; every later stage carries that flag alongside acceptance.  Guards
-stay int masks over the automaton's literal table through the quotient and
-the subset construction, which determinises over consistent valuations of
-the literals each subset's guards mention, compacted onto the row's own
-bits; valuations are packed into integer bitmasks so stepping is a dict
-lookup.  A universal NFA state is accepting, flagged on a signed monitor,
-and has an edge that requires and forbids nothing back to itself: it takes
-every event and keeps acceptance and the flag, so every subset that holds
-it has the same outputs after any word.  The subset construction makes
-all such subsets one state, and the minimal DFA is the one it would have
-had without.
+The NFA over finite prefixes is the tableau automaton itself, one object:
+the NBA reads its edge marks and ``acceptance``, the NFA its ``accepting``
+set.  Emptiness fills that set in place: a state is nonempty when it reaches
+a strongly connected component whose internal edges' marks together cover
+every Until.  On a signed monitor a second emptiness check, over the edges
+an empty event can take (``guard_free``), fills ``flagged`` with the states
+from which the all-empty word is accepted; every later stage carries that
+flag alongside acceptance.  Guards stay int masks over the automaton's
+literal table through the quotient and the subset construction, which
+determinises over consistent valuations of the literals each subset's
+guards mention, compacted onto the row's own bits; valuations are packed
+into integer bitmasks so stepping is a dict lookup.  A universal NFA state
+is accepting, flagged on a signed monitor, and has an edge that requires
+and forbids nothing back to itself: it takes every event and keeps
+acceptance and the flag, so every subset that holds it has the same outputs
+after any word.  The subset construction makes all such subsets one state,
+and the minimal DFA is the one it would have had without.
 One partition-refinement kernel, ``coarsest_partition``, serves both
 merges: the bisimulation quotient of the NFA before the exponential subset
 step and the minimisation of the DFA over each state's own literals.  A
-merge that merges nothing passes its input's structure on.  The Moore
+quotient that merges nothing returns its input, and a minimisation that
+merges nothing passes its input's structure on to a new DFA.  The Moore
 product joins two DFA rows on the names both read (``product_successors``),
 so no event over the union of their literals is built; rows that read no
 name in common, or of which one has a single successor, give every pair of
@@ -40,30 +42,29 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from .guarded import GuardedAutomaton, bit_positions, valuation_bits
+from .guarded import Edge, GuardedAutomaton, bit_positions, valuation_bits
 
 
-def nonempty_states(nba: GuardedAutomaton) -> frozenset[int]:
-    """States from which the Büchi language is nonempty: those reaching a
-    strongly connected component that has an internal edge (a self-loop
-    counts) and whose internal edges' marks together cover
-    ``nba.acceptance``."""
-    transitions = nba.transitions
-    edges = {q: [edge[3] for edge in transitions.get(q, ())] for q in nba.states}
-    full = nba.acceptance
+def nonempty_states(transitions: dict[int, list[Edge]], acceptance: int) -> frozenset[int]:
+    """States from which the Büchi language of ``transitions`` is nonempty:
+    those reaching a strongly connected component that has an internal
+    edge (a self-loop counts) and whose internal edges' marks together
+    cover ``acceptance``.  The states are the keys of ``transitions``, and
+    every target is one of them."""
+    edges = {q: [edge[3] for edge in row] for q, row in transitions.items()}
     good: set[int] = set()
     # Tarjan emits a component after every component it reaches, so one
     # pass sees each edge leaving a component with its target decided.
-    for scc in tarjan_sccs(edges, nba.states):
+    for scc in tarjan_sccs(edges, edges):
         if len(scc) == 1:  # most components: one state, cyclic only by a self-loop
             q = scc[0]
             found = not good.isdisjoint(edges[q]) or _cycle_covers(
-                [marks for _, _, marks, dst in transitions.get(q, ()) if dst == q], full)
+                [marks for _, _, marks, dst in transitions[q] if dst == q], acceptance)
         else:
             members = set(scc)
             found = any(not good.isdisjoint(edges[q]) for q in scc) or _cycle_covers(
-                [marks for q in scc for _, _, marks, dst in transitions.get(q, ())
-                 if dst in members], full)
+                [marks for q in scc for _, _, marks, dst in transitions[q]
+                 if dst in members], acceptance)
         if found:
             good.update(scc)
     return frozenset(good)
@@ -122,26 +123,11 @@ def tarjan_sccs(edges: dict[int, list[int]], states) -> list[list[int]]:
     return sccs
 
 
-def empty_event_edges(nba: GuardedAutomaton) -> GuardedAutomaton:
-    """The automaton restricted to the edges an empty event can take (guards
-    that require nothing).  Its nonempty states are those from which the
-    all-empty word is accepted."""
-    return GuardedAutomaton(
-        states=nba.states, initial=nba.initial,
-        transitions={q: [edge for edge in edges if not edge[0]]
-                     for q, edges in nba.transitions.items()},
-        signed=nba.signed, literals=nba.literals, acceptance=nba.acceptance,
-        accepting=nba.accepting, flagged=nba.flagged)
-
-
-def nba_to_nfa(nba: GuardedAutomaton, nonempty: frozenset[int]) -> GuardedAutomaton:
-    """Same structure, the nonempty-language states accepting: the NFA
-    accepts exactly the finite prefixes with a satisfying infinite
-    continuation.  The transitions and flagged states are shared with the
-    NBA, not copied, and their marks are not read."""
-    return GuardedAutomaton(states=nba.states, initial=nba.initial,
-                            transitions=nba.transitions, signed=nba.signed,
-                            literals=nba.literals, accepting=nonempty, flagged=nba.flagged)
+def guard_free(transitions: dict[int, list[Edge]]) -> dict[int, list[Edge]]:
+    """The edges an empty event can take: those whose guard requires
+    nothing.  Their nonempty states are those from which the all-empty word
+    is accepted."""
+    return {q: [edge for edge in row if not edge[0]] for q, row in transitions.items()}
 
 
 # Valuations are int bitmasks over a tuple of literals in ``str`` order: bit
@@ -225,18 +211,15 @@ def quotient_bisim(aut: GuardedAutomaton) -> GuardedAutomaton:
     Edges are compared as (require, forbid, target block) int triples; a
     merged state's edges are rebuilt in that order and carry no marks.
     When no two states merge (each state its own block, numbered as
-    itself), the quotient shares the input's states and transitions, edges
-    in the tableau's order with their marks, which an NFA does not read.
+    itself), the quotient is ``aut`` itself: edges in the tableau's order
+    with their marks, which an NFA does not read.
     """
     block = coarsest_partition({q: (q in aut.accepting, q in aut.flagged) for q in aut.states},
                                aut.transitions,
                                lambda row, block: frozenset(
                                    (require, forbid, block[dst]) for require, forbid, _, dst in row))
     if _discrete(block):
-        return GuardedAutomaton(states=aut.states, initial=aut.initial,
-                                transitions=aut.transitions, signed=aut.signed,
-                                literals=aut.literals, accepting=aut.accepting,
-                                flagged=aut.flagged)
+        return aut
     rep: dict[int, int] = {}
     for q in aut.states:
         rep.setdefault(block[q], q)

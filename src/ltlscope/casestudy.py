@@ -120,7 +120,7 @@ class GridCell:
         return self.expected if dispute is None else dispute[0]
 
 
-def run_grid(with_oracle: bool = False) -> list[GridCell]:
+def run_grid(with_oracle: bool) -> list[GridCell]:
     """Evaluate every property under the five configurations.
 
     When ``with_oracle`` is set, every rational-monitor cell that disagrees

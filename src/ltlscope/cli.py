@@ -29,7 +29,7 @@ from .randgen import (derive_seed, experiment_visibility, random_formula,
 from .rational import (METRICS, ActiveSession, RationalConfig, ReactiveSession,
                        active_monitor)
 from .visibility import (EqClass, VisibilitySpec, check_consistent, explicit_trace,
-                         parse_classes, rendering_map, visible_event)
+                         parse_classes, rendering_map, visible_event, witness_names)
 
 
 class Refusal(Exception):
@@ -61,17 +61,18 @@ def _write_text(path: str, text: str, what: str) -> None:
         raise Refusal(f"{what} error: {exc}")
 
 
-def _read_events(path: str, event_of: Callable[[list[str]], frozenset]) -> list[frozenset]:
-    """The events of a trace file, one per line of comma or space separated
-    tokens.  ``event_of`` makes a line's tokens into its event once per
-    distinct line text; a ``ValueError`` it raises is refused with the
-    line.  Equal events are one object, so a long trace holds each distinct
-    event once, and the monitor, which remembers the events it checked by
-    identity (``MonitorInstance.step``), checks each distinct event once."""
+def _read_events(path: str, lines: list[str],
+                 event_of: Callable[[list[str]], frozenset]) -> list[frozenset]:
+    """The events of trace file ``path``'s ``lines``, each of comma or space
+    separated tokens.  ``event_of`` makes a line's tokens into its event
+    once per distinct line text; a ``ValueError`` it raises is refused with
+    the line.  Equal events are one object, so a long trace holds each
+    distinct event once, and the monitor, which remembers the events it
+    checked by identity (``MonitorInstance.step``), checks each once."""
     events = []
     by_line: dict[str, frozenset] = {}
     distinct: dict[frozenset, frozenset] = {}
-    for i, line in enumerate(_read_text(path, "trace").splitlines()):
+    for i, line in enumerate(lines):
         event = by_line.get(line)
         if event is None:
             try:
@@ -104,14 +105,11 @@ def read_plain_trace(path: str,
     """One event per line; comma or space separated atoms; blank line is an
     empty event.  The first token of a line that is not an atom name, or
     with ``alphabet`` an atom outside it, is refused with its line."""
-    return _read_events(path, _plain_event(alphabet))
+    return _read_events(path, _read_text(path, "trace").splitlines(), _plain_event(alphabet))
 
 
-def read_signed_trace(path: str, names: frozenset[str]) -> list[frozenset[SLit]]:
-    """One event per line of ``name=1`` / ``[group]=0`` tokens.  A bad token,
-    a literal whose name is neither an atom name nor a class witness name
-    (``is_literal_name``), a literal of a name outside ``names``, or an
-    event holding both signs of a name, is refused with its line."""
+def _signed_event(names: frozenset[str]) -> Callable[[list[str]], frozenset[SLit]]:
+    """``read_signed_trace``'s rule for one line."""
     def event_of(tokens: list[str]) -> frozenset[SLit]:
         event = frozenset(parse_slit(tok) for tok in tokens)
         bad = sorted(l.name for l in event if not is_literal_name(l.name))
@@ -122,14 +120,15 @@ def read_signed_trace(path: str, names: frozenset[str]) -> list[frozenset[SLit]]
             raise ValueError(f"{stray[0]!r} is neither a singleton atom nor a class witness")
         check_consistent(event)
         return event
-    return _read_events(path, event_of)
+    return event_of
 
 
-def trace_is_signed(path: str) -> bool:
-    for line in _read_text(path, "trace").splitlines():
-        if line.strip():
-            return "=" in line
-    return False
+def read_signed_trace(path: str, names: frozenset[str]) -> list[frozenset[SLit]]:
+    """One event per line of ``name=1`` / ``[group]=0`` tokens.  A bad token,
+    a literal whose name is neither an atom name nor a class witness name
+    (``is_literal_name``), a literal of a name outside ``names``, or an
+    event holding both signs of a name, is refused with its line."""
+    return _read_events(path, _read_text(path, "trace").splitlines(), _signed_event(names))
 
 
 def parse_costs(text: str) -> dict[str, int]:
@@ -217,24 +216,52 @@ def _alphabet_of(classes) -> frozenset[str]:
     return frozenset(a for cls in classes for a in cls.members)
 
 
+def _stored_classes(text: str) -> Optional[tuple[EqClass, ...]]:
+    """The classes a machine file stores, or ``None`` when it stores none.
+    Stored classes that do not parse are refused as a machine error."""
+    stored = json.loads(text).get("classes")
+    if stored is None:
+        return None
+    if not isinstance(stored, str):
+        raise Refusal(f"machine error: stored classes {stored!r} are not a classes text")
+    try:
+        return parse_classes(stored)
+    except ValueError as exc:
+        raise Refusal(f"machine error: stored classes: {exc}")
+
+
+def _read_names(monitor: MonitorInstance) -> set[str]:
+    """The literal names a signed machine's components read."""
+    return {lit.name for dfa in monitor.machine.components
+            for lits in dfa.lits.values() for lit in lits}
+
+
 def _machine_names(text: str, monitor: MonitorInstance) -> frozenset[str]:
     """The literal names a signed trace may use with a signed machine file:
     those of the classes text the file stores and those its components
     read.  A machine synthesised with ``--alphabet`` reads singleton atoms
-    that its classes text does not name.  Stored classes that do not parse
-    are refused as a machine error."""
-    names = {lit.name for dfa in monitor.machine.components
-             for lits in dfa.lits.values() for lit in lits}
-    stored = json.loads(text).get("classes")
+    that its classes text does not name."""
+    stored = _stored_classes(text)
+    return frozenset(_read_names(monitor).union(
+        () if stored is None else rendering_map(stored).values()))
+
+
+def _check_machine_classes(text: str, monitor: MonitorInstance,
+                           classes: tuple[EqClass, ...]) -> None:
+    """Refuse ``--classes`` that encode events in other literals than a
+    signed machine file reads: the witness names of their classes with
+    several members must be those of the classes the file stores or, when
+    it stores none, include every witness name its components read.
+    Singleton classes never conflict."""
+    given = set(witness_names(classes))
+    stored = _stored_classes(text)
     if stored is None:
-        return frozenset(names)
-    if not isinstance(stored, str):
-        raise Refusal(f"machine error: stored classes {stored!r} are not a classes text")
-    try:
-        classes = parse_classes(stored)
-    except ValueError as exc:
-        raise Refusal(f"machine error: stored classes: {exc}")
-    return frozenset(names.union(rendering_map(classes).values()))
+        want = {name for name in _read_names(monitor) if name[:1] == "["}
+    else:
+        want = set(witness_names(stored))
+    if not (want <= given if stored is None else want == given):
+        raise Refusal(f"classes error: the machine file's class witnesses are {sorted(want)}, "
+                      f"but --classes make {sorted(given)}")
 
 
 def cmd_verify(args) -> int:
@@ -259,8 +286,11 @@ def cmd_verify(args) -> int:
 
     cfg = _load_config(args)
     classes = _classes_arg(args)
+    if monitor is not None and monitor.machine.signed and classes is not None:
+        _check_machine_classes(machine_text, monitor, classes)
 
-    signed_input = trace_is_signed(args.trace)
+    lines = _read_text(args.trace, "trace").splitlines()
+    signed_input = "=" in next((line for line in lines if line.strip()), "")
     session: Optional[ActiveSession | ReactiveSession] = None
 
     if mode in ("active", "reactive"):
@@ -276,7 +306,7 @@ def cmd_verify(args) -> int:
             raise Refusal("active/reactive modes need --bound")
         if mode == "reactive" and cfg.get("window") is None:
             raise Refusal("reactive mode needs --window")
-        events: list = read_plain_trace(args.trace, _alphabet_of(classes))
+        events: list = _read_events(args.trace, lines, _plain_event(_alphabet_of(classes)))
         if not isinstance(cfg["costs"], dict):
             raise Refusal("config error: costs must map class ids to integers")
         # The spec and the config check their own values; the session's
@@ -302,20 +332,20 @@ def cmd_verify(args) -> int:
         if mode == "standard":
             if signed_input:
                 raise Refusal("standard mode consumes plain traces")
-            events = read_plain_trace(args.trace)
+            events = _read_events(args.trace, lines, _plain_event(None))
         else:
             if signed_input:
                 # Without --classes the monitor is a machine file's.
                 names = (_machine_names(machine_text, monitor) if classes is None
                          else frozenset(rendering_map(classes).values()))
-                events = read_signed_trace(args.trace, names)
+                events = _read_events(args.trace, lines, _signed_event(names))
             else:
                 if classes is None:
                     raise Refusal("imperfect mode needs --classes to encode a plain trace")
                 # Each distinct line is made visible once.
                 covered = _alphabet_of(classes)
                 plain = _plain_event(covered)
-                events = _read_events(args.trace, lambda tokens: visible_event(
+                events = _read_events(args.trace, lines, lambda tokens: visible_event(
                     explicit_trace([plain(tokens)], covered)[0], classes, ()))
         step = monitor.step
 
@@ -397,7 +427,7 @@ EXPERIMENT_TRACE_LEN = 8  # events per trace of the metric comparison
 
 
 def run_metrics_experiment(n_formulas: int, n_traces: int, seed: int,
-                           metrics: Sequence[str], size: int = 4) -> dict[str, dict[str, int]]:
+                           metrics: Sequence[str], size: int) -> dict[str, dict[str, int]]:
     """Verdict counts of seeded active-monitor runs per metric.
 
     Formulas, traces and visibility draws are shared across metrics so the

@@ -22,11 +22,11 @@ from typing import Iterable, Optional, Sequence
 from .automata.moore import (MEMO_LIMIT, ImpossibleStateError, MooreMachine, Verdict,
                              product2, product3)
 from .automata.pipeline import (DFA, TooWideError, check_row, consistent_masks,
-                                determinize, empty_event_edges, minimize, nba_to_nfa,
-                                nonempty_states, quotient_bisim)
+                                determinize, guard_free, minimize, nonempty_states,
+                                quotient_bisim)
 from .automata.tableau import ltl_to_nba
-from .formula import (MAX_NESTING, Formula, SLit, height, is_atom_name, is_literal_name,
-                      nnf_pair, parse_slit)
+from .formula import (MAX_NESTING, Formula, Lit, SLit, _children, is_atom_name,
+                      is_literal_name, nnf_pair, parse_slit)
 from .visibility import EqClass, check_consistent, event_set, rendering_map
 
 
@@ -34,24 +34,26 @@ def subset_dfas(roots: tuple[Formula, ...], signed: bool) -> tuple[DFA, ...]:
     """Run a monitor's pipeline up to the subset construction: one front
     end for all its roots, then one subset DFA per root.
 
-    The front end is the roots' one tableau, a transition-based generalised
-    NBA over obligation sets with one initial state per root, one emptiness
-    pass over its edge marks, its NFA and one bisimulation quotient.  On a
-    signed monitor one more emptiness pass, over the edges an empty event
-    can take, flags the states from which the all-empty word is accepted;
-    a plain monitor never reads flags and skips it.  Guards stay int masks
-    over the tableau's literal table until the DFA.  Each root's subset
-    construction starts from its own quotient state and reads only what
-    that state reaches, so it gives the DFA the root would get alone.  The
-    NBA is neither quotiented nor degeneralised: emptiness reads its marks
-    directly, and bisimilar NBA states have the same Büchi language, so
-    the NFA quotient merges them anyway.  Every stage is called through
-    this module's globals.
+    The front end is one automaton object, the roots' tableau: a
+    transition-based generalised NBA over obligation sets with one initial
+    state per root, whose marks the NBA reads and whose ``accepting`` set
+    the NFA reads.  One emptiness pass over its marks fills that set.  On a
+    signed monitor one more, over the edges an empty event can take, fills
+    ``flagged`` with the states from which the all-empty word is accepted;
+    a plain monitor never reads flags and skips it.  The bisimulation
+    quotient returns that object when it merges nothing.  Guards stay int
+    masks over the tableau's literal table until the DFA.  Each root's
+    subset construction starts from its own quotient state and reads only
+    what that state reaches, so it gives the DFA the root would get alone.
+    The NBA is neither quotiented nor degeneralised: bisimilar NBA states
+    have the same Büchi language, so the NFA quotient merges them anyway.
+    Every stage is called through this module's globals.
     """
-    nba = ltl_to_nba(roots, signed)
+    aut = ltl_to_nba(roots, signed)
     if signed:
-        nba.flagged = nonempty_states(empty_event_edges(nba))
-    nfa = quotient_bisim(nba_to_nfa(nba, nonempty_states(nba)))
+        aut.flagged = nonempty_states(guard_free(aut.transitions), aut.acceptance)
+    aut.accepting = nonempty_states(aut.transitions, aut.acceptance)
+    nfa = quotient_bisim(aut)
     return tuple(determinize(nfa, root) for root in nfa.initial)
 
 
@@ -125,17 +127,26 @@ class MonitorInstance:
         return encoded
 
 
-def _check_height(f: Formula) -> None:
-    """Refuse a formula nested deeper than the parser accepts from text.
-    Synthesis work grows with height, so a formula built through the API
-    meets the same limit as parsed text."""
-    if height(f) > MAX_NESTING:
-        raise ValueError(f"formula nests deeper than {MAX_NESTING} levels")
+def _check_formula(f: Formula) -> None:
+    """Refuse a formula the parser cannot give: one nested deeper than it
+    accepts from text, since synthesis work grows with height, or one with
+    a signed-literal leaf, which synthesis makes itself from atoms.  One
+    walk over the levels of distinct nodes, as ``height`` takes them."""
+    level, h = {f}, 0
+    while level:
+        lit = next((g.lit for g in level if type(g) is Lit), None)
+        if lit is not None:
+            raise ValueError(f"formula has the signed literal {str(lit)!r}: "
+                             "synthesis takes atoms, not literals")
+        if h > MAX_NESTING:
+            raise ValueError(f"formula nests deeper than {MAX_NESTING} levels")
+        level = {child for g in level for child in _children(g)}
+        h += 1
 
 
 @lru_cache(maxsize=4096)
 def _standard_machine(f: Formula) -> MooreMachine:
-    _check_height(f)
+    _check_formula(f)
     return product2(*minimal_dfas(nnf_pair(f), signed=False))
 
 
@@ -152,7 +163,7 @@ def signed_triple(f: Formula, classes: Sequence[EqClass]) -> tuple[Formula, Form
 
 @lru_cache(maxsize=4096)
 def _imperfect_machine(f: Formula, classes: tuple[EqClass, ...]) -> MooreMachine:
-    _check_height(f)
+    _check_formula(f)
     return product3(*minimal_dfas(signed_triple(f, classes), signed=True))
 
 
@@ -160,7 +171,8 @@ def synthesize_standard(f: Formula) -> MonitorInstance:
     """Three-valued monitor: product of the satisfaction and violation DFAs
     over plain closed-world events.  The underlying machine is immutable and
     cached; every call hands out a fresh cursor.  A formula nested deeper
-    than ``MAX_NESTING`` raises ``ValueError``."""
+    than ``MAX_NESTING``, or with a signed-literal leaf, raises
+    ``ValueError``."""
     return MonitorInstance(_standard_machine(f))
 
 

@@ -1,6 +1,7 @@
 """Shared generators, event spaces and reference helpers for the test
 suite.  The helpers are the ones only tests need: the plain NNF, the payoff
-of each class, and membership of a finite word in an NFA or a DFA."""
+of each class, the prefix NFA of a tableau, and membership of a finite word
+in an NFA or a DFA."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import random
 import pytest
 
 from ltlscope.automata.guarded import valuation_bits
-from ltlscope.automata.pipeline import DFA
+from ltlscope.automata.pipeline import DFA, guard_free, nonempty_states
 from ltlscope.formula import (Always, And, Atom, Eventually, Implies, Lit,
                               Next, Not, Or, Release, SLit, Until, nnf_pair,
                               postorder, to_metric_form)
@@ -39,6 +40,16 @@ def payoff(classes, f, spec) -> dict[str, float]:
     form = to_metric_form(f)
     return {cls.canonical_id: sum(metric(form, atom, spec) for atom in sorted(cls.members))
             for cls in classes}
+
+
+def prefix_nfa(aut):
+    """The tableau ``aut`` made the prefix NFA in place, as
+    ``monitor.subset_dfas`` does before its quotient: on a signed automaton
+    the flag pass, then the nonempty states accepting.  Returns ``aut``."""
+    if aut.signed:
+        aut.flagged = nonempty_states(guard_free(aut.transitions), aut.acceptance)
+    aut.accepting = nonempty_states(aut.transitions, aut.acceptance)
+    return aut
 
 
 def successors(aut, state: int, event: frozenset):

@@ -29,7 +29,7 @@ from ltlscope.rational import (METRICS, RationalConfig, active_monitor,
 from ltlscope.visibility import (VisibilitySpec, derive_classes,
                                  explicit_trace, parse_classes, visible_trace)
 
-from conftest import accepts_prefix, payoff
+from conftest import accepts_prefix, payoff, prefix_nfa
 
 SEED = 20240817
 
@@ -172,17 +172,14 @@ def test_criterion_04_disjoined_safety_metrics_and_reactive():
 # ---------------------------------------------------------------------------
 
 def test_criterion_05_lemma1_counterexample():
-    from ltlscope.automata import ltl_to_nba, nba_to_nfa, nonempty_states
+    from ltlscope.automata import ltl_to_nba
     from ltlscope.oracle.verdict import signed_triple
     classes = derive_classes(("p", "q", "r"), [("p", "q")])
     sat, viol, _ = signed_triple(Next(Atom("p")), classes)
     sigma = [set(), {"p"}]
     sv = visible_trace(explicit_trace(sigma, ("p", "q", "r")), classes, ())
-    memberships = []
-    for g in (sat, viol):
-        nba = ltl_to_nba((g,), signed=True)
-        nfa = nba_to_nfa(nba, nonempty_states(nba))
-        memberships.append(accepts_prefix(nfa, sv))
+    memberships = [accepts_prefix(prefix_nfa(ltl_to_nba((g,), signed=True)), sv)
+                   for g in (sat, viol)]
     ok = memberships == [False, False]
     report(5, "hidden-atom prefix outside both prefix languages", ok,
            f"memberships sat={memberships[0]}, viol={memberships[1]}")
@@ -390,7 +387,7 @@ def test_criterion_09_per_event_time_constant():
 
 def test_criterion_10_metric_comparison_directional():
     t0 = time.perf_counter()
-    counts = run_metrics_experiment(1000, 20, SEED + 4, ["metric0", "metric2"])
+    counts = run_metrics_experiment(1000, 20, SEED + 4, ["metric0", "metric2"], size=4)
     total = 1000 * 20
     uu0 = counts["metric0"]["UU"]
     uu2 = counts["metric2"]["UU"]

@@ -10,12 +10,11 @@ import pytest
 from ltlscope import casestudy, randgen
 from ltlscope.automata import (DFA, GuardedAutomaton, ImpossibleStateError,
                                Verdict, classify2, classify3, determinize,
-                               ltl_to_nba, minimize, nba_to_nfa,
-                               nonempty_states)
+                               ltl_to_nba, minimize, nonempty_states)
 from ltlscope.automata.dot import automaton_to_dot, moore_to_dot
 from ltlscope.automata.moore import product2, product3
 from ltlscope.automata.pipeline import (coarsest_partition, consistent_count,
-                                        consistent_masks, empty_event_edges,
+                                        consistent_masks, guard_free,
                                         literal_order, mask_event, quotient_bisim)
 from ltlscope.formula import (FALSE, TRUE, And, Atom, FalseConst, Lit, Next,
                               Not, Or, Release, SLit, TrueConst, Until,
@@ -27,8 +26,9 @@ from ltlscope.oracle.verdict import signed_triple
 from ltlscope.visibility import (derive_classes, explicit_trace, identity_classes,
                                  visible_trace)
 
-from conftest import (accepts_prefix, all_words, plain_events, random_formula,
-                      random_signed_event, run_prefix, successors, to_nnf)
+from conftest import (accepts_prefix, all_words, plain_events, prefix_nfa,
+                      random_formula, random_signed_event, run_prefix, successors,
+                      to_nnf)
 
 
 def reach_sets(adjacency) -> dict:
@@ -417,23 +417,40 @@ class TestTableauReference:
 class TestEmptiness:
     def test_universal_language(self):
         nba = ltl_to_nba((TRUE,), signed=False)
-        assert nonempty_states(nba) == frozenset(nba.states)
+        assert nonempty_states(nba.transitions, nba.acceptance) == frozenset(nba.states)
 
     def test_empty_language(self):
         nba = ltl_to_nba((FALSE,), signed=False)
-        assert nonempty_states(nba) == frozenset()
+        assert nonempty_states(nba.transitions, nba.acceptance) == frozenset()
 
     def test_matches_independent_oracle(self, rng):
         for _ in range(40):
             f = to_nnf(random_formula(rng, rng.randint(1, 7)))
             nba = ltl_to_nba((f,), signed=False)
-            assert nonempty_states(nba) == emptiness_oracle(nba)
+            assert nonempty_states(nba.transitions, nba.acceptance) == emptiness_oracle(nba)
 
     @pytest.mark.parametrize("text", ["G F p & F G !p", "F G !p & G F p", "G F p & G F q"])
     def test_every_acceptance_set_counts(self, text):
         nba = ltl_to_nba((to_nnf(parse_formula(text)),), signed=False)
         assert nba.acceptance == 0b11
-        assert nonempty_states(nba) == emptiness_oracle(nba)
+        assert nonempty_states(nba.transitions, nba.acceptance) == emptiness_oracle(nba)
+
+    def test_flag_pass_matches_independent_oracle(self, rng):
+        """The flag pass, emptiness over the guard-free edges, agrees with
+        the oracle run over the edges the empty event meets (those that
+        require nothing): on the rover properties and on seeded signed
+        draws, every branch of the signed triple."""
+        pool = ("p", "q", "r", "s")
+        draws = [(f, casestudy.spec().classes) for f in casestudy.formulas().values()]
+        draws += [(randgen.random_formula(rng, rng.randint(1, 8), pool),
+                   randgen.random_partition(rng, pool)) for _ in range(60)]
+        for f, classes in draws:
+            for branch in signed_triple(f, classes):
+                nba = ltl_to_nba((branch,), signed=True)
+                empty = {q: [edge for edge in row if edge[0] == 0]
+                         for q, row in nba.transitions.items()}
+                assert (nonempty_states(guard_free(nba.transitions), nba.acceptance)
+                        == emptiness_oracle(replace(nba, transitions=empty))), branch
 
     def test_case_study_signed_oracle(self):
         classes = derive_classes(("a", "b", "g", "b1", "b2", "b3", "mb"),
@@ -442,13 +459,12 @@ class TestEmptiness:
             parse_formula("F (g & (b1 | b2 | b3) & X mb)"), classes)
         for formula in (sat, viol, und):
             nba = ltl_to_nba((formula,), signed=True)
-            assert nonempty_states(nba) == emptiness_oracle(nba)
+            assert nonempty_states(nba.transitions, nba.acceptance) == emptiness_oracle(nba)
 
 
 class TestNfa:
     def test_liveness_has_no_bad_prefix(self, rng):
-        nba = ltl_to_nba((to_nnf(parse_formula("F p")),), signed=False)
-        nfa = nba_to_nfa(nba, nonempty_states(nba))
+        nfa = prefix_nfa(ltl_to_nba((to_nnf(parse_formula("F p")),), signed=False))
         for n in range(4):
             for word in all_words(plain_events(("p",)), n):
                 assert accepts_prefix(nfa, word)
@@ -457,8 +473,7 @@ class TestNfa:
         f = to_nnf(parse_formula("G p"))
         classes = derive_classes(("p",), [])
         sat, _, _ = signed_triple(f, classes)
-        nba = ltl_to_nba((sat,), signed=True)
-        nfa = nba_to_nfa(nba, nonempty_states(nba))
+        nfa = prefix_nfa(ltl_to_nba((sat,), signed=True))
         good = frozenset({SLit("p", True)})
         bad = frozenset()
         assert accepts_prefix(nfa, [good, good])
@@ -471,8 +486,7 @@ class TestNfa:
         alphabet = ("b1", "b2", "b3", "c", "s", "a", "b", "g", "mb", "w")
         classes = derive_classes(alphabet, [("c", "s"), ("a", "b"), ("b", "g")])
         _, viol, _ = signed_triple(parse_formula("F (c & X w)"), classes)
-        nba = ltl_to_nba((viol,), signed=True)
-        nfa = nba_to_nfa(nba, nonempty_states(nba))
+        nfa = prefix_nfa(ltl_to_nba((viol,), signed=True))
         sigma = [set(), {"g", "b1", "c"}, {"g", "c", "mb", "b2"}, {"c"}, {"w"}]
         sv = visible_trace(explicit_trace(sigma, alphabet), classes, ())
         assert accepts_prefix(nfa, sv[:4])
@@ -536,8 +550,7 @@ class TestDeterminize:
             f = to_nnf(random_formula(rng, rng.randint(1, 5), pool=("p", "q")))
             classes = derive_classes(("p", "q"), [("p", "q")] if rng.random() < 0.5 else [])
             sat, _, _ = signed_triple(f, classes)
-            nba = ltl_to_nba((sat,), signed=True)
-            dfa = determinize_one(nba_to_nfa(nba, nonempty_states(nba)))
+            dfa = determinize_one(prefix_nfa(ltl_to_nba((sat,), signed=True)))
             names = {lit.name for q in dfa.states for lit in dfa.lits[q]} | {"zz"}
             for _ in range(20):
                 event = random_signed_event(rng, sorted(names))
@@ -549,16 +562,14 @@ class TestDeterminize:
         events = plain_events(("p", "q"))
         for _ in range(30):
             f = to_nnf(random_formula(rng, rng.randint(1, 6), pool=("p", "q")))
-            nba = ltl_to_nba((f,), signed=False)
-            nfa = nba_to_nfa(nba, nonempty_states(nba))
+            nfa = prefix_nfa(ltl_to_nba((f,), signed=False))
             dfa = determinize_one(nfa)
             for n in range(0, 4):
                 for word in all_words(events, n):
                     assert accepts_prefix(nfa, word) == accepts_prefix(dfa, word)
 
     def test_empty_language_has_no_accepting_reachable(self):
-        nba = ltl_to_nba((FALSE,), signed=False)
-        dfa = determinize_one(nba_to_nfa(nba, nonempty_states(nba)))
+        dfa = determinize_one(prefix_nfa(ltl_to_nba((FALSE,), signed=False)))
         assert dfa.accepting == frozenset()
 
 
@@ -583,10 +594,7 @@ def branch_dfa(f, signed: bool) -> DFA:
 def quotient_nfa(f, signed: bool) -> GuardedAutomaton:
     """The stages of ``subset_dfas`` before the subset construction, for one
     root."""
-    nba = ltl_to_nba((f,), signed)
-    if signed:
-        nba.flagged = nonempty_states(empty_event_edges(nba))
-    return quotient_bisim(nba_to_nfa(nba, nonempty_states(nba)))
+    return quotient_bisim(prefix_nfa(ltl_to_nba((f,), signed)))
 
 
 def uncollapsed_determinize(nfa: GuardedAutomaton) -> DFA:
@@ -652,8 +660,7 @@ class TestMinimize:
         events = plain_events(("p", "q"))
         for _ in range(30):
             f = to_nnf(random_formula(rng, rng.randint(1, 6), pool=("p", "q")))
-            nba = ltl_to_nba((f,), signed=False)
-            dfa = determinize_one(nba_to_nfa(nba, nonempty_states(nba)))
+            dfa = determinize_one(prefix_nfa(ltl_to_nba((f,), signed=False)))
             small = minimize(dfa)
             assert len(small.states) <= len(dfa.states)
             for n in range(0, 5):
@@ -853,34 +860,35 @@ def nfa_fields(aut: GuardedAutomaton) -> tuple:
 
 
 class TestUnmergedStages:
-    """A quotient or minimisation that merges no states passes its input's
-    structure on instead of rebuilding it: the result matches the rebuild
-    field for field (the quotient's edges keep the tableau's order and
-    marks, which no later stage reads), and the subset construction and the
-    minimal DFA are unchanged."""
+    """A quotient that merges no states returns its input, and one that
+    merges some a new automaton.  A minimisation that merges none passes
+    its input's structure on to a new DFA instead of rebuilding it.  Either
+    result matches the rebuild field for field (the quotient's edges keep
+    the tableau's order and marks, which no later stage reads), and the
+    subset construction and the minimal DFA are unchanged."""
 
     def test_criterion_6_draws(self):
         rng = random.Random(20261020)
         pool = ("p", "q", "r", "s")
         unmerged = [0, 0]
+        merged = 0
         for _ in range(150):
             f = randgen.random_formula(rng, rng.randint(1, 8), pool)
             sat, viol, _ = signed_triple(f, randgen.random_partition(rng, pool))
             for branch, signed in ((to_nnf(f), False), (negate_nnf(f), False),
                                    (sat, True), (viol, True)):
-                nba = ltl_to_nba((branch,), signed)
-                if signed:
-                    nba.flagged = nonempty_states(empty_event_edges(nba))
-                nfa = nba_to_nfa(nba, nonempty_states(nba))
+                nfa = prefix_nfa(ltl_to_nba((branch,), signed))
                 quotient = quotient_bisim(nfa)
                 if len(quotient.states) == len(nfa.states):
                     unmerged[0] += 1
-                    identity = {q: q for q in nfa.states}
-                    rebuilt = rebuilt_quotient(nfa, identity)
-                    assert quotient.transitions is nfa.transitions
+                    assert quotient is nfa
+                    rebuilt = rebuilt_quotient(nfa, {q: q for q in nfa.states})
                     assert nfa_fields(quotient) == nfa_fields(rebuilt), branch
                     assert (dfa_fields(determinize_one(quotient))
                             == dfa_fields(determinize_one(rebuilt)))
+                else:
+                    merged += 1
+                    assert quotient is not nfa
                 dfa = determinize_one(quotient)
                 small = minimize(dfa)
                 assert small is not dfa
@@ -888,7 +896,7 @@ class TestUnmergedStages:
                     unmerged[1] += 1
                     assert dfa_fields(small) == dfa_fields(
                         rebuilt_minimal(dfa, {q: q for q in dfa.states})), branch
-        assert min(unmerged) > 100, unmerged
+        assert min(unmerged) > 100 and merged > 10, (unmerged, merged)
 
     def test_minimize_returns_a_new_dfa(self):
         dfa = branch_dfa(to_nnf(parse_formula("F p")), signed=False)
@@ -944,10 +952,8 @@ class TestSingleQuotient:
 
     @staticmethod
     def reference_nfa(f, signed):
-        nba = transition_based(degeneralised(reference_nba(f, signed)), signed)
-        if signed:
-            nba = replace(nba, flagged=nonempty_states(empty_event_edges(nba)))
-        return quotient_bisim(nba_to_nfa(nba, nonempty_states(nba)))
+        return quotient_bisim(prefix_nfa(
+            transition_based(degeneralised(reference_nba(f, signed)), signed)))
 
     def assert_same(self, f, signed):
         reference = self.reference_nfa(f, signed)
@@ -1330,8 +1336,7 @@ class TestLemma1:
         sv = visible_trace(explicit_trace(sigma, ("p", "q", "r")), classes, ())
         assert sv[1] == frozenset({SLit("r", False)})
         for formula in (sat, viol):
-            nba = ltl_to_nba((formula,), signed=True)
-            nfa = nba_to_nfa(nba, nonempty_states(nba))
+            nfa = prefix_nfa(ltl_to_nba((formula,), signed=True))
             assert not accepts_prefix(nfa, sv)
 
 
@@ -1341,8 +1346,8 @@ class TestDot:
         m = synthesize_imperfect(Atom("p"), classes)
         dot = moore_to_dot(m.machine)
         assert dot.startswith("digraph") and "?" in dot
-        nba = ltl_to_nba((to_nnf(parse_formula("F p")),), signed=False)
-        assert "doublecircle" in automaton_to_dot(nba_to_nfa(nba, nonempty_states(nba)))
+        nfa = prefix_nfa(ltl_to_nba((to_nnf(parse_formula("F p")),), signed=False))
+        assert "doublecircle" in automaton_to_dot(nfa)
         dfa = branch_dfa(to_nnf(parse_formula("F p")), signed=False)
         assert "digraph" in automaton_to_dot(dfa)
 

@@ -154,6 +154,27 @@ class TestVerify:
         assert report["final"] == "TRUE"
         assert report["steps"][0]["event"] == ["[cs]=1", "w=0"]
 
+    @pytest.mark.parametrize("mode, text", [
+        ("standard", "\nc\n"), ("imperfect", "\nc\n"), ("imperfect", "\n[cs]=1\n"),
+        ("active", "\nc\n"), ("reactive", "\nc\n")],
+        ids=["standard", "imperfect-plain", "imperfect-signed", "active", "reactive"])
+    def test_trace_file_is_read_once(self, tmp_path, capsys, monkeypatch, mode, text):
+        """The trace's form, plain or signed, is read off the text that the
+        events are read from: the file is opened once in every mode."""
+        path = tmp_path / "t.txt"
+        path.write_text(text, encoding="utf-8")
+        reads = []
+        read_text = cli._read_text
+
+        def counted(name, what):
+            reads.append(what)
+            return read_text(name, what)
+        monkeypatch.setattr(cli, "_read_text", counted)
+        code, _ = run_cli(["verify", "-f", "F c", "--trace", str(path), "--mode", mode,
+                           *CASE_ARGS, "--costs", "cs=1,abg=1", "--bound", "1",
+                           "--window", "1", "--omit-timing"], capsys)
+        assert code == 0 and reads == ["trace"]
+
     def test_missing_flags_error(self, trace_file, capsys):
         message = one_line_exit(["verify", "-f", "F p", "--trace", trace_file,
                                  "--mode", "active", "--classes", "p~q"])
@@ -378,6 +399,47 @@ class TestUserErrors:
                                     stored=(stored,))
         message = one_line_exit(self.run_machine(machine, tmp_path, ["r=1"])[1])
         assert message.startswith("machine error: ")
+
+    @staticmethod
+    def cs_machines(tmp_path, capsys) -> list[str]:
+        """``F c`` synthesised over ``c~s``, a machine that reads only
+        ``[cs]``: as written, and with no stored classes."""
+        path, unstored = tmp_path / "m.json", tmp_path / "unstored.json"
+        code, _ = run_cli(["synthesize", "-f", "F c", "--classes", "c~s", "--out", str(path)],
+                          capsys)
+        assert code == 0
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["classes"] = None
+        unstored.write_text(json.dumps(payload), encoding="utf-8")
+        return [str(path), str(unstored)]
+
+    @pytest.mark.parametrize("line", ["c s", "c=1"], ids=["plain", "signed"])
+    def test_classes_that_disagree_with_a_machine_file(self, tmp_path, capsys, line):
+        """``--classes`` under which the machine would read other literals
+        than it was made for are refused with one line, whether the file
+        stores its classes or not: under ``c; s`` the plain line is the
+        event ``c=1, s=1`` and the signed one ``c=1``, and the machine reads
+        neither literal."""
+        stored, unstored = self.cs_machines(tmp_path, capsys)
+        for machine in (stored, unstored):
+            _, argv = self.run_machine(machine, tmp_path, [line])
+            message = one_line_exit(argv + ["--classes", "c; s"])
+            assert message.startswith("classes error: ") and "'[cs]'" in message
+        # Stored classes must be matched exactly: another class with
+        # several members is a conflict too.
+        _, argv = self.run_machine(stored, tmp_path, [line])
+        message = one_line_exit(argv + ["--classes", "c~s; a~b"])
+        assert message.startswith("classes error: ") and "'[ab]'" in message
+
+    def test_classes_that_agree_with_a_machine_file(self, tmp_path, capsys):
+        """The classes a machine was made with verify it, and singleton
+        classes never conflict: ``--alphabet`` adds them."""
+        for machine in self.cs_machines(tmp_path, capsys):
+            for line in ("c s", "[cs]=1"):
+                _, argv = self.run_machine(machine, tmp_path, [line])
+                for flags in (["--classes", "c~s"], ["--classes", "c~s; w", "--alphabet", "c,s,w"]):
+                    code, out = run_cli(argv + flags, capsys)
+                    assert code == 0 and json.loads(out)["final"] == "TRUE", (line, flags)
 
     @pytest.mark.parametrize("mode", ["imperfect", "active", "reactive"])
     def test_trace_atom_outside_the_classes(self, tmp_path, mode):

@@ -9,11 +9,12 @@ import time
 import pytest
 
 from ltlscope import casestudy, monitor as monitor_module
-from ltlscope.automata import Verdict, ltl_to_nba, nba_to_nfa, nonempty_states
+from ltlscope.automata import GuardedAutomaton, Verdict, ltl_to_nba
 from ltlscope.automata.dot import automaton_to_dot, moore_to_dot
 from ltlscope.automata.moore import MEMO_LIMIT, REFINEMENTS, classify3
 from ltlscope.automata.pipeline import TooWideError
-from ltlscope.formula import Atom, SLit, fmt, parse_formula
+from ltlscope.formula import (Atom, Eventually, Lit, SLit, fmt, nnf_pair,
+                              parse_formula)
 from ltlscope.monitor import (clear_machine_caches, machine_from_json,
                               machine_to_json, synthesize_imperfect,
                               synthesize_standard)
@@ -24,8 +25,8 @@ from ltlscope.randgen import random_partition
 from ltlscope.visibility import (derive_classes, explicit_trace, identity_classes,
                                  parse_classes, standard_view, visible_trace)
 
-from conftest import (accepts_prefix, balanced_conjunction, random_formula,
-                      random_plain_trace, random_signed_event)
+from conftest import (accepts_prefix, balanced_conjunction, prefix_nfa,
+                      random_formula, random_plain_trace, random_signed_event)
 
 ALPHABET = ("b1", "b2", "b3", "c", "s", "a", "b", "g", "mb", "w")
 CLASSES = derive_classes(ALPHABET, [("c", "s"), ("a", "b"), ("b", "g")])
@@ -327,10 +328,8 @@ class TestMembershipEquivalence:
             f = random_formula(rng, rng.randint(1, 5), pool=pool)
             classes = random_partition(rng, pool)
             monitor = synthesize_imperfect(f, classes)
-            nfas = []
-            for g in signed_triple(f, classes):
-                nba = ltl_to_nba((g,), signed=True)
-                nfas.append(nba_to_nfa(nba, nonempty_states(nba)))
+            nfas = [prefix_nfa(ltl_to_nba((g,), signed=True))
+                    for g in signed_triple(f, classes)]
             trace = random_plain_trace(rng, rng.randint(0, 5), pool)
             sv = visible_trace(explicit_trace(trace, pool), classes, ())
             monitor.run(sv)
@@ -749,6 +748,73 @@ def test_one_front_end_per_monitor(monkeypatch, mode):
     assert m.mode == mode and len(m.machine.components) == 2
     assert calls == {"ltl_to_nba": 1, "nonempty_states": 1 + signed, "quotient_bisim": 1,
                      "determinize": 2, "minimize": 2, "signed_triple": int(signed)}
+
+
+@pytest.mark.parametrize("mode", ["standard", "imperfect"])
+def test_front_end_builds_one_automaton(monkeypatch, mode):
+    """``subset_dfas`` builds the tableau's automaton and, only when the
+    quotient merges states, the quotient's: emptiness and the flag pass
+    fill the tableau's in place, and a quotient that merges nothing returns
+    it.  Over the rover properties and seeded criterion-6 draws."""
+    built = []
+    init = GuardedAutomaton.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(GuardedAutomaton, "__init__", counted)
+    quotient = monitor_module.quotient_bisim
+    merged = []
+
+    def watched(aut):
+        result = quotient(aut)
+        merged.append(result is not aut)
+        return result
+    monkeypatch.setattr(monitor_module, "quotient_bisim", watched)
+    rng = random.Random(20261021)
+    pool = ("p", "q", "r", "s")
+    draws = [(parse_formula(text), CLASSES) for text in PROPS.values()]
+    draws += [(criterion_formula(rng, rng.randint(1, 8), pool), random_partition(rng, pool))
+              for _ in range(40)]
+    signed = mode == "imperfect"
+    for f, classes in draws:
+        roots = monitor_module.signed_triple(f, classes) if signed else nnf_pair(f)
+        monitor_module.subset_dfas(roots, signed)
+    assert len(merged) == len(draws) and 0 < sum(merged) < len(draws)
+    assert len(built) == len(draws) + sum(merged)
+
+
+class TestSignedLeaves:
+    """The parser never makes a signed literal, but a formula built through
+    the API can hold one.  Synthesis renders atoms onto the classes itself,
+    so every entry point refuses such a leaf with a ``ValueError`` naming
+    it, before any stage runs: the signed product of such a leaf reaches a
+    state no verdict describes, and a plain machine holding it is a file
+    that its own loader refuses."""
+
+    F = Eventually(Lit(SLit("p", True)))
+
+    @pytest.mark.parametrize("entry", ["standard", "imperfect", "active"])
+    def test_signed_literal_is_refused(self, entry):
+        from ltlscope.rational import ActiveSession, RationalConfig
+        from ltlscope.visibility import VisibilitySpec
+        classes = parse_classes("p; q")
+        run = {
+            "standard": lambda: synthesize_standard(self.F),
+            "imperfect": lambda: synthesize_imperfect(self.F, classes),
+            "active": lambda: ActiveSession(self.F, VisibilitySpec(classes=classes),
+                                            RationalConfig()),
+        }[entry]
+        clear_machine_caches()
+        with pytest.raises(ValueError, match=r"signed literal 'p=1'"):
+            run()
+
+    def test_signed_formulas_still_reach_the_stages(self):
+        """The stages below the monitors keep taking signed formulas: the
+        oracle and the stage tests feed them."""
+        sat, _ = nnf_pair(self.F)
+        aut = ltl_to_nba((sat,), signed=True)
+        assert aut.literals == (SLit("p", True),)
 
 
 class TestWideFormulas:

@@ -326,11 +326,14 @@ def machine_from_json(text: str) -> MonitorInstance:
 
 def clear_machine_caches() -> None:
     """Reset the memoised standard, imperfect and rational machines,
-    ``session_memo`` and ``progress``'s node memo (benchmarking support)."""
+    ``session_memo`` and the node memos of ``progress`` and ``metric``
+    (benchmarking support)."""
     from . import formula
-    from .rational import rational_machine, session_memo  # rational imports this module
+    # rational imports this module
+    from .rational import _metric_values, rational_machine, session_memo
     _standard_machine.cache_clear()
     _imperfect_machine.cache_clear()
     rational_machine.cache_clear()
     session_memo.cache_clear()
     formula._last_progressed = ({}, {})
+    _metric_values.clear()

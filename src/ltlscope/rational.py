@@ -78,13 +78,24 @@ def _combine(comb: str, left: float, right: float) -> float:
     return min(left, right)
 
 
+# The node values of each (atom, metric) kept for the next call: a residual
+# that progression grew from the last one scored is scored only on the nodes
+# it added.  A table is reset once it passes the limit.
+_metric_values: dict[tuple[str, MetricSpec], dict[Formula, float]] = {}
+_METRIC_LIMIT = 1 << 16
+
+
 def metric(f: Formula, atom: str, spec: MetricSpec) -> float:
     """Relevance of ``atom`` in the metric-form formula, in [0,1].
 
     Walks the formula without recursion, each distinct node once
-    (``postorder``), so a residual of any depth is safe to score."""
-    value: dict[Formula, float] = {}
-    for g in postorder(f):
+    (``postorder``), so a residual of any depth is safe to score.  The node
+    values are kept per ``(atom, spec)`` across calls, so a node scored
+    before is not walked again."""
+    value = _metric_values.get((atom, spec))
+    if value is None or len(value) > _METRIC_LIMIT:
+        value = _metric_values[atom, spec] = {}
+    for g in postorder(f, known=value):
         kind = type(g)
         if kind is And:
             v = _combine(spec.and_comb, value[g.left], value[g.right])
@@ -228,10 +239,12 @@ class RationalRun:
 class SessionMemo:
     """What the sessions over one class structure computed,
     shared between them: the visible and the decoded form of each (plain
-    event, broken classes), the allocation of each (residual, costs,
-    config), the metric form of each formula, the member knowledge each
-    visible event carries, and the residual each (residual, visible event)
-    progresses to.  Entries are never mutated, so a run holds references to
+    event, broken classes), one table per (costs, config) of the allocation
+    of each residual, the metric form of each formula, the member knowledge
+    each visible event carries, and the residual each (residual, visible
+    event) progresses to.  A session fetches its allocation table once, so
+    a window looks its allocation up by the residual alone.  Memoised values
+    are never mutated, so a run holds references to
     them, not copies: an active run over shared events keeps about four
     objects alive instead of forty, and stepping leaves the cyclic collector
     little to do.  The metric form is kept per formula so that it is built
@@ -240,8 +253,8 @@ class SessionMemo:
     event or walking the residual, so its windows cost as little late in a
     long trace as early.  Because every session steps the same decoded
     object for an event, the machine checks that object once
-    (``MooreMachine.validated``) and later steps skip the check.  Each dict
-    holds at most ``MEMO_LIMIT`` entries.
+    (``MooreMachine.validated``) and later steps skip the check.  Each dict,
+    and each allocation table, holds at most ``MEMO_LIMIT`` entries.
     """
 
     __slots__ = ("events", "allocations", "forms", "knowledge", "progressions")
@@ -282,13 +295,16 @@ class Session:
     over the window just finished and payoffs are recomputed on the
     residual; the Moore machine itself is never rebuilt.  A residual that
     collapsed to a constant keeps the last allocation and stops decoding
-    events: reallocation cannot change a settled verdict.  ``forced_break``
-    replaces the first allocation with an exogenous class selection (used to
-    reproduce the fixed configurations of the verdict grid).  Decoded events
-    and allocations, the formula's metric form, the knowledge each visible
-    event carries and progressed residuals come from the ``SessionMemo`` of
-    the session's classes.  A config whose budget differs from the spec's
-    raises ``ValueError``.
+    events: reallocation cannot change a settled verdict.  A window that
+    ends on the residual the current allocation was scored on keeps that
+    allocation without a lookup.  ``forced_break`` replaces the first
+    allocation with an exogenous class selection (used to reproduce the
+    fixed configurations of the verdict grid); it was scored on no residual,
+    so the first window boundary allocates.  Decoded events, the allocation
+    table of the session's costs and config, the formula's metric form, the
+    knowledge each visible event carries and progressed residuals come from
+    the ``SessionMemo`` of the session's classes.  A config whose budget
+    differs from the spec's raises ``ValueError``.
     """
 
     def __init__(self, f: Formula, vspec: VisibilitySpec, cfg: RationalConfig,
@@ -306,7 +322,12 @@ class Session:
         if self.residual is None:
             self.residual = to_metric_form(f)
             _remember(self.memo.forms, f, self.residual)
-        self._costs = frozenset(vspec.costs.items())
+        key = (frozenset(vspec.costs.items()), cfg)
+        self._allocations = self.memo.allocations.get(key)
+        if self._allocations is None:
+            self._allocations = {}
+            _remember(self.memo.allocations, key, self._allocations)
+        self._scored = None  # the residual the current allocation was scored on
         if forced_break is None:
             allocation = self._allocate()
         else:
@@ -364,7 +385,7 @@ class Session:
                     _remember(memo.progressions, key, progressed)
                 residual = progressed
             self.residual = residual
-            if not isinstance(residual, _SETTLED):
+            if residual is not self._scored and not isinstance(residual, _SETTLED):
                 fresh = self._allocate()
                 if fresh != allocation:
                     allocation = fresh
@@ -372,11 +393,11 @@ class Session:
         self.broken = allocation.selection
 
     def _allocate(self) -> Allocation:
-        key = (self.residual, self._costs, self.cfg)
-        allocation = self.memo.allocations.get(key)
+        residual = self._scored = self.residual
+        allocation = self._allocations.get(residual)
         if allocation is None:
-            allocation = allocate(self.residual, self.vspec, self.cfg)
-            _remember(self.memo.allocations, key, allocation)
+            allocation = allocate(residual, self.vspec, self.cfg)
+            _remember(self._allocations, residual, allocation)
         return allocation
 
     def result(self) -> RationalRun:

@@ -1,7 +1,7 @@
 """Shared generators, event spaces and reference helpers for the test
 suite.  The helpers are the ones only tests need: the plain NNF, the payoff
-of each class, the prefix NFA of a tableau, and membership of a finite word
-in an NFA or a DFA."""
+of each class and the metric with no memo, the prefix NFA of a tableau, and
+membership of a finite word in an NFA or a DFA."""
 
 from __future__ import annotations
 
@@ -12,10 +12,11 @@ import pytest
 
 from ltlscope.automata.guarded import valuation_bits
 from ltlscope.automata.pipeline import DFA, guard_free, nonempty_states
-from ltlscope.formula import (Always, And, Atom, Eventually, Implies, Lit,
-                              Next, Not, Or, Release, SLit, Until, nnf_pair,
-                              postorder, to_metric_form)
-from ltlscope.rational import metric
+from ltlscope.formula import (Always, And, Atom, Eventually, FalseConst,
+                              Implies, Lit, Next, Not, Or, Release, SLit,
+                              TrueConst, Until, nnf_pair, postorder,
+                              to_metric_form)
+from ltlscope.rational import _combine, metric
 
 
 def to_nnf(f):
@@ -40,6 +41,40 @@ def payoff(classes, f, spec) -> dict[str, float]:
     form = to_metric_form(f)
     return {cls.canonical_id: sum(metric(form, atom, spec) for atom in sorted(cls.members))
             for cls in classes}
+
+
+def reference_metric(f, atom, spec) -> float:
+    """The payoff metric as one fold over the distinct nodes of ``f`` that
+    keeps nothing between calls: every call scores every node."""
+    value = {}
+    for g in postorder(f):
+        kind = type(g)
+        if kind is And:
+            v = _combine(spec.and_comb, value[g.left], value[g.right])
+        elif kind is Or:
+            v = _combine(spec.or_comb, value[g.left], value[g.right])
+        elif kind is Implies:
+            v = _combine(spec.implies_comb, value[g.left], value[g.right])
+        elif kind is Until:
+            wl, wr = spec.until_weights
+            v = wl * value[g.left] + wr * value[g.right]
+        elif kind is Release:
+            wl, wr = spec.release_weights
+            v = wl * value[g.left] + wr * value[g.right]
+        elif kind is Next:
+            v = spec.next_factor * value[g.operand]
+        elif kind is Not:
+            v = value[g.operand]
+        elif kind is Atom:
+            v = 1.0 if g.name == atom else 0.0
+        elif kind is Lit:
+            v = 1.0 if g.lit.name == atom else 0.0
+        elif kind in (TrueConst, FalseConst):
+            v = 0.0
+        else:
+            raise TypeError(f"metric expects metric-form input, got {g!r}")
+        value[g] = v
+    return value[f]
 
 
 def prefix_nfa(aut):

@@ -9,21 +9,23 @@ import pytest
 
 from ltlscope.automata import Verdict
 from ltlscope.formula import (FALSE, TRUE, And, Atom, FalseConst, Formula,
-                              Implies, Lit, Next, Not, Or, Release, TrueConst,
+                              Implies, Next, Not, Or, Release, TrueConst,
                               Until, _mk_and, _mk_implies, _mk_not, _mk_or,
-                              height, parse_formula, progress, to_metric_form)
-from ltlscope.monitor import clear_machine_caches, synthesize_imperfect
+                              height, parse_formula, postorder, progress,
+                              to_metric_form)
+from ltlscope.monitor import (MonitorInstance, clear_machine_caches,
+                              synthesize_imperfect)
 from ltlscope import randgen
 from ltlscope.randgen import random_partition
 import ltlscope.rational as rational
 from ltlscope.rational import (METRICS, MetricSpec, RationalConfig,
                                ReactiveSession, active_monitor, allocate,
                                knapsack, metric, reactive_monitor)
-from ltlscope.visibility import (VisibilitySpec, explicit_trace,
-                                 knowledge_from_event, parse_classes,
-                                 visible_trace)
+from ltlscope.visibility import (VisibilitySpec, expand_witnesses,
+                                 explicit_trace, knowledge_from_event,
+                                 parse_classes, visible_event, visible_trace)
 
-from conftest import payoff, random_formula, random_plain_trace
+from conftest import payoff, random_formula, random_plain_trace, reference_metric
 
 ALPHABET = ("b1", "b2", "b3", "c", "s", "a", "b", "g", "mb", "w")
 CLASSES = parse_classes("c~s; a~b~g", ALPHABET)
@@ -405,6 +407,40 @@ class TestSessions:
         assert run.broken_per_window == [frozenset({"pq"})] * 4
         assert all(a is run.allocations[0] for a in run.allocations)
 
+    def test_kept_residual_keeps_its_allocation_without_a_lookup(self, monkeypatch):
+        """``p & G p`` over events that leave ``p`` unknown progresses to
+        itself: ten windows allocate once, at set-up, and repeat that
+        allocation object."""
+        scored = []
+        allocate_once = rational.Session._allocate
+
+        def counted(session):
+            scored.append(session.residual)
+            return allocate_once(session)
+
+        monkeypatch.setattr(rational.Session, "_allocate", counted)
+        cfg = RationalConfig(metric="metric2", bound=1, window=1)
+        session = ReactiveSession(parse_formula("p & G p"), unknown_spec(), cfg)
+        for _ in range(11):
+            session.step({"p"})
+        run = session.result()
+        assert scored == [session.residual]
+        assert len(run.allocations) == 11
+        assert all(a is run.allocations[0] for a in run.allocations)
+
+    def test_forced_break_is_revised_at_the_first_boundary(self):
+        """A forced selection was scored on no residual, so the first window
+        boundary allocates although the residual ``p & G p`` did not
+        change, and breaks the class the knapsack picks."""
+        spec = VisibilitySpec(classes=parse_classes("p~q"), costs={"pq": 5}, bound=5)
+        cfg = RationalConfig(metric="metric2", bound=5, window=1)
+        session = rational.Session(parse_formula("p & G p"), spec, cfg, 1, frozenset())
+        first = session.residual
+        session.step({"p"})
+        session.step({"p"})
+        assert session.residual is first
+        assert session.result().broken_per_window == [frozenset(), frozenset({"pq"})]
+
     def test_memo_changes_no_result(self, rng, monkeypatch):
         """Runs over a warm session memo, and over one capped at two
         entries, equal runs that decode every event afresh."""
@@ -515,6 +551,14 @@ class TestSessions:
         assert formula._last_progressed[1]
         clear_machine_caches()
         assert formula._last_progressed == ({}, {})
+
+    def test_clear_machine_caches_forgets_metric_values(self):
+        """``metric`` keeps its node values per atom and metric for the next
+        call; clearing the caches empties that memo too."""
+        metric(to_metric_form(PHI1), "c", METRICS["metric2"])
+        assert rational._metric_values[("c", METRICS["metric2"])]
+        clear_machine_caches()
+        assert rational._metric_values == {}
 
     def test_config_budget_must_be_the_spec_budget(self):
         """A spec budget of 5 with a config budget of 0 is refused, naming
@@ -655,29 +699,6 @@ def reference_progress(f, knowledge):
     raise TypeError(f"not a formula: {f!r}")
 
 
-def reference_metric(f, atom, spec):
-    """The payoff metric as a tree recursion."""
-    if isinstance(f, (TrueConst, FalseConst)):
-        return 0.0
-    if isinstance(f, Atom):
-        return 1.0 if f.name == atom else 0.0
-    if isinstance(f, Lit):
-        return 1.0 if f.lit.name == atom else 0.0
-    if isinstance(f, Not):
-        return reference_metric(f.operand, atom, spec)
-    if isinstance(f, Next):
-        return spec.next_factor * reference_metric(f.operand, atom, spec)
-    left, right = reference_metric(f.left, atom, spec), reference_metric(f.right, atom, spec)
-    if isinstance(f, And):
-        return rational._combine(spec.and_comb, left, right)
-    if isinstance(f, Or):
-        return rational._combine(spec.or_comb, left, right)
-    if isinstance(f, Implies):
-        return rational._combine(spec.implies_comb, left, right)
-    wl, wr = spec.until_weights if isinstance(f, Until) else spec.release_weights
-    return wl * left + wr * right
-
-
 def and_tree(f):
     """``f`` and every node of its top-level ``And`` tree."""
     nodes, stack = set(), [f]
@@ -737,6 +758,31 @@ class TestProgression:
             for spec in METRICS.values():
                 for atom in ("p", "q", "z"):
                     assert metric(f, atom, spec) == reference_metric(f, atom, spec)
+
+    @pytest.mark.parametrize("limit", [rational._METRIC_LIMIT, 2])
+    def test_memoised_metric_equals_the_fold(self, monkeypatch, limit):
+        """Along seeded progression chains of criterion-6 draws, twenty
+        windows of random knowledge each, the metric that keeps node values
+        between calls equals the memo-free fold exactly, for every atom and
+        metric; so it does when each table is reset past two entries."""
+        monkeypatch.setattr(rational, "_METRIC_LIMIT", limit)
+        clear_machine_caches()
+        rng = random.Random(33)
+        pool = ("p", "q", "r", "s")
+        for _ in range(40):
+            residual = to_metric_form(randgen.random_formula(rng, rng.randint(1, 8), pool))
+            for _ in range(20):
+                for spec in METRICS.values():
+                    for atom in pool:
+                        assert metric(residual, atom, spec) == \
+                            reference_metric(residual, atom, spec), residual
+                scored = residual
+                knowledge = {a: rng.random() < 0.5 for a in pool if rng.random() < 0.4}
+                residual = progress(residual, knowledge)
+        tables = rational._metric_values.values()
+        assert len(tables) == 12
+        assert all(len(table) <= limit + len(postorder(scored)) for table in tables)
+        clear_machine_caches()
 
     def test_repeated_conjunct_is_dropped(self):
         """A side that is a node of the other side's top-level ``And`` tree
@@ -827,3 +873,44 @@ class TestDominance:
                 assert a == Verdict.FALSE
             assert not (a == Verdict.TRUE and p == Verdict.FALSE)
             assert not (a == Verdict.FALSE and p == Verdict.TRUE)
+
+
+class TestProgressionAgreement:
+    """Progression rewrites the formula over each event's knowledge and
+    shares no code with the automata, so it checks the rational machine at
+    any number of atoms: wherever the machine says ⊤ the progressed metric
+    form is ``TRUE``, and wherever it says ⊥ it is ``FALSE``.  The converse
+    does not hold: ``progress`` resolves an unknown literal with a later
+    event's knowledge of the same atom, so a residual can settle while the
+    monitor stays open."""
+
+    @pytest.mark.parametrize("pool, formulas, sizes", [
+        (("p", "q", "r", "s"), 600, (1, 7)),
+        (("p", "q", "r", "s", "t", "u", "v", "w"), 150, (3, 10)),
+    ])
+    def test_definite_verdicts_settle_the_residual(self, pool, formulas, sizes):
+        """Random formulas of size 1-7 over four atoms and 3-10 over eight,
+        each under a random partition, a random set of broken classes and
+        one 8-event trace."""
+        rng = random.Random(len(pool))
+        alphabet = frozenset(pool)
+        definite = 0
+        for _ in range(formulas):
+            f = randgen.random_formula(rng, rng.randint(*sizes), pool)
+            classes = random_partition(rng, pool)
+            broken = {c.canonical_id for c in classes
+                      if not c.is_singleton and rng.random() < 0.5}
+            monitor = MonitorInstance(rational.rational_machine(f, alphabet).machine)
+            residual = to_metric_form(f)
+            for event in explicit_trace(random_plain_trace(rng, 8, pool), pool):
+                visible = visible_event(event, classes, broken)
+                verdict = monitor.step(expand_witnesses(visible, classes))
+                residual = progress(residual, knowledge_from_event(visible, classes))
+                if verdict == Verdict.TRUE:
+                    assert residual is TRUE, (f, classes, broken)
+                elif verdict == Verdict.FALSE:
+                    assert residual is FALSE, (f, classes, broken)
+                else:
+                    continue
+                definite += 1
+        assert definite > formulas

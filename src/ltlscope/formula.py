@@ -603,11 +603,14 @@ def _conjoin(left: Formula, right: Formula) -> Formula:
     return And(left, right)
 
 
+# The most node results a memo kept between calls holds before it is reset:
+# progression's here, and the payoff metric's in ``rational``.
+NODE_MEMO_LIMIT = 1 << 16
+
 # The knowledge of the last progression and its results per node, kept for
 # the next call: a residual progressed under the same knowledge again mostly
 # holds the residual before it, whose nodes are then not walked twice.
 _last_progressed: tuple[dict, dict] = ({}, {})
-_PROGRESSED_LIMIT = 1 << 16
 
 
 def progress(f: Formula, knowledge: Mapping[str, bool]) -> Formula:
@@ -630,7 +633,7 @@ def progress(f: Formula, knowledge: Mapping[str, bool]) -> Formula:
     global _last_progressed
     known = dict(knowledge)
     last_known, done = _last_progressed
-    if known != last_known or len(done) > _PROGRESSED_LIMIT:
+    if known != last_known or len(done) > NODE_MEMO_LIMIT:
         done = {}
         _last_progressed = known, done
     for g in postorder(f, into_next=False, known=done):

@@ -25,9 +25,9 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .automata.moore import MEMO_LIMIT, Verdict
-from .formula import (And, Atom, FalseConst, Formula, Implies, Lit, Next, Not,
-                      Or, Release, TrueConst, Until, postorder, progress,
-                      to_metric_form)
+from .formula import (NODE_MEMO_LIMIT, And, Atom, FalseConst, Formula, Implies,
+                      Lit, Next, Not, Or, Release, TrueConst, Until, postorder,
+                      progress, to_metric_form)
 from .monitor import MonitorInstance, synthesize_imperfect
 from .visibility import (EqClass, VisibilitySpec, check_breakable, event_set,
                          expand_witnesses, explicit_trace, identity_classes,
@@ -80,9 +80,9 @@ def _combine(comb: str, left: float, right: float) -> float:
 
 # The node values of each (atom, metric) kept for the next call: a residual
 # that progression grew from the last one scored is scored only on the nodes
-# it added.  A table is reset once it passes the limit.
+# it added.  All tables are reset together once they hold more than
+# ``NODE_MEMO_LIMIT`` values between them.
 _metric_values: dict[tuple[str, MetricSpec], dict[Formula, float]] = {}
-_METRIC_LIMIT = 1 << 16
 
 
 def metric(f: Formula, atom: str, spec: MetricSpec) -> float:
@@ -92,8 +92,10 @@ def metric(f: Formula, atom: str, spec: MetricSpec) -> float:
     (``postorder``), so a residual of any depth is safe to score.  The node
     values are kept per ``(atom, spec)`` across calls, so a node scored
     before is not walked again."""
+    if sum(map(len, _metric_values.values())) > NODE_MEMO_LIMIT:
+        _metric_values.clear()
     value = _metric_values.get((atom, spec))
-    if value is None or len(value) > _METRIC_LIMIT:
+    if value is None:
         value = _metric_values[atom, spec] = {}
     for g in postorder(f, known=value):
         kind = type(g)
@@ -239,12 +241,10 @@ class RationalRun:
 class SessionMemo:
     """What the sessions over one class structure computed,
     shared between them: the visible and the decoded form of each (plain
-    event, broken classes), one table per (costs, config) of the allocation
-    of each residual, the metric form of each formula, the member knowledge
-    each visible event carries, and the residual each (residual, visible
-    event) progresses to.  A session fetches its allocation table once, so
-    a window looks its allocation up by the residual alone.  Memoised values
-    are never mutated, so a run holds references to
+    event, broken classes), the allocation of each (residual, costs,
+    config), the metric form of each formula, the member knowledge each
+    visible event carries, and the residual each (residual, visible event)
+    progresses to.  Entries are never mutated, so a run holds references to
     them, not copies: an active run over shared events keeps about four
     objects alive instead of forty, and stepping leaves the cyclic collector
     little to do.  The metric form is kept per formula so that it is built
@@ -253,8 +253,8 @@ class SessionMemo:
     event or walking the residual, so its windows cost as little late in a
     long trace as early.  Because every session steps the same decoded
     object for an event, the machine checks that object once
-    (``MooreMachine.validated``) and later steps skip the check.  Each dict,
-    and each allocation table, holds at most ``MEMO_LIMIT`` entries.
+    (``MooreMachine.validated``) and later steps skip the check.  Each dict
+    holds at most ``MEMO_LIMIT`` entries.
     """
 
     __slots__ = ("events", "allocations", "forms", "knowledge", "progressions")
@@ -300,11 +300,11 @@ class Session:
     allocation without a lookup.  ``forced_break`` replaces the first
     allocation with an exogenous class selection (used to reproduce the
     fixed configurations of the verdict grid); it was scored on no residual,
-    so the first window boundary allocates.  Decoded events, the allocation
-    table of the session's costs and config, the formula's metric form, the
-    knowledge each visible event carries and progressed residuals come from
-    the ``SessionMemo`` of the session's classes.  A config whose budget
-    differs from the spec's raises ``ValueError``.
+    so the first window boundary allocates.  Decoded events and
+    allocations, the formula's metric form, the knowledge each visible event
+    carries and progressed residuals come from the ``SessionMemo`` of the
+    session's classes.  A config whose budget differs from the spec's raises
+    ``ValueError``.
     """
 
     def __init__(self, f: Formula, vspec: VisibilitySpec, cfg: RationalConfig,
@@ -322,11 +322,7 @@ class Session:
         if self.residual is None:
             self.residual = to_metric_form(f)
             _remember(self.memo.forms, f, self.residual)
-        key = (frozenset(vspec.costs.items()), cfg)
-        self._allocations = self.memo.allocations.get(key)
-        if self._allocations is None:
-            self._allocations = {}
-            _remember(self.memo.allocations, key, self._allocations)
+        self._costs = frozenset(vspec.costs.items())
         self._scored = None  # the residual the current allocation was scored on
         if forced_break is None:
             allocation = self._allocate()
@@ -393,11 +389,12 @@ class Session:
         self.broken = allocation.selection
 
     def _allocate(self) -> Allocation:
-        residual = self._scored = self.residual
-        allocation = self._allocations.get(residual)
+        self._scored = self.residual
+        key = (self.residual, self._costs, self.cfg)
+        allocation = self.memo.allocations.get(key)
         if allocation is None:
-            allocation = allocate(residual, self.vspec, self.cfg)
-            _remember(self._allocations, residual, allocation)
+            allocation = allocate(self.residual, self.vspec, self.cfg)
+            _remember(self.memo.allocations, key, allocation)
         return allocation
 
     def result(self) -> RationalRun:

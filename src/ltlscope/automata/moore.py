@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .pipeline import DFA, product_successors
+from .pipeline import DFA, MEMO_LIMIT, product_successors
 
 
 class Verdict(Enum):
@@ -95,34 +95,28 @@ def classify2(in_sat: bool, in_viol: bool) -> Verdict:
         "prefix outside both languages in the two-automata product: pipeline bug")
 
 
-# Most entries one memo holds: a machine's validated events, each dict of a
-# rational ``SessionMemo``, the events ``random_plain_trace`` shares.  Past
-# it, results are computed and not kept.
-MEMO_LIMIT = 4096
-
-
 @dataclass
 class MooreMachine:
     """Product of the two component DFAs with a verdict per reachable state.
 
-    ``validated`` maps ``id(event)`` to each ``frozenset`` event that
-    ``MonitorInstance.step`` has already checked against this machine, at
-    most ``MEMO_LIMIT`` of them; a step skips the check only for the very
-    object stored under its id.  Identity, not equality, is what makes the
-    skip safe: ``frozenset({("p", True)})`` equals and hashes like
-    ``frozenset({SLit("p", True)})``, but only the latter is a signed
-    event.  Holding each event keeps its id from being reused while it is
-    remembered, and comparing the stored object keeps a copied or
-    unpickled memo, whose ids are stale, from vouching for anything.  The
-    memo is no part of the machine's value: it is left out of equality and
-    ``repr``.
+    ``validated`` holds each ``frozenset`` event that
+    ``MonitorInstance.step`` has checked against this machine, keyed by
+    value, at most ``MEMO_LIMIT`` of them.  Equality alone does not make a
+    later event safe: ``frozenset({("p", True)})`` equals and hashes like
+    ``frozenset({SLit("p", True)})``, but only the latter is a signed event.
+    So a step skips the check for the stored object itself, which callers
+    that share their event objects step (``SessionMemo``, the command
+    line's trace readers, ``random_plain_trace``), or for an equal event
+    whose items are all of the machine's literal type (``SLit`` when
+    signed, ``str`` when plain).  The memo is no part of the machine's
+    value: it is left out of equality and ``repr``.
     """
 
     components: tuple[DFA, DFA]
     initial: tuple[int, int]
     outputs: dict[tuple[int, int], Verdict]
     signed: bool
-    validated: dict[int, frozenset] = field(default_factory=dict, compare=False, repr=False)
+    validated: dict[frozenset, frozenset] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def states(self) -> list[tuple[int, int]]:

@@ -67,8 +67,9 @@ def _read_events(path: str, lines: list[str],
     separated tokens.  ``event_of`` makes a line's tokens into its event
     once per distinct line text; a ``ValueError`` it raises is refused with
     the line.  Equal events are one object, so a long trace holds each
-    distinct event once, and the monitor, which remembers the events it
-    checked by identity (``MonitorInstance.step``), checks each once."""
+    distinct event once, and the monitor finds that object in its checked
+    events (``MooreMachine.validated``) and in each component's
+    remembered successors (``DFA.successors``) without comparing items."""
     events = []
     by_line: dict[str, frozenset] = {}
     distinct: dict[frozenset, frozenset] = {}

@@ -84,21 +84,33 @@ class MonitorInstance:
     def step(self, event) -> Verdict:
         """Move the cursor over one event and return the new verdict.  An
         event is checked by ``encode_event`` the first time this machine
-        meets it; a ``frozenset`` that passed is remembered by identity in
-        ``machine.validated``, so the same object is not checked again.
-        Callers that reuse their event objects (``SessionMemo``,
-        ``random_plain_trace``, the command line's trace readers) pay for
-        each distinct event once.  An equal object that is not the same
-        one is checked afresh."""
+        meets its value; a ``frozenset`` that passed is remembered in
+        ``machine.validated``.  A later step skips the check for that very
+        object, and for an equal ``frozenset`` whose items are all of the
+        machine's literal type (``SLit`` when signed, ``str`` when plain);
+        any other value is checked afresh.  Callers that share one object
+        per event value (``SessionMemo``, ``random_plain_trace``, the
+        command line's trace readers) hit both this memo and each
+        component's ``DFA.successors`` by identity, so they pay for each
+        distinct event once and compare no items."""
         machine = self.machine
-        validated = machine.validated
-        if not (type(event) is frozenset and validated.get(id(event)) is event):
-            encoded = self.encode_event(event)
-            if encoded is event and len(validated) < MEMO_LIMIT:
-                validated[id(event)] = event
-            event = encoded
+        if type(event) is not frozenset or machine.validated.get(event) is not event:
+            event = self._checked(event)
         self.current = machine.step(self.current, event)
         return machine.outputs[self.current]
+
+    def _checked(self, event) -> frozenset:
+        """``step``'s check of an event it has not met as this object."""
+        machine = self.machine
+        validated = machine.validated
+        if type(event) is frozenset and event in validated:
+            kind = SLit if machine.signed else str
+            if all(type(item) is kind for item in event):
+                return event
+        encoded = self.encode_event(event)
+        if encoded is event and len(validated) < MEMO_LIMIT:
+            validated[event] = event
+        return encoded
 
     def run(self, trace: Iterable) -> Verdict:
         for event in trace:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .automata.moore import MEMO_LIMIT, Verdict
+from .automata.moore import MEMO_LIMIT, MooreMachine, Verdict
 from .formula import (NODE_MEMO_LIMIT, And, Atom, FalseConst, Formula, Implies,
                       Lit, Next, Not, Or, Release, TrueConst, Until, postorder,
                       progress, to_metric_form)
@@ -241,26 +241,29 @@ class RationalRun:
 class SessionMemo:
     """What the sessions over one class structure computed,
     shared between them: the visible and the decoded form of each (plain
-    event, broken classes), the allocation of each (residual, costs,
-    config), the metric form of each formula, the member knowledge each
-    visible event carries, and the residual each (residual, visible event)
-    progresses to.  Entries are never mutated, so a run holds references to
-    them, not copies: an active run over shared events keeps about four
-    objects alive instead of forty, and stepping leaves the cyclic collector
-    little to do.  The metric form is kept per formula so that it is built
-    once per formula, not once per session.  A reactive run that meets a
-    residual and an event it met before progresses without decoding the
-    event or walking the residual, so its windows cost as little late in a
-    long trace as early.  Because every session steps the same decoded
-    object for an event, the machine checks that object once
-    (``MooreMachine.validated``) and later steps skip the check.  Each dict
-    holds at most ``MEMO_LIMIT`` entries.
+    event, broken classes), one decoded object per decoded value, the
+    allocation of each (residual, costs, config), the metric form of each
+    formula, the member knowledge each visible event carries, and the
+    residual each (residual, visible event) progresses to.  Entries are
+    never mutated, so a run holds references to them, not copies: an active
+    run over shared events keeps about four objects alive instead of forty,
+    and stepping leaves the cyclic collector little to do.  The metric form
+    is kept per formula so that it is built once per formula, not once per
+    session.  A reactive run that meets a residual and an event it met
+    before progresses without decoding the event or walking the residual,
+    so its windows cost as little late in a long trace as early.  Equal
+    events decoded under different (plain event, broken classes) keys are
+    one object (``decoded``), so every session steps the same object for a
+    value: the machine finds it in ``MooreMachine.validated`` and each
+    component finds it in ``DFA.successors`` by identity, comparing no
+    items.  Each dict holds at most ``MEMO_LIMIT`` entries.
     """
 
-    __slots__ = ("events", "allocations", "forms", "knowledge", "progressions")
+    __slots__ = ("events", "decoded", "allocations", "forms", "knowledge", "progressions")
 
     def __init__(self) -> None:
         self.events: dict = {}
+        self.decoded: dict = {}
         self.allocations: dict = {}
         self.forms: dict = {}
         self.knowledge: dict = {}
@@ -277,14 +280,26 @@ def _remember(memo: dict, key, value) -> None:
         memo[key] = value
 
 
-@lru_cache(maxsize=512)
 def rational_machine(f: Formula, alphabet: frozenset[str]) -> MonitorInstance:
-    """The visibility-independent machine the rational drivers run.
+    """A fresh cursor on the visibility-independent machine the rational
+    drivers run.
 
-    Synthesised once per formula over all-singleton classes: the current
-    indistinguishability state is not an input, only the events are.
+    The machine is synthesised once per formula over all-singleton
+    classes: the current indistinguishability state is not an input, only
+    the events are.  The machine is cached, never the cursor, so a caller
+    that steps its cursor moves no one else's.  ``cache_info`` and
+    ``cache_clear`` are the machine cache's.
     """
-    return synthesize_imperfect(f, identity_classes(alphabet))
+    return MonitorInstance(_rational_moore(f, alphabet))
+
+
+@lru_cache(maxsize=512)
+def _rational_moore(f: Formula, alphabet: frozenset[str]) -> MooreMachine:
+    return synthesize_imperfect(f, identity_classes(alphabet)).machine
+
+
+rational_machine.cache_info = _rational_moore.cache_info
+rational_machine.cache_clear = _rational_moore.cache_clear
 
 
 class Session:
@@ -316,7 +331,7 @@ class Session:
         self.cfg = cfg
         self.window = window
         # The machine first: it refuses a formula too tall for the normal forms.
-        self.monitor = MonitorInstance(rational_machine(f, vspec.alphabet).machine)
+        self.monitor = rational_machine(f, vspec.alphabet)
         self.memo = session_memo(vspec.classes)
         self.residual = self.memo.forms.get(f)
         if self.residual is None:
@@ -356,7 +371,10 @@ class Session:
         if view is None:
             explicit = explicit_trace([event], self.vspec.alphabet)[0]
             visible = visible_event(explicit, self.vspec.classes, self.broken)
-            view = visible, expand_witnesses(visible, self.vspec.classes)
+            decoded = expand_witnesses(visible, self.vspec.classes)
+            decoded = self.memo.decoded.get(decoded, decoded)
+            _remember(self.memo.decoded, decoded, decoded)
+            view = visible, decoded
             _remember(self.memo.events, key, view)
         visible, decoded = view
         self.visible_events.append(visible)

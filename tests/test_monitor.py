@@ -9,8 +9,10 @@ import time
 import pytest
 
 from ltlscope import casestudy, monitor as monitor_module
+from ltlscope.automata import pipeline as pipeline_module
 from ltlscope.automata import GuardedAutomaton, Verdict, ltl_to_nba
 from ltlscope.automata.dot import automaton_to_dot, moore_to_dot
+from ltlscope.automata.guarded import valuation_bits
 from ltlscope.automata.moore import MEMO_LIMIT, REFINEMENTS, classify3
 from ltlscope.automata.pipeline import TooWideError
 from ltlscope.formula import (Atom, Eventually, Lit, SLit, fmt, nnf_pair,
@@ -183,8 +185,8 @@ class TestBatchIncremental:
 
 
 class TestValidatedEvents:
-    """``MonitorInstance.step`` checks each ``frozenset`` event object once
-    per machine and remembers it by identity in ``machine.validated``."""
+    """``MonitorInstance.step`` checks each ``frozenset`` event value once
+    per machine and remembers it, keyed by value, in ``machine.validated``."""
 
     @staticmethod
     def fresh(signed: bool):
@@ -200,23 +202,39 @@ class TestValidatedEvents:
         m = self.fresh(signed=True)
         signed = frozenset({SLit("p", True)})
         assert m.step(signed) == Verdict.TRUE
-        assert id(signed) in m.machine.validated
+        assert m.machine.validated[signed] is signed
         pairs = frozenset({("p", True)})
         assert pairs == signed and hash(pairs) == hash(signed)
         m.reset()
         with pytest.raises(ValueError, match="imperfect events are sets of signed literals"):
             m.step(pairs)
         assert m.current == m.machine.initial
-        assert id(pairs) not in m.machine.validated
+        assert m.machine.validated[pairs] is signed
 
-    def test_stale_entry_vouches_for_nothing(self):
-        """An entry whose id now belongs to another object, as in a copied
-        or unpickled memo, does not let that object skip the check."""
+    def test_stale_entry_vouches_for_nothing(self, monkeypatch):
+        """An equal value stored under another object vouches only for
+        events whose items are all of the machine's literal type: an equal
+        event of signed literals skips the check, an equal event of pairs
+        does not."""
         m = self.fresh(signed=True)
+        stored = frozenset({SLit("p", True)})
+        m.machine.validated[stored] = stored
         pairs = frozenset({("p", True)})
-        m.machine.validated[id(pairs)] = frozenset({SLit("p", True)})
         with pytest.raises(ValueError, match="sets of signed literals"):
             m.step(pairs)
+
+        def refuse(event):
+            raise AssertionError("checked again")
+
+        monkeypatch.setattr(m, "encode_event", refuse)
+        assert m.step(frozenset([SLit("p", True)])) == Verdict.TRUE
+        with pytest.raises(AssertionError, match="checked again"):
+            m.step(pairs)
+        plain = self.fresh(signed=False)
+        stored = frozenset({"p"})
+        plain.machine.validated[stored] = stored
+        monkeypatch.setattr(plain, "encode_event", refuse)
+        assert plain.step(frozenset(["p"])) == Verdict.TRUE
 
     @pytest.mark.parametrize("signed", [False, True], ids=["standard", "imperfect"])
     @pytest.mark.parametrize("event, message", [
@@ -252,10 +270,10 @@ class TestValidatedEvents:
         assert not plain.machine.validated
 
     def test_memo_never_exceeds_the_limit(self, monkeypatch):
-        """Past ``MEMO_LIMIT`` events are checked and stepped but not
+        """Past ``MEMO_LIMIT`` event values are checked and stepped but not
         remembered; the machine steps as it does with nothing remembered."""
         m = self.fresh(signed=False)
-        events = [frozenset({"q"}) if k % 2 else frozenset() for k in range(MEMO_LIMIT + 50)]
+        events = [frozenset({"q%d" % k}) for k in range(MEMO_LIMIT + 50)]
         events.append(frozenset({"p"}))
         verdicts = [m.step(event) for event in events]
         assert len(m.machine.validated) == MEMO_LIMIT
@@ -587,6 +605,88 @@ def _empty_continuation(f, classes, prefix) -> str:
 
 def _verdict_kind(verdict: Verdict) -> str:
     return verdict.name if verdict in (Verdict.TRUE, Verdict.FALSE) else "undefined"
+
+
+class TestSuccessorMemo:
+    """``DFA.step`` remembers, on a state that reads literals, the successor
+    of each ``frozenset`` event it has valued (``DFA.successors``)."""
+
+    POOL = ("p", "q", "r", "s")
+
+    @classmethod
+    def draws(cls, seed: int):
+        """Fresh (unshared) imperfect and standard machines of seeded
+        criterion-6 draws, each with a random event maker over its names."""
+        rng = random.Random(seed)
+        for _ in range(40):
+            f = criterion_formula(rng, rng.randint(1, 8), cls.POOL)
+            classes = random_partition(rng, cls.POOL)
+            for m in (synthesize_imperfect(f, classes), synthesize_standard(f)):
+                m = machine_from_json(machine_to_json(m))
+                if m.machine.signed:
+                    names = sorted({lit.name for dfa in m.machine.components
+                                    for lits in dfa.lits.values() for lit in lits} | {"x"})
+                    yield m, lambda: random_signed_event(rng, names)
+                else:
+                    yield m, lambda: frozenset(a for a in cls.POOL if rng.random() < 0.5)
+
+    @staticmethod
+    def reference(dfa, state, event):
+        return dfa.table[state][valuation_bits(dfa.lits[state], event)]
+
+    @pytest.mark.parametrize("limit", [MEMO_LIMIT, 0])
+    def test_memoised_step_equals_the_table(self, monkeypatch, limit):
+        monkeypatch.setattr(pipeline_module, "MEMO_LIMIT", limit)
+        remembered = 0
+        for m, event_of in self.draws(11):
+            for dfa in m.machine.components:
+                events = [event_of() for _ in range(12)]
+                for _ in range(3):  # misses, then hits, and copies of the events
+                    for event in events:
+                        for state in dfa.states:
+                            assert dfa.step(state, event) == self.reference(dfa, state, event)
+                    events = [frozenset(e) for e in events]
+                remembered += len(dfa.successors or {})
+        assert bool(remembered) == bool(limit)
+
+    def test_only_frozensets_on_states_that_read_literals_are_remembered(self):
+        blind = reading = 0
+        for m, event_of in self.draws(12):
+            for dfa in m.machine.components:
+                for state in dfa.states:
+                    event = event_of()
+                    before = dict(dfa.successors or {})
+                    assert dfa.step(state, set(event)) == self.reference(dfa, state, event)
+                    assert (dfa.successors or {}) == before
+                    dfa.step(state, event)
+                    remembered = (state, event) in (dfa.successors or {})
+                    assert remembered == bool(dfa.lits[state])
+                    blind += not dfa.lits[state]
+                    reading += bool(dfa.lits[state])
+        assert blind and reading
+
+    def test_memo_never_exceeds_the_limit(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "MEMO_LIMIT", 3)
+        for m, event_of in self.draws(13):
+            for dfa in m.machine.components:
+                for _ in range(20):
+                    event = event_of()
+                    for state in dfa.states:
+                        assert dfa.step(state, event) == self.reference(dfa, state, event)
+                assert len(dfa.successors or {}) <= 3
+
+    def test_memo_is_no_part_of_the_machine(self):
+        """Machines equal before stepping stay equal, print alike and are
+        written alike."""
+        for m, event_of in self.draws(14):
+            other = machine_from_json(machine_to_json(m))
+            for _ in range(10):
+                m.step(event_of())
+            assert any(dfa.successors for dfa in m.machine.components) \
+                or not any(dfa.lits[dfa.initial] for dfa in m.machine.components)
+            assert m.machine == other.machine
+            assert repr(m.machine) == repr(other.machine)
+            assert machine_to_json(m) == machine_to_json(other)
 
 
 class TestMachineBytes:

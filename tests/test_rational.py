@@ -9,7 +9,7 @@ import pytest
 
 from ltlscope.automata import Verdict
 from ltlscope.formula import (FALSE, TRUE, And, Atom, FalseConst, Formula,
-                              Implies, Lit, Next, Not, Or, Release, TrueConst,
+                              Implies, Lit, Next, Not, Or, Release, SLit, TrueConst,
                               Until, _mk_and, _mk_implies, _mk_not, _mk_or,
                               height, parse_formula, postorder, progress,
                               to_metric_form)
@@ -492,6 +492,30 @@ class TestSessions:
         dear = VisibilitySpec(classes=CLASSES, costs={"cs": 2, "abg": 4}, bound=3)
         assert active_monitor(SIGMA, PSI, dear, cfg).broken == frozenset({"cs"})
 
+    def test_sessions_step_one_decoded_object_per_value(self, monkeypatch):
+        """The empty event decodes to every atom false whether ``cs`` is
+        broken (``c=0, s=0`` seen) or not (the witness ``cs=0`` seen): two
+        sessions that decode it under the two keys step the same object."""
+        from ltlscope.rational import ActiveSession
+        stepped = []
+        step = MonitorInstance.step
+
+        def recorded(self, event):
+            stepped.append(event)
+            return step(self, event)
+
+        monkeypatch.setattr(MonitorInstance, "step", recorded)
+        rational.session_memo.cache_clear()
+        cfg = RationalConfig(metric="metric2", bound=3)
+        whole = ActiveSession(PHI1, vspec(), cfg, forced_break=())
+        broken = ActiveSession(PHI1, vspec(), cfg, forced_break=["cs"])
+        whole.step(frozenset())
+        broken.step(frozenset())
+        assert whole.visible_events[0] != broken.visible_events[0]
+        assert len(stepped) == 2 and stepped[0] is stepped[1]
+        memo = rational.session_memo(vspec().classes)
+        assert memo.decoded[stepped[0]] is stepped[0]
+
     def test_sessions_over_one_formula_share_its_metric_form(self, monkeypatch):
         """Twenty active sessions over one formula build its metric form once
         and start from the same residual object."""
@@ -542,6 +566,17 @@ class TestSessions:
         assert rational.rational_machine.cache_info().currsize > 0
         clear_machine_caches()
         assert rational.rational_machine.cache_info().currsize == 0
+
+    def test_rational_machine_hands_out_a_fresh_cursor(self):
+        """A caller that steps its cursor moves no one else's: the next
+        call starts at the initial state of the one cached machine."""
+        f, alphabet = parse_formula("F p"), frozenset({"p"})
+        first = rational.rational_machine(f, alphabet)
+        assert first.step(frozenset({SLit("p", True)})) == Verdict.TRUE
+        second = rational.rational_machine(f, alphabet)
+        assert second is not first and second.machine is first.machine
+        assert second.current == second.machine.initial
+        assert second.verdict == Verdict.UNKNOWN
 
     def test_clear_machine_caches_forgets_progressed_nodes(self):
         """``progress`` keeps its node results for the next call under the

@@ -6,7 +6,7 @@ in ``str`` order, or ``true`` when it reads none."""
 
 from __future__ import annotations
 
-from .guarded import GuardedAutomaton, bit_positions
+from .guarded import GuardedAutomaton, bit_positions, valuation_bits
 from .moore import MooreMachine
 from .pipeline import DFA, check_row, consistent_masks, literal_order, mask_event
 
@@ -40,7 +40,9 @@ def moore_to_dot(machine: MooreMachine) -> str:
     literals in each state, in mask order.  A union whose row would exceed
     the synthesis row bound raises ``TooWideError`` before any edge is
     drawn.  The unions' masks are built for this call only and kept out of
-    the ``consistent_masks`` cache."""
+    the ``consistent_masks`` cache, and each event is valued over each
+    component's own literals and read from its row, so the export leaves the
+    components' ``successors`` memos as it found them."""
     ids = {state: i for i, state in enumerate(machine.states)}
     a, b = machine.components
     unions = {(s, v): literal_order({*a.lits[s], *b.lits[v]}) for s, v in ids}
@@ -54,11 +56,13 @@ def moore_to_dot(machine: MooreMachine) -> str:
     init = ids[machine.initial]
     lines.append("  __start [shape=point];")
     lines.append(f"  __start -> s{init};")
-    for state, i in ids.items():
-        lits = unions[state]
+    for (s, v), i in ids.items():
+        lits = unions[s, v]
         full = (1 << len(lits)) - 1
         for bits in consistent_masks.__wrapped__(lits):
-            target = ids[machine.step(state, mask_event(lits, bits))]
+            event = mask_event(lits, bits)
+            target = ids[a.table[s][valuation_bits(a.lits[s], event)],
+                         b.table[v][valuation_bits(b.lits[v], event)]]
             lines.append(f'  s{i} -> s{target} [label="{_label(lits, bits, full ^ bits)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

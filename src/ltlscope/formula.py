@@ -568,48 +568,36 @@ def to_metric_form(f: Formula) -> Formula:
 # One-step three-valued progression
 # ---------------------------------------------------------------------------
 
-def _among_conjuncts(f: Formula, conj: Formula) -> bool:
-    """Whether ``f`` is ``conj`` or a node of its top-level ``And`` tree."""
-    seen = set()
-    stack = [conj]
-    while stack:
-        g = stack.pop()
-        if g is f:
-            return True
-        if isinstance(g, And) and g not in seen:
-            seen.add(g)
-            stack += (g.left, g.right)
-    return False
-
-
 def _conjoin(left: Formula, right: Formula) -> Formula:
-    """``_mk_and`` for progression: a side already among the other side's
-    top-level conjuncts is dropped.  Every And combiner of the payoff metric
-    is ``max`` or ``min``, idempotent, associative and commutative, so the
-    payoffs of the residual do not change; and the residual of a formula
-    whose obligations repeat, such as ``G p`` over events that leave ``p``
+    """``_mk_and`` for progression: a side that is the other side, or one of
+    that side's two operands when it is an ``And``, is dropped.  Every And
+    combiner of the payoff metric is ``max`` or ``min``, idempotent,
+    associative and commutative, so the payoffs of the residual do not
+    change.  One level is where progression puts the repeat: ``G φ``
+    progresses to ``prog φ & G φ``, and in the next window ``prog φ`` meets
+    that conjunction's left operand.  So the residual of a formula whose
+    obligations repeat, such as ``G p`` over events that leave ``p``
     unknown, stays one fixed object instead of growing by one node per
-    event."""
+    event, and each conjunction costs constant work however large the
+    residual."""
     if isinstance(left, FalseConst) or isinstance(right, FalseConst):
         return FALSE
     if isinstance(left, TrueConst):
         return right
     if isinstance(right, TrueConst):
         return left
-    if _among_conjuncts(left, right):
+    if left is right or isinstance(right, And) and (left is right.left or left is right.right):
         return right
-    if _among_conjuncts(right, left):
+    if isinstance(left, And) and (right is left.left or right is left.right):
         return left
     return And(left, right)
 
 
-# The most node results a memo kept between calls holds before it is reset:
-# progression's here, and the payoff metric's in ``rational``.
-NODE_MEMO_LIMIT = 1 << 16
-
 # The knowledge of the last progression and its results per node, kept for
 # the next call: a residual progressed under the same knowledge again mostly
-# holds the residual before it, whose nodes are then not walked twice.
+# holds the residual before it, whose nodes are then not walked twice.  Every
+# node it keeps is interned and lives as long anyway, so it holds at most one
+# result per live node and needs no bound of its own.
 _last_progressed: tuple[dict, dict] = ({}, {})
 
 
@@ -619,21 +607,22 @@ def progress(f: Formula, knowledge: Mapping[str, bool]) -> Formula:
     ``knowledge`` gives the truth of every atom the event determines (via an
     individual literal or its class witness); absent atoms stay unknown and
     their obligations survive as residual literals under the original names,
-    for a later event's knowledge to resolve.  So a conjunct that already
-    occurs on the other side of a conjunction is dropped (``_conjoin``);
-    disjunctions are kept as built, because the metric averages over ``|``
-    and an average is not associative.
+    for a later event's knowledge to resolve.  So a conjunct that the other
+    side of a conjunction is, or holds as an operand, is dropped
+    (``_conjoin``); disjunctions are kept as built, because the metric
+    averages over ``|`` and an average is not associative.
 
     The formula is walked without recursion, each distinct node once
     (``postorder``), so no depth of residual raises ``RecursionError`` and a
     shared subformula costs one visit per call.  Consecutive calls under
-    equal knowledge share their node results, so a run whose events leave
-    the same atoms unknown pays only for the nodes each window adds.
+    equal knowledge share their node results, however many, so a run whose
+    events leave the same atoms unknown pays only for the nodes each window
+    adds, at any trace length.
     """
     global _last_progressed
     known = dict(knowledge)
     last_known, done = _last_progressed
-    if known != last_known or len(done) > NODE_MEMO_LIMIT:
+    if known != last_known:
         done = {}
         _last_progressed = known, done
     for g in postorder(f, into_next=False, known=done):

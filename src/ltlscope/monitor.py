@@ -339,7 +339,9 @@ def machine_from_json(text: str) -> MonitorInstance:
 def clear_machine_caches() -> None:
     """Reset the memoised standard, imperfect and rational machines,
     ``session_memo`` and the node memos of ``progress`` and ``metric``
-    (benchmarking support)."""
+    (benchmarking support).  The node memos have no count bound; apart
+    from progression's reset on changed knowledge, this is what empties
+    them."""
     from . import formula
     # rational imports this module
     from .rational import _metric_values, rational_machine, session_memo

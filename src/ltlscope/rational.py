@@ -25,9 +25,9 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .automata.moore import MEMO_LIMIT, MooreMachine, Verdict
-from .formula import (NODE_MEMO_LIMIT, And, Atom, FalseConst, Formula, Implies,
-                      Lit, Next, Not, Or, Release, TrueConst, Until, postorder,
-                      progress, to_metric_form)
+from .formula import (And, Atom, FalseConst, Formula, Implies, Lit, Next, Not,
+                      Or, Release, TrueConst, Until, postorder, progress,
+                      to_metric_form)
 from .monitor import MonitorInstance, synthesize_imperfect
 from .visibility import (EqClass, VisibilitySpec, check_breakable, event_set,
                          expand_witnesses, explicit_trace, identity_classes,
@@ -80,8 +80,10 @@ def _combine(comb: str, left: float, right: float) -> float:
 
 # The node values of each (atom, metric) kept for the next call: a residual
 # that progression grew from the last one scored is scored only on the nodes
-# it added.  All tables are reset together once they hold more than
-# ``NODE_MEMO_LIMIT`` values between them.
+# it added.  Every node scored is interned in ``formula`` and never evicted,
+# so a table holds at most one float per node that lives anyway; a count
+# bound would instead reset the tables on every call once one residual's
+# nodes, times the atoms scored, passed it.
 _metric_values: dict[tuple[str, MetricSpec], dict[Formula, float]] = {}
 
 
@@ -90,10 +92,9 @@ def metric(f: Formula, atom: str, spec: MetricSpec) -> float:
 
     Walks the formula without recursion, each distinct node once
     (``postorder``), so a residual of any depth is safe to score.  The node
-    values are kept per ``(atom, spec)`` across calls, so a node scored
-    before is not walked again."""
-    if sum(map(len, _metric_values.values())) > NODE_MEMO_LIMIT:
-        _metric_values.clear()
+    values are kept per ``(atom, spec)`` across calls for as long as the
+    nodes live, so a node scored before is not walked again and a window
+    costs the same at any trace length."""
     value = _metric_values.get((atom, spec))
     if value is None:
         value = _metric_values[atom, spec] = {}
@@ -239,34 +240,35 @@ class RationalRun:
 
 
 class SessionMemo:
-    """What the sessions over one class structure computed,
-    shared between them: the visible and the decoded form of each (plain
-    event, broken classes), one decoded object per decoded value, the
-    allocation of each (residual, costs, config), the metric form of each
-    formula, the member knowledge each visible event carries, and the
+    """What the sessions over one class structure computed, shared between
+    them: the visible and the decoded form of each (plain event, broken
+    classes), one decoded object per decoded value, the allocation of each
+    (residual, costs, config), the metric form of each formula, and the
     residual each (residual, visible event) progresses to.  Entries are
     never mutated, so a run holds references to them, not copies: an active
     run over shared events keeps about four objects alive instead of forty,
     and stepping leaves the cyclic collector little to do.  The metric form
     is kept per formula so that it is built once per formula, not once per
     session.  A reactive run that meets a residual and an event it met
-    before progresses without decoding the event or walking the residual,
-    so its windows cost as little late in a long trace as early.  Equal
-    events decoded under different (plain event, broken classes) keys are
-    one object (``decoded``), so every session steps the same object for a
-    value: the machine finds it in ``MooreMachine.validated`` and each
-    component finds it in ``DFA.successors`` by identity, comparing no
-    items.  Each dict holds at most ``MEMO_LIMIT`` entries.
+    before progresses without decoding the event or walking the residual;
+    one that misses decodes the event's member knowledge afresh
+    (``knowledge_from_event``) and progresses, paying only for the nodes the
+    window adds.  So its windows cost as little late in a long trace as
+    early.  Equal events decoded under different (plain event, broken
+    classes) keys are one object (``decoded``), so every session steps the
+    same object for a value: the machine finds it in
+    ``MooreMachine.validated`` and each component finds it in
+    ``DFA.successors`` by identity, comparing no items.  Each dict holds at
+    most ``MEMO_LIMIT`` entries.
     """
 
-    __slots__ = ("events", "decoded", "allocations", "forms", "knowledge", "progressions")
+    __slots__ = ("events", "decoded", "allocations", "forms", "progressions")
 
     def __init__(self) -> None:
         self.events: dict = {}
         self.decoded: dict = {}
         self.allocations: dict = {}
         self.forms: dict = {}
-        self.knowledge: dict = {}
         self.progressions: dict = {}
 
 
@@ -313,13 +315,12 @@ class Session:
     events: reallocation cannot change a settled verdict.  A window that
     ends on the residual the current allocation was scored on keeps that
     allocation without a lookup.  ``forced_break`` replaces the first
-    allocation with an exogenous class selection (used to reproduce the
-    fixed configurations of the verdict grid); it was scored on no residual,
-    so the first window boundary allocates.  Decoded events and
-    allocations, the formula's metric form, the knowledge each visible event
-    carries and progressed residuals come from the ``SessionMemo`` of the
-    session's classes.  A config whose budget differs from the spec's raises
-    ``ValueError``.
+    allocation with an exogenous class selection (used to reproduce the fixed
+    configurations of the verdict grid); it was scored on no residual, so
+    the first window boundary allocates.  Decoded events and allocations,
+    the formula's metric form and progressed residuals come from the
+    ``SessionMemo`` of the session's classes.  A config whose budget differs
+    from the spec's raises ``ValueError``.
     """
 
     def __init__(self, f: Formula, vspec: VisibilitySpec, cfg: RationalConfig,
@@ -391,11 +392,7 @@ class Session:
                 key = (residual, past)
                 progressed = memo.progressions.get(key)
                 if progressed is None:
-                    knowledge = memo.knowledge.get(past)
-                    if knowledge is None:
-                        knowledge = knowledge_from_event(past, self.vspec.classes)
-                        _remember(memo.knowledge, past, knowledge)
-                    progressed = progress(residual, knowledge)
+                    progressed = progress(residual, knowledge_from_event(past, self.vspec.classes))
                     _remember(memo.progressions, key, progressed)
                 residual = progressed
             self.residual = residual

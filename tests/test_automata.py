@@ -19,8 +19,8 @@ from ltlscope.automata.pipeline import (coarsest_partition, consistent_count,
 from ltlscope.formula import (FALSE, TRUE, And, Atom, FalseConst, Lit, Next,
                               Not, Or, Release, SLit, TrueConst, Until,
                               negate_nnf, parse_formula, subformulas)
-from ltlscope.monitor import (minimal_dfas, subset_dfas, synthesize_imperfect,
-                              synthesize_standard)
+from ltlscope.monitor import (clear_machine_caches, minimal_dfas, subset_dfas,
+                              synthesize_imperfect, synthesize_standard)
 from ltlscope.oracle.lasso import LassoWord, eval_lasso
 from ltlscope.oracle.verdict import signed_triple
 from ltlscope.visibility import (derive_classes, explicit_trace, identity_classes,
@@ -1350,6 +1350,16 @@ class TestDot:
         assert "doublecircle" in automaton_to_dot(nfa)
         dfa = branch_dfa(to_nnf(parse_formula("F p")), signed=False)
         assert "digraph" in automaton_to_dot(dfa)
+
+    def test_export_leaves_the_step_memos_alone(self):
+        """Exporting a machine draws every edge without stepping it, so the
+        components remember no successor of an event no trace stepped."""
+        f = parse_formula("G ((a0 | a1 | a2 | a3) -> X (a4 | a5 | a6 | a7))")
+        atoms = [f"a{i}" for i in range(8)]
+        clear_machine_caches()
+        machine = synthesize_imperfect(f, identity_classes(atoms)).machine
+        assert moore_to_dot(machine).count(" -> s") > 4096
+        assert [dfa.successors for dfa in machine.components] == [None, None]
 
 
 class TestDotLabels:

@@ -469,8 +469,7 @@ class TestSessions:
         fresh = [fields(run) for run in runs()]
         for _, _, spec, _ in cases:
             memo = rational.session_memo(spec.classes)
-            assert not (memo.events or memo.allocations or memo.forms or memo.knowledge
-                        or memo.progressions)
+            assert not (memo.events or memo.allocations or memo.forms or memo.progressions)
         monkeypatch.setattr(rational, "MEMO_LIMIT", 2)
         assert [fields(run) for run in runs()] == fresh
         rational.session_memo.cache_clear()
@@ -534,25 +533,40 @@ class TestSessions:
         assert all(s.residual is sessions[0].residual for s in sessions)
         assert sessions[0].residual == to_metric_form(PSI)
 
-    def test_sessions_over_one_class_structure_decode_each_event_once(self, monkeypatch):
-        """Two reactive sessions over the same classes and events decode each
-        distinct visible event once between them."""
-        calls = []
-        decode = rational.knowledge_from_event
+    def test_sessions_decode_an_event_only_when_its_progression_misses(self, monkeypatch):
+        """Reactive sessions over one class structure decode a past visible
+        event once per progression they compute; sessions that meet the same
+        residuals and events again progress from the shared memo and decode
+        nothing."""
+        calls, progressed = [], []
+        decode, progress_once = rational.knowledge_from_event, rational.progress
 
         def counted(event, classes):
             calls.append(event)
             return decode(event, classes)
 
+        def counted_progress(f, knowledge):
+            progressed.append(f)
+            return progress_once(f, knowledge)
+
         monkeypatch.setattr(rational, "knowledge_from_event", counted)
+        monkeypatch.setattr(rational, "progress", counted_progress)
         rational.session_memo.cache_clear()
         cfg = RationalConfig(metric="metric2", bound=3, window=2)
-        sessions = [ReactiveSession(f, vspec(), cfg) for f in (PSI, PHI1)]
-        for event in SIGMA + SIGMA:
-            for session in sessions:
-                session.step(event)
-        assert calls and len(calls) == len(set(calls))
-        assert set(calls) <= {e for s in sessions for e in s.visible_events}
+
+        def run_pair():
+            sessions = [ReactiveSession(f, vspec(), cfg) for f in (PSI, PHI1)]
+            for event in SIGMA + SIGMA:
+                for session in sessions:
+                    session.step(event)
+            return {e for s in sessions for e in s.visible_events}
+
+        visible = run_pair()
+        assert calls and len(calls) == len(progressed)
+        assert set(calls) <= visible
+        before = len(calls)
+        assert run_pair() == visible
+        assert len(calls) == before and len(progressed) == before
 
     def test_clear_machine_caches_forgets_session_memos(self):
         spec = vspec()
@@ -817,17 +831,22 @@ class TestProgression:
                 for atom in ("p", "q", "z"):
                     assert metric(f, atom, spec) == recursive_metric(f, atom, spec)
 
-    @pytest.mark.parametrize("limit", [rational.NODE_MEMO_LIMIT, 2])
-    def test_memoised_metric_equals_the_fold(self, monkeypatch, limit):
+    @pytest.mark.parametrize("preloaded", [1 << 16, 2])
+    def test_memoised_metric_equals_the_fold(self, preloaded):
         """Along seeded progression chains of criterion-6 draws, twenty
         windows of random knowledge each, the metric that keeps node values
         between calls equals the memo-free fold exactly, for every atom and
-        metric; so it does when the tables are reset past two values in all.
-        The tables never hold more than the limit and one residual's nodes."""
-        monkeypatch.setattr(rational, "NODE_MEMO_LIMIT", limit)
+        metric, in one table per (atom, metric); so it does when every table
+        already holds a residual of ``preloaded`` disjunctions, and the
+        tables still hold each of that residual's nodes at the end."""
         clear_machine_caches()
+        held = Atom("q")
+        for _ in range(preloaded):
+            held = Or(Atom("p"), held)
         rng = random.Random(33)
         pool = ("p", "q", "r", "s")
+        scored = {(atom, spec): metric(held, atom, spec)
+                  for spec in METRICS.values() for atom in pool}
         for _ in range(40):
             residual = to_metric_form(randgen.random_formula(rng, rng.randint(1, 8), pool))
             for _ in range(20):
@@ -835,22 +854,55 @@ class TestProgression:
                     for atom in pool:
                         assert metric(residual, atom, spec) == \
                             reference_metric(residual, atom, spec), residual
-                scored = residual
                 knowledge = {a: rng.random() < 0.5 for a in pool if rng.random() < 0.4}
                 residual = progress(residual, knowledge)
-        tables = rational._metric_values.values()
-        if limit > 2:
-            assert len(tables) == 12
-        assert sum(map(len, tables)) <= limit + len(postorder(scored))
+        assert len(rational._metric_values) == 12
+        for (atom, spec), table in rational._metric_values.items():
+            assert all(node in table for node in postorder(held))
+            assert table[held] == scored[atom, spec]
+        clear_machine_caches()
+
+    def test_node_memos_keep_a_residual_past_two_to_the_sixteen(self, monkeypatch):
+        """After a residual of more than 2^16 distinct nodes was scored and
+        progressed, scoring and progressing it under one more disjunct walk
+        only the two new nodes: the node memos keep every node, so a long
+        run's windows never rescore or reprogress the whole residual."""
+        clear_machine_caches()
+        p, z = Atom("p"), Atom("z")
+        residual = Atom("q")
+        for _ in range((1 << 16) + 10):
+            residual = Or(p, residual)
+        grown = Or(z, residual)
+        spec = METRICS["metric2"]
+        walked = []
+
+        def counted(walk):
+            def postorder(*args, **kwargs):
+                nodes = walk(*args, **kwargs)
+                walked.append(len(nodes))
+                return nodes
+            return postorder
+
+        monkeypatch.setattr(rational, "postorder", counted(postorder))
+        value = metric(residual, "p", spec)
+        assert metric(grown, "p", spec) == value / 2
+        assert walked == [(1 << 16) + 12, 2]
+        walked.clear()
+        from ltlscope import formula
+        monkeypatch.setattr(formula, "postorder", counted(postorder))
+        assert progress(residual, {"r": True}) is residual
+        assert progress(grown, {"r": True}) is grown
+        assert walked == [(1 << 16) + 12, 2]
         clear_machine_caches()
 
     def test_repeated_conjunct_is_dropped(self):
-        """A side that is a node of the other side's top-level ``And`` tree
-        is dropped; disjunctions are kept as built."""
+        """A side that is the other side, or one of that side's two operands,
+        is dropped; a conjunct two levels down is kept, and disjunctions are
+        kept as built."""
         p, q, r = Atom("p"), Atom("q"), Atom("r")
         assert progress(And(p, p), {}) is p
         assert progress(And(p, And(q, p)), {}) is And(q, p)
-        assert progress(And(And(q, And(r, p)), p), {}) is And(q, And(r, p))
+        assert progress(And(And(q, And(r, p)), p), {}) is And(And(q, And(r, p)), p)
         assert progress(And(And(p, q), And(r, And(p, q))), {}) is And(r, And(p, q))
         assert progress(And(p, Or(p, q)), {}) is And(p, Or(p, q))
         assert progress(Or(p, Or(p, q)), {}) is Or(p, Or(p, q))

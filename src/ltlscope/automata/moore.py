@@ -126,8 +126,24 @@ class MooreMachine:
         return self.outputs[state]
 
     def step(self, state: tuple[int, int], event: frozenset) -> tuple[int, int]:
+        """The successor pair of ``state`` on ``event``.  For a
+        ``frozenset`` event each component's successor is read from its
+        ``DFA.successors`` first, and ``DFA.step`` runs only on a miss: no
+        memo yet, a state that reads no literal, or an event the component
+        has not valued there.  Any other event, such as a ``set``, which
+        cannot key the memo, goes to ``DFA.step`` on both components."""
         (a, b), (s, v) = self.components, state
-        return a.step(s, event), b.step(v, event)
+        if type(event) is not frozenset:
+            return a.step(s, event), b.step(v, event)
+        memo = a.successors
+        t = None if memo is None else memo.get((s, event))
+        if t is None:
+            t = a.step(s, event)
+        memo = b.successors
+        u = None if memo is None else memo.get((v, event))
+        if u is None:
+            u = b.step(v, event)
+        return t, u
 
 
 def _build_product(a: DFA, b: DFA, classify) -> MooreMachine:

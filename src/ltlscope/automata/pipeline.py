@@ -262,8 +262,11 @@ class DFA:
     first one is kept.  An event's mask depends only on its value, so equal
     events share an entry, and an event object that callers share (the
     decoded events of a ``SessionMemo``, the command line's trace events)
-    hits it without comparing items.  The memo is no part of the DFA's
-    value: it is left out of equality and ``repr`` and never serialised.
+    hits it without comparing items.  ``MooreMachine.step`` reads the memo
+    itself and calls ``step`` only on a miss, so ``step`` stays the only
+    code that values an event and fills the memo.  The memo is no part of
+    the DFA's value: it is left out of equality and ``repr`` and never
+    serialised.
     """
 
     states: list[int]
@@ -277,12 +280,15 @@ class DFA:
         default=None, init=False, compare=False, repr=False)
 
     def step(self, state: int, event: frozenset) -> int:
-        """The successor of ``state`` on ``event``.  A ``frozenset`` event
-        on a state that reads literals is valued over them once and then
-        found in ``successors``; any other event, and every event on a
-        state that reads none, is valued on every step."""
+        """The successor of ``state`` on ``event``.  A state that reads no
+        literal has one row entry, the empty mask, which every event takes.
+        A ``frozenset`` event on a state that reads literals is valued over
+        them once and then found in ``successors``; any other event is
+        valued on every step."""
         lits = self.lits[state]
-        if not lits or type(event) is not frozenset:
+        if not lits:
+            return self.table[state][0]
+        if type(event) is not frozenset:
             return self.table[state][valuation_bits(lits, event)]
         key = (state, event)
         memo = self.successors

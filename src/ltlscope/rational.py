@@ -242,9 +242,9 @@ class RationalRun:
 class SessionMemo:
     """What the sessions over one class structure computed, shared between
     them: the visible and the decoded form of each (plain event, broken
-    classes), one decoded object per decoded value, the allocation of each
-    (residual, costs, config), the metric form of each formula, and the
-    residual each (residual, visible event) progresses to.  Entries are
+    classes), one decoded object per decoded value, one allocation table per
+    (costs, config) keyed by residual, the metric form of each formula, and
+    the residual each (residual, visible event) progresses to.  Entries are
     never mutated, so a run holds references to them, not copies: an active
     run over shared events keeps about four objects alive instead of forty,
     and stepping leaves the cyclic collector little to do.  The metric form
@@ -258,8 +258,9 @@ class SessionMemo:
     classes) keys are one object (``decoded``), so every session steps the
     same object for a value: the machine finds it in
     ``MooreMachine.validated`` and each component finds it in
-    ``DFA.successors`` by identity, comparing no items.  Each dict holds at
-    most ``MEMO_LIMIT`` entries.
+    ``DFA.successors`` by identity, comparing no items.  Each dict, and each
+    allocation table, holds at most ``MEMO_LIMIT`` entries; a session whose
+    (costs, config) finds ``allocations`` full keeps a table of its own.
     """
 
     __slots__ = ("events", "decoded", "allocations", "forms", "progressions")
@@ -319,8 +320,11 @@ class Session:
     configurations of the verdict grid); it was scored on no residual, so
     the first window boundary allocates.  Decoded events and allocations,
     the formula's metric form and progressed residuals come from the
-    ``SessionMemo`` of the session's classes.  A config whose budget differs
-    from the spec's raises ``ValueError``.
+    ``SessionMemo`` of the session's classes; the session takes the
+    allocation table of its (costs, config) once, when it starts, so a
+    window boundary looks up its residual alone.  Between boundaries a step
+    counts down the events left in the window.  A config whose budget
+    differs from the spec's raises ``ValueError``.
     """
 
     def __init__(self, f: Formula, vspec: VisibilitySpec, cfg: RationalConfig,
@@ -338,7 +342,15 @@ class Session:
         if self.residual is None:
             self.residual = to_metric_form(f)
             _remember(self.memo.forms, f, self.residual)
-        self._costs = frozenset(vspec.costs.items())
+        # The allocation table of this (costs, config), keyed by residual.
+        key = (frozenset(vspec.costs.items()), cfg)
+        self._allocations = self.memo.allocations.get(key)
+        if self._allocations is None:
+            self._allocations = {}
+            _remember(self.memo.allocations, key, self._allocations)
+        # Events left before the next window boundary; without a window the
+        # count starts below zero and never reaches it.
+        self._left = -1 if window is None else window
         self._scored = None  # the residual the current allocation was scored on
         if forced_break is None:
             allocation = self._allocate()
@@ -360,13 +372,17 @@ class Session:
         alphabet, or a value that is not a set of names (a ``str``, a
         mapping, ``None``: ``event_set``), raises ``ValueError`` and leaves
         the session as it was."""
-        event = event_set(plain_event, "atom names")
-        seen = len(self.visible_events)
-        if not event <= self.vspec.alphabet:
-            unknown = sorted(event - self.vspec.alphabet)
-            raise ValueError(f"unknown atom(s) {unknown} at position {seen}")
-        if self.window is not None and seen and seen % self.window == 0:
+        event = (plain_event if type(plain_event) is frozenset
+                 else event_set(plain_event, "atom names"))
+        alphabet = self.vspec.alphabet
+        if not event <= alphabet:
+            unknown = sorted(event - alphabet)
+            raise ValueError(f"unknown atom(s) {unknown} at position "
+                             f"{len(self.visible_events)}")
+        if not self._left:
             self._reallocate()
+            self._left = self.window
+        self._left -= 1
         key = (event, self.broken)
         view = self.memo.events.get(key)
         if view is None:
@@ -398,18 +414,17 @@ class Session:
             self.residual = residual
             if residual is not self._scored and not isinstance(residual, _SETTLED):
                 fresh = self._allocate()
-                if fresh != allocation:
+                if fresh is not allocation and fresh != allocation:
                     allocation = fresh
         self.allocations.append(allocation)
         self.broken = allocation.selection
 
     def _allocate(self) -> Allocation:
-        self._scored = self.residual
-        key = (self.residual, self._costs, self.cfg)
-        allocation = self.memo.allocations.get(key)
+        residual = self._scored = self.residual
+        allocation = self._allocations.get(residual)
         if allocation is None:
-            allocation = allocate(self.residual, self.vspec, self.cfg)
-            _remember(self.memo.allocations, key, allocation)
+            allocation = allocate(residual, self.vspec, self.cfg)
+            _remember(self._allocations, residual, allocation)
         return allocation
 
     def result(self) -> RationalRun:

@@ -675,6 +675,35 @@ class TestSuccessorMemo:
                         assert dfa.step(state, event) == self.reference(dfa, state, event)
                 assert len(dfa.successors or {}) <= 3
 
+    def test_moore_step_reads_the_memo_and_takes_a_set_after_a_frozenset(self, monkeypatch):
+        """``MooreMachine.step`` finds a remembered ``frozenset`` event in
+        both components' memos without calling ``DFA.step``, and a ``set``
+        equal to it, which cannot key a memo, gives the same state pair and
+        leaves the memos as they were."""
+        calls = []
+        dfa_step = pipeline_module.DFA.step
+
+        def counted(dfa, state, event):
+            calls.append(event)
+            return dfa_step(dfa, state, event)
+
+        monkeypatch.setattr(pipeline_module.DFA, "step", counted)
+        reading = 0
+        for m, event_of in self.draws(15):
+            machine = m.machine
+            for state in machine.states:
+                event = event_of()
+                target = machine.step(state, event)
+                before = [dict(dfa.successors or {}) for dfa in machine.components]
+                assert machine.step(state, set(event)) == target
+                assert [dfa.successors or {} for dfa in machine.components] == before
+                if all(dfa.lits[q] for dfa, q in zip(machine.components, state)):
+                    del calls[:]
+                    assert machine.step(state, frozenset(event)) == target
+                    assert calls == []
+                    reading += 1
+        assert reading
+
     def test_memo_is_no_part_of_the_machine(self):
         """Machines equal before stepping stay equal, print alike and are
         written alike."""

@@ -1,5 +1,6 @@
 """Metric, payoff, knapsack, and the active/reactive drivers."""
 
+import hashlib
 import itertools
 import random
 import re
@@ -15,7 +16,7 @@ from ltlscope.formula import (FALSE, TRUE, And, Atom, FalseConst, Formula,
                               to_metric_form)
 from ltlscope.monitor import (MonitorInstance, clear_machine_caches,
                               synthesize_imperfect)
-from ltlscope import randgen
+from ltlscope import casestudy, randgen
 from ltlscope.randgen import random_partition
 import ltlscope.rational as rational
 from ltlscope.rational import (METRICS, MetricSpec, RationalConfig,
@@ -442,8 +443,10 @@ class TestSessions:
         assert session.result().broken_per_window == [frozenset(), frozenset({"pq"})]
 
     def test_memo_changes_no_result(self, rng, monkeypatch):
-        """Runs over a warm session memo, and over one capped at two
-        entries, equal runs that decode every event afresh."""
+        """Runs over a warm session memo, and over one capped at three
+        entries, equal runs that decode every event afresh.  No table holds
+        more than ``MEMO_LIMIT`` entries, and with the limit at 0 no
+        allocation table of a (costs, config) is stored."""
         pool = ("p", "q", "r", "s")
         cases = []
         for _ in range(15):
@@ -456,6 +459,10 @@ class TestSessions:
             cfg = RationalConfig(metric="metric2", bound=spec.bound,
                                  window=rng.randint(1, 3), seed=5)
             cases.append((trace, f, spec, cfg))
+        # A residual that grows in every window: more residuals than a
+        # capped allocation table holds.
+        cases.append(([{"p"}] * 8, parse_formula("G (p -> F q)"), unknown_spec(),
+                      RationalConfig(metric="metric2", bound=1, window=1, seed=5)))
 
         def runs():
             return [batch(*case) for case in cases
@@ -464,18 +471,30 @@ class TestSessions:
         def fields(run):
             return (run.final, run.step_verdicts, run.allocations, run.visible_events)
 
+        def tables(spec):
+            memo = rational.session_memo(spec.classes)
+            return [memo.events, memo.decoded, memo.allocations, memo.forms,
+                    memo.progressions, *memo.allocations.values()]
+
+        def within_limit():
+            return all(len(table) <= rational.MEMO_LIMIT
+                       for _, _, spec, _ in cases for table in tables(spec))
+
         rational.session_memo.cache_clear()
         monkeypatch.setattr(rational, "MEMO_LIMIT", 0)
         fresh = [fields(run) for run in runs()]
         for _, _, spec, _ in cases:
-            memo = rational.session_memo(spec.classes)
-            assert not (memo.events or memo.allocations or memo.forms or memo.progressions)
-        monkeypatch.setattr(rational, "MEMO_LIMIT", 2)
+            assert not any(tables(spec))
+        monkeypatch.setattr(rational, "MEMO_LIMIT", 3)
         assert [fields(run) for run in runs()] == fresh
+        assert within_limit()
+        assert any(len(table) == 3 for _, _, spec, _ in cases
+                   for table in rational.session_memo(spec.classes).allocations.values())
         rational.session_memo.cache_clear()
         monkeypatch.undo()
         runs()
         assert [fields(run) for run in runs()] == fresh
+        assert within_limit()
         for _, _, spec, _ in cases:
             assert rational.session_memo(spec.classes).events
 
@@ -697,6 +716,37 @@ class TestSessions:
             for event in trace:
                 session.step(event)
         assert calls == {"monitor": 2 * len(trace), "moore": 2 * len(trace)}
+
+
+class TestReactiveDigest:
+    """Reactive allocations are pinned: the sha256 of each case-study
+    session's step verdicts and per-window payoffs and selection, over a
+    seeded sparse stream that leaves most properties open for many windows.
+    A change to stepping or to the window bookkeeping that moves one verdict,
+    one payoff's last bit or one selection changes the digest.  CI runs this
+    test under two hash seeds, so set iteration order cannot leak into an
+    allocation."""
+
+    DIGEST = "35a2055f5530421c07fadb6107d4532de7bfce7bd293fc44565517b11dc79bc1"
+
+    def test_case_study_sessions(self):
+        rng = random.Random(3)
+        stream = [frozenset(a for a in casestudy.ALPHABET if rng.random() < 0.1)
+                  for _ in range(200)]
+        cfg = RationalConfig(metric="metric2", bound=casestudy.BOUND,
+                             window=casestudy.WINDOW, seed=0)
+        digest = hashlib.sha256()
+        changes = 0
+        for name, f in casestudy.formulas().items():
+            session = ReactiveSession(f, casestudy.spec(), cfg)
+            for event in stream:
+                session.step(event)
+            run = session.result()
+            changes += sum(a != b for a, b in zip(run.allocations, run.allocations[1:]))
+            windows = [(a.payoffs, sorted(a.selection)) for a in run.allocations]
+            digest.update(repr((name, [v.name for v in run.step_verdicts], windows)).encode())
+        assert changes >= 20
+        assert digest.hexdigest() == self.DIGEST
 
 
 def previous_random_plain_trace(rng, length, pool=randgen.DEFAULT_POOL):

@@ -42,7 +42,7 @@ def moore_to_dot(machine: MooreMachine) -> str:
     drawn.  The unions' masks are built for this call only and kept out of
     the ``consistent_masks`` cache, and each event is valued over each
     component's own literals and read from its row, so the export leaves the
-    components' ``successors`` memos as it found them."""
+    machine's step memo (``MooreMachine.steps``) as it found it."""
     ids = {state: i for i, state in enumerate(machine.states)}
     a, b = machine.components
     unions = {(s, v): literal_order({*a.lits[s], *b.lits[v]}) for s, v in ids}

@@ -108,8 +108,15 @@ class MooreMachine:
     that share their event objects step (``SessionMemo``, the command
     line's trace readers, ``random_plain_trace``), or for an equal event
     whose items are all of the machine's literal type (``SLit`` when
-    signed, ``str`` when plain).  The memo is no part of the machine's
-    value: it is left out of equality and ``repr``.
+    signed, ``str`` when plain).
+
+    ``steps`` is the machine's one step memo: the (successor, verdict) pair
+    of each (state, ``frozenset`` event) that ``step`` has valued on a state
+    where a component reads literals, at most ``MEMO_LIMIT`` of them.  An
+    event's successor depends only on its value, so equal events share an
+    entry, and a shared event object hits it without comparing items.  Both
+    memos are no part of the machine's value: they are left out of equality
+    and ``repr`` and never serialised.
     """
 
     components: tuple[DFA, DFA]
@@ -117,6 +124,8 @@ class MooreMachine:
     outputs: dict[tuple[int, int], Verdict]
     signed: bool
     validated: dict[frozenset, frozenset] = field(default_factory=dict, compare=False, repr=False)
+    steps: dict[tuple[tuple[int, int], frozenset], tuple[tuple[int, int], Verdict]] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @property
     def states(self) -> list[tuple[int, int]]:
@@ -125,25 +134,26 @@ class MooreMachine:
     def output(self, state: tuple[int, int]) -> Verdict:
         return self.outputs[state]
 
-    def step(self, state: tuple[int, int], event: frozenset) -> tuple[int, int]:
-        """The successor pair of ``state`` on ``event``.  For a
-        ``frozenset`` event each component's successor is read from its
-        ``DFA.successors`` first, and ``DFA.step`` runs only on a miss: no
-        memo yet, a state that reads no literal, or an event the component
-        has not valued there.  Any other event, such as a ``set``, which
-        cannot key the memo, goes to ``DFA.step`` on both components."""
+    def step(self, state: tuple[int, int],
+             event: frozenset) -> tuple[tuple[int, int], Verdict]:
+        """The successor pair of ``state`` on ``event`` and its verdict.  A
+        ``frozenset`` event is looked up in ``steps`` first; on a miss, and
+        for any other event, such as a ``set``, which cannot key the memo,
+        both components step and ``outputs`` gives the verdict.  A pair
+        where neither component reads a literal takes one successor on
+        every event, so only pairs that read literals are remembered."""
+        remember = type(event) is frozenset
+        if remember:
+            key = (state, event)
+            found = self.steps.get(key)
+            if found is not None:
+                return found
         (a, b), (s, v) = self.components, state
-        if type(event) is not frozenset:
-            return a.step(s, event), b.step(v, event)
-        memo = a.successors
-        t = None if memo is None else memo.get((s, event))
-        if t is None:
-            t = a.step(s, event)
-        memo = b.successors
-        u = None if memo is None else memo.get((v, event))
-        if u is None:
-            u = b.step(v, event)
-        return t, u
+        successor = a.step(s, event), b.step(v, event)
+        found = successor, self.outputs[successor]
+        if remember and (a.lits[s] or b.lits[v]) and len(self.steps) < MEMO_LIMIT:
+            self.steps[key] = found
+        return found
 
 
 def _build_product(a: DFA, b: DFA, classify) -> MooreMachine:

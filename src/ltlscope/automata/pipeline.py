@@ -38,10 +38,9 @@ their successors, and rows over one literal tuple are zipped mask by mask.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Optional
 
 from .guarded import Edge, GuardedAutomaton, bit_positions, valuation_bits
 
@@ -240,8 +239,8 @@ def quotient_bisim(aut: GuardedAutomaton) -> GuardedAutomaton:
     )
 
 
-# Most entries one memo holds: a DFA's remembered successors, a machine's
-# validated events, each dict of a rational ``SessionMemo``, the events
+# Most entries one memo holds: a machine's remembered steps and validated
+# events, each dict of a rational ``SessionMemo``, the events
 # ``random_plain_trace`` shares.  Past it, results are computed and not kept.
 MEMO_LIMIT = 4096
 
@@ -255,18 +254,8 @@ class DFA:
     successor, so every consistent event matches exactly one entry.  On the
     signed branch a state is flagged when the prefixes reaching it, continued
     by empty events forever, are accepted; a plain-branch DFA has no flags.
-
-    ``successors`` remembers, for a state that reads literals, the successor
-    of each ``frozenset`` event ``step`` has valued there, keyed by (state,
-    event), at most ``MEMO_LIMIT`` of them; it stays ``None`` until the
-    first one is kept.  An event's mask depends only on its value, so equal
-    events share an entry, and an event object that callers share (the
-    decoded events of a ``SessionMemo``, the command line's trace events)
-    hits it without comparing items.  ``MooreMachine.step`` reads the memo
-    itself and calls ``step`` only on a miss, so ``step`` stays the only
-    code that values an event and fills the memo.  The memo is no part of
-    the DFA's value: it is left out of equality and ``repr`` and never
-    serialised.
+    A DFA remembers nothing between steps: ``MooreMachine.step`` keeps one
+    memo for the pair of DFAs it steps.
     """
 
     states: list[int]
@@ -276,33 +265,15 @@ class DFA:
     lits: dict[int, tuple]            # state -> sorted literal tuple
     table: dict[int, dict[int, int]]  # state -> valuation bits -> successor
     flagged: frozenset[int] = frozenset()
-    successors: Optional[dict[tuple[int, frozenset], int]] = field(
-        default=None, init=False, compare=False, repr=False)
 
     def step(self, state: int, event: frozenset) -> int:
         """The successor of ``state`` on ``event``.  A state that reads no
-        literal has one row entry, the empty mask, which every event takes.
-        A ``frozenset`` event on a state that reads literals is valued over
-        them once and then found in ``successors``; any other event is
-        valued on every step."""
+        literal has one row entry, the empty mask, which every event takes;
+        any other state values the event over its literals."""
         lits = self.lits[state]
         if not lits:
             return self.table[state][0]
-        if type(event) is not frozenset:
-            return self.table[state][valuation_bits(lits, event)]
-        key = (state, event)
-        memo = self.successors
-        if memo is not None:
-            successor = memo.get(key)
-            if successor is not None:
-                return successor
-        successor = self.table[state][valuation_bits(lits, event)]
-        if memo is None:
-            if MEMO_LIMIT:
-                self.successors = {key: successor}
-        elif len(memo) < MEMO_LIMIT:
-            memo[key] = successor
-        return successor
+        return self.table[state][valuation_bits(lits, event)]
 
 
 # The most consistent events one DFA row may map.  Each further name a state

@@ -68,8 +68,8 @@ def _read_events(path: str, lines: list[str],
     once per distinct line text; a ``ValueError`` it raises is refused with
     the line.  Equal events are one object, so a long trace holds each
     distinct event once, and the monitor finds that object in its checked
-    events (``MooreMachine.validated``) and in each component's
-    remembered successors (``DFA.successors``) without comparing items."""
+    events (``MooreMachine.validated``) and in its remembered steps
+    (``MooreMachine.steps``) without comparing items."""
     events = []
     by_line: dict[str, frozenset] = {}
     distinct: dict[frozenset, frozenset] = {}

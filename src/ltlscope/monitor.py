@@ -88,16 +88,18 @@ class MonitorInstance:
         ``machine.validated``.  A later step skips the check for that very
         object, and for an equal ``frozenset`` whose items are all of the
         machine's literal type (``SLit`` when signed, ``str`` when plain);
-        any other value is checked afresh.  Callers that share one object
-        per event value (``SessionMemo``, ``random_plain_trace``, the
-        command line's trace readers) hit both this memo and each
-        component's ``DFA.successors`` by identity, so they pay for each
-        distinct event once and compare no items."""
+        any other value is checked afresh.  The checked event then makes
+        one ``MooreMachine.step``, which gives the successor with its
+        verdict.  Callers that share one object per event value
+        (``SessionMemo``, ``random_plain_trace``, the command line's trace
+        readers) hit both this memo and the machine's ``steps`` by
+        identity, so they pay for each distinct event once and compare no
+        items."""
         machine = self.machine
         if type(event) is not frozenset or machine.validated.get(event) is not event:
             event = self._checked(event)
-        self.current = machine.step(self.current, event)
-        return machine.outputs[self.current]
+        self.current, verdict = machine.step(self.current, event)
+        return verdict
 
     def _checked(self, event) -> frozenset:
         """``step``'s check of an event it has not met as this object."""

@@ -43,8 +43,8 @@ def random_plain_trace(rng: random.Random, length: int,
     short traces holds each distinct event once, not once per position.
     Sharing also lets a frozenset's cached hash serve every lookup, and a
     monitor that steps the events directly finds each object in its
-    checked events (``MooreMachine.validated``) and in each component's
-    remembered successors (``DFA.successors``) without comparing items."""
+    checked events (``MooreMachine.validated``) and in its remembered
+    steps (``MooreMachine.steps``) without comparing items."""
     return [_plain_event(tuple(a for a in pool if rng.random() < 0.5))
             for _ in range(length)]
 

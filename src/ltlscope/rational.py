@@ -171,8 +171,13 @@ def knapsack(payoffs: Mapping[str, float], costs: Mapping[str, int], bound: int,
                     cur = (pay, base_atoms + size, base_sel | {cid})
             merged.append((at, cur))
         steps = merged
-    # The first budget with the best value, as over every budget.
-    return max(steps, key=lambda step: step[1][:2])[1][2]
+    # The first budget with the best value, as over every budget, by the
+    # merge's own rule: more payoff beyond _EPS, or a tie and more atoms.
+    best = steps[0][1]
+    for _, value in steps:
+        if value[0] > best[0] + _EPS or (abs(value[0] - best[0]) <= _EPS and value[1] > best[1]):
+            best = value
+    return best[2]
 
 
 @dataclass(frozen=True)
@@ -257,10 +262,10 @@ class SessionMemo:
     early.  Equal events decoded under different (plain event, broken
     classes) keys are one object (``decoded``), so every session steps the
     same object for a value: the machine finds it in
-    ``MooreMachine.validated`` and each component finds it in
-    ``DFA.successors`` by identity, comparing no items.  Each dict, and each
-    allocation table, holds at most ``MEMO_LIMIT`` entries; a session whose
-    (costs, config) finds ``allocations`` full keeps a table of its own.
+    ``MooreMachine.validated`` and in its step memo ``MooreMachine.steps``
+    by identity, comparing no items.  Each dict, and each allocation table,
+    holds at most ``MEMO_LIMIT`` entries; a session whose (costs, config)
+    finds ``allocations`` full keeps a table of its own.
     """
 
     __slots__ = ("events", "decoded", "allocations", "forms", "progressions")

@@ -1163,8 +1163,8 @@ class TestProducts:
         state = m.machine.initial
         for _ in range(300):
             event = random_signed_event(rng, names)
-            state = m.machine.step(state, event)
-            assert state in m.machine.outputs
+            state, verdict = m.machine.step(state, event)
+            assert m.machine.outputs[state] is verdict
 
 
 def reference_product(a: DFA, b: DFA, classify) -> dict:
@@ -1353,13 +1353,13 @@ class TestDot:
 
     def test_export_leaves_the_step_memos_alone(self):
         """Exporting a machine draws every edge without stepping it, so the
-        components remember no successor of an event no trace stepped."""
+        machine remembers no step of an event no trace stepped."""
         f = parse_formula("G ((a0 | a1 | a2 | a3) -> X (a4 | a5 | a6 | a7))")
         atoms = [f"a{i}" for i in range(8)]
         clear_machine_caches()
         machine = synthesize_imperfect(f, identity_classes(atoms)).machine
         assert moore_to_dot(machine).count(" -> s") > 4096
-        assert [dfa.successors for dfa in machine.components] == [None, None]
+        assert machine.steps == {}
 
 
 class TestDotLabels:

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from ltlscope import casestudy, monitor as monitor_module
-from ltlscope.automata import pipeline as pipeline_module
+from ltlscope.automata import moore as moore_module, pipeline as pipeline_module
 from ltlscope.automata import GuardedAutomaton, Verdict, ltl_to_nba
 from ltlscope.automata.dot import automaton_to_dot, moore_to_dot
 from ltlscope.automata.guarded import valuation_bits
@@ -608,8 +608,9 @@ def _verdict_kind(verdict: Verdict) -> str:
 
 
 class TestSuccessorMemo:
-    """``DFA.step`` remembers, on a state that reads literals, the successor
-    of each ``frozenset`` event it has valued (``DFA.successors``)."""
+    """``MooreMachine.step`` remembers, on a state pair where a component
+    reads literals, the (successor, verdict) pair of each ``frozenset``
+    event it has valued there (``MooreMachine.steps``)."""
 
     POOL = ("p", "q", "r", "s")
 
@@ -631,55 +632,60 @@ class TestSuccessorMemo:
                     yield m, lambda: frozenset(a for a in cls.POOL if rng.random() < 0.5)
 
     @staticmethod
-    def reference(dfa, state, event):
-        return dfa.table[state][valuation_bits(dfa.lits[state], event)]
+    def reference(machine, state, event):
+        """The step read straight from both components' rows."""
+        successor = tuple(dfa.table[q][valuation_bits(dfa.lits[q], event)]
+                          for dfa, q in zip(machine.components, state))
+        return successor, machine.outputs[successor]
+
+    @staticmethod
+    def reads(machine, state) -> bool:
+        return any(dfa.lits[q] for dfa, q in zip(machine.components, state))
 
     @pytest.mark.parametrize("limit", [MEMO_LIMIT, 0])
     def test_memoised_step_equals_the_table(self, monkeypatch, limit):
-        monkeypatch.setattr(pipeline_module, "MEMO_LIMIT", limit)
+        monkeypatch.setattr(moore_module, "MEMO_LIMIT", limit)
         remembered = 0
         for m, event_of in self.draws(11):
-            for dfa in m.machine.components:
-                events = [event_of() for _ in range(12)]
-                for _ in range(3):  # misses, then hits, and copies of the events
-                    for event in events:
-                        for state in dfa.states:
-                            assert dfa.step(state, event) == self.reference(dfa, state, event)
-                    events = [frozenset(e) for e in events]
-                remembered += len(dfa.successors or {})
+            machine = m.machine
+            events = [event_of() for _ in range(12)]
+            for _ in range(3):  # misses, then hits, and copies of the events
+                for event in events:
+                    for state in machine.states:
+                        assert machine.step(state, event) == self.reference(machine, state, event)
+                events = [frozenset(e) for e in events]
+            remembered += len(machine.steps)
         assert bool(remembered) == bool(limit)
 
     def test_only_frozensets_on_states_that_read_literals_are_remembered(self):
         blind = reading = 0
         for m, event_of in self.draws(12):
-            for dfa in m.machine.components:
-                for state in dfa.states:
-                    event = event_of()
-                    before = dict(dfa.successors or {})
-                    assert dfa.step(state, set(event)) == self.reference(dfa, state, event)
-                    assert (dfa.successors or {}) == before
-                    dfa.step(state, event)
-                    remembered = (state, event) in (dfa.successors or {})
-                    assert remembered == bool(dfa.lits[state])
-                    blind += not dfa.lits[state]
-                    reading += bool(dfa.lits[state])
+            machine = m.machine
+            for state in machine.states:
+                event = event_of()
+                before = dict(machine.steps)
+                assert machine.step(state, set(event)) == self.reference(machine, state, event)
+                assert machine.steps == before
+                machine.step(state, event)
+                assert ((state, event) in machine.steps) == self.reads(machine, state)
+                blind += not self.reads(machine, state)
+                reading += self.reads(machine, state)
         assert blind and reading
 
     def test_memo_never_exceeds_the_limit(self, monkeypatch):
-        monkeypatch.setattr(pipeline_module, "MEMO_LIMIT", 3)
+        monkeypatch.setattr(moore_module, "MEMO_LIMIT", 3)
         for m, event_of in self.draws(13):
-            for dfa in m.machine.components:
-                for _ in range(20):
-                    event = event_of()
-                    for state in dfa.states:
-                        assert dfa.step(state, event) == self.reference(dfa, state, event)
-                assert len(dfa.successors or {}) <= 3
+            machine = m.machine
+            for _ in range(20):
+                event = event_of()
+                for state in machine.states:
+                    assert machine.step(state, event) == self.reference(machine, state, event)
+            assert len(machine.steps) <= 3
 
     def test_moore_step_reads_the_memo_and_takes_a_set_after_a_frozenset(self, monkeypatch):
-        """``MooreMachine.step`` finds a remembered ``frozenset`` event in
-        both components' memos without calling ``DFA.step``, and a ``set``
-        equal to it, which cannot key a memo, gives the same state pair and
-        leaves the memos as they were."""
+        """A ``set`` equal to a remembered ``frozenset`` event, which cannot
+        key the memo, gives the same pair and leaves the memo as it was,
+        and the remembered event steps again without calling ``DFA.step``."""
         calls = []
         dfa_step = pipeline_module.DFA.step
 
@@ -693,16 +699,32 @@ class TestSuccessorMemo:
             machine = m.machine
             for state in machine.states:
                 event = event_of()
-                target = machine.step(state, event)
-                before = [dict(dfa.successors or {}) for dfa in machine.components]
-                assert machine.step(state, set(event)) == target
-                assert [dfa.successors or {} for dfa in machine.components] == before
-                if all(dfa.lits[q] for dfa, q in zip(machine.components, state)):
+                found = machine.step(state, event)
+                before = dict(machine.steps)
+                assert machine.step(state, set(event)) == found
+                assert machine.steps == before
+                if self.reads(machine, state):
                     del calls[:]
-                    assert machine.step(state, frozenset(event)) == target
+                    assert machine.step(state, frozenset(event)) == found
                     assert calls == []
                     reading += 1
         assert reading
+
+    def test_memo_cannot_skip_event_validation(self):
+        """``frozenset({("p", True)})`` equals and hashes like a remembered
+        signed event, so it would find that event's step, but the monitor
+        checks it first and refuses it."""
+        m = synthesize_imperfect(parse_formula("F p"), derive_classes(("p",), []))
+        m = machine_from_json(machine_to_json(m))
+        signed = frozenset({SLit("p", True)})
+        assert m.step(signed) == Verdict.TRUE
+        assert (m.machine.initial, signed) in m.machine.steps
+        m.reset()
+        before = dict(m.machine.steps)
+        with pytest.raises(ValueError, match="imperfect events are sets of signed literals"):
+            m.step(frozenset({("p", True)}))
+        assert m.current == m.machine.initial
+        assert m.machine.steps == before
 
     def test_memo_is_no_part_of_the_machine(self):
         """Machines equal before stepping stay equal, print alike and are
@@ -711,8 +733,7 @@ class TestSuccessorMemo:
             other = machine_from_json(machine_to_json(m))
             for _ in range(10):
                 m.step(event_of())
-            assert any(dfa.successors for dfa in m.machine.components) \
-                or not any(dfa.lits[dfa.initial] for dfa in m.machine.components)
+            assert m.machine.steps or not self.reads(m.machine, m.machine.initial)
             assert m.machine == other.machine
             assert repr(m.machine) == repr(other.machine)
             assert machine_to_json(m) == machine_to_json(other)

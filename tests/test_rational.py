@@ -131,7 +131,12 @@ def dense_knapsack(payoffs, costs, bound, sizes, seed=0):
                     or (abs(cand[0] - cur[0]) <= 1e-9 and cand[1] > cur[1])):
                 updated[b] = cand
         best = updated
-    return max(best, key=lambda v: (v[0], v[1]))[2]
+    top = best[0]
+    for cand in best:
+        if (cand[0] > top[0] + 1e-9
+                or (abs(cand[0] - top[0]) <= 1e-9 and cand[1] > top[1])):
+            top = cand
+    return top[2]
 
 
 class TestKnapsack:
@@ -147,6 +152,16 @@ class TestKnapsack:
         """``b1b2`` has the longer id but two atoms to ``abg``'s three."""
         assert knapsack({"b1b2": 1.0, "abg": 1.0}, {"b1b2": 1, "abg": 1}, 1,
                         {"b1b2": 2, "abg": 3}) == frozenset({"abg"})
+
+    def test_tie_within_eps_at_a_higher_cost_prefers_more_atoms(self):
+        """``a`` and ``b`` sum to 0.30000000000000004 at cost 2 and ``c``
+        pays 0.3 at cost 3: a tie within the tolerance, which goes to the
+        three atoms of ``c`` whatever cost step each optimum sits at."""
+        sizes = {"a": 1, "b": 1, "c": 3}
+        payoffs = {"a": .1, "b": .2, "c": .3}
+        assert knapsack(payoffs, {"a": 1, "b": 1, "c": 3}, 3, sizes) == frozenset({"c"})
+        assert knapsack(payoffs, {"a": 1, "b": 1, "c": 2}, 2, sizes) == frozenset({"c"})
+        assert dense_knapsack(payoffs, {"a": 1, "b": 1, "c": 3}, 3, sizes) == frozenset({"c"})
 
     def test_sizes_required(self):
         with pytest.raises(TypeError):
